@@ -311,9 +311,5 @@ func (s *Session) BuildCommittee(oc *OnlineCost) (*Committee, error) {
 // every workload query on the full database.
 func (s *Session) MeasureWorkload(st *Partitioning) float64 {
 	s.Engine.Deploy(st, nil)
-	total := 0.0
-	for _, q := range s.Bench.Workload.Queries {
-		total += q.Weight * s.Engine.Run(q.Graph)
-	}
-	return total
+	return core.MeasureWorkload(s.Engine, s.Bench.Workload)
 }

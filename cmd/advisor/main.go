@@ -30,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,7 +53,6 @@ import (
 	"partadvisor/internal/partition"
 	"partadvisor/internal/prof"
 	"partadvisor/internal/relation"
-	"partadvisor/internal/sqlparse"
 	"partadvisor/internal/workload"
 )
 
@@ -248,11 +248,7 @@ func main() {
 	}
 	fmt.Printf("\nsuggested partitioning (reward %.3f):\n  %s\n", reward, st)
 	eng.Deploy(st, nil)
-	gs := make([]*sqlparse.Graph, len(b.Workload.Queries))
-	for i, q := range b.Workload.Queries {
-		gs[i] = q.Graph
-	}
-	total := eng.RunBatch(gs, 0).Seconds
+	total := eng.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)}).Seconds
 	fmt.Printf("measured workload runtime under this partitioning: %.4g sim s\n", total)
 	prof.WriteHeap(*memProfile)
 }

@@ -7,10 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"partadvisor/advisor"
+	"partadvisor/internal/exec"
 	"partadvisor/internal/partition"
 )
 
@@ -64,7 +66,10 @@ func measure(sess *advisor.Session, name string, st *advisor.Partitioning, inj *
 	for round := 0; round < 8; round++ {
 		for _, q := range sess.Bench.Workload.Queries {
 			issued++
-			if _, err := e.RunErr(q.Graph); err == nil {
+			// One query per request, so each sees the clock the previous ones
+			// advanced and a round sweeps across the crash phases.
+			rep := e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: q.Graph}}})
+			if rep.Errs[0] == nil {
 				ok++
 			}
 		}

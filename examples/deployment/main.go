@@ -69,9 +69,5 @@ func design(sp *partition.Space, replicateB bool) *partition.State {
 
 func measure(e *exec.Engine, b *benchmarks.Benchmark, st *partition.State) float64 {
 	e.Deploy(st, nil)
-	total := 0.0
-	for _, q := range b.Workload.Queries {
-		total += e.Run(q.Graph)
-	}
-	return total
+	return core.MeasureWorkload(e, b.Workload)
 }

@@ -50,9 +50,5 @@ func main() {
 	// 5. Deploy it on the simulated cluster and measure the workload.
 	engine := exec.New(bench.Schema, data, hw, exec.Disk)
 	engine.Deploy(st, nil)
-	total := 0.0
-	for _, q := range bench.Workload.Queries {
-		total += engine.Run(q.Graph)
-	}
-	fmt.Printf("measured SSB workload runtime: %.4g simulated seconds\n", total)
+	fmt.Printf("measured SSB workload runtime: %.4g simulated seconds\n", core.MeasureWorkload(engine, bench.Workload))
 }

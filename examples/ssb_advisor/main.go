@@ -26,11 +26,7 @@ func main() {
 
 	measure := func(name string, st *partition.State) {
 		engine.Deploy(st, nil)
-		total := 0.0
-		for _, q := range bench.Workload.Queries {
-			total += engine.Run(q.Graph)
-		}
-		fmt.Printf("%-22s %.4g sim s   %s\n", name, total, st)
+		fmt.Printf("%-22s %.4g sim s   %s\n", name, core.MeasureWorkload(engine, bench.Workload), st)
 	}
 
 	cat := engine.TrueCatalog()

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -204,9 +205,10 @@ func TestLearnedCostModelOnlineAndSuggest(t *testing.T) {
 	})
 	measure := func(st *partition.State, freq workload.FreqVector) float64 {
 		e.Deploy(st, nil)
+		rep := e.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)})
 		total := 0.0
-		for i, q := range b.Workload.Queries {
-			total += freq[i] * e.Run(q.Graph)
+		for i := range b.Workload.Queries {
+			total += freq[i] * rep.Reports[i].Seconds
 		}
 		return total
 	}

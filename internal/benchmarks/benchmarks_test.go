@@ -1,6 +1,7 @@
 package benchmarks
 
 import (
+	"context"
 	"testing"
 
 	"partadvisor/internal/exec"
@@ -180,10 +181,10 @@ func TestAllWorkloadsExecute(t *testing.T) {
 		e := exec.New(b.Schema, data, hardware.PostgresXLDisk(), exec.Disk)
 		sp := b.Space()
 		e.Deploy(sp.InitialState(), nil)
-		for _, q := range b.Workload.Queries {
-			sec := e.Run(q.Graph)
-			if sec <= 0 {
-				t.Errorf("%s/%s: runtime %v", b.Name, q.Name, sec)
+		rep := e.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)})
+		for i, q := range b.Workload.Queries {
+			if sec := rep.Reports[i].Seconds; sec <= 0 || rep.Errs[i] != nil {
+				t.Errorf("%s/%s: runtime %v, err %v", b.Name, q.Name, sec, rep.Errs[i])
 			}
 		}
 	}
@@ -273,11 +274,7 @@ func TestTPCHSpaceAndEconomics(t *testing.T) {
 	broken := sp.Apply(s0, partition.Action{Kind: partition.ActPartition, Table: liIdx, Key: ki})
 	run := func(st *partition.State) float64 {
 		e.Deploy(st, nil)
-		total := 0.0
-		for _, q := range b.Workload.Queries {
-			total += e.Run(q.Graph)
-		}
-		return total
+		return e.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)}).Seconds
 	}
 	base, worse := run(s0), run(broken)
 	if worse <= base {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,6 @@ import (
 	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/sqlparse"
 	"partadvisor/internal/workload"
 )
 
@@ -251,11 +251,7 @@ func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, schedule, [
 	// Calibrate the schedule's time unit — one fault-free workload pass —
 	// before any fault is armed.
 	e.Deploy(sp.InitialState(), nil)
-	gs := make([]*sqlparse.Graph, len(wl.Queries))
-	for i, q := range wl.Queries {
-		gs[i] = q.Graph
-	}
-	unit := e.RunBatch(gs, 0).Seconds
+	unit := e.Exec(context.Background(), exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}).Seconds
 	if unit <= 0 {
 		return out, schedule{}, nil, fmt.Errorf("chaos: calibration workload consumed no simulated time")
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"partadvisor/internal/faults"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/sqlparse"
 )
 
 // SkewConfig parameterizes the skew soak: adversarial traffic (Zipf-skewed
@@ -262,10 +262,7 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 	cur := sp.Apply(sp.InitialState(), partition.Action{Kind: partition.ActPartition, Table: oi, Key: ki})
 	e.Deploy(cur, nil)
 	e.ResetClock()
-	gs := make([]*sqlparse.Graph, len(wl.Queries))
-	for i, q := range wl.Queries {
-		gs[i] = q.Graph
-	}
+	window := exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}
 
 	oc := core.NewOnlineCost(e, wl, nil)
 	det := core.NewHotShardDetector(core.HotShardConfig{})
@@ -288,7 +285,7 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 		// caches per-design measurements, so it would execute nothing after
 		// the first window and the detector would see only quiet deltas),
 		// then let the window's think-time pass.
-		e.RunBatch(gs, 0)
+		e.Exec(context.Background(), window)
 		e.AdvanceClock(skewWindowPaceSec)
 		rep, hot := det.Observe(e.ShardHeat())
 		if !hot {
@@ -341,7 +338,7 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 	// on the adopted layout must keep the hot table's max/mean heat at or
 	// below the bound.
 	pre := e.ShardHeat()
-	if _, err := e.Execute(wl.Queries[0].Graph, 0); err != nil {
+	if err := e.Exec(context.Background(), exec.Request{Queries: window.Queries[:1]}).Errs[0]; err != nil {
 		return out, vio, fmt.Errorf("skew: post-mitigation probe: %w", err)
 	}
 	out.finalIm = e.ShardHeat().Sub(pre).Imbalance("orders")

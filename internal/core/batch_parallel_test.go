@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,13 +10,15 @@ import (
 	"partadvisor/internal/faults"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/sqlparse"
 )
 
 // onlinePass drives one OnlineCost over a spread of designs and mixes and
 // returns the sequence of measured workload costs plus the final stats.
-func onlinePass(t *testing.T, parallel bool, inject *faults.Config) ([]float64, OnlineStats) {
+// OnlineCost sizes its batches' worker pool from GOMAXPROCS, so procs pins
+// the worker count (1 runs every batch inline).
+func onlinePass(t *testing.T, procs int, inject *faults.Config) ([]float64, OnlineStats) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	b := benchmarks.Micro()
 	sp := b.Space()
 	e := exec.New(b.Schema, b.Generate(0.3, 5), hardware.SystemXMemory(), exec.Memory)
@@ -24,7 +27,6 @@ func onlinePass(t *testing.T, parallel bool, inject *faults.Config) ([]float64, 
 		e.SetSelfHeal(true)
 	}
 	oc := NewOnlineCost(e, b.Workload, nil)
-	oc.Parallel = parallel
 
 	states := []*partition.State{sp.InitialState()}
 	for _, vi := range sp.ValidActions(states[0], nil) {
@@ -81,8 +83,8 @@ func TestOnlineCostParallelMatchesSequential(t *testing.T) {
 	}
 	for name, inject := range schedules {
 		t.Run(name, func(t *testing.T) {
-			seqCosts, seqStats := onlinePass(t, false, inject)
-			parCosts, parStats := onlinePass(t, true, inject)
+			seqCosts, seqStats := onlinePass(t, 1, inject)
+			parCosts, parStats := onlinePass(t, 4, inject)
 			for i := range seqCosts {
 				if seqCosts[i] != parCosts[i] {
 					t.Fatalf("measurement %d: parallel %v != sequential %v", i, parCosts[i], seqCosts[i])
@@ -100,7 +102,7 @@ func TestOnlineCostParallelMatchesSequential(t *testing.T) {
 
 // TestConcurrentBatchesAndCommitteeTraining shares one engine between
 // parallel committee expert training (measured cost, synchronized through
-// the engine mutex) and a foreground loop hammering RunBatch — the -race
+// the engine mutex) and a foreground loop hammering Exec — the -race
 // proof that batch fan-out composes with every other engine user.
 func TestConcurrentBatchesAndCommitteeTraining(t *testing.T) {
 	b := benchmarks.Micro()
@@ -118,16 +120,12 @@ func TestConcurrentBatchesAndCommitteeTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	graphs := make([]*sqlparse.Graph, len(b.Workload.Queries))
-	for i, q := range b.Workload.Queries {
-		graphs[i] = q.Graph
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			e.RunBatch(graphs, 0)
+			MeasureWorkload(e, b.Workload)
 		}
 	}()
 

@@ -57,8 +57,7 @@ func BenchmarkTrainOfflinePrefetched(b *testing.B) {
 
 // BenchmarkTrainOfflinePrefetchWorkers sweeps the prefetch-worker count
 // 1, 2, 4, … up to NumCPU — the saturation curve for the speculative
-// pipeline. Sub-benchmark names are stable (`workers=N`) so bench.sh can
-// graph the curve per machine.
+// pipeline.
 func BenchmarkTrainOfflinePrefetchWorkers(b *testing.B) {
 	max := runtime.NumCPU()
 	for w := 1; ; w *= 2 {

@@ -42,7 +42,7 @@ func TestCommitteeTrainingConcurrentWithQueries(t *testing.T) {
 			default:
 			}
 			q := b.Workload.Queries[i%len(b.Workload.Queries)]
-			if sec := e.Run(q.Graph); sec < 0 {
+			if sec := runSec(e, q.Graph); sec < 0 {
 				t.Errorf("Run returned negative time %v", sec)
 				return
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -287,13 +288,13 @@ func TestComputeScaleFactors(t *testing.T) {
 	// Both engines must be left deployed on pOffline: the online phase
 	// continues from exactly that layout.
 	g := b.Workload.Queries[0].Graph
-	fullAfter, sampleAfter := full.Run(g), sample.Run(g)
+	fullAfter, sampleAfter := runSec(full, g), runSec(sample, g)
 	full.Deploy(sp.InitialState(), nil)
 	sample.Deploy(sp.InitialState(), nil)
-	if got := full.Run(g); got != fullAfter {
+	if got := runSec(full, g); got != fullAfter {
 		t.Fatalf("full engine was not left on pOffline (runtime %v vs %v)", fullAfter, got)
 	}
-	if got := sample.Run(g); got != sampleAfter {
+	if got := runSec(sample, g); got != sampleAfter {
 		t.Fatalf("sample engine was not left on pOffline (runtime %v vs %v)", sampleAfter, got)
 	}
 }
@@ -485,4 +486,15 @@ func TestCommitteeExpertsBootstrappedFromNaive(t *testing.T) {
 			t.Fatalf("expert %d epsilon = %v (not bootstrapped)", i, e.Agent.Epsilon)
 		}
 	}
+}
+
+// run1 executes one query as a batch of one on the deployed layout and
+// returns its injected failure, if any.
+func run1(e *exec.Engine, g *sqlparse.Graph) error {
+	return e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: g}}}).Errs[0]
+}
+
+// runSec is run1 reduced to the consumed simulated seconds.
+func runSec(e *exec.Engine, g *sqlparse.Graph) float64 {
+	return e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: g}}}).Seconds
 }

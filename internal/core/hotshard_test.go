@@ -153,7 +153,7 @@ func TestMitigateHotShardEndToEnd(t *testing.T) {
 	var rep HotReport
 	found := false
 	for w := 0; w < 4 && !found; w++ {
-		if _, err := e.Execute(g, 0); err != nil {
+		if err := run1(e, g); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		rep, found = det.Observe(e.ShardHeat())
@@ -178,7 +178,7 @@ func TestMitigateHotShardEndToEnd(t *testing.T) {
 	if dep.Salt == 0 && !dep.HotSplit {
 		t.Fatalf("winning mitigation not deployed: %+v", dep)
 	}
-	if _, err := e.Execute(g, 0); err != nil {
+	if err := run1(e, g); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	if im := e.ShardHeat().Sub(pre).Imbalance("orders"); im >= rep.Imbalance {

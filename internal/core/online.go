@@ -110,12 +110,6 @@ type OnlineCost struct {
 	UseCache        bool
 	LazyRepartition bool
 	UseTimeouts     bool
-	// Parallel fans each state's cache misses across the engine's worker
-	// pool (Engine.RunBatchQueries), whose workers read an immutable
-	// layout snapshot lock-free with per-worker scratch arenas. Purely a
-	// wall-clock knob: the batch contract guarantees results identical to
-	// the single-worker path.
-	Parallel bool
 
 	// Fault-tolerance knobs. An execution that fails (injected crash or
 	// transient error) is retried up to MaxRetries times with capped
@@ -180,7 +174,6 @@ func NewOnlineCost(engine *exec.Engine, wl *workload.Workload, scale []float64) 
 		UseCache:           true,
 		LazyRepartition:    true,
 		UseTimeouts:        true,
-		Parallel:           true,
 		MaxRetries:         4,
 		RetryBackoffSec:    0.05,
 		RetryBackoffCapSec: 1.0,
@@ -360,10 +353,6 @@ func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 		for pos, k := range order {
 			qs[pos] = exec.BatchQuery{Graph: oc.WL.Queries[misses[k]].Graph, Limit: limits[k]}
 		}
-		workers := 1
-		if oc.Parallel {
-			workers = 0 // GOMAXPROCS
-		}
 		var abort *exec.BatchAbort
 		var onResult func(pos int, r exec.RunReport, err error)
 		if canaryK > 0 {
@@ -385,7 +374,7 @@ func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 				}
 			}
 		}
-		rep := oc.Engine.RunBatchQueriesAbortCtx(oc.ctx(), qs, workers, abort, onResult)
+		rep := oc.Engine.Exec(oc.ctx(), exec.Request{Queries: qs, Abort: abort, OnResult: onResult})
 		oc.Stats.QueriesExecuted += rep.Completed
 		oc.Stats.ExecSeconds += rep.Seconds
 		oc.Stats.NaiveExecSeconds += rep.Seconds
@@ -593,8 +582,9 @@ func (oc *OnlineCost) retry(g *sqlparse.Graph, limit float64, batchErr error) (r
 		oc.Stats.ExecSeconds += wait
 		oc.Stats.NaiveExecSeconds += wait
 		backoff *= 2
-		rep, execErr := oc.Engine.Execute(g, limit)
-		oc.Stats.QueriesExecuted++
+		batch := oc.Engine.Exec(oc.ctx(), exec.Request{Queries: []exec.BatchQuery{{Graph: g, Limit: limit}}})
+		rep, execErr := batch.Reports[0], batch.Errs[0]
+		oc.Stats.QueriesExecuted += batch.Completed
 		oc.Stats.ExecSeconds += rep.Seconds
 		oc.Stats.NaiveExecSeconds += rep.Seconds
 		oc.Stats.DegradedSeconds += rep.DegradedSeconds
@@ -675,6 +665,18 @@ func freqKey(freq workload.FreqVector) string {
 	return string(buf)
 }
 
+// MeasureWorkload runs every workload query once on the engine's deployed
+// layout, as one batch, and returns Σ w_i·seconds_i summed in query order —
+// the paper's evaluation metric ("total runtime of all queries").
+func MeasureWorkload(e *exec.Engine, wl *workload.Workload) float64 {
+	rep := e.Exec(context.Background(), exec.Request{Queries: exec.Queries(wl.Graphs(), 0)})
+	total := 0.0
+	for i, q := range wl.Queries {
+		total += q.Weight * rep.Reports[i].Seconds
+	}
+	return total
+}
+
 // ComputeScaleFactors measures the §4.2 per-query factors
 // S_i = c_full(P_offline, q_i) / c_sample(P_offline, q_i): both engines are
 // deployed to the offline-phase partitioning and every query is executed
@@ -684,15 +686,12 @@ func freqKey(freq workload.FreqVector) string {
 func ComputeScaleFactors(full, sample *exec.Engine, wl *workload.Workload, pOffline *partition.State) (scale []float64, setupSeconds float64) {
 	setupSeconds = full.Deploy(pOffline, nil)
 	setupSeconds += sample.Deploy(pOffline, nil)
-	gs := make([]*sqlparse.Graph, len(wl.Queries))
-	for i, q := range wl.Queries {
-		gs[i] = q.Graph
-	}
-	// One parallel batch per engine; the per-position reports are then
-	// consumed in the historical interleaved order (cf_i, cs_i, cf_i+1, …)
-	// so the setup-time sum is bit-identical to the sequential loop.
-	repF := full.RunBatch(gs, 0)
-	repS := sample.RunBatch(gs, 0)
+	// One batch per engine; the per-position reports are then consumed
+	// interleaved (cf_i, cs_i, cf_i+1, …), which fixes the float-addition
+	// order of the setup-time sum.
+	req := exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}
+	repF := full.Exec(context.Background(), req)
+	repS := sample.Exec(context.Background(), req)
 	scale = make([]float64, len(wl.Queries))
 	for i := range wl.Queries {
 		cf := repF.Reports[i].Seconds

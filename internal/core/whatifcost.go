@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"partadvisor/internal/exec"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
@@ -9,11 +11,11 @@ import (
 // WhatIfCost prices partitionings by simulated execution WITHOUT deploying
 // them: each evaluation runs the mix's active queries against a frozen
 // overlay of the engine's layout with the candidate design's shard sets
-// materialized through the cluster's shard cache
-// (exec.Engine.EvalDesignSnapshot). Nothing observable on the engine moves
-// — no deploys, no clock advance, no counters, no fault draws — so unlike
-// OnlineCost it is safe to call from many goroutines at once: evaluations
-// are pure and run lock-free against their own snapshots.
+// materialized through the cluster's shard cache (exec.Request.Design).
+// Nothing observable on the engine moves — no deploys, no clock advance, no
+// counters, no fault draws — so unlike OnlineCost it is safe to call from
+// many goroutines at once: evaluations are pure and run lock-free against
+// their own snapshots.
 //
 // That makes WorkloadCost the natural concurrent base for an env.CostCache
 // feeding the training prefetcher: wrap it, call
@@ -43,7 +45,7 @@ func (wc *WhatIfCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 		qs = append(qs, exec.BatchQuery{Graph: q.Graph})
 		weights = append(weights, freq[i]*q.Weight)
 	}
-	rep := wc.Engine.EvalDesignSnapshot(st, qs, wc.Workers)
+	rep := wc.Engine.Exec(context.Background(), exec.Request{Queries: qs, Workers: wc.Workers, Design: st})
 	total := 0.0
 	for pos, w := range weights {
 		total += w * rep.Reports[pos].Seconds

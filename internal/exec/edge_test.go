@@ -18,7 +18,7 @@ func TestEmptyTablesExecute(t *testing.T) {
 	e := New(engSchema(), map[string]*relation.Relation{}, hardware.PostgresXLDisk(), Disk)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
 	e.Deploy(engSpace().InitialState(), nil)
-	sec := e.Run(g)
+	sec := runSec(e, g)
 	if sec <= 0 {
 		t.Fatalf("empty-table runtime = %v", sec)
 	}
@@ -46,11 +46,11 @@ func TestReplicatedScanAbortsUnderLimit(t *testing.T) {
 	st := buildState(t, sp, map[string]string{"orders": "R"})
 	e.Deploy(st, nil)
 	g := engGraph(t, "SELECT * FROM orders WHERE o_amount > 1")
-	full := e.Run(g)
+	full := runSec(e, g)
 	// Abort during the scan phase.
-	sec, aborted := e.RunWithLimit(g, full*0.5)
-	if !aborted || sec <= 0 {
-		t.Fatalf("scan-phase abort: sec=%v aborted=%v", sec, aborted)
+	rep, _ := run1(e, g, full*0.5)
+	if !rep.Aborted || rep.Seconds <= 0 {
+		t.Fatalf("scan-phase abort: %+v", rep)
 	}
 }
 
@@ -138,14 +138,14 @@ func TestCompositeKeyJoinCorrectAndColocated(t *testing.T) {
 	if got := resultRows(e, g); got != want {
 		t.Fatalf("compound-key join rows = %d, want %d", got, want)
 	}
-	coloc := e.Run(g)
+	coloc := runSec(e, g)
 	// Default pk designs: requires movement -> slower on a slow network.
 	eSlow := New(sch, map[string]*relation.Relation{"t1": t1.Clone(), "t2": t2.Clone()},
 		hardware.SystemXMemory().WithSlowNetwork(), Memory)
 	eSlow.Deploy(st, nil)
-	colocSlow := eSlow.Run(g)
+	colocSlow := runSec(eSlow, g)
 	eSlow.Deploy(sp.InitialState(), nil)
-	moved := eSlow.Run(g)
+	moved := runSec(eSlow, g)
 	if got := resultRowsOf(eSlow, g); got != want {
 		t.Fatalf("pk-design join rows = %d, want %d", got, want)
 	}
@@ -200,8 +200,8 @@ func TestExplainTracesPlan(t *testing.T) {
 		t.Fatalf("replicated strategy not traced:\n%s", strings.Join(plan3, "\n"))
 	}
 	// Explain must not alter subsequent measurements.
-	a := e.Run(g)
-	b := e.Run(g)
+	a := runSec(e, g)
+	b := runSec(e, g)
 	if a != b {
 		t.Fatalf("Explain perturbed execution: %v vs %v", a, b)
 	}

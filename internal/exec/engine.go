@@ -43,18 +43,13 @@ func (f Flavor) String() string {
 const estimateNoiseSigma = 0.7
 
 // Engine is one deployed distributed database. Its stateful operations
-// (Deploy, Run/RunWithLimit, RunBatch, EstimateCost, Analyze, BulkLoad) are
-// serialized by an internal mutex, so one engine can be shared by
-// concurrent advisors — e.g. the parallel committee's expert trainers
-// measuring costs while an experiment loop executes queries. RunBatch holds
-// the mutex for the whole batch; its workers execute against an immutable
-// layout snapshot taken at batch start (see snapshot.go), entirely
-// lock-free.
-//
+// (Deploy, Exec, EstimateCost, Analyze, BulkLoad) are serialized by an
+// internal mutex, so one engine can be shared by concurrent advisors; Exec
+// documents the one execution path and what it holds the mutex for.
 // Read-only accessors (Counters, TopologyView, TableFootprint,
-// CurrentDesign, Explain, SimNow, Faults, RepairStats, RepairLog,
-// NodeStates) serve the atomically published engine view instead of taking
-// the mutex: they return immediately — with the state as of the last
+// CurrentDesign, Explain, SimNow, Faults, ShardHeat, RepairStats,
+// RepairLog, NodeStates) serve the atomically published engine view
+// instead: they return immediately — with the state as of the last
 // completed operation — even while a long batch is running.
 type Engine struct {
 	Schema *schema.Schema
@@ -77,8 +72,8 @@ type Engine struct {
 	scratches []*execScratch
 
 	// heat is the cumulative per-shard access matrix (schema-table-order ×
-	// node, flat), fed by the charged prefix of every batch and by single
-	// Executes; heatIdx maps table name → row. See heat.go.
+	// node, flat), fed by the charged prefix of every deployed Exec; heatIdx
+	// maps table name → row. See heat.go.
 	heat    []int64
 	heatIdx map[string]int
 
@@ -86,8 +81,8 @@ type Engine struct {
 	// simNow the simulated clock it is evaluated against; see faults.go.
 	faults *faults.Injector
 	simNow float64
-	// batchSeq numbers RunBatch calls; it keys the positional
-	// transient-failure derivation (see batch.go).
+	// batchSeq numbers deployed Exec requests; it keys the positional
+	// transient-failure derivation.
 	batchSeq uint64
 
 	// Self-healing state (see heal.go): when selfHeal is armed, the engine
@@ -264,31 +259,15 @@ func (e *Engine) TableFootprint(table string) (rows, bytes int64) {
 	return t.rows, t.bytes
 }
 
-// Run executes a query and returns the simulated wall time in seconds.
-func (e *Engine) Run(g *sqlparse.Graph) float64 {
-	sec, _ := e.RunWithLimit(g, 0)
-	return sec
-}
-
-// RunWithLimit executes a query, aborting once the accumulated simulated
-// time reaches limit (0 = no limit). It returns the consumed time —
-// clamped to the limit on abort, since the query is killed at the
-// deadline — and whether it was aborted: the paper's §4.2 timeout
-// optimization. Injected failures are swallowed (the partial time is
-// returned); fault-aware callers use Execute or RunErr.
-func (e *Engine) RunWithLimit(g *sqlparse.Graph, limit float64) (seconds float64, aborted bool) {
-	rep, _ := e.Execute(g, limit)
-	return rep.Seconds, rep.Aborted
-}
-
 // Explain executes the query with plan tracing and returns the chosen
 // operators (scan placements, join order and distribution strategies) —
 // an EXPLAIN ANALYZE equivalent for the simulated engine.
-// Explain is a pure diagnostic: it neither counts as an executed query,
-// advances the simulated clock, nor draws from the transient-failure
-// stream. It runs lock-free against the published view (so it works even
-// mid-batch, seeing the pre-batch state), including the fault state at the
-// published clock — a failing step appends an ERROR line to the plan.
+// Explain is a pure diagnostic, not a measurement: it neither counts as an
+// executed query, advances the simulated clock, consumes a batch number nor
+// draws a transient failure. It runs lock-free against the published view
+// (so it works even mid-batch, seeing the pre-batch state), including the
+// fault state at the published clock — a failing step appends an ERROR line
+// to the plan.
 func (e *Engine) Explain(g *sqlparse.Graph) (plan []string, seconds float64) {
 	v := e.loadView()
 	var s execScratch // private stack scratch: Explain never touches the pool

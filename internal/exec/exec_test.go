@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,6 +56,19 @@ func newEngine(t *testing.T) (*Engine, map[string]*relation.Relation) {
 	t.Helper()
 	data := engData(50, 400, 1200, 1)
 	return New(engSchema(), data, hardware.PostgresXLDisk(), Disk), data
+}
+
+// run1 executes one query as a batch of one on the deployed layout.
+func run1(e *Engine, g *sqlparse.Graph, limit float64) (RunReport, error) {
+	rep := e.Exec(context.Background(), Request{Queries: []BatchQuery{{Graph: g, Limit: limit}}})
+	return rep.Reports[0], rep.Errs[0]
+}
+
+// runSec is run1 without a limit, reduced to the consumed simulated seconds
+// (partial when an injected fault failed the query).
+func runSec(e *Engine, g *sqlparse.Graph) float64 {
+	rep, _ := run1(e, g, 0)
+	return rep.Seconds
 }
 
 func engGraph(t *testing.T, sql string) *sqlparse.Graph {
@@ -224,9 +238,9 @@ func TestCoLocationIsFasterThanShuffle(t *testing.T) {
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
 	sp := engSpace()
 	e.Deploy(buildState(t, sp, map[string]string{"orders": "o_c_id"}), nil)
-	coloc := e.Run(g)
+	coloc := runSec(e, g)
 	e.Deploy(sp.InitialState(), nil)
-	shuffle := e.Run(g)
+	shuffle := runSec(e, g)
 	if coloc >= shuffle {
 		t.Fatalf("co-located %v >= shuffle %v", coloc, shuffle)
 	}
@@ -235,8 +249,8 @@ func TestCoLocationIsFasterThanShuffle(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	e, _ := newEngine(t)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	a := e.Run(g)
-	b := e.Run(g)
+	a := runSec(e, g)
+	b := runSec(e, g)
 	if a != b {
 		t.Fatalf("nondeterministic runtime: %v vs %v", a, b)
 	}
@@ -249,16 +263,16 @@ func TestRunWithLimitAborts(t *testing.T) {
 	e, _ := newEngine(t)
 	g := engGraph(t, `SELECT * FROM orderline ol, orders o, customer c
 		WHERE ol.ol_o_id = o.o_id AND o.o_c_id = c.c_id`)
-	full := e.Run(g)
-	sec, aborted := e.RunWithLimit(g, full/2)
-	if !aborted {
+	full := runSec(e, g)
+	rep, _ := run1(e, g, full/2)
+	if !rep.Aborted {
 		t.Fatalf("query with limit %v (full %v) not aborted", full/2, full)
 	}
-	if sec > full {
-		t.Fatalf("aborted run charged %v > full %v", sec, full)
+	if rep.Seconds > full {
+		t.Fatalf("aborted run charged %v > full %v", rep.Seconds, full)
 	}
 	// Generous limit: no abort.
-	if _, aborted := e.RunWithLimit(g, full*10); aborted {
+	if rep, _ := run1(e, g, full*10); rep.Aborted {
 		t.Fatalf("query aborted under generous limit")
 	}
 }
@@ -350,7 +364,7 @@ func TestMemoryFlavorFasterScans(t *testing.T) {
 	disk := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	mem := New(engSchema(), data, hardware.SystemXMemory(), Memory)
 	g := engGraph(t, "SELECT * FROM orders WHERE o_amount > 100")
-	if d, m := disk.Run(g), mem.Run(g); m >= d {
+	if d, m := runSec(disk, g), runSec(mem, g); m >= d {
 		t.Fatalf("memory engine not faster: %v vs %v", m, d)
 	}
 }
@@ -374,10 +388,10 @@ func TestSkewedPartitioningSlowsQueries(t *testing.T) {
 	}
 	stBalanced := buildState(t, sp, map[string]string{"customer": "R"})
 	e.Deploy(stBalanced, nil)
-	balanced := e.Run(g)
+	balanced := runSec(e, g)
 	stSkewed := buildState(t, sp, map[string]string{"customer": "R", "orders": "o_amount"})
 	e.Deploy(stSkewed, nil)
-	skewed := e.Run(g)
+	skewed := runSec(e, g)
 	if skewed <= balanced {
 		t.Fatalf("skewed partitioning not slower: %v vs %v", skewed, balanced)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"partadvisor/internal/faults"
-	"partadvisor/internal/sqlparse"
 )
 
 // Sentinel errors for execution failures. Callers branch on failure class
@@ -87,23 +86,9 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-// RunReport is the outcome of one error-aware query execution.
-type RunReport struct {
-	// Seconds is the simulated time consumed (partial on failure: the
-	// scheduler aborts as soon as it discovers missing data).
-	Seconds float64
-	// Aborted reports a §4.2 timeout abort.
-	Aborted bool
-	// DegradedSeconds is how much of the execution overlapped an active
-	// fault window — runtimes with DegradedSeconds > 0 are not
-	// steady-state measurements and must not be cached as such.
-	DegradedSeconds float64
-}
-
 // SetFaults arms (or, with nil, disarms) a fault schedule. The injector
-// is evaluated against the engine's simulated clock; it is owned by the
-// engine from here on (all access happens under the engine mutex, which
-// keeps the transient-failure stream deterministic).
+// is evaluated against the engine's simulated clock. Injectors are
+// immutable, so one may be shared by several engines.
 func (e *Engine) SetFaults(in *faults.Injector) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -122,7 +107,7 @@ func (e *Engine) Faults() *faults.Injector {
 }
 
 // SimNow returns the engine's simulated clock: total simulated seconds
-// consumed by Run/Deploy calls (and explicit AdvanceClock) since
+// consumed by Exec/Deploy calls (and explicit AdvanceClock) since
 // construction or the last ResetClock. Fault windows are defined over
 // this clock. Served lock-free from the published view (the clock as of
 // the last completed operation).
@@ -152,48 +137,6 @@ func (e *Engine) ResetClock() {
 	e.simNow = 0
 	e.lastHeal = 0
 	e.pending = nil
-}
-
-// Execute is the error-returning execution entry point: it runs a query
-// with an optional §4.2 time limit (0 = none) under the armed fault
-// schedule. With no injector armed it never fails and consumes exactly
-// the same simulated time as RunWithLimit.
-func (e *Engine) Execute(g *sqlparse.Graph, limit float64) (RunReport, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishLocked()
-	e.healLocked()
-	e.QueriesExecuted++
-	start := e.simNow
-	if e.faults != nil && e.faults.TransientFailure() {
-		// The query dies before doing real work (worker restart,
-		// connection reset): only the fixed per-query overhead is lost.
-		sec := e.HW.QueryOverheadSec
-		e.simNow += sec
-		return RunReport{
-			Seconds:         sec,
-			DegradedSeconds: e.faults.DegradedOverlap(start, start+sec),
-		}, &TransientError{At: start}
-	}
-	s := e.grabScratchLocked()
-	x := s.prepare(e.layoutLocked(), g, limit, start, e.faultCtx())
-	sec, aborted := x.run()
-	err := x.err
-	e.mergeHeat(x.heat)
-	e.putScratchLocked(s)
-	e.simNow += sec
-	rep := RunReport{Seconds: sec, Aborted: aborted}
-	if e.faults != nil {
-		rep.DegradedSeconds = e.faults.DegradedOverlap(start, start+sec)
-	}
-	return rep, err
-}
-
-// RunErr executes a query and surfaces injected failures alongside the
-// consumed simulated time (partial on failure).
-func (e *Engine) RunErr(g *sqlparse.Graph) (float64, error) {
-	rep, err := e.Execute(g, 0)
-	return rep.Seconds, err
 }
 
 // faultCtx samples the fault state at the current clock: queries are short

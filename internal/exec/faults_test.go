@@ -35,7 +35,7 @@ func TestEmptyScheduleIsByteIdentical(t *testing.T) {
 		if sp != sa {
 			t.Fatalf("deploy seconds diverge with empty schedule: %v vs %v", sp, sa)
 		}
-		if rp, ra := plain.Run(g), armed.Run(g); rp != ra {
+		if rp, ra := runSec(plain, g), runSec(armed, g); rp != ra {
 			t.Fatalf("run seconds diverge with empty schedule: %v vs %v", rp, ra)
 		}
 	}
@@ -48,16 +48,12 @@ func TestReplicatedFailover(t *testing.T) {
 	}), nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
 	e.SetFaults(crashNode(t, 1, 1e9))
-	sec, err := e.RunErr(g)
+	rep, err := run1(e, g, 0)
 	if err != nil {
 		t.Fatalf("replicated query did not fail over: %v", err)
 	}
-	if sec <= 0 {
-		t.Fatalf("failover run consumed %v seconds", sec)
-	}
-	rep, err := e.Execute(g, 0)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
+	if rep.Seconds <= 0 {
+		t.Fatalf("failover run consumed %v seconds", rep.Seconds)
 	}
 	if rep.DegradedSeconds <= 0 {
 		t.Fatalf("run during a crash window reported DegradedSeconds = %v", rep.DegradedSeconds)
@@ -68,10 +64,10 @@ func TestLostShardFailsQuery(t *testing.T) {
 	e, _ := newEngine(t)
 	e.Deploy(engSpace().InitialState(), nil) // every table hash-partitioned
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	full := e.Run(g)
+	full := runSec(e, g)
 
 	e.SetFaults(crashNode(t, 1, 1e9))
-	sec, err := e.RunErr(g)
+	rep, err := run1(e, g, 0)
 	var ue *UnavailableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("lost shard: err = %v, want UnavailableError", err)
@@ -82,8 +78,8 @@ func TestLostShardFailsQuery(t *testing.T) {
 	if IsTransient(err) {
 		t.Fatal("availability loss misclassified as transient")
 	}
-	if sec <= 0 || sec >= full {
-		t.Fatalf("failed run consumed %v seconds (full run: %v)", sec, full)
+	if rep.Seconds <= 0 || rep.Seconds >= full {
+		t.Fatalf("failed run consumed %v seconds (full run: %v)", rep.Seconds, full)
 	}
 }
 
@@ -92,11 +88,11 @@ func TestRecoveryAfterCrashWindow(t *testing.T) {
 	e.Deploy(engSpace().InitialState(), nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
 	e.SetFaults(crashNode(t, 0, 5))
-	if _, err := e.RunErr(g); err == nil {
+	if _, err := run1(e, g, 0); err == nil {
 		t.Fatal("query inside the crash window should fail")
 	}
 	e.AdvanceClock(5) // node recovers
-	if _, err := e.RunErr(g); err != nil {
+	if _, err := run1(e, g, 0); err != nil {
 		t.Fatalf("query after recovery failed: %v", err)
 	}
 }
@@ -108,7 +104,7 @@ func TestTransientFailuresDeterministic(t *testing.T) {
 		e.SetFaults(faults.MustNew(faults.Config{Seed: 7, TransientFailureRate: 0.4}))
 		out := make([]bool, 40)
 		for i := range out {
-			_, err := e.RunErr(g)
+			_, err := run1(e, g, 0)
 			if err != nil && !IsTransient(err) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
@@ -135,11 +131,11 @@ func TestStragglerSlowsQuery(t *testing.T) {
 	e, _ := newEngine(t)
 	e.Deploy(engSpace().InitialState(), nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	base := e.Run(g)
+	base := runSec(e, g)
 	e.SetFaults(faults.MustNew(faults.Config{
 		Stragglers: []faults.Straggler{{Node: 0, Factor: 50, Window: faults.Window{Start: 0, End: 1e9}}},
 	}))
-	slow := e.Run(g)
+	slow := runSec(e, g)
 	if slow <= base {
 		t.Fatalf("straggler run %v not slower than baseline %v", slow, base)
 	}
@@ -150,12 +146,12 @@ func TestNetDegradationSlowsShuffleAndDeploy(t *testing.T) {
 	st := engSpace().InitialState() // pk-partitioned: the join must move data
 	e.Deploy(st, nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	base := e.Run(g)
+	base := runSec(e, g)
 
 	e.SetFaults(faults.MustNew(faults.Config{
 		Degradations: []faults.NetDegradation{{Factor: 0.05, Window: faults.Window{Start: 0, End: 1e9}}},
 	}))
-	slow := e.Run(g)
+	slow := runSec(e, g)
 	if slow <= base {
 		t.Fatalf("degraded-network run %v not slower than baseline %v", slow, base)
 	}
@@ -178,7 +174,7 @@ func TestSimClock(t *testing.T) {
 	}
 	sec := e.Deploy(engSpace().InitialState(), nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	sec += e.Run(g)
+	sec += runSec(e, g)
 	if got := e.SimNow(); got != sec {
 		t.Fatalf("SimNow = %v, want %v (deploy+run)", got, sec)
 	}
@@ -235,17 +231,10 @@ func TestRunWithLimitClampsAtLimit(t *testing.T) {
 	e.Deploy(engSpace().InitialState(), nil)
 	g := engGraph(t, `SELECT * FROM orderline ol, orders o, customer c
 		WHERE ol.ol_o_id = o.o_id AND o.o_c_id = c.c_id`)
-	full := e.Run(g)
+	full := runSec(e, g)
 	limit := full / 3
-	sec, aborted := e.RunWithLimit(g, limit)
-	if !aborted {
-		t.Fatalf("no abort under limit %v (full %v)", limit, full)
-	}
-	if sec != limit {
-		t.Fatalf("aborted run consumed %v, want exactly the limit %v", sec, limit)
-	}
-	rep, err := e.Execute(g, limit)
+	rep, err := run1(e, g, limit)
 	if err != nil || !rep.Aborted || rep.Seconds != limit {
-		t.Fatalf("Execute under limit: %+v, %v", rep, err)
+		t.Fatalf("run under limit %v (full %v): %+v, %v", limit, full, rep, err)
 	}
 }

@@ -88,7 +88,7 @@ func (e *Engine) NodeStates() (down, unreachable []bool) {
 // healLocked processes topology-recovery events (node rejoins, partition
 // heals) that occurred since the last check, repairing every node that has
 // missed mutations and is accessible at the event time. Called at the top
-// of the stateful entry points (Execute, RunBatch, Deploy, BulkLoad) under
+// of the stateful entry points (Exec, Deploy, BulkLoad) under
 // the engine mutex — healing is lazy: a rejoin is acted on the next time
 // the engine does work, in event order. No-op unless self-healing is
 // armed.

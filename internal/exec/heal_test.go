@@ -31,10 +31,10 @@ func TestPartitionFailsCrossPartitionQuery(t *testing.T) {
 	e, _ := newEngine(t)
 	e.Deploy(engSpace().InitialState(), nil) // every table hash-partitioned
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	full := e.Run(g)
+	full := runSec(e, g)
 
 	e.SetFaults(partitionCut(t, 0, 5))
-	sec, err := e.RunErr(g)
+	rep, err := run1(e, g, 0)
 	var pe *PartitionError
 	if !errors.As(err, &pe) {
 		t.Fatalf("cross-partition query: err = %v, want PartitionError", err)
@@ -51,12 +51,12 @@ func TestPartitionFailsCrossPartitionQuery(t *testing.T) {
 	if IsTransient(err) {
 		t.Fatal("partition misclassified as transient")
 	}
-	if sec <= 0 || sec >= full {
-		t.Fatalf("failed run consumed %v seconds (full run: %v)", sec, full)
+	if rep.Seconds <= 0 || rep.Seconds >= full {
+		t.Fatalf("failed run consumed %v seconds (full run: %v)", rep.Seconds, full)
 	}
 
 	e.AdvanceClock(10) // partition heals
-	if _, err := e.RunErr(g); err != nil {
+	if _, err := run1(e, g, 0); err != nil {
 		t.Fatalf("query after the partition healed failed: %v", err)
 	}
 }
@@ -70,12 +70,12 @@ func TestReplicatedFailoverWithinPartition(t *testing.T) {
 	}), nil)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
 	e.SetFaults(partitionCut(t, 0, 1e9))
-	sec, err := e.RunErr(g)
+	rep, err := run1(e, g, 0)
 	if err != nil {
 		t.Fatalf("replicated query did not fail over inside the partition: %v", err)
 	}
-	if sec <= 0 {
-		t.Fatalf("failover run consumed %v seconds", sec)
+	if rep.Seconds <= 0 {
+		t.Fatalf("failover run consumed %v seconds", rep.Seconds)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestSelfHealRepairsRejoinedNode(t *testing.T) {
 	e.Deploy(engSpace().InitialState(), nil) // node 1 misses every table
 	e.AdvanceClock(10)                       // node 1 rejoins at t=5
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	if _, err := e.RunErr(g); err != nil { // first work after rejoin heals
+	if _, err := run1(e, g, 0); err != nil { // first work after rejoin heals
 		t.Fatalf("query after rejoin+repair failed: %v", err)
 	}
 
@@ -133,7 +133,7 @@ func TestSelfHealSkipsNodeThatMissedNothing(t *testing.T) {
 	e.SetSelfHeal(true)
 	e.AdvanceClock(10)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	if _, err := e.RunErr(g); err != nil {
+	if _, err := run1(e, g, 0); err != nil {
 		t.Fatalf("query after rejoin failed: %v", err)
 	}
 	if repairs, bytes := e.RepairStats(); repairs != 0 || bytes != 0 {
@@ -152,7 +152,7 @@ func TestSelfHealNeverRepairsPermanentLoss(t *testing.T) {
 	e.Deploy(engSpace().InitialState(), nil)
 	e.AdvanceClock(1e6)
 	g := engGraph(t, "SELECT * FROM orders o, customer c WHERE o.o_c_id = c.c_id")
-	if _, err := e.RunErr(g); !errors.Is(err, ErrShardLost) {
+	if _, err := run1(e, g, 0); !errors.Is(err, ErrShardLost) {
 		t.Fatalf("query with a permanently lost shard: err = %v, want ErrShardLost", err)
 	}
 	if repairs, _ := e.RepairStats(); repairs != 0 {

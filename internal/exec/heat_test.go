@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestShardHeatCountsEmittedRows(t *testing.T) {
 		t.Fatalf("fresh engine has heat (digest %x)", d)
 	}
 
-	if _, err := e.Execute(engGraph(t, "SELECT * FROM orders WHERE o_amount > -1"), 0); err != nil {
+	if _, err := run1(e, engGraph(t, "SELECT * FROM orders WHERE o_amount > -1"), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	h := e.ShardHeat()
@@ -53,7 +54,7 @@ func TestShardHeatCountsEmittedRows(t *testing.T) {
 	// A selective filter emits fewer rows than it scans.
 	e2, _ := newEngine(t)
 	e2.Deploy(engSpace().InitialState(), nil)
-	if _, err := e2.Execute(engGraph(t, "SELECT * FROM orders WHERE o_amount > 900"), 0); err != nil {
+	if _, err := run1(e2, engGraph(t, "SELECT * FROM orders WHERE o_amount > 900"), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	var filtered, full int64
@@ -73,7 +74,7 @@ func TestShardHeatCountsEmittedRows(t *testing.T) {
 func TestShardHeatReplicatedBalanced(t *testing.T) {
 	e, _ := newEngine(t)
 	e.Deploy(buildState(t, engSpace(), map[string]string{"customer": "R"}), nil)
-	if _, err := e.Execute(engGraph(t, "SELECT * FROM customer WHERE c_region = 2"), 0); err != nil {
+	if _, err := run1(e, engGraph(t, "SELECT * FROM customer WHERE c_region = 2"), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	row := e.ShardHeat().TableRows("customer")
@@ -99,14 +100,14 @@ func TestShardHeatDetectsSkew(t *testing.T) {
 
 	hot := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	hot.Deploy(buildState(t, engSpace(), map[string]string{"orders": "o_c_id"}), nil)
-	if _, err := hot.Execute(engGraph(t, g), 0); err != nil {
+	if _, err := run1(hot, engGraph(t, g), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	hotIm := hot.ShardHeat().Imbalance("orders")
 
 	cold := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	cold.Deploy(buildState(t, engSpace(), map[string]string{"orders": "o_id"}), nil)
-	if _, err := cold.Execute(engGraph(t, g), 0); err != nil {
+	if _, err := run1(cold, engGraph(t, g), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	coldIm := cold.ShardHeat().Imbalance("orders")
@@ -121,14 +122,14 @@ func TestShardHeatDetectsSkew(t *testing.T) {
 
 // The worker-sweep half of the determinism contract: the cumulative heat
 // matrix after a parallel batch is bit-identical at every worker count,
-// and identical to running the queries one by one through Execute.
+// and identical to running the queries one by one.
 func TestShardHeatWorkerSweepBitIdentical(t *testing.T) {
 	data := engData(50, 400, 1200, 1)
 	gs := batchGraphs(t)
 
 	seq := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	for _, g := range gs {
-		if _, err := seq.Execute(g, 0); err != nil {
+		if _, err := run1(seq, g, 0); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 	}
@@ -139,7 +140,7 @@ func TestShardHeatWorkerSweepBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 0} {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
-		e.RunBatchQueries(toBatch(gs, 0), workers)
+		e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers})
 		if got := e.ShardHeat().Digest(); got != want {
 			t.Fatalf("workers=%d: heat digest %x != sequential %x", workers, got, want)
 		}
@@ -158,12 +159,12 @@ func TestShardHeatAbortChargedPrefixOnly(t *testing.T) {
 	run := func(workers int) (uint64, int) {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		abort := &BatchAbort{}
-		rep := e.RunBatchQueriesAbort(toBatch(gs, 0), workers, abort,
-			func(pos int, _ RunReport, _ error) {
+		rep := e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers, Abort: abort,
+			OnResult: func(pos int, _ RunReport, _ error) {
 				if pos == cut {
 					abort.Set()
 				}
-			})
+			}})
 		return e.ShardHeat().Digest(), rep.Completed
 	}
 
@@ -183,15 +184,16 @@ func TestShardHeatAbortChargedPrefixOnly(t *testing.T) {
 
 	// The aborted prefix heats strictly less than the full batch.
 	full := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
-	full.RunBatchQueries(toBatch(gs, 0), 0)
+	full.Exec(context.Background(), Request{Queries: Queries(gs, 0)})
 	var fullTotal, cutTotal int64
 	e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	abort := &BatchAbort{}
-	e.RunBatchQueriesAbort(toBatch(gs, 0), 4, abort, func(pos int, _ RunReport, _ error) {
-		if pos == cut {
-			abort.Set()
-		}
-	})
+	e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: 4, Abort: abort,
+		OnResult: func(pos int, _ RunReport, _ error) {
+			if pos == cut {
+				abort.Set()
+			}
+		}})
 	for _, v := range full.ShardHeat().NodeTotals() {
 		fullTotal += v
 	}
@@ -212,8 +214,8 @@ func TestShardHeatDiagnosticsRecordNothing(t *testing.T) {
 
 	gs := batchGraphs(t)
 	e.Explain(gs[0])
-	e.EvalDesignSnapshot(buildState(t, engSpace(), map[string]string{"customer": "R"}),
-		toBatch(gs, 0), 2)
+	e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: 2,
+		Design: buildState(t, engSpace(), map[string]string{"customer": "R"})})
 	if got := e.ShardHeat().Digest(); got != before {
 		t.Fatalf("diagnostics changed heat: %x != %x", got, before)
 	}

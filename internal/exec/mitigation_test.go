@@ -57,7 +57,7 @@ func TestMitigationsRebalanceHeat(t *testing.T) {
 	imbalanceOf := func(st *partition.State) float64 {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		e.Deploy(st, nil)
-		if _, err := e.Execute(engGraph(t, g), 0); err != nil {
+		if _, err := run1(e, engGraph(t, g), 0); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		return e.ShardHeat().Imbalance("orders")

@@ -58,37 +58,27 @@ func (s *execScratch) prepare(lay *layoutSnap, g *sqlparse.Graph, limit, now flo
 // during execution is recycled for the next one.
 func (s *execScratch) release() { s.ar.Reset() }
 
-// grabScratchLocked checks one scratch out of the engine pool (allocating
-// a cold one when the pool is empty). Caller must hold e.mu.
-func (e *Engine) grabScratchLocked() *execScratch {
-	if n := len(e.scratches); n > 0 {
-		s := e.scratches[n-1]
-		e.scratches[n-1] = nil
-		e.scratches = e.scratches[:n-1]
-		return s
-	}
-	return &execScratch{}
-}
-
-// putScratchLocked returns a scratch to the pool for reuse by later
-// queries and batches. Caller must hold e.mu.
-func (e *Engine) putScratchLocked(s *execScratch) {
-	s.ar.Reset()
-	e.scratches = append(e.scratches, s)
-}
-
-// grabScratchesLocked checks out n scratches (one per batch worker).
+// grabScratchesLocked checks n scratches (one per worker) out of the engine
+// pool, allocating cold ones when the pool runs dry. Caller must hold e.mu.
 func (e *Engine) grabScratchesLocked(n int) []*execScratch {
 	out := make([]*execScratch, n)
 	for i := range out {
-		out[i] = e.grabScratchLocked()
+		if last := len(e.scratches) - 1; last >= 0 {
+			out[i] = e.scratches[last]
+			e.scratches[last] = nil
+			e.scratches = e.scratches[:last]
+		} else {
+			out[i] = &execScratch{}
+		}
 	}
 	return out
 }
 
-// putScratchesLocked returns a batch's worker scratches to the pool.
+// putScratchesLocked returns a request's worker scratches to the pool for
+// reuse by later requests. Caller must hold e.mu.
 func (e *Engine) putScratchesLocked(ss []*execScratch) {
 	for _, s := range ss {
-		e.putScratchLocked(s)
+		s.ar.Reset()
 	}
+	e.scratches = append(e.scratches, ss...)
 }

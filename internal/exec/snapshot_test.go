@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestBatchBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (BatchReport, []string) {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		e.SetFaults(faults.MustNew(snapshotFaultCfg()))
-		rep := e.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers})
 		errs := make([]string, len(rep.Errs))
 		for i, err := range rep.Errs {
 			if err != nil {
@@ -89,12 +90,12 @@ func TestBatchAbortBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		e.SetFaults(faults.MustNew(snapshotFaultCfg()))
 		var abort BatchAbort
-		return e.RunBatchQueriesAbort(toBatch(gs, 0), workers, &abort,
-			func(pos int, rep RunReport, err error) {
+		return e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers, Abort: &abort,
+			OnResult: func(pos int, rep RunReport, err error) {
 				if pos == cut {
 					abort.Set()
 				}
-			})
+			}})
 	}
 
 	base := run(1)
@@ -130,7 +131,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 	gs := batchGraphs(t)
 	workers := 4
 
-	base := e.RunBatchQueries(toBatch(gs, 0), workers)
+	base := e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers})
 	e.mu.Lock()
 	if len(e.scratches) != workers {
 		t.Fatalf("scratch pool holds %d after a %d-worker batch", len(e.scratches), workers)
@@ -143,7 +144,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		e.ResetClock()
-		rep := e.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: workers})
 		if rep.Seconds != base.Seconds || rep.Completed != base.Completed {
 			t.Fatalf("round %d totals drift: %v vs %v", round, rep.Seconds, base.Seconds)
 		}
@@ -169,7 +170,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 	// alone. The pool must stay under workers x that high-water mark
 	// (round-count-independent); anything past it is a cross-round leak.
 	solo := New(engSchema(), engData(50, 400, 1200, 1), hardware.PostgresXLDisk(), Disk)
-	solo.RunBatchQueries(toBatch(gs, 0), 1)
+	solo.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: 1})
 	solo.mu.Lock()
 	soloFootprint := solo.scratches[0].ar.Footprint()
 	solo.mu.Unlock()

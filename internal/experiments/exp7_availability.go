@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
+	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
 	"partadvisor/internal/partition"
 )
@@ -40,12 +42,14 @@ func measureAvailability(s *setup, st *partition.State, inj *faults.Injector, pe
 	var res availabilityResult
 	issued, ok := 0, 0
 	for r := 0; r < rounds; r++ {
+		// One query per request: each must see the clock its predecessors
+		// advanced, so a round sweeps across the crash phases.
 		for _, q := range s.bench.Workload.Queries {
 			issued++
-			sec, err := e.RunErr(q.Graph)
-			if err == nil {
+			rep := e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: q.Graph}}})
+			if rep.Errs[0] == nil {
 				ok++
-				res.Runtime += q.Weight * sec
+				res.Runtime += q.Weight * rep.Seconds
 			}
 		}
 		e.AdvanceClock(period * 0.31)
@@ -98,12 +102,8 @@ func Availability(cfg Config) (*Result, error) {
 	// into the rewards, so the agent can learn that replication survives.
 	sample := s.sampleEngine(cfg)
 	scale, setupSec := core.ComputeScaleFactors(s.engine, sample, wl, offSt)
-	samplePeriod := 0.0
 	sample.Deploy(s.space.InitialState(), nil)
-	for _, q := range wl.Queries {
-		samplePeriod += q.Weight * sample.Run(q.Graph)
-	}
-	samplePeriod *= 3
+	samplePeriod := 3 * core.MeasureWorkload(sample, wl)
 	trainInj := faults.MustNew(crash(samplePeriod))
 	sample.SetFaults(trainInj)
 	sample.ResetClock()
@@ -155,7 +155,7 @@ func Availability(cfg Config) (*Result, error) {
 				continue
 			}
 			toDownPhase() // each query must start inside the outage
-			if _, err := sample.RunErr(q.Graph); err != nil {
+			if err := sample.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: q.Graph}}}).Errs[0]; err != nil {
 				oc.MarkFailed(i, st)
 				survives = false
 			}

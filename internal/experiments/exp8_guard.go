@@ -40,12 +40,8 @@ func runGuardVariant(s *setup, cfg Config, guarded bool) (*guardVariant, error) 
 	// of every period, and a 20x straggler hits node 0 in alternating
 	// windows — so measurement passes swing between clean and massively
 	// regressed, the regime the guard exists for.
-	samplePeriod := 0.0
 	sample.Deploy(s.space.InitialState(), nil)
-	for _, q := range wl.Queries {
-		samplePeriod += q.Weight * sample.Run(q.Graph)
-	}
-	samplePeriod *= 3
+	samplePeriod := 3 * core.MeasureWorkload(sample, wl)
 	fc := faults.Config{
 		PeriodicCrashes: []faults.PeriodicCrash{
 			{Node: 1, Period: samplePeriod, DownStart: 0.25 * samplePeriod, DownEnd: 0.75 * samplePeriod},

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
+	"partadvisor/internal/exec"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/sqlparse"
 )
 
 // Hotshard is the hot-shard resilience experiment: the celebrity benchmark's
@@ -89,10 +90,7 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 	}
 	e.Deploy(st, nil)
 	e.ResetClock()
-	gs := make([]*sqlparse.Graph, len(wl.Queries))
-	for i, q := range wl.Queries {
-		gs[i] = q.Graph
-	}
+	window := exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}
 
 	oc := core.NewOnlineCost(e, wl, nil)
 	det := core.NewHotShardDetector(core.HotShardConfig{})
@@ -109,9 +107,9 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 		if zero {
 			freq = wl.UniformFreq()
 		}
-		rep := e.RunBatch(gs, 0)
+		rep := e.Exec(context.Background(), window)
 		var cost float64
-		for i := range gs {
+		for i := range window.Queries {
 			cost += freq[i] * rep.Reports[i].Seconds
 		}
 		costs = append(costs, cost)
@@ -129,7 +127,7 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 	}
 
 	pre := e.ShardHeat()
-	if _, err := e.Execute(wl.Queries[0].Graph, 0); err != nil {
+	if err := e.Exec(context.Background(), exec.Request{Queries: window.Queries[:1]}).Errs[0]; err != nil {
 		return nil, 0, 0, "", fmt.Errorf("final probe: %w", err)
 	}
 	finalIm = e.ShardHeat().Sub(pre).Imbalance("orders")

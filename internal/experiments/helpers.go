@@ -12,7 +12,6 @@ import (
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/relation"
-	"partadvisor/internal/sqlparse"
 	"partadvisor/internal/workload"
 )
 
@@ -123,21 +122,10 @@ func diskFlavor() exec.Flavor           { return exec.Disk }
 
 // evalWorkload deploys a partitioning on the full engine and measures the
 // total runtime of every workload query — the paper's evaluation metric
-// ("averaged total runtime of all queries"). The queries run as one
-// parallel batch; the weighted sum is taken in query order, so the result
-// is bit-identical to the sequential loop it replaces.
+// ("averaged total runtime of all queries").
 func (s *setup) evalWorkload(st *partition.State) float64 {
 	s.engine.Deploy(st, nil)
-	gs := make([]*sqlparse.Graph, len(s.bench.Workload.Queries))
-	for i, q := range s.bench.Workload.Queries {
-		gs[i] = q.Graph
-	}
-	rep := s.engine.RunBatch(gs, 0)
-	total := 0.0
-	for i, q := range s.bench.Workload.Queries {
-		total += q.Weight * rep.Reports[i].Seconds
-	}
-	return total
+	return core.MeasureWorkload(s.engine, s.bench.Workload)
 }
 
 // trainOfflineAdvisor builds and offline-trains a fresh advisor. With

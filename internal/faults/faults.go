@@ -7,8 +7,9 @@
 // the injector was armed), so a fault schedule composed with a
 // deterministic engine yields bit-identical runs: same seed, same
 // schedule, same measurements. The only stochastic source — transient
-// query failures — draws from a self-contained splitmix64 stream seeded
-// by Config.Seed, and draws nothing at all when the failure rate is zero.
+// query failures — is a stateless splitmix64 hash of (Config.Seed, batch
+// number, position in the batch), so an Injector is immutable after New and
+// needs no lock.
 package faults
 
 import (
@@ -131,8 +132,8 @@ func SeededBisect(seed int64, n int, w Window) NetPartition {
 
 // Config is a complete declarative fault schedule.
 type Config struct {
-	// Seed seeds the transient-failure stream. Schedules with the same
-	// seed produce identical failure sequences.
+	// Seed keys the transient-failure verdicts. Schedules with the same
+	// seed fail the same (batch, position) pairs.
 	Seed int64
 	// Crashes are one-shot node outages.
 	Crashes []NodeCrash
@@ -148,7 +149,7 @@ type Config struct {
 	Partitions []NetPartition
 	// TransientFailureRate is the probability that one query execution
 	// fails transiently (connection reset, worker restart). Zero disables
-	// the stream entirely — no random draws are made.
+	// transient failures.
 	TransientFailureRate float64
 }
 
@@ -228,13 +229,10 @@ func (c Config) Validate() error {
 }
 
 // Injector evaluates a fault schedule against the simulated clock. It is
-// not safe for concurrent use on its own; the execution engine serializes
-// access under its mutex, which also keeps the transient-failure stream
-// deterministic.
+// immutable: every method is a pure function of the schedule and its
+// arguments, safe for concurrent use.
 type Injector struct {
-	cfg   Config
-	state uint64 // splitmix64 state for transient failures
-	draws uint64 // number of transient draws made (diagnostics)
+	cfg Config
 }
 
 // New validates a schedule and arms an injector for it.
@@ -242,7 +240,7 @@ func New(cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{cfg: cfg, state: uint64(cfg.Seed)}, nil
+	return &Injector{cfg: cfg}, nil
 }
 
 // MustNew is New for schedules known valid at compile time; it panics on
@@ -258,18 +256,6 @@ func MustNew(cfg Config) *Injector {
 // Config returns the armed schedule (to arm a fresh injector with the
 // same regime, e.g. for a second deterministic evaluation pass).
 func (in *Injector) Config() Config { return in.cfg }
-
-// next advances the splitmix64 stream.
-func (in *Injector) next() uint64 {
-	in.state += 0x9e3779b97f4a7c15
-	z := in.state
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
 
 // NodeDown reports whether the node is crashed at simulated time now.
 func (in *Injector) NodeDown(node int, now float64) bool {
@@ -324,27 +310,12 @@ func (in *Injector) NetFactor(now float64) float64 {
 	return f
 }
 
-// TransientFailure draws once from the failure stream and reports whether
-// this query execution fails transiently. No draw is made when the rate
-// is zero, so schedules without transient failures stay deterministic
-// regardless of how often queries run.
-func (in *Injector) TransientFailure() bool {
-	if in.cfg.TransientFailureRate <= 0 {
-		return false
-	}
-	in.draws++
-	u := float64(in.next()>>11) / (1 << 53)
-	return u < in.cfg.TransientFailureRate
-}
-
 // TransientFailureAt reports whether the query at the given position of
-// the given batch fails transiently. Unlike TransientFailure, the draw is
-// derived purely from (seed, batch, position) — a stateless splitmix64
-// evaluation, independent of arrival order and of the sequential stream —
-// so concurrent executors of a batch get deterministic, race-free
-// verdicts: same schedule, same batch, same position ⇒ same draw,
-// regardless of GOMAXPROCS or goroutine scheduling. Safe for concurrent
-// use (reads only the immutable config).
+// the given batch fails transiently. The verdict is derived purely from
+// (seed, batch, position) — a stateless splitmix64 evaluation, independent
+// of call order — so concurrent executors of a batch get deterministic,
+// race-free verdicts: same schedule, same batch, same position ⇒ same
+// verdict, regardless of GOMAXPROCS or goroutine scheduling.
 func (in *Injector) TransientFailureAt(batch uint64, position int) bool {
 	if in.cfg.TransientFailureRate <= 0 {
 		return false

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -88,29 +89,65 @@ func TestFactors(t *testing.T) {
 	}
 }
 
+// TestTransientFailureDeterminism pins the one transient-failure derivation:
+// a verdict is a pure function of (seed, batch, position) — the same under
+// any call order and from any goroutine — and fails at the configured rate
+// both across the positions of batches and across position 0 of successive
+// batch numbers (the single-query case).
 func TestTransientFailureDeterminism(t *testing.T) {
-	draw := func(seed int64, n int) []bool {
-		in := MustNew(Config{Seed: seed, TransientFailureRate: 0.3})
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = in.TransientFailure()
+	const batches, positions = 50, 20
+	grid := func(in *Injector) []bool {
+		out := make([]bool, batches*positions)
+		for b := 0; b < batches; b++ {
+			for p := 0; p < positions; p++ {
+				out[b*positions+p] = in.TransientFailureAt(uint64(b), p)
+			}
 		}
 		return out
 	}
-	a, b := draw(42, 1000), draw(42, 1000)
+	in := MustNew(Config{Seed: 42, TransientFailureRate: 0.3})
+	a, b := grid(in), grid(MustNew(Config{Seed: 42, TransientFailureRate: 0.3}))
 	fails := 0
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same-seed streams diverge at draw %d", i)
+			t.Fatalf("same-seed verdicts diverge at batch %d position %d", i/positions, i%positions)
 		}
 		if a[i] {
 			fails++
 		}
 	}
 	if fails < 200 || fails > 400 {
-		t.Errorf("0.3-rate stream produced %d/1000 failures", fails)
+		t.Errorf("0.3-rate schedule failed %d/1000 positions", fails)
 	}
-	c := draw(43, 1000)
+
+	// Call order and concurrency do not matter: re-ask in reverse, from
+	// several goroutines sharing the injector.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(a) - 1; i >= 0; i-- {
+				if in.TransientFailureAt(uint64(i/positions), i%positions) != a[i] {
+					t.Errorf("verdict at batch %d position %d depends on call order", i/positions, i%positions)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	singles := 0
+	for batch := uint64(0); batch < 1000; batch++ {
+		if in.TransientFailureAt(batch, 0) {
+			singles++
+		}
+	}
+	if singles < 200 || singles > 400 {
+		t.Errorf("0.3-rate schedule failed %d/1000 single-query batches", singles)
+	}
+
+	c := grid(MustNew(Config{Seed: 43, TransientFailureRate: 0.3}))
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -118,19 +155,18 @@ func TestTransientFailureDeterminism(t *testing.T) {
 		}
 	}
 	if same == len(a) {
-		t.Error("different seeds produced identical streams")
+		t.Error("different seeds produced identical verdicts")
 	}
 }
 
 func TestTransientFailureZeroRateNoDraws(t *testing.T) {
 	in := MustNew(Config{Seed: 1})
-	for i := 0; i < 100; i++ {
-		if in.TransientFailure() {
-			t.Fatal("zero-rate stream reported a failure")
+	for batch := uint64(0); batch < 20; batch++ {
+		for pos := 0; pos < 20; pos++ {
+			if in.TransientFailureAt(batch, pos) {
+				t.Fatalf("zero-rate schedule failed batch %d position %d", batch, pos)
+			}
 		}
-	}
-	if in.draws != 0 {
-		t.Errorf("zero-rate stream made %d draws, want 0", in.draws)
 	}
 }
 

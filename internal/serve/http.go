@@ -29,6 +29,10 @@ type BatchRequest struct {
 	Workers int `json:"workers"`
 }
 
+// maxBatchBody bounds a batch request body: maxBatchPositions query names
+// fit many times over.
+const maxBatchBody = 1 << 20
+
 // BatchResponse is the JSON answer for an executed (or deadline-cut)
 // batch.
 type BatchResponse struct {
@@ -152,8 +156,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad batch request: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: "bad batch request: " + err.Error()})
 		return
 	}
 	priority := 1

@@ -355,6 +355,9 @@ func (s *Server) SubmitBatch(ctx context.Context, t *Tenant, names []string, rep
 		s.shedPriority.Add(1)
 		return nil, ErrShedPriority
 	}
+	if workers < 0 {
+		return nil, fmt.Errorf("serve: workers %d must not be negative", workers)
+	}
 	qs, labels, err := t.resolveQueries(names, repeat, limit)
 	if err != nil {
 		return nil, err

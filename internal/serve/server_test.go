@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,7 +287,9 @@ func TestQueuedDeadlineCancel(t *testing.T) {
 	s.Start()
 	defer mustShutdown(t, s)
 
-	tn, err := s.CreateTenant(fastSpec("t1"))
+	spec := fastSpec("t1")
+	spec.Scale = 0.5 // the largest admissible batch must run for seconds
+	tn, err := s.CreateTenant(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +297,7 @@ func TestQueuedDeadlineCancel(t *testing.T) {
 	// A huge batch occupies the only worker...
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	wait1, err := s.SubmitBatch(ctx1, tn, nil, 100000, 0, 1, 1)
+	wait1, err := s.SubmitBatch(ctx1, tn, nil, maxBatchPositions/len(tn.wl.Queries), 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,5 +577,47 @@ func TestConfigValidate(t *testing.T) {
 	bad.Tier2Occupancy = 0.3 // below tier 1
 	if bad.Validate() == nil {
 		t.Fatal("tier-2 below tier-1 accepted")
+	}
+}
+
+// TestBatchRejectsHostileBodies posts batch bodies whose sizes come from an
+// untrusted client: every one must be answered 400 (413 for an oversized
+// body) without a panic and without admitting anything.
+func TestBatchRejectsHostileBodies(t *testing.T) {
+	s, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Start(): nothing drains, so a wrongly admitted request is answered
+	// 200 (deadline miss) when its deadline_ms expires instead of hanging.
+	h := s.Handler()
+	tn, err := s.CreateTenant(fastSpec("t1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name, fields string
+		want         int
+	}{
+		{"repeat 4e9", `"repeat":4000000000`, http.StatusBadRequest},
+		{"repeat over the bound", fmt.Sprintf(`"repeat":%d`, maxBatchPositions+1), http.StatusBadRequest},
+		{"names x repeat over the bound", fmt.Sprintf(`"queries":["Q1","Q2"],"repeat":%d`, maxBatchPositions/2+1), http.StatusBadRequest},
+		{"1e5 query names", `"queries":[` + strings.Repeat(`"Q1",`, 100_000) + `"Q1"]`, http.StatusBadRequest},
+		{"negative repeat", `"repeat":-1`, http.StatusBadRequest},
+		{"negative limit_sec", `"limit_sec":-0.5`, http.StatusBadRequest},
+		{"negative workers", `"workers":-2`, http.StatusBadRequest},
+		{"1e6 query names", `"queries":[` + strings.Repeat(`"Q1",`, 1_000_000) + `"Q1"]`, http.StatusRequestEntityTooLarge},
+		{"64 MB body", `"queries":["` + strings.Repeat("x", 64<<20) + `"]`, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/tenants/t1/batch", strings.NewReader(`{"deadline_ms":50,`+tc.fields+`}`)))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+	}
+	if st := tn.Stats(); st.Batches != 0 || st.Queries != 0 {
+		t.Fatalf("hostile bodies were admitted: %+v", st)
 	}
 }

@@ -511,7 +511,7 @@ type BatchResult struct {
 // feeds the charged prefix into the workload monitor. names[i] labels
 // qs[i] for monitor accounting.
 func (t *Tenant) execBatch(ctx context.Context, qs []exec.BatchQuery, names []string, workers int) BatchResult {
-	rep := t.eng.RunBatchQueriesAbortCtx(ctx, qs, workers, nil, nil)
+	rep := t.eng.Exec(ctx, exec.Request{Queries: qs, Workers: workers})
 	res := BatchResult{
 		Requested:    len(qs),
 		Completed:    rep.Completed,
@@ -533,10 +533,18 @@ func (t *Tenant) execBatch(ctx context.Context, qs []exec.BatchQuery, names []st
 	return res
 }
 
-// resolveQueries maps query names (empty = the whole workload, repeated
-// `repeat` times) to batch entries.
+// maxBatchPositions bounds queries × repeat of one batch. Both factors
+// arrive in a request body, and their product sizes an allocation.
+const maxBatchPositions = 4096
+
+// resolveQueries maps query names (empty = the whole workload), repeated
+// `repeat` times (0 = once), to batch entries. It rejects negative values
+// and batches over maxBatchPositions.
 func (t *Tenant) resolveQueries(names []string, repeat int, limit float64) ([]exec.BatchQuery, []string, error) {
-	if repeat <= 0 {
+	if repeat < 0 || limit < 0 {
+		return nil, nil, fmt.Errorf("serve: repeat %d and limit_sec %g must not be negative", repeat, limit)
+	}
+	if repeat == 0 {
 		repeat = 1
 	}
 	if len(names) == 0 {
@@ -544,6 +552,9 @@ func (t *Tenant) resolveQueries(names []string, repeat int, limit float64) ([]ex
 		for i, q := range t.wl.Queries {
 			names[i] = q.Name
 		}
+	}
+	if repeat > maxBatchPositions || len(names) > maxBatchPositions/repeat {
+		return nil, nil, fmt.Errorf("serve: batch of %d queries x %d repeats exceeds %d positions", len(names), repeat, maxBatchPositions)
 	}
 	qs := make([]exec.BatchQuery, 0, len(names)*repeat)
 	labels := make([]string, 0, len(names)*repeat)

@@ -82,6 +82,16 @@ func MustParse(name string, sch *schema.Schema, queries map[string]string, order
 // query plus the reserved slots.
 func (w *Workload) Size() int { return len(w.Queries) + w.Reserved }
 
+// Graphs returns the queries' join graphs in workload order — the form the
+// engine executes as one batch.
+func (w *Workload) Graphs() []*sqlparse.Graph {
+	gs := make([]*sqlparse.Graph, len(w.Queries))
+	for i, q := range w.Queries {
+		gs[i] = q.Graph
+	}
+	return gs
+}
+
 // Query returns the query with the given name, or nil.
 func (w *Workload) Query(name string) *Query {
 	for _, q := range w.Queries {
