@@ -502,7 +502,7 @@ func bigBatch(t *testing.T, copies int) []*sqlparse.Graph {
 // context deadline is cut early with consistent accounting at every worker
 // count.
 func TestRunBatchCtxDeadlineCutsBatch(t *testing.T) {
-	gs := bigBatch(t, 200) // thousands of queries; wall-clock runtime >> deadline
+	gs := bigBatch(t, 2000) // tens of thousands of queries; wall-clock runtime >> deadline
 	for _, workers := range workerSweep {
 		e, _ := newEngine(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"partadvisor/internal/relation"
@@ -99,13 +100,31 @@ type executor struct {
 	// trace records the planned operators when non-nil (Engine.Explain).
 	trace *[]string
 
-	// Recycled join/scan buffers (see hashJoin, scan, shuffle): hash-table
-	// bucket heads and chains, a row-index/assignment buffer, and
+	// joins holds the graph's join edges with alias positions resolved and
+	// column names qualified once per query (prepare), and preds is the
+	// buffer crossingPreds fills — both recycled across queries.
+	joins []graphJoin
+	preds []jpred
+
+	// Recycled scan/shuffle buffers: a row-index/assignment buffer and
 	// per-target counters.
-	buckets []int32
-	next    []int32
-	rows32  []int32
-	counts  []int
+	rows32 []int32
+	counts []int
+
+	// The join kernel's recycled state (see buildTable, probeTable): bucket
+	// heads and chains of the one live hash table, the inner relation it
+	// was built on with its key columns, the probe side's key columns, the
+	// matched (aRow, bRow) pairs of the current probe and the output column
+	// names.
+	buckets   []int32
+	slots     []joinSlot
+	shift     uint
+	tableOf   *relation.Relation
+	innerKeys [][]int64
+	outerKeys [][]int64
+	pairA     []int32
+	pairB     []int32
+	outCols   []string
 
 	// heat accumulates this query's per-shard emitted-row counts (see
 	// heat.go); recycled across queries, reset by prepare.
@@ -276,12 +295,7 @@ func (x *executor) scan(ref sqlparse.TableRef) *dist {
 		}
 		data := make([][]int64, len(baseCols))
 		for i, c := range baseCols {
-			src := shard.Col(c)
-			dst := x.ar.Int64s(len(keep))
-			for k, row := range keep {
-				dst[k] = src[row]
-			}
-			data[i] = dst
+			data[i] = x.gather(shard.Col(c), keep)
 		}
 		x.rows32 = keep[:0] // retain grown capacity for the next shard
 		return relation.FromColumns(ref.Alias, qcols, data)
@@ -363,6 +377,16 @@ func (x *executor) scan(ref sqlparse.TableRef) *dist {
 	return d
 }
 
+// gather copies the given rows of one column into an exact-size arena
+// column.
+func (x *executor) gather(src []int64, rows []int32) []int64 {
+	dst := x.ar.Int64s(len(rows))
+	for i, row := range rows {
+		dst[i] = src[row]
+	}
+	return dst
+}
+
 // estScanRows is the optimizer's (possibly stale) estimate of an alias's
 // filtered cardinality.
 func (x *executor) estScanRows(ref sqlparse.TableRef) float64 {
@@ -378,29 +402,31 @@ func (x *executor) estScanRows(ref sqlparse.TableRef) float64 {
 	return math.Max(rows, 1)
 }
 
+// graphJoin is one join edge of the query graph as the planner reads it:
+// the two aliases as bits over g.Refs and the two columns qualified
+// ("alias.col"). prepare builds them once per query, so the planner's
+// pair enumeration concatenates no strings.
+type graphJoin struct {
+	lBit, rBit uint64
+	lq, rq     string
+	semi, anti bool
+}
+
 // crossingPreds returns the normalized join predicates between two
-// intermediates (empty if unrelated).
+// intermediates (empty if unrelated). The result lives in a recycled
+// buffer and is valid until the next call.
 func (x *executor) crossingPreds(a, b *dist) []jpred {
-	var out []jpred
-	for _, j := range x.g.Joins {
-		li, lok := x.aliasIdx[j.LeftAlias]
-		ri, rok := x.aliasIdx[j.RightAlias]
-		if !lok || !rok {
-			continue
-		}
-		lInA := a.mask&(1<<uint(li)) != 0
-		rInA := a.mask&(1<<uint(ri)) != 0
-		lInB := b.mask&(1<<uint(li)) != 0
-		rInB := b.mask&(1<<uint(ri)) != 0
-		lq := j.LeftAlias + "." + j.LeftCol
-		rq := j.RightAlias + "." + j.RightCol
+	out := x.preds[:0]
+	for i := range x.joins {
+		j := &x.joins[i]
 		switch {
-		case lInA && rInB:
-			out = append(out, jpred{aCol: lq, bCol: rq, semi: j.Semi, anti: j.Anti, outerA: true})
-		case lInB && rInA:
-			out = append(out, jpred{aCol: rq, bCol: lq, semi: j.Semi, anti: j.Anti, outerA: false})
+		case a.mask&j.lBit != 0 && b.mask&j.rBit != 0:
+			out = append(out, jpred{aCol: j.lq, bCol: j.rq, semi: j.semi, anti: j.anti, outerA: true})
+		case b.mask&j.lBit != 0 && a.mask&j.rBit != 0:
+			out = append(out, jpred{aCol: j.rq, bCol: j.lq, semi: j.semi, anti: j.anti, outerA: false})
 		}
 	}
+	x.preds = out[:0]
 	return out
 }
 
@@ -528,29 +554,13 @@ func (x *executor) join(a, b *dist) *dist {
 	case a.replicated() || b.replicated():
 		x.tracef("join %s [one side replicated, local]", predsString(preds))
 		// Local join against the replicated side on every node.
-		part, repl := a, b
-		swapped := false
 		if a.replicated() {
-			part, repl = b, a
-			swapped = true
+			x.joinShards(out, b.shards, a.replica, false, preds, mode)
+			out.partCols = augmentPartCols(b.partCols, preds)
+		} else {
+			x.joinShards(out, a.shards, b.replica, true, preds, mode)
+			out.partCols = augmentPartCols(a.partCols, preds)
 		}
-		out.shards = make([]*relation.Relation, len(part.shards))
-		maxCPU := 0.0
-		for i, shard := range part.shards {
-			var joined *relation.Relation
-			var cpuRows int
-			if swapped {
-				joined, cpuRows = x.hashJoin(repl.replica, shard, preds, mode)
-			} else {
-				joined, cpuRows = x.hashJoin(shard, repl.replica, preds, mode)
-			}
-			out.shards[i] = joined
-			if sec := float64(cpuRows) / hw.CPUTuplesPerSec * x.slowdown(i); sec > maxCPU {
-				maxCPU = sec
-			}
-		}
-		x.charge(maxCPU)
-		out.partCols = augmentPartCols(part.partCols, preds)
 		return out
 	}
 
@@ -602,30 +612,12 @@ func (x *executor) join(a, b *dist) *dist {
 	case "broadcast-b":
 		full, movedB, movedR := x.broadcast(b)
 		x.chargeNet(movedB, movedR)
-		out.shards = make([]*relation.Relation, len(a.shards))
-		maxCPU := 0.0
-		for i, shard := range a.shards {
-			joined, cpuRows := x.hashJoin(shard, full, preds, mode)
-			out.shards[i] = joined
-			if sec := float64(cpuRows) / hw.CPUTuplesPerSec * x.slowdown(i); sec > maxCPU {
-				maxCPU = sec
-			}
-		}
-		x.charge(maxCPU)
+		x.joinShards(out, a.shards, full, true, preds, mode)
 		out.partCols = augmentPartCols(a.partCols, preds)
 	case "broadcast-a":
 		full, movedB, movedR := x.broadcast(a)
 		x.chargeNet(movedB, movedR)
-		out.shards = make([]*relation.Relation, len(b.shards))
-		maxCPU := 0.0
-		for i, shard := range b.shards {
-			joined, cpuRows := x.hashJoin(full, shard, preds, mode)
-			out.shards[i] = joined
-			if sec := float64(cpuRows) / hw.CPUTuplesPerSec * x.slowdown(i); sec > maxCPU {
-				maxCPU = sec
-			}
-		}
-		x.charge(maxCPU)
+		x.joinShards(out, b.shards, full, false, preds, mode)
 		out.partCols = augmentPartCols(b.partCols, preds)
 	case "shuffle-b-to-a":
 		// The moving side must match the stationary side's existing
@@ -704,9 +696,32 @@ func (x *executor) localJoinShards(out *dist, aShards, bShards []*relation.Relat
 	for i := range aShards {
 		joined, cpuRows := x.hashJoin(aShards[i], bShards[i], preds, mode)
 		out.shards[i] = joined
-		if sec := float64(cpuRows) / x.lay.hw.CPUTuplesPerSec * x.slowdown(i); sec > maxCPU {
-			maxCPU = sec
+		maxCPU = math.Max(maxCPU, float64(cpuRows)/x.lay.hw.CPUTuplesPerSec*x.slowdown(i))
+	}
+	x.charge(maxCPU)
+}
+
+// joinShards joins every shard with one relation all nodes hold in full (a
+// replica or a broadcast copy), charging the straggler CPU time. When the
+// shared relation is the inner (build) side of every node's join, its table
+// is built once and probed per shard; a shared outer probes a table built
+// per shard.
+func (x *executor) joinShards(out *dist, shards []*relation.Relation, all *relation.Relation, allIsInner bool, preds []jpred, mode joinMode) {
+	out.shards = make([]*relation.Relation, len(shards))
+	if allIsInner {
+		x.buildTable(all, preds)
+	}
+	maxCPU := 0.0
+	for i, shard := range shards {
+		var joined *relation.Relation
+		var cpuRows int
+		if allIsInner {
+			joined, cpuRows = x.probeTable(shard, all, preds, mode)
+		} else {
+			joined, cpuRows = x.hashJoin(all, shard, preds, mode)
 		}
+		out.shards[i] = joined
+		maxCPU = math.Max(maxCPU, float64(cpuRows)/x.lay.hw.CPUTuplesPerSec*x.slowdown(i))
 	}
 	x.charge(maxCPU)
 }
@@ -964,33 +979,59 @@ const (
 	modeAnti           // keep outer rows with no match (zero-filled inner columns)
 )
 
-// hashJoin joins two co-located relations and returns the joined relation
-// plus the number of processed tuples (build + probe + output) for CPU
-// accounting.
-//
-// The hash table is a power-of-two bucket array with chained rows, both
-// recycled from the worker's scratch across joins and queries; build
-// iterates the inner side in reverse so chains traverse b-rows ascending
-// (the emit order of the map-based join this replaced — collisions across
-// distinct keys are resolved by the key-equality check either way). A
-// first probe pass counts output rows so the output columns are single
-// exact-size arena allocations; the second pass fills them with no
-// per-row allocation at all.
+// joinSlot is one inner row's entry in the join hash table: its (first) key
+// value beside the link to the next row of the same bucket, so following a
+// chain touches one cache line per row instead of two.
+type joinSlot struct {
+	key  int64
+	next int32
+}
+
+// joinedName names every join output. Intermediates are anonymous: plan
+// traces render predicates and strategies, never relation names.
+const joinedName = "⋈"
+
+// fibMul is 2^64/φ: multiplying by it and keeping the top bits
+// (Fibonacci multiply-shift) spreads keys that differ only in their high
+// or only in their low bits over all buckets with a single multiply.
+const fibMul = 0x9E3779B97F4A7C15
+
+// joinBucketsPerRow sizes the bucket array to at least this many buckets
+// per inner row. Probes outnumber build rows ten to one on the design
+// sweep and every inner row sharing a probe's bucket costs a cache miss
+// to reject, so the table is kept sparse: most non-matching probes end
+// at an empty bucket head.
+const joinBucketsPerRow = 4
+
+// foldKey mixes one more key column into a multi-column bucket hash.
+func foldKey(h uint64, k int64) uint64 {
+	return (bits.RotateLeft64(h, 29) ^ uint64(k)) * fibMul
+}
+
+// hashJoin joins two co-located relations: build on b, probe with a.
 func (x *executor) hashJoin(a, b *relation.Relation, preds []jpred, mode joinMode) (*relation.Relation, int) {
-	aIdx := make([]int, len(preds))
-	bIdx := make([]int, len(preds))
-	for i, p := range preds {
-		aIdx[i] = a.ColIndex(p.aCol)
-		bIdx[i] = b.ColIndex(p.bCol)
-		if aIdx[i] < 0 || bIdx[i] < 0 {
-			panic(fmt.Sprintf("exec: join columns %q/%q missing (%v / %v)", p.aCol, p.bCol, a.Columns(), b.Columns()))
-		}
+	x.buildTable(b, preds)
+	return x.probeTable(a, b, preds, mode)
+}
+
+// buildTable builds the executor's hash table on the inner relation b. The
+// join loops that pair every shard with one shared inner (a replica, a
+// broadcast copy) call it once and probeTable per shard.
+//
+// The table is a power-of-two bucket array with chained rows, recycled
+// across joins and queries. Its bucket hash is private to this kernel —
+// nothing but the chain a row lands on depends on it, and collisions are
+// resolved by comparing keys — so it is as cheap as it can be, unlike the
+// placement hash (relation.HashRow), which decides where rows live and is
+// frozen. Rows are inserted in reverse so every chain, and hence the
+// matches of one probe row, run in ascending b-row order.
+func (x *executor) buildTable(b *relation.Relation, preds []jpred) {
+	nb := b.Rows()
+	logSize := uint(1)
+	for 1<<logSize < joinBucketsPerRow*nb {
+		logSize++
 	}
-	na, nb := a.Rows(), b.Rows()
-	size := 1
-	for size < nb {
-		size <<= 1
-	}
+	size := 1 << logSize
 	if cap(x.buckets) < size {
 		x.buckets = make([]int32, size)
 	}
@@ -998,103 +1039,134 @@ func (x *executor) hashJoin(a, b *relation.Relation, preds []jpred, mode joinMod
 	for i := range buckets {
 		buckets[i] = -1
 	}
-	if cap(x.next) < nb {
-		x.next = make([]int32, nb)
+	if cap(x.slots) < nb {
+		x.slots = make([]joinSlot, nb)
 	}
-	next := x.next[:nb]
-	mask := uint64(size - 1)
-	for row := nb - 1; row >= 0; row-- {
-		h := b.HashRow(row, bIdx) & mask
-		next[row] = buckets[h]
-		buckets[h] = int32(row)
+	slots := x.slots[:nb]
+	shift := 64 - logSize
+	keys := x.innerKeys[:0]
+	for _, p := range preds {
+		keys = append(keys, joinCol(b, p.bCol))
 	}
-
-	aKey := make([][]int64, len(preds))
-	bKey := make([][]int64, len(preds))
-	for i := range preds {
-		aKey[i] = a.ColAt(aIdx[i])
-		bKey[i] = b.ColAt(bIdx[i])
-	}
-	keysEqual := func(ar, br int) bool {
-		for i := range preds {
-			if aKey[i][ar] != bKey[i][br] {
-				return false
-			}
+	if len(keys) == 1 {
+		key := keys[0]
+		for row := nb - 1; row >= 0; row-- {
+			h := uint64(key[row]) * fibMul >> shift
+			slots[row] = joinSlot{key[row], buckets[h]}
+			buckets[h] = int32(row)
 		}
-		return true
-	}
-
-	// Pass 1: count output rows.
-	outRows := 0
-	for row := 0; row < na; row++ {
-		h := a.HashRow(row, aIdx) & mask
-		matched := false
-		for br := buckets[h]; br >= 0; br = next[br] {
-			if !keysEqual(row, int(br)) {
-				continue
+	} else {
+		for row := nb - 1; row >= 0; row-- {
+			h := uint64(keys[0][row]) * fibMul
+			for _, key := range keys[1:] {
+				h = foldKey(h, key[row])
 			}
-			matched = true
-			if mode != modeInner {
-				break
-			}
-			outRows++
-		}
-		if (mode == modeSemi && matched) || (mode == modeAnti && !matched) {
-			outRows++
+			h >>= shift
+			slots[row] = joinSlot{keys[0][row], buckets[h]}
+			buckets[h] = int32(row)
 		}
 	}
+	x.innerKeys, x.shift, x.tableOf = keys, shift, b
+}
 
-	// Pass 2: fill exact-size output columns.
+// joinCol resolves one join key column.
+func joinCol(r *relation.Relation, qcol string) []int64 {
+	i := r.ColIndex(qcol)
+	if i < 0 {
+		panic(fmt.Sprintf("exec: join column %q missing from %v", qcol, r.Columns()))
+	}
+	return r.ColAt(i)
+}
+
+// probeTable probes the table built on b with every row of a and returns
+// the joined relation (columns a…, b…; rows in a-row then b-row order) plus
+// the number of processed tuples (build + probe + output) for CPU
+// accounting.
+//
+// One pass over a records the matching (aRow, bRow) pairs in two recycled
+// buffers — an anti join records only the unmatched aRows, it has no bRow —
+// and every output column is then one exact-size arena allocation filled by
+// a column-at-a-time gather (zeros for an anti join's inner columns).
+// Nothing is allocated per row.
+func (x *executor) probeTable(a, b *relation.Relation, preds []jpred, mode joinMode) (*relation.Relation, int) {
+	if x.tableOf != b {
+		panic("exec: probe of a hash table built on another relation")
+	}
+	buckets, slots, shift := x.buckets, x.slots, x.shift
+	pairA, pairB := x.pairA[:0], x.pairB[:0]
+	if len(preds) == 1 {
+		for row, k := range joinCol(a, preds[0].aCol) {
+			matched := false
+			for br := buckets[uint64(k)*fibMul>>shift]; br >= 0; br = slots[br].next {
+				if slots[br].key != k {
+					continue
+				}
+				matched = true
+				if mode == modeAnti {
+					break
+				}
+				pairA, pairB = append(pairA, int32(row)), append(pairB, br)
+				if mode == modeSemi {
+					break
+				}
+			}
+			if mode == modeAnti && !matched {
+				pairA = append(pairA, int32(row))
+			}
+		}
+	} else {
+		aKeys := x.outerKeys[:0]
+		for _, p := range preds {
+			aKeys = append(aKeys, joinCol(a, p.aCol))
+		}
+		x.outerKeys = aKeys
+		bKeys := x.innerKeys
+		for row, k := range aKeys[0] {
+			h := uint64(k) * fibMul
+			for _, key := range aKeys[1:] {
+				h = foldKey(h, key[row])
+			}
+			matched := false
+		chain:
+			for br := buckets[h>>shift]; br >= 0; br = slots[br].next {
+				if slots[br].key != k {
+					continue
+				}
+				for i, key := range aKeys[1:] {
+					if key[row] != bKeys[i+1][br] {
+						continue chain
+					}
+				}
+				matched = true
+				if mode == modeAnti {
+					break
+				}
+				pairA, pairB = append(pairA, int32(row)), append(pairB, br)
+				if mode == modeSemi {
+					break
+				}
+			}
+			if mode == modeAnti && !matched {
+				pairA = append(pairA, int32(row))
+			}
+		}
+	}
+	x.pairA, x.pairB = pairA, pairB
+
 	naCols := a.NumCols()
-	outCols := append(append(make([]string, 0, naCols+b.NumCols()), a.Columns()...), b.Columns()...)
+	outCols := append(append(x.outCols[:0], a.Columns()...), b.Columns()...)
+	x.outCols = outCols
 	data := make([][]int64, len(outCols))
-	for i := range data {
-		data[i] = x.ar.Int64s(outRows)
-	}
-	aData := make([][]int64, naCols)
-	for i := range aData {
-		aData[i] = a.ColAt(i)
-	}
-	bData := make([][]int64, b.NumCols())
-	for i := range bData {
-		bData[i] = b.ColAt(i)
-	}
-	w := 0
-	emit := func(ar, br int) {
-		for ci, c := range aData {
-			data[ci][w] = c[ar]
-		}
-		if br >= 0 {
-			for ci, c := range bData {
-				data[naCols+ci][w] = c[br]
-			}
-		} else {
-			for ci := range bData {
-				data[naCols+ci][w] = 0
-			}
-		}
-		w++
-	}
-	for row := 0; row < na; row++ {
-		h := a.HashRow(row, aIdx) & mask
-		matched := false
-		for br := buckets[h]; br >= 0; br = next[br] {
-			if !keysEqual(row, int(br)) {
-				continue
-			}
-			matched = true
-			if mode == modeAnti {
-				break
-			}
-			emit(row, int(br))
-			if mode == modeSemi {
-				break
-			}
-		}
-		if mode == modeAnti && !matched {
-			emit(row, -1)
+	for ci := range data {
+		switch {
+		case ci < naCols:
+			data[ci] = x.gather(a.ColAt(ci), pairA)
+		case mode == modeAnti:
+			data[ci] = x.ar.Int64s(len(pairA))
+			clear(data[ci])
+		default:
+			data[ci] = x.gather(b.ColAt(ci-naCols), pairB)
 		}
 	}
-	out := relation.FromColumns(a.Name+"⋈"+b.Name, outCols, data)
-	return out, na + nb + outRows
+	return relation.FromColumns(joinedName, outCols, data), a.Rows() + b.Rows() + len(pairA)
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // execScratch is one worker's reusable execution state: a bump arena for
-// intermediate column storage plus the executor's recycled maps and join
-// buffers. The engine keeps a pool of them (guarded by e.mu); a batch
+// intermediate column storage plus the executor's recycled maps, planning
+// slices and join-kernel buffers. The engine keeps a pool of them (guarded by e.mu); a batch
 // checks out one per worker at batch start and returns them at batch end,
 // so arenas warm up once and are recycled across queries, workers and
 // consecutive batches.
@@ -51,6 +51,22 @@ func (s *execScratch) prepare(lay *layoutSnap, g *sqlparse.Graph, limit, now flo
 	for i, r := range g.Refs {
 		x.aliasIdx[r.Alias] = i
 	}
+	x.joins = x.joins[:0]
+	for _, j := range g.Joins {
+		li, lok := x.aliasIdx[j.LeftAlias]
+		ri, rok := x.aliasIdx[j.RightAlias]
+		if !lok || !rok {
+			continue
+		}
+		x.joins = append(x.joins, graphJoin{
+			lBit: 1 << uint(li), rBit: 1 << uint(ri),
+			lq: j.LeftAlias + "." + j.LeftCol, rq: j.RightAlias + "." + j.RightCol,
+			semi: j.Semi, anti: j.Anti,
+		})
+	}
+	// No hash table survives a query: the arena rewind already recycled
+	// the storage of the inner relation it indexed.
+	x.tableOf = nil
 	return x
 }
 

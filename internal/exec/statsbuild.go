@@ -11,7 +11,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"partadvisor/internal/relation"
 	"partadvisor/internal/schema"
@@ -75,8 +75,8 @@ func countDistinct(col []int64) int64 {
 	if len(col) == 0 {
 		return 0
 	}
-	sorted := append([]int64(nil), col...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(col)
+	slices.Sort(sorted)
 	n := int64(1)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {
