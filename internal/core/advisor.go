@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"partadvisor/internal/dqn"
 	"partadvisor/internal/env"
@@ -272,6 +273,10 @@ func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, episodes
 			a.StepsTrained++
 			epReward += reward
 			obs = next
+			// A training step no longer parks on the nn pool, so without
+			// this a background advise cycle in advisord holds its P for a
+			// whole scheduler slice (10 ms) while request goroutines queue.
+			runtime.Gosched()
 			if done {
 				break
 			}

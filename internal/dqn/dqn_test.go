@@ -3,6 +3,7 @@ package dqn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -380,5 +381,48 @@ func TestDoubleDQNTerminalMatchesVanilla(t *testing.T) {
 	got := q.Values([]float64{1}, []int{0})[0]
 	if math.Abs(got-3) > 0.3 {
 		t.Fatalf("terminal Q = %v, want ~3", got)
+	}
+}
+
+// TestTrainRejectsWrongStateLength: Train copies encodings into pooled batch
+// rows, so a state shorter than the network input used to train on the tail
+// the previous batch left behind. Both heads must refuse it, and a Next they
+// are about to read; a Next that is never read (terminal, or no valid next
+// action) may be absent.
+func TestTrainRejectsWrongStateLength(t *testing.T) {
+	const stateDim = 4
+	full := []float64{1, 0, 1, 0}
+	heads := map[string]func() QFunc{
+		"MultiHeadQ": func() QFunc {
+			return NewMultiHeadQ(stateDim, []int{8}, 2, 1e-3, rand.New(rand.NewSource(23)))
+		},
+		"ScalarQ": func() QFunc {
+			return NewScalarQ(stateDim, []int{8}, [][]float64{{1, 0}, {0, 1}}, 1e-3, rand.New(rand.NewSource(23)))
+		},
+	}
+	for name, mk := range heads {
+		q := mk()
+		ok := []Transition{
+			{State: full, Action: 1, Reward: 1, Next: full, NextValid: []int{0, 1}},
+			{State: full, Action: 0, Reward: 1, Terminal: true},
+			{State: full, Action: 0, Reward: 1, Next: full},
+		}
+		q.Train(ok, 0.9) // fills the pooled rows a short state would expose
+		for what, bad := range map[string]Transition{
+			"short State": {State: full[:3], Action: 0, Next: full, NextValid: []int{0}},
+			"long State":  {State: append(full[:4:4], 1), Action: 0, Next: full, NextValid: []int{0}},
+			"short Next":  {State: full, Action: 0, Next: full[:2], NextValid: []int{0}},
+			"nil Next":    {State: full, Action: 0, NextValid: []int{1}},
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "dqn: Train transition 1 has") {
+						t.Errorf("%s, %s: Train panicked with %q, want a length message for transition 1", name, what, msg)
+					}
+				}()
+				q.Train([]Transition{ok[0], bad}, 0.9)
+			}()
+		}
 	}
 }

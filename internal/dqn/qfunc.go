@@ -45,9 +45,9 @@ type MultiHeadQ struct {
 	// action, the target network evaluates it.
 	Double bool
 
-	batchIn, batchTarget, batchMask, nextIn *nn.Matrix
-	nextTargetBuf, nextOnlineBuf            []float64
-	scratch                                 []Transition
+	batchIn, nextIn *nn.Matrix
+	actions         []int     // taken action per batch row
+	targets         []float64 // TD target per batch row
 }
 
 // NewMultiHeadQ builds the head with the paper's layer sizes: hidden layers
@@ -99,72 +99,72 @@ func (q *MultiHeadQ) ValuesBatch(states [][]float64, actions [][]int) [][]float6
 	return out
 }
 
+// checkStateLen panics when a transition's state encoding does not fill a
+// pooled batch row exactly: a shorter one would silently train on whatever
+// the previous batch left in the row's tail.
+func checkStateLen(i int, field string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("dqn: Train transition %d has %s of length %d, want %d", i, field, got, want))
+	}
+}
+
 // Train implements QFunc with masked MSE: only the taken action's head
-// receives a gradient.
+// receives a gradient, so only that head is computed (nn.TrainActions).
 func (q *MultiHeadQ) Train(batch []Transition, gamma float64) float64 {
 	b := len(batch)
 	if b == 0 {
 		return 0
 	}
+	stateDim := q.online.InDim()
 	if q.batchIn == nil || q.batchIn.Rows != b {
-		stateDim := q.online.InDim()
 		q.batchIn = nn.NewMatrix(b, stateDim)
 		q.nextIn = nn.NewMatrix(b, stateDim)
-		q.batchTarget = nn.NewMatrix(b, q.n)
-		q.batchMask = nn.NewMatrix(b, q.n)
+		q.actions = make([]int, b)
+		q.targets = make([]float64, b)
 	}
-	q.batchTarget.Zero()
-	q.batchMask.Zero()
 	for i, tr := range batch {
+		checkStateLen(i, "State", len(tr.State), stateDim)
 		copy(q.batchIn.Row(i), tr.State)
-		copy(q.nextIn.Row(i), tr.Next)
-	}
-	// Bootstrapped targets from the target network. The forward pass over
-	// the online network must happen before TrainBatch reuses its scratch
-	// buffers, so copy the needed values first when Double is on.
-	nextQ := q.target.Forward(q.nextIn)
-	if cap(q.nextTargetBuf) < len(nextQ.Data) {
-		q.nextTargetBuf = make([]float64, len(nextQ.Data))
-	}
-	nextTarget := q.nextTargetBuf[:len(nextQ.Data)]
-	copy(nextTarget, nextQ.Data)
-	cols := nextQ.Cols
-	var nextOnline []float64
-	if q.Double {
-		on := q.online.Forward(q.nextIn)
-		if cap(q.nextOnlineBuf) < len(on.Data) {
-			q.nextOnlineBuf = make([]float64, len(on.Data))
+		if tr.bootstraps() {
+			checkStateLen(i, "Next", len(tr.Next), stateDim)
+			copy(q.nextIn.Row(i), tr.Next)
 		}
-		nextOnline = q.nextOnlineBuf[:len(on.Data)]
-		copy(nextOnline, on.Data)
+	}
+	// Bootstrapped targets from the target network (rows of transitions
+	// that do not bootstrap hold stale states; their outputs are not read).
+	// Both forward results live in their network's scratch and are consumed
+	// below, before TrainActions runs the online network again.
+	nextTarget := q.target.Forward(q.nextIn)
+	var nextOnline *nn.Matrix
+	if q.Double {
+		nextOnline = q.online.Forward(q.nextIn)
 	}
 	for i, tr := range batch {
 		y := tr.Reward
-		if !tr.Terminal && len(tr.NextValid) > 0 {
+		if tr.bootstraps() {
 			if q.Double {
 				// argmax over the online net, evaluated by the target net.
 				bestA, bestV := tr.NextValid[0], math.Inf(-1)
 				for _, a := range tr.NextValid {
-					if v := nextOnline[i*cols+a]; v > bestV {
+					if v := nextOnline.At(i, a); v > bestV {
 						bestV = v
 						bestA = a
 					}
 				}
-				y += gamma * nextTarget[i*cols+bestA]
+				y += gamma * nextTarget.At(i, bestA)
 			} else {
 				best := math.Inf(-1)
 				for _, a := range tr.NextValid {
-					if v := nextTarget[i*cols+a]; v > best {
+					if v := nextTarget.At(i, a); v > best {
 						best = v
 					}
 				}
 				y += gamma * best
 			}
 		}
-		q.batchTarget.Set(i, tr.Action, y)
-		q.batchMask.Set(i, tr.Action, 1)
+		q.actions[i], q.targets[i] = tr.Action, y
 	}
-	return q.online.TrainBatch(q.opt, q.batchIn, q.batchTarget, q.batchMask)
+	return q.online.TrainActions(q.opt, q.batchIn, q.actions, q.targets)
 }
 
 // SoftUpdate implements QFunc.
@@ -293,8 +293,11 @@ func (q *ScalarQ) Train(batch []Transition, gamma float64) float64 {
 		return 0
 	}
 	nNext := 0
-	for _, tr := range batch {
-		if !tr.Terminal {
+	stateDim := q.online.InDim() - len(q.feats[0])
+	for i, tr := range batch {
+		checkStateLen(i, "State", len(tr.State), stateDim)
+		if tr.bootstraps() {
+			checkStateLen(i, "Next", len(tr.Next), stateDim)
 			nNext += len(tr.NextValid)
 		}
 	}

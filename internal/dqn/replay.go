@@ -33,6 +33,9 @@ type Transition struct {
 	Terminal bool
 }
 
+// bootstraps reports whether the TD target reads Q(Next, ·).
+func (t *Transition) bootstraps() bool { return !t.Terminal && len(t.NextValid) > 0 }
+
 // Buffer is a fixed-capacity ring buffer of transitions (the paper's
 // experience replay buffer, capacity 10000 in Table 1).
 type Buffer struct {

@@ -41,6 +41,29 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulBackward: the two backward products at the batch-32 shapes
+// of the 83-128-64-70 net, on operands about half zero as ReLU leaves them —
+// aᵀ·b is a layer's weight gradient (input × delta), a·bᵀ its input
+// gradient (delta × W).
+func BenchmarkMatMulBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ in, out int }{{83, 128}, {128, 64}} {
+		in, delta := sparseMat(rng, 32, s.in, 0.5), sparseMat(rng, 32, s.out, 0.5)
+		w := sparseMat(rng, s.in, s.out, 0)
+		gradW, gradIn := NewMatrix(s.in, s.out), NewMatrix(32, s.in)
+		b.Run(fmt.Sprintf("ATB/%dx%d", s.in, s.out), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulATB(gradW, in, delta)
+			}
+		})
+		b.Run(fmt.Sprintf("ABT/%dx%d", s.in, s.out), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulABT(gradIn, delta, w)
+			}
+		})
+	}
+}
+
 func benchNet(dims []int) (*Network, *rand.Rand) {
 	rng := rand.New(rand.NewSource(1))
 	return NewNetwork(dims, rng), rng

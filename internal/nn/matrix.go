@@ -64,13 +64,82 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// matMulKTile is the k-dimension tile of the blocked matmul below: one tile
-// of b (matMulKTile rows × b.Cols) is streamed against every output row in
-// the block before moving to the next tile, so for multi-row batches the
-// tile stays in L1/L2 across rows instead of b being re-fetched per row.
-// 64 rows × 512 columns × 8 bytes caps a tile at 256 KB even for the widest
-// layer in the repo; typical hidden layers (≤128 cols) keep it under 64 KB.
-const matMulKTile = 64
+// The accumulating kernels below all compute sums of products whose
+// per-element order of additions is part of the package's contract (the
+// fixed-seed training digests hash every weight bit). Two rewrites keep that
+// order and are therefore free:
+//
+//   - Skipping a zero multiplier. Every accumulator starts at +0 and x + y
+//     is −0 only when both are −0, so no accumulator is ever −0; adding the
+//     ±0 product of a zero multiplier and a finite operand then changes no
+//     bit. (Operands are finite: an Inf or NaN weight means training has
+//     already diverged.)
+//   - Folding four consecutive updates of one accumulator into one
+//     expression, d + a0·b0 + a1·b1 + a2·b2 + a3·b3. Go evaluates it left
+//     to right and on amd64 never fuses a multiply into an add, so these are
+//     the same four rounded additions in the same order, with one load and
+//     one store of d instead of four.
+
+// kTile is the tile of the summed dimension in every kernel below: the
+// multipliers of one tile are compacted into a nonZeros and applied before
+// the next tile's, ascending. In matMulRows one tile of b (kTile rows ×
+// b.Cols) is streamed against every output row in the block before moving
+// to the next tile, so for multi-row batches the tile stays in L1/L2 across
+// rows instead of b being re-fetched per row. 64 rows × 512 columns × 8
+// bytes caps a tile at 256 KB even for the widest layer in the repo; typical
+// hidden layers (≤128 cols) keep it under 64 KB.
+const kTile = 64
+
+// nonZeros is one tile's multipliers with the zeros removed (one-hot inputs,
+// ReLU outputs and their deltas are about half zeros), in ascending order of
+// k, the index each one carried in the summed dimension. Compacting first
+// takes the data-dependent zero test out of the multiply loops.
+type nonZeros struct {
+	v [kTile]float64
+	k [kTile]int
+	n int
+}
+
+// gather loads the multipliers data[0], data[stride], … (at most kTile),
+// numbered k0, k0+1, …
+func (z *nonZeros) gather(data []float64, stride, k0 int) {
+	n := 0
+	for t := 0; t*stride < len(data); t++ {
+		av := data[t*stride]
+		z.v[n], z.k[n] = av, k0+t
+		if av != 0 {
+			n++
+		}
+	}
+	z.n = n
+}
+
+// addRowsTo adds v[m] · (row k[m] of src, a matrix as wide as dr) to dr for
+// m ascending, four rows per pass over dr.
+func (z *nonZeros) addRowsTo(dr, src []float64) {
+	n := len(dr)
+	v, k := z.v[:z.n], z.k[:z.n]
+	m := 0
+	for ; m+4 <= len(v); m += 4 {
+		b0, b1 := src[k[m]*n:][:n], src[k[m+1]*n:][:n]
+		b2, b3 := src[k[m+2]*n:][:n], src[k[m+3]*n:][:n]
+		a0, a1, a2, a3 := v[m], v[m+1], v[m+2], v[m+3]
+		for j := range dr {
+			dr[j] = dr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; m < len(v); m++ {
+		b0, a0 := src[k[m]*n:][:n], v[m]
+		for j := range dr {
+			dr[j] += a0 * b0[j]
+		}
+	}
+}
+
+// zeroRows clears rows [lo, hi) of m.
+func zeroRows(m *Matrix, lo, hi int) {
+	clear(m.Data[lo*m.Cols : hi*m.Cols])
+}
 
 // matMulRows computes dst rows [lo, hi) of a × b, cache-blocked on the k
 // (inner) dimension. Within each output element the products are still
@@ -80,51 +149,13 @@ const matMulKTile = 64
 // time sequential definition). Each output row depends only on the matching
 // input row, so disjoint row ranges can run on different workers.
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	if hi-lo == 1 {
-		// Single row (greedy inference): no cross-row reuse to win, skip
-		// the tile loop overhead.
-		matMulRowTile(dst, a, b, lo, 0, a.Cols)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range dr {
-			dr[j] = 0
-		}
-	}
-	for kb := 0; kb < a.Cols; kb += matMulKTile {
-		kEnd := kb + matMulKTile
-		if kEnd > a.Cols {
-			kEnd = a.Cols
-		}
+	zeroRows(dst, lo, hi)
+	var z nonZeros
+	for k0 := 0; k0 < a.Cols; k0 += kTile {
+		k1 := min(k0+kTile, a.Cols)
 		for i := lo; i < hi; i++ {
-			accMulRowRange(dst, a, b, i, kb, kEnd)
-		}
-	}
-}
-
-// matMulRowTile computes one full output row from scratch over k ∈ [k0, k1).
-func matMulRowTile(dst, a, b *Matrix, i, k0, k1 int) {
-	dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	for j := range dr {
-		dr[j] = 0
-	}
-	accMulRowRange(dst, a, b, i, k0, k1)
-}
-
-// accMulRowRange accumulates a[i][k]·b[k] into dst row i for k ∈ [k0, k1),
-// in ascending-k order.
-func accMulRowRange(dst, a, b *Matrix, i, k0, k1 int) {
-	ar := a.Data[i*a.Cols+k0 : i*a.Cols+k1]
-	dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	for kk, av := range ar {
-		if av == 0 {
-			continue // one-hot inputs are mostly zero
-		}
-		k := k0 + kk
-		br := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for j, bv := range br {
-			dr[j] += av * bv
+			z.gather(a.Data[i*a.Cols+k0:i*a.Cols+k1], 1, k0)
+			z.addRowsTo(dst.Row(i), b.Data)
 		}
 	}
 }
@@ -137,9 +168,26 @@ func MatMul(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch: (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi)
-	})
+	if blocks := rowBlocks(a.Rows, a.Rows*a.Cols*b.Cols); blocks > 1 {
+		parallelFor(a.Rows, blocks, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
+	} else {
+		matMulRows(dst, a, b, 0, a.Rows)
+	}
+}
+
+// matMulATBRows computes dst rows [lo, hi) of aᵀ × b: row i is the sum over
+// a's rows r, ascending, of a[r][i] · b's row r.
+func matMulATBRows(dst, a, b *Matrix, lo, hi int) {
+	zeroRows(dst, lo, hi)
+	var z nonZeros
+	for i := lo; i < hi; i++ {
+		dr := dst.Row(i)
+		for r0 := 0; r0 < a.Rows; r0 += kTile {
+			r1 := min(r0+kTile, a.Rows)
+			z.gather(a.Data[r0*a.Cols+i:(r1-1)*a.Cols+i+1], a.Cols, r0)
+			z.addRowsTo(dr, b.Data)
+		}
+	}
 }
 
 // MatMulATB computes dst = aᵀ × b (used for weight gradients). Row blocks of
@@ -151,42 +199,49 @@ func MatMulATB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMulATB shape mismatch: (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := range dr {
-				dr[j] = 0
-			}
-		}
-		for r := 0; r < a.Rows; r++ {
-			ar := a.Data[r*a.Cols : (r+1)*a.Cols]
-			br := b.Data[r*b.Cols : (r+1)*b.Cols]
-			for i := lo; i < hi; i++ {
-				av := ar[i]
-				if av == 0 {
-					continue
-				}
-				dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+	if blocks := rowBlocks(a.Cols, a.Rows*a.Cols*b.Cols); blocks > 1 {
+		parallelFor(a.Cols, blocks, func(lo, hi int) { matMulATBRows(dst, a, b, lo, hi) })
+	} else {
+		matMulATBRows(dst, a, b, 0, a.Cols)
+	}
 }
 
-// matMulABTRows computes dst rows [lo, hi) of a × bᵀ.
+// matMulABTRows computes dst rows [lo, hi) of a × bᵀ: dst[i][j] is the dot
+// product of a's row i and b's row j, accumulated in ascending-k order from
+// +0. Each tile of a's row is compacted once and then dotted against four
+// rows of b at a time — four independent accumulators instead of one serial
+// dependency chain, each still ascending in k.
 func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
+	zeroRows(dst, lo, hi)
+	var z nonZeros
+	n := b.Cols
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
-		dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			br := b.Data[j*b.Cols : (j+1)*b.Cols]
-			s := 0.0
-			for k, av := range ar {
-				s += av * br[k]
+		dr := dst.Row(i)
+		for k0 := 0; k0 < n; k0 += kTile {
+			z.gather(a.Data[i*n+k0:i*n+min(k0+kTile, n)], 1, k0)
+			v, k := z.v[:z.n], z.k[:z.n]
+			j := 0
+			for ; j+4 <= len(dr); j += 4 {
+				b0, b1 := b.Data[j*n:][:n], b.Data[(j+1)*n:][:n]
+				b2, b3 := b.Data[(j+2)*n:][:n], b.Data[(j+3)*n:][:n]
+				s0, s1, s2, s3 := dr[j], dr[j+1], dr[j+2], dr[j+3]
+				for t, av := range v {
+					kt := k[t]
+					s0 += av * b0[kt]
+					s1 += av * b1[kt]
+					s2 += av * b2[kt]
+					s3 += av * b3[kt]
+				}
+				dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
 			}
-			dr[j] = s
+			for ; j < len(dr); j++ {
+				br := b.Data[j*n:][:n]
+				s := dr[j]
+				for t, av := range v {
+					s += av * br[k[t]]
+				}
+				dr[j] = s
+			}
 		}
 	}
 }
@@ -197,9 +252,11 @@ func MatMulABT(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMulABT shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulABTRows(dst, a, b, lo, hi)
-	})
+	if blocks := rowBlocks(a.Rows, a.Rows*a.Cols*b.Rows); blocks > 1 {
+		parallelFor(a.Rows, blocks, func(lo, hi int) { matMulABTRows(dst, a, b, lo, hi) })
+	} else {
+		matMulABTRows(dst, a, b, 0, a.Rows)
+	}
 }
 
 // XavierInit fills the matrix with Glorot-uniform weights for a layer with

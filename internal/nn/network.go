@@ -33,8 +33,9 @@ type Dense struct {
 }
 
 // denseScratch is the cached forward/backward state for one batch size.
-// delta and gradIn are allocated lazily on the first Backward of that size,
-// so inference-only sizes (batch 1 greedy passes) never pay for them.
+// Each pair is allocated by its first user: inference-only sizes (batch 1
+// greedy passes) never pay for delta and gradIn, and an output layer trained
+// only through TrainActions never pays for preAct and out.
 type denseScratch struct {
 	preAct, out   *Matrix
 	delta, gradIn *Matrix
@@ -57,47 +58,45 @@ func NewDense(inDim, outDim int, act Activation, rng *rand.Rand) *Dense {
 // Backward. Row blocks (matmul, bias, activation fused per block) run on the
 // shared worker pool for large batches.
 func (d *Dense) Forward(in *Matrix) *Matrix {
-	if d.scratch == nil {
-		d.scratch = make(map[int]*denseScratch)
-	}
-	sc := d.scratch[in.Rows]
-	if sc == nil {
-		sc = &denseScratch{preAct: NewMatrix(in.Rows, d.W.Cols), out: NewMatrix(in.Rows, d.W.Cols)}
-		d.scratch[in.Rows] = sc
+	sc := d.scratchFor(in.Rows)
+	if sc.preAct == nil {
+		sc.preAct, sc.out = NewMatrix(in.Rows, d.W.Cols), NewMatrix(in.Rows, d.W.Cols)
 	}
 	d.in, d.preAct, d.out = in, sc.preAct, sc.out
+	if blocks := rowBlocks(in.Rows, in.Rows*in.Cols*d.W.Cols); blocks > 1 {
+		parallelFor(in.Rows, blocks, func(lo, hi int) { d.forwardRows(lo, hi) })
+	} else {
+		d.forwardRows(0, in.Rows)
+	}
+	return d.out
+}
+
+// forwardRows computes rows [lo, hi) of the current pass's preAct and out.
+func (d *Dense) forwardRows(lo, hi int) {
+	matMulRows(d.preAct, d.in, d.W, lo, hi)
+	// Fused bias + activation: one pass over each row adds the bias (after
+	// the matmul accumulation, preserving the summation order) and writes
+	// the activated output, instead of separate bias and activation sweeps
+	// re-reading the row.
 	cols := d.W.Cols
-	bias := d.B.Data
-	relu := d.Act == ReLU
-	parallelFor(in.Rows, in.Rows*in.Cols*cols, func(lo, hi int) {
-		matMulRows(d.preAct, in, d.W, lo, hi)
-		// Fused bias + activation: one pass over each row adds the bias
-		// (after the matmul accumulation, preserving the summation order)
-		// and writes the activated output, instead of separate bias and
-		// activation sweeps re-reading the row.
-		for i := lo; i < hi; i++ {
-			row := d.preAct.Data[i*cols : (i+1)*cols]
-			outRow := d.out.Data[i*cols : (i+1)*cols]
-			if relu {
-				for j, v := range row {
-					v += bias[j]
-					row[j] = v
-					if v > 0 {
-						outRow[j] = v
-					} else {
-						outRow[j] = 0
-					}
-				}
-			} else {
-				for j, v := range row {
-					v += bias[j]
-					row[j] = v
-					outRow[j] = v
-				}
+	bias := d.B.Data[:cols]
+	for i := lo; i < hi; i++ {
+		row := d.preAct.Data[i*cols : (i+1)*cols]
+		outRow := d.out.Data[i*cols : (i+1)*cols]
+		if d.Act == ReLU {
+			for j, v := range row {
+				v += bias[j]
+				row[j] = v
+				outRow[j] = max(v, 0) // branchless; the sign of v is a coin flip
+			}
+		} else {
+			for j, v := range row {
+				v += bias[j]
+				row[j] = v
+				outRow[j] = v
 			}
 		}
-	})
-	return d.out
+	}
 }
 
 // Backward takes dL/d(out) and returns dL/d(in), accumulating weight and
@@ -105,31 +104,29 @@ func (d *Dense) Forward(in *Matrix) *Matrix {
 // matrices live in the per-batch-size scratch (like the forward buffers),
 // so steady-state training performs no per-step allocations; the returned
 // matrix is valid until the next Backward of the same batch size.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix {
-	sc := d.scratch[gradOut.Rows]
-	if sc == nil { // Backward without a matching Forward: tests only
-		sc = &denseScratch{preAct: NewMatrix(gradOut.Rows, d.W.Cols), out: NewMatrix(gradOut.Rows, d.W.Cols)}
-		d.scratch[gradOut.Rows] = sc
-	}
-	if sc.delta == nil {
-		sc.delta = NewMatrix(gradOut.Rows, gradOut.Cols)
-		sc.gradIn = NewMatrix(gradOut.Rows, d.W.Rows)
-	}
-	// Apply activation derivative on a copy; rows are independent, so the
-	// copy+mask and the delta backpropagation split across the pool.
+func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true) }
+
+// backward is Backward with the input gradient optional: nothing reads the
+// first layer's, and at 83 inputs × 128 units it is the largest product of
+// the whole step. Without wantGradIn the result is nil.
+func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
+	sc := d.backwardScratch(gradOut.Rows)
 	delta := sc.delta
 	gradIn := sc.gradIn
-	parallelFor(delta.Rows, delta.Rows*delta.Cols*(d.W.Rows+1), func(lo, hi int) {
-		copy(delta.Data[lo*delta.Cols:hi*delta.Cols], gradOut.Data[lo*delta.Cols:hi*delta.Cols])
-		if d.Act == ReLU {
-			for i := lo * delta.Cols; i < hi*delta.Cols; i++ {
-				if d.preAct.Data[i] <= 0 {
-					delta.Data[i] = 0
-				}
-			}
-		}
-		matMulABTRows(gradIn, delta, d.W, lo, hi)
-	})
+	if !wantGradIn {
+		gradIn = nil
+	}
+	// Rows are independent, so the activation derivative and the delta
+	// backpropagation split across the pool.
+	flops := delta.Rows * delta.Cols
+	if wantGradIn {
+		flops *= d.W.Rows + 1
+	}
+	if blocks := rowBlocks(delta.Rows, flops); blocks > 1 {
+		parallelFor(delta.Rows, blocks, func(lo, hi int) { d.deltaRows(delta, gradIn, gradOut, lo, hi) })
+	} else {
+		d.deltaRows(delta, gradIn, gradOut, 0, delta.Rows)
+	}
 	MatMulATB(d.gradW, d.in, delta)
 	d.gradB.Zero()
 	for i := 0; i < delta.Rows; i++ {
@@ -137,6 +134,88 @@ func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 		for j, v := range row {
 			d.gradB.Data[j] += v
 		}
+	}
+	return gradIn
+}
+
+// deltaRows fills rows [lo, hi) of delta — gradOut with the activation
+// derivative applied — and, unless gradIn is nil, of gradIn = delta × Wᵀ.
+func (d *Dense) deltaRows(delta, gradIn, gradOut *Matrix, lo, hi int) {
+	dl := delta.Data[lo*delta.Cols : hi*delta.Cols]
+	copy(dl, gradOut.Data[lo*delta.Cols:hi*delta.Cols])
+	if d.Act == ReLU {
+		for i, p := range d.preAct.Data[lo*delta.Cols : hi*delta.Cols] {
+			if p <= 0 {
+				dl[i] = 0
+			}
+		}
+	}
+	if gradIn != nil {
+		matMulABTRows(gradIn, delta, d.W, lo, hi)
+	}
+}
+
+// scratchFor returns the scratch entry of the given batch size. Its buffers
+// are allocated by their first user.
+func (d *Dense) scratchFor(rows int) *denseScratch {
+	if d.scratch == nil {
+		d.scratch = make(map[int]*denseScratch)
+	}
+	sc := d.scratch[rows]
+	if sc == nil {
+		sc = &denseScratch{}
+		d.scratch[rows] = sc
+	}
+	return sc
+}
+
+// backwardScratch is scratchFor with the backward buffers allocated.
+func (d *Dense) backwardScratch(rows int) *denseScratch {
+	sc := d.scratchFor(rows)
+	if sc.delta == nil {
+		sc.delta = NewMatrix(rows, d.W.Cols)
+		sc.gradIn = NewMatrix(rows, d.W.Rows)
+	}
+	return sc
+}
+
+// forwardAt computes, for every row i of in, only output cols[i] of a linear
+// layer into out[i] — products accumulated in ascending-k order from +0 with
+// zero activations skipped, bias added last, exactly as Forward would
+// compute that one element.
+func (d *Dense) forwardAt(in *Matrix, cols []int, out []float64) {
+	w, n := d.W.Data, d.W.Cols
+	for i, c := range cols {
+		s := 0.0
+		for k, h := range in.Row(i) {
+			if h != 0 {
+				s += h * w[k*n+c]
+			}
+		}
+		out[i] = s + d.B.Data[c]
+	}
+}
+
+// backwardAt is Backward for a linear layer whose dL/d(out) has a single
+// non-zero per row: g[i] at column cols[i]. Each gradient element receives
+// the same additions in the same order as the dense kernels give it once
+// their zero terms are dropped (see the note above kTile), so the result is
+// bit-identical to Backward on the scattered matrix at 1/Cols of the work.
+func (d *Dense) backwardAt(in *Matrix, cols []int, g []float64) *Matrix {
+	gradIn := d.backwardScratch(in.Rows).gradIn
+	w, gw, n := d.W.Data, d.gradW.Data, d.W.Cols
+	d.gradW.Zero()
+	d.gradB.Zero()
+	for i, c := range cols {
+		gi := g[i]
+		gr := gradIn.Row(i)
+		for k, h := range in.Row(i) {
+			gr[k] = 0.0 + gi*w[k*n+c] // the dense dot product starts at +0: −0 must not survive
+			if h != 0 {
+				gw[k*n+c] += h * gi
+			}
+		}
+		d.gradB.Data[c] += gi
 	}
 	return gradIn
 }
@@ -152,7 +231,8 @@ type Network struct {
 	batchIn   *Matrix   // reused input matrix of PredictBatch
 	batchFlat []float64 // reused output storage of PredictBatch
 	batchRes  [][]float64
-	trainGrad *Matrix // reused dL/d(out) of TrainBatch
+	trainGrad *Matrix   // reused dL/d(out) of TrainBatch
+	actOut    []float64 // reused taken-action outputs, then their gradients, of TrainActions
 }
 
 // NewNetwork builds a net with the given layer widths, ReLU on hidden layers
@@ -236,10 +316,13 @@ func (n *Network) PredictBatch(rows [][]float64) [][]float64 {
 
 // Backward backpropagates dL/d(out) through all layers, leaving gradients in
 // each layer.
-func (n *Network) Backward(gradOut *Matrix) {
-	g := gradOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].Backward(g)
+func (n *Network) Backward(gradOut *Matrix) { n.backwardFrom(len(n.Layers)-1, gradOut) }
+
+// backwardFrom backpropagates g, dL/d(out) of layer top, through layers
+// top..0. The first layer's input gradient has no reader and is not computed.
+func (n *Network) backwardFrom(top int, g *Matrix) {
+	for i := top; i >= 0; i-- {
+		g = n.Layers[i].backward(g, i > 0)
 	}
 }
 
@@ -279,6 +362,51 @@ func (n *Network) TrainBatch(opt Optimizer, in, target, mask *Matrix) float64 {
 		}
 	}
 	n.Backward(grad)
+	opt.Step(n)
+	return loss
+}
+
+// TrainActions is TrainBatch for the loss a multi-head Q-network trains on:
+// row i contributes only (out[i][actions[i]] − targets[i])², i.e. TrainBatch
+// with target and mask zero except at (i, actions[i]). It computes just
+// those outputs and their gradients — the output layer costs one column per
+// row instead of all of them, forward and backward — and leaves weights,
+// optimizer state and the returned loss bit-identical to the masked dense
+// step. The output layer must be linear.
+func (n *Network) TrainActions(opt Optimizer, in *Matrix, actions []int, targets []float64) float64 {
+	last := len(n.Layers) - 1
+	head := n.Layers[last]
+	if len(actions) != in.Rows || len(targets) != in.Rows {
+		panic(fmt.Sprintf("nn: TrainActions got %d actions and %d targets for %d rows", len(actions), len(targets), in.Rows))
+	}
+	if head.Act != Linear {
+		panic("nn: TrainActions needs a linear output layer")
+	}
+	for i, a := range actions {
+		if a < 0 || a >= head.W.Cols {
+			panic(fmt.Sprintf("nn: TrainActions row %d: action %d outside [0, %d)", i, a, head.W.Cols))
+		}
+	}
+	hidden := in
+	for _, l := range n.Layers[:last] {
+		hidden = l.Forward(hidden)
+	}
+	if cap(n.actOut) < in.Rows {
+		n.actOut = make([]float64, in.Rows)
+	}
+	g := n.actOut[:in.Rows]
+	head.forwardAt(hidden, actions, g)
+	loss := 0.0
+	count := float64(len(g))
+	for i, out := range g {
+		diff := out - targets[i]
+		loss += diff * diff
+		g[i] = 2 * diff / count
+	}
+	if count > 0 {
+		loss /= count
+	}
+	n.backwardFrom(last-1, head.backwardAt(hidden, actions, g))
 	opt.Step(n)
 	return loss
 }

@@ -18,8 +18,13 @@ const (
 	// minParRows is the minimum number of output rows worth splitting.
 	minParRows = 8
 	// minParFlops is the minimum multiply-add count worth dispatching to
-	// the pool at all.
-	minParFlops = 16 * 1024
+	// the pool at all. Handing a block to a parked worker costs a futex
+	// wake and a wg.Wait (tens of µs, and 9 % of a profiled training run
+	// when the bar was 16 K), so the bar sits above every batch-32 kernel
+	// of the paper's 128-64 net — the largest, 32 × 83 inputs × 128 units,
+	// is 340 K multiply-adds, ~100 µs — and below the ~1 000-row batches
+	// of ScalarQ (≥ 10 M). Placement never changes a result bit.
+	minParFlops = 1 << 20
 	// minBlockRows is the smallest row block handed to one worker.
 	minBlockRows = 4
 )
@@ -91,33 +96,29 @@ func ensurePool(n int) {
 	}
 }
 
-// parallelFor splits [0, n) into contiguous blocks and runs fn(lo, hi) for
-// each, using the shared pool when the estimated work (flops) clears the
-// crossover threshold. fn must be safe to run concurrently on disjoint
-// ranges; parallelFor returns only after every block completed.
-func parallelFor(n int, flops int, fn func(lo, hi int)) {
+// rowBlocks returns how many contiguous row blocks a kernel over n output
+// rows costing the given multiply-adds should be split into; 1 means it runs
+// on the caller's goroutine. Kernels test it before building the closure
+// parallelFor takes, so the sequential path — every training-step kernel at
+// batch 32 — allocates nothing.
+func rowBlocks(n, flops int) int {
 	workers := MaxWorkers()
 	if workers <= 1 || n < minParRows || flops < minParFlops {
-		fn(0, n)
-		return
+		return 1
 	}
-	blocks := n / minBlockRows
-	if blocks > workers {
-		blocks = workers
-	}
-	if blocks <= 1 {
-		fn(0, n)
-		return
-	}
-	ensurePool(workers)
+	return min(n/minBlockRows, workers) // ≥ 2: minParRows is two blocks
+}
+
+// parallelFor splits [0, n) into blocks (> 1, from rowBlocks) contiguous
+// ranges and runs fn(lo, hi) for each on the shared pool, the first on the
+// caller's goroutine. fn must be safe to run concurrently on disjoint
+// ranges; parallelFor returns only after every block completed.
+func parallelFor(n, blocks int, fn func(lo, hi int)) {
+	ensurePool(blocks)
 	var wg sync.WaitGroup
 	chunk := (n + blocks - 1) / blocks
 	for lo := chunk; lo < n; lo += chunk { // blocks after the first go to the pool
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo := lo
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		task := func() {
 			defer wg.Done()
