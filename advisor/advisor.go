@@ -6,14 +6,18 @@
 // type aliases and thin constructors, so downstream code programs against
 // one import:
 //
-//	adv, _ := advisor.NewSession(advisor.SSB(), advisor.DiskCluster(), 1).
-//	st, _ := adv.TrainAndSuggest(nil)
+//	sess, _ := advisor.NewSession(advisor.SSB(), advisor.DiskCluster(), 1)
+//	st, _ := sess.TrainAndSuggest(nil)
 //
 // The full pipeline mirrors the paper's Figure 1: define (or pick) a
 // database + workload, train the DRL agent offline against the
 // network-centric cost model, optionally refine it online against measured
 // runtimes on a sampled database, then query it for partitionings as the
-// workload mix evolves.
+// workload mix evolves. It is assembled in exactly one place: a Deployment
+// (data, engine, design space, cost model) and a Session (a Deployment plus
+// one advisor, one method per phase). The commands, the service, the
+// experiments and the soak harnesses all stand their advisors up through
+// these two types.
 package advisor
 
 import (
@@ -155,79 +159,110 @@ func ParseQuery(name, sql string, sch *Schema) (*Query, error) {
 	return &Query{Name: name, SQL: sql, Graph: g, Weight: 1}, nil
 }
 
-// Session bundles one customer deployment: schema + workload + data on a
-// cluster, the offline cost model over its metadata, and a DRL advisor.
-type Session struct {
-	Bench   *Benchmark
-	Space   *Space
-	Engine  *Engine
-	Cost    *CostModel
-	Advisor *Advisor
+// Deployment is the substrate an advisor stands on: one benchmark database
+// materialized on a cluster, its partitioning design space, and the offline
+// network-centric cost model over its metadata. It is deterministic in the
+// four values it is built from, so a service can rebuild it from a spec and
+// put a restored advisor on top.
+type Deployment struct {
+	Bench  *Benchmark
+	Space  *Space
+	Engine *Engine
+	Cost   *CostModel
 
-	hw        HardwareProfile
-	data      map[string]*Relation
-	seed      int64
-	costCache *env.CostCache
+	data    map[string]*Relation
+	offline *env.CostCache
 }
 
-// NewSession materializes a benchmark database on a cluster and builds an
-// untrained advisor with repro-scale hyperparameters. Disk-like profiles
-// get the Disk engine flavor (optimizer estimates exposed), others Memory.
-func NewSession(b *Benchmark, hw HardwareProfile, seed int64) (*Session, error) {
+// NewDeployment generates the benchmark's data at the given scale and seed
+// and loads it into an engine on the cluster. Disk-like profiles get the
+// Disk engine flavor (optimizer estimates exposed), others Memory.
+func NewDeployment(b *Benchmark, hw HardwareProfile, scale float64, seed int64) *Deployment {
 	flavor := exec.Memory
 	if hw.ScanBytesPerSec < 1e9 {
 		flavor = exec.Disk
 	}
-	data := b.Generate(1, seed)
+	data := b.Generate(scale, seed)
 	engine := exec.New(b.Schema, data, hw, flavor)
-	sp := b.Space()
-	complexSchema := len(b.Schema.Tables) > 8
-	adv, err := core.New(sp, b.Workload, core.Repro(complexSchema), seed)
-	if err != nil {
-		return nil, err
+	d := &Deployment{
+		Bench:  b,
+		Space:  b.Space(),
+		Engine: engine,
+		Cost:   costmodel.New(engine.TrueCatalog(), hw),
+		data:   data,
 	}
-	return &Session{
-		Bench:   b,
-		Space:   sp,
-		Engine:  engine,
-		Cost:    costmodel.New(engine.TrueCatalog(), hw),
-		Advisor: adv,
-		hw:      hw,
-		data:    data,
-		seed:    seed,
-	}, nil
+	d.offline = env.NewCostCache(func(st *Partitioning, freq FreqVector) float64 {
+		return d.Cost.WorkloadCost(st, b.Workload, freq)
+	}, 0)
+	d.offline.SetConcurrentBase(true) // the cost model is concurrency-safe
+	return d
 }
+
+// Data returns the generated base tables by name (bulk-update generators
+// key their rows after it).
+func (d *Deployment) Data() map[string]*Relation { return d.data }
 
 // OfflineCost returns the offline training/inference cost function:
 // network-centric estimates over the deployment's metadata, memoized behind
 // a bounded thread-safe cache (offline episodes re-evaluate identical
-// (partitioning, mix) costs thousands of times, and the parallel committee
-// shares this function across expert trainers).
-func (s *Session) OfflineCost() func(*Partitioning, FreqVector) float64 {
-	return s.offlineCache().Cost
+// (partitioning, mix) costs thousands of times, and every advisor and
+// committee expert on this deployment shares it).
+func (d *Deployment) OfflineCost() func(*Partitioning, FreqVector) float64 {
+	return d.offline.Cost
 }
 
-func (s *Session) offlineCache() *env.CostCache {
-	if s.costCache == nil {
-		s.costCache = env.NewCostCache(func(st *Partitioning, freq FreqVector) float64 {
-			return s.Cost.WorkloadCost(st, s.Bench.Workload, freq)
-		}, 0)
+// SampleEngine builds the §4.2 sampled copy of the database for online
+// training: rate per table with a minimum row floor, on the same cluster.
+// Tables are sampled in schema order — iterating the data map would consume
+// the RNG in map order and make the sample differ between process runs.
+func (d *Deployment) SampleEngine(rate float64, minRows int, seed int64) *Engine {
+	rng := rand.New(rand.NewSource(seed))
+	sampled := make(map[string]*Relation, len(d.data))
+	for _, t := range d.Bench.Schema.Tables {
+		if rel := d.data[t.Name]; rel != nil {
+			sampled[t.Name] = rel.Sample(rate, minRows, rng)
+		}
 	}
-	return s.costCache
+	return exec.New(d.Bench.Schema, sampled, d.Engine.HW, d.Engine.Flavor)
 }
 
-// SetPrefetchWorkers pipelines TrainOffline with n speculative cost-prefetch
+// MeasureWorkload deploys a partitioning and measures the total runtime of
+// every workload query on the full database — the paper's evaluation metric.
+func (d *Deployment) MeasureWorkload(st *Partitioning) float64 {
+	d.Engine.Deploy(st, nil)
+	return core.MeasureWorkload(d.Engine, d.Bench.Workload)
+}
+
+// NewSession puts an untrained advisor on the deployment. Several sessions
+// with their own seeds and hyperparameters may share one deployment.
+func (d *Deployment) NewSession(hp Hyperparams, seed int64) (*Session, error) {
+	adv, err := core.New(d.Space, d.Bench.Workload, hp, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{Deployment: d, Advisor: adv}, nil
+}
+
+// Session is a deployment plus one DRL advisor trained on it: the paper's
+// Figure 1 pipeline, one method per phase.
+type Session struct {
+	*Deployment
+	Advisor *Advisor
+}
+
+// NewSession materializes a benchmark database on a cluster at scale 1 and
+// builds an untrained advisor with repro-scale hyperparameters; data and
+// advisor share the seed.
+func NewSession(b *Benchmark, hw HardwareProfile, seed int64) (*Session, error) {
+	return NewDeployment(b, hw, 1, seed).NewSession(core.Repro(b.ComplexSchema()), seed)
+}
+
+// Prefetch pipelines TrainOffline with n speculative cost-prefetch
 // goroutines warming the offline cost cache (0 restores serial training).
-// The trained advisor is bit-identical at every setting; the knob trades
-// idle cores for wall-clock.
-func (s *Session) SetPrefetchWorkers(n int) {
-	if n <= 0 {
-		s.Advisor.Prefetch = nil
-		return
-	}
-	cc := s.offlineCache()
-	cc.SetConcurrentBase(true) // the cost model is concurrency-safe
-	s.Advisor.Prefetch = &core.PrefetchConfig{Cache: cc, Workers: n}
+// The trained advisor is bit-identical at every setting; n trades idle
+// cores for wall-clock.
+func (s *Session) Prefetch(n int) {
+	s.Advisor.Prefetch = &core.PrefetchConfig{Cache: s.offline, Workers: n}
 }
 
 // TrainOffline bootstraps the advisor on the cost model (Algorithm 1).
@@ -235,32 +270,45 @@ func (s *Session) TrainOffline() error {
 	return s.Advisor.TrainOffline(s.OfflineCost(), nil)
 }
 
+// PrepareOnline is the first half of online refinement (§4.2): it takes the
+// offline suggestion for the uniform mix, measures the per-query scale
+// factors between the full and the sampled engine under it, and returns the
+// measured cost function over the sample with the calibration's simulated
+// time booked as SetupSeconds. Callers arm faults, a guard or the
+// optimization toggles on the result before handing it to RefineOnline.
+func (s *Session) PrepareOnline(sample *Engine) (*OnlineCost, error) {
+	offSt, err := s.Suggest(nil)
+	if err != nil {
+		return nil, fmt.Errorf("advisor: train offline before online refinement: %w", err)
+	}
+	wl := s.Bench.Workload
+	scale, setupSec := core.ComputeScaleFactors(s.Engine, sample, wl, offSt)
+	oc := core.NewOnlineCost(sample, wl, scale)
+	oc.Stats.SetupSeconds = setupSec
+	return oc, nil
+}
+
+// RefineOnline is the second half: it trains the advisor against the
+// measured cost and makes that cost (with its runtime cache) the one
+// inference simulates on.
+func (s *Session) RefineOnline(oc *OnlineCost) error {
+	if err := s.Advisor.TrainOnline(oc, nil); err != nil {
+		return err
+	}
+	s.Advisor.InferCost = oc.WorkloadCost
+	return nil
+}
+
 // TrainOnline refines the advisor against measured runtimes on a sampled
 // copy of the database (rate per table, with a minimum row floor), using
 // the paper's §4.2 optimizations. It returns the online cost function with
 // its accounting statistics.
 func (s *Session) TrainOnline(sampleRate float64, minRows int) (*OnlineCost, error) {
-	rng := rand.New(rand.NewSource(s.seed + 7))
-	sampled := make(map[string]*Relation, len(s.data))
-	for _, t := range s.Bench.Schema.Tables { // schema order: deterministic sampling
-		if rel := s.data[t.Name]; rel != nil {
-			sampled[t.Name] = rel.Sample(sampleRate, minRows, rng)
-		}
-	}
-	sample := exec.New(s.Bench.Schema, sampled, s.hw, s.Engine.Flavor)
-	freq := s.Bench.Workload.UniformFreq()
-	offSt, _, err := s.Advisor.Suggest(freq)
+	oc, err := s.PrepareOnline(s.SampleEngine(sampleRate, minRows, s.Advisor.Seed()+7))
 	if err != nil {
-		return nil, fmt.Errorf("advisor: train offline before online refinement: %w", err)
-	}
-	scale, setupSec := core.ComputeScaleFactors(s.Engine, sample, s.Bench.Workload, offSt)
-	oc := core.NewOnlineCost(sample, s.Bench.Workload, scale)
-	oc.Stats.SetupSeconds = setupSec
-	if err := s.Advisor.TrainOnline(oc, nil); err != nil {
 		return nil, err
 	}
-	s.Advisor.InferCost = oc.WorkloadCost
-	return oc, nil
+	return oc, s.RefineOnline(oc)
 }
 
 // Suggest returns the advisor's partitioning for a workload mix (nil means
@@ -303,13 +351,6 @@ func (s *Session) BuildCommittee(oc *OnlineCost) (*Committee, error) {
 		return nil, fmt.Errorf("advisor: committee needs the online cost (run TrainOnline first)")
 	}
 	cfg := core.DefaultCommitteeConfig(s.Advisor)
-	cfg.Seed = s.seed + 97
+	cfg.Seed = s.Advisor.Seed() + 97
 	return core.BuildCommittee(s.Advisor, oc.WorkloadCost, cfg)
-}
-
-// MeasureWorkload deploys a partitioning and measures the total runtime of
-// every workload query on the full database.
-func (s *Session) MeasureWorkload(st *Partitioning) float64 {
-	s.Engine.Deploy(st, nil)
-	return core.MeasureWorkload(s.Engine, s.Bench.Workload)
 }

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -58,6 +59,48 @@ func TestSessionFlavorSelection(t *testing.T) {
 	}
 	if _, ok := mem.Engine.EstimateCost(mem.Space.InitialState(), mem.Bench.Workload.Queries[0].Graph); ok {
 		t.Fatalf("memory cluster should hide optimizer estimates")
+	}
+}
+
+// TestStagedOnlineEqualsChained: TrainOnline(rate, minRows) is documented as
+// PrepareOnline on a sample seeded advisor-seed+7, then RefineOnline. Two
+// sessions with one seed — on separate, identically built deployments, since
+// online training moves the engine — must end with the same model, bit for
+// bit, whichever way the caller spells it.
+func TestStagedOnlineEqualsChained(t *testing.T) {
+	model := func(staged bool) []byte {
+		hp := ReproHyperparams(false)
+		hp.Episodes, hp.OnlineEpisodes = 20, 5
+		s, err := NewDeployment(Micro(), DiskCluster(), 0.2, 4).NewSession(hp, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TrainOffline(); err != nil {
+			t.Fatal(err)
+		}
+		if staged {
+			oc, err := s.PrepareOnline(s.SampleEngine(0.3, 20, 9+7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oc.Stats.SetupSeconds <= 0 {
+				t.Fatalf("scale-factor calibration booked no setup time")
+			}
+			err = s.RefineOnline(oc)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := s.TrainOnline(0.3, 20); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := s.Advisor.SaveModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if !bytes.Equal(model(true), model(false)) {
+		t.Fatal("staged PrepareOnline+RefineOnline and TrainOnline trained different models")
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -43,16 +42,13 @@ import (
 	"syscall"
 	"time"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
-	"partadvisor/internal/costmodel"
-	"partadvisor/internal/env"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
-	"partadvisor/internal/partition"
 	"partadvisor/internal/prof"
-	"partadvisor/internal/relation"
 	"partadvisor/internal/workload"
 )
 
@@ -95,47 +91,26 @@ func main() {
 		fail("-resume and -load are mutually exclusive")
 	}
 
-	b := pickBenchmark(*benchName)
+	b := benchmarks.ByName(*benchName)
 	if b == nil {
 		fail("unknown benchmark %q (want ssb, tpcds, tpcch, tpch or micro)", *benchName)
 	}
-	complexSchema := b.Name == "tpcds" || b.Name == "tpcch" || b.Name == "tpch"
-	hp := pickProfile(*profile, complexSchema)
-
-	var hw hardware.Profile
-	var flavor exec.Flavor
-	switch *engine {
-	case "disk":
-		hw, flavor = hardware.PostgresXLDisk(), exec.Disk
-	case "memory":
-		hw, flavor = hardware.SystemXMemory(), exec.Memory
-	default:
+	hp := pickProfile(*profile, b.ComplexSchema())
+	hw, ok := hardware.ByName(*engine)
+	if !ok {
 		fail("unknown engine %q (want disk or memory)", *engine)
 	}
 
 	fmt.Printf("generating %s at scale %g...\n", b.Name, *scale)
-	data := b.Generate(*scale, *seed)
-	eng := exec.New(b.Schema, data, hw, flavor)
-	sp := b.Space()
-	cm := costmodel.New(eng.TrueCatalog(), hw)
-	offCost := func(st *partition.State, freq workload.FreqVector) float64 {
-		return cm.WorkloadCost(st, b.Workload, freq)
-	}
-
-	adv, err := core.New(sp, b.Workload, hp, *seed)
+	sess, err := advisor.NewDeployment(b, hw, *scale, *seed).NewSession(hp, *seed)
 	if err != nil {
 		fail("%v", err)
 	}
-	if *prefetch > 0 {
-		// Pipeline offline training: the cost model is safe for concurrent
-		// calls, so prefetch workers can warm the cache with speculative
-		// designs while the decision loop trains the network. Training is
-		// bit-identical to -prefetch 0.
-		cache := env.NewCostCache(offCost, 0)
-		cache.SetConcurrentBase(true)
-		offCost = cache.Cost
-		adv.Prefetch = &core.PrefetchConfig{Cache: cache, Workers: *prefetch}
-	}
+	adv := sess.Advisor
+	// Pipelined offline training: prefetch workers warm the offline cost
+	// cache with speculative designs while the decision loop trains the
+	// network. Training is bit-identical to -prefetch 0.
+	sess.Prefetch(*prefetch)
 	if *ckptPath != "" {
 		adv.Ckpt = &core.CheckpointConfig{
 			Path:  *ckptPath,
@@ -160,12 +135,12 @@ func main() {
 		if err := adv.LoadModel(blob); err != nil {
 			fail("load: %v", err)
 		}
-		adv.InferCost = offCost
+		adv.InferCost = sess.OfflineCost()
 		fmt.Printf("loaded model from %s\n", *loadPath)
 	} else {
 		fmt.Printf("offline training: %d episodes (network-centric cost model)...\n", hp.Episodes)
 		start := time.Now()
-		if err := adv.TrainOffline(offCost, nil); err != nil {
+		if err := sess.TrainOffline(); err != nil {
 			exitIfHalted(adv, err)
 			exitIfStopped(adv, err)
 			fail("offline training: %v", err)
@@ -182,20 +157,11 @@ func main() {
 
 	if *online {
 		fmt.Printf("online refinement: %d episodes on a sampled database...\n", hp.OnlineEpisodes)
-		rng := rand.New(rand.NewSource(*seed + 1))
-		sampled := make(map[string]*relation.Relation, len(data))
-		for _, tbl := range b.Schema.Tables { // schema order: deterministic sampling
-			sampled[tbl.Name] = data[tbl.Name].Sample(0.2, 50, rng)
-		}
-		sample := exec.New(b.Schema, sampled, hw, flavor)
-		freq := b.Workload.UniformFreq()
-		offSt, _, err := adv.Suggest(freq)
+		sample := sess.SampleEngine(0.2, 50, *seed+1)
+		oc, err := sess.PrepareOnline(sample)
 		if err != nil {
 			fail("%v", err)
 		}
-		scaleF, setupSec := core.ComputeScaleFactors(eng, sample, b.Workload, offSt)
-		oc := core.NewOnlineCost(sample, b.Workload, scaleF)
-		oc.Stats.SetupSeconds = setupSec
 		if *guardOn {
 			gcfg := guard.DefaultConfig()
 			gcfg.CanaryQueries = *guardCanary
@@ -212,12 +178,11 @@ func main() {
 			oc.Guard = g
 		}
 		start := time.Now()
-		if err := adv.TrainOnline(oc, nil); err != nil {
+		if err := sess.RefineOnline(oc); err != nil {
 			exitIfHalted(adv, err)
 			exitIfStopped(adv, err)
 			fail("online training: %v", err)
 		}
-		adv.InferCost = oc.WorkloadCost
 		fmt.Printf("online training done in %s (executed %d queries, %d cache hits, %.3g sim s)\n",
 			time.Since(start).Round(time.Millisecond), oc.Stats.QueriesExecuted, oc.Stats.CacheHits, oc.Stats.TotalSeconds())
 		if *guardOn {
@@ -247,26 +212,10 @@ func main() {
 		fail("%v", err)
 	}
 	fmt.Printf("\nsuggested partitioning (reward %.3f):\n  %s\n", reward, st)
-	eng.Deploy(st, nil)
-	total := eng.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)}).Seconds
+	sess.Engine.Deploy(st, nil)
+	total := sess.Engine.Exec(context.Background(), exec.Request{Queries: exec.Queries(b.Workload.Graphs(), 0)}).Seconds
 	fmt.Printf("measured workload runtime under this partitioning: %.4g sim s\n", total)
 	prof.WriteHeap(*memProfile)
-}
-
-func pickBenchmark(name string) *benchmarks.Benchmark {
-	switch name {
-	case "ssb":
-		return benchmarks.SSB()
-	case "tpcds":
-		return benchmarks.TPCDS()
-	case "tpcch":
-		return benchmarks.TPCCH()
-	case "tpch":
-		return benchmarks.TPCH()
-	case "micro":
-		return benchmarks.Micro()
-	}
-	return nil
 }
 
 func pickProfile(name string, complexSchema bool) core.Hyperparams {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 )
 
@@ -34,13 +36,36 @@ func TestParseFreq(t *testing.T) {
 }
 
 func TestPickBenchmark(t *testing.T) {
-	for _, name := range []string{"ssb", "tpcds", "tpcch", "micro"} {
-		if pickBenchmark(name) == nil {
-			t.Errorf("pickBenchmark(%q) = nil", name)
+	for _, name := range []string{"ssb", "tpcds", "tpcch", "tpch", "micro"} {
+		if benchmarks.ByName(name) == nil {
+			t.Errorf("benchmarks.ByName(%q) = nil", name)
 		}
 	}
-	if pickBenchmark("nope") != nil {
+	if benchmarks.ByName("nope") != nil {
 		t.Errorf("unknown benchmark accepted")
+	}
+}
+
+// TestProfileMatchesSession: the CLI's -profile repro and the library's
+// NewSession must resolve to the same hyperparameters for every built-in
+// benchmark — one "complex schema" rule, not one per entry point (TPC-H,
+// with exactly 8 tables, used to get 120 episodes through the library and
+// 200 through the CLI).
+func TestProfileMatchesSession(t *testing.T) {
+	for name, complexSchema := range map[string]bool{
+		"micro": false, "ssb": false, "tpch": true, "tpcch": true, "tpcds": true,
+	} {
+		b := benchmarks.ByName(name)
+		if got := b.ComplexSchema(); got != complexSchema {
+			t.Errorf("%s (%d tables): ComplexSchema() = %v, want %v", name, len(b.Schema.Tables), got, complexSchema)
+		}
+		sess, err := advisor.NewSession(b, advisor.DiskCluster(), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cli := pickProfile("repro", b.ComplexSchema()); !reflect.DeepEqual(cli, sess.Advisor.HP) {
+			t.Errorf("%s: CLI profile %+v != NewSession's %+v", name, cli, sess.Advisor.HP)
+		}
 	}
 }
 

@@ -34,19 +34,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var b *benchmarks.Benchmark
-	switch *benchName {
-	case "ssb":
-		b = benchmarks.SSB()
-	case "tpcds":
-		b = benchmarks.TPCDS()
-	case "tpcch":
-		b = benchmarks.TPCCH()
-	case "tpch":
-		b = benchmarks.TPCH()
-	case "micro":
-		b = benchmarks.Micro()
-	default:
+	b := benchmarks.ByName(*benchName)
+	if b == nil {
 		fmt.Fprintf(os.Stderr, "datagen: unknown benchmark %q\n", *benchName)
 		os.Exit(2)
 	}

@@ -8,55 +8,36 @@ import (
 	"fmt"
 	"log"
 
-	"partadvisor/internal/benchmarks"
-	"partadvisor/internal/core"
-	"partadvisor/internal/costmodel"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/hardware"
+	"partadvisor/advisor"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/workload"
 )
 
 func main() {
-	bench := benchmarks.Micro()
-	data := bench.Generate(1, 5)
-	space := bench.Space()
-
-	for _, hw := range []hardware.Profile{
-		hardware.SystemXMemory(),
-		hardware.SystemXMemory().WithSlowNetwork(),
+	for _, hw := range []advisor.HardwareProfile{
+		advisor.MemoryCluster(),
+		advisor.MemoryCluster().WithSlowNetwork(),
 	} {
 		fmt.Printf("--- deployment %s ---\n", hw.Name)
-		engine := exec.New(bench.Schema, data, hw, exec.Memory)
+		// A fresh advisor per deployment (the paper retrains per hardware).
+		sess, err := advisor.NewSession(advisor.Micro(), hw, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Fixed candidates: a is always co-partitioned with the large
 		// dimension c; b is either partitioned or replicated.
-		partB := design(space, false)
-		replB := design(space, true)
-		fmt.Printf("B partitioned: %.4g sim s\n", measure(engine, bench, partB))
-		fmt.Printf("B replicated:  %.4g sim s\n", measure(engine, bench, replB))
+		fmt.Printf("B partitioned: %.4g sim s\n", sess.MeasureWorkload(design(sess.Space, false)))
+		fmt.Printf("B replicated:  %.4g sim s\n", sess.MeasureWorkload(design(sess.Space, true)))
 
-		// A fresh advisor per deployment (the paper retrains per hardware).
-		cm := costmodel.New(engine.TrueCatalog(), hw)
-		advisor, err := core.New(space, bench.Workload, core.Repro(false), 5)
+		st, err := sess.TrainAndSuggest(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		err = advisor.TrainOffline(func(st *partition.State, f workload.FreqVector) float64 {
-			return cm.WorkloadCost(st, bench.Workload, f)
-		}, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, _, err := advisor.Suggest(bench.Workload.UniformFreq())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("RL suggestion: %.4g sim s  (%s)\n\n", measure(engine, bench, st), st)
+		fmt.Printf("RL suggestion: %.4g sim s  (%s)\n\n", sess.MeasureWorkload(st), st)
 	}
 }
 
-func design(sp *partition.Space, replicateB bool) *partition.State {
+func design(sp *advisor.Space, replicateB bool) *advisor.Partitioning {
 	st := sp.InitialState()
 	aIdx := sp.TableIndex("a")
 	ki := sp.Tables[aIdx].KeyIndex(partition.Key{"a_c"})
@@ -65,9 +46,4 @@ func design(sp *partition.Space, replicateB bool) *partition.State {
 		st = sp.Apply(st, partition.Action{Kind: partition.ActReplicate, Table: sp.TableIndex("b")})
 	}
 	return st
-}
-
-func measure(e *exec.Engine, b *benchmarks.Benchmark, st *partition.State) float64 {
-	e.Deploy(st, nil)
-	return core.MeasureWorkload(e, b.Workload)
 }

@@ -41,6 +41,30 @@ func (b *Benchmark) Space() *partition.Space {
 	return partition.NewSpace(b.Schema, b.Workload.JoinEdges(b.Schema.ForeignKeyEdges()), b.SpaceOptions)
 }
 
+// ComplexSchema is the one rule that picks between the two hyperparameter
+// scales of the paper's Table 1 (600 vs 1200 episodes): eight or more tables.
+// SSB (5) and the microbenchmark (3) are simple; TPC-H (8), TPC-CH (12) and
+// TPC-DS (24) are complex.
+func (b *Benchmark) ComplexSchema() bool { return len(b.Schema.Tables) >= 8 }
+
+// ByName returns the built-in evaluation database with the given name (ssb,
+// tpcds, tpcch, tpch or micro), or nil.
+func ByName(name string) *Benchmark {
+	switch name {
+	case "ssb":
+		return SSB()
+	case "tpcds":
+		return TPCDS()
+	case "tpcch":
+		return TPCCH()
+	case "tpch":
+		return TPCH()
+	case "micro":
+		return Micro()
+	}
+	return nil
+}
+
 // attrs builds a []schema.Attribute with uniform width.
 func attrs(width int, names ...string) []schema.Attribute {
 	out := make([]schema.Attribute, len(names))

@@ -8,15 +8,12 @@ import (
 	"strings"
 	"time"
 
-	"partadvisor/internal/benchmarks"
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
-	"partadvisor/internal/costmodel"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
 	"partadvisor/internal/guard"
-	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
-	"partadvisor/internal/workload"
 )
 
 // Config parameterizes a soak run. The zero value is usable: defaults are
@@ -109,10 +106,16 @@ type Report struct {
 
 // Violations flattens every episode's breaches.
 func (r *Report) Violations() []string {
+	return violations(r.Episodes, func(e EpisodeReport) (int, []string) { return e.Episode, e.Violations })
+}
+
+// violations prefixes each episode's breaches with its number.
+func violations[E any](episodes []E, of func(E) (episode int, breaches []string)) []string {
 	var out []string
-	for _, e := range r.Episodes {
-		for _, v := range e.Violations {
-			out = append(out, fmt.Sprintf("episode %d: %s", e.Episode, v))
+	for _, e := range episodes {
+		ep, vio := of(e)
+		for _, v := range vio {
+			out = append(out, fmt.Sprintf("episode %d: %s", ep, v))
 		}
 	}
 	return out
@@ -163,6 +166,8 @@ type outcome struct {
 	sig              string
 	cost             float64
 	probeFails       int
+	// crashes, permanent and partitions summarize the generated schedule.
+	crashes, permanent, partitions int
 	// rollbackDigest concatenates every rollback's (from, to, clock)
 	// triple: with Config.Guarded, replay equality of this string is the
 	// deterministic-guard invariant (identical rollback decisions at
@@ -171,116 +176,119 @@ type outcome struct {
 	rollbackDigest string
 }
 
-type episodeResult struct {
-	out   outcome
-	sched schedule
-	vio   []string
-	err   error
-}
-
 func runEpisode(cfg Config, ep int, epSeed int64, permanentLoss bool) (EpisodeReport, error) {
 	er := EpisodeReport{Episode: ep, Seed: epSeed}
-	run := func() episodeResult {
-		out, sched, vio, err := runOnce(cfg, epSeed, permanentLoss)
-		return episodeResult{out: out, sched: sched, vio: vio, err: err}
-	}
-	first, ok := withDeadline(run, cfg.EpisodeDeadline)
-	if !ok {
-		er.Violations = append(er.Violations,
-			fmt.Sprintf("watchdog: run still going after %v — stuck training step", cfg.EpisodeDeadline))
-		return er, nil
-	}
-	if first.err != nil {
-		return er, first.err
-	}
-	second, ok := withDeadline(run, cfg.EpisodeDeadline)
-	if !ok {
-		er.Violations = append(er.Violations,
-			fmt.Sprintf("watchdog: replay still going after %v — stuck training step", cfg.EpisodeDeadline))
-		return er, nil
-	}
-	if second.err != nil {
-		return er, second.err
-	}
-	vio := append(first.vio, second.vio...)
-	if first.out != second.out {
-		vio = append(vio, fmt.Sprintf("determinism: replay of seed %d diverged:\n  run    %+v\n  replay %+v",
-			epSeed, first.out, second.out))
-	}
-	er.Crashes, er.Permanent, er.Partitions = first.sched.Crashes, first.sched.Permanent, first.sched.Partitions
-	er.QueriesExecuted, er.Repartitions, er.Repairs = first.out.queries, first.out.reparts, first.out.repairs
-	er.BytesMoved, er.DeployedBytes, er.RepairedBytes = first.out.moved, first.out.deployed, first.out.repaired
-	er.Retries, er.FailedQueries = first.out.stats.Retries, first.out.stats.FailedQueries
-	er.BreakerTrips = first.out.stats.BreakerTrips
-	er.GuardVetoes, er.CanaryAborts = first.out.stats.GuardVetoes, first.out.stats.CanaryAborts
-	er.BudgetDenials, er.Rollbacks = first.out.stats.BudgetDenials, first.out.stats.Rollbacks
-	er.Suggestion, er.Cost = first.out.sig, first.out.cost
+	out, vio, done, err := replayTwice(func() (outcome, []string, error) {
+		return runOnce(cfg, epSeed, permanentLoss)
+	}, cfg.EpisodeDeadline, epSeed, "training step")
 	er.Violations = vio
+	if err != nil || !done {
+		return er, err
+	}
+	er.Crashes, er.Permanent, er.Partitions = out.crashes, out.permanent, out.partitions
+	er.QueriesExecuted, er.Repartitions, er.Repairs = out.queries, out.reparts, out.repairs
+	er.BytesMoved, er.DeployedBytes, er.RepairedBytes = out.moved, out.deployed, out.repaired
+	er.Retries, er.FailedQueries = out.stats.Retries, out.stats.FailedQueries
+	er.BreakerTrips = out.stats.BreakerTrips
+	er.GuardVetoes, er.CanaryAborts = out.stats.GuardVetoes, out.stats.CanaryAborts
+	er.BudgetDenials, er.Rollbacks = out.stats.BudgetDenials, out.stats.Rollbacks
+	er.Suggestion, er.Cost = out.sig, out.cost
 	return er, nil
 }
 
-// withDeadline runs f under a wall-clock watchdog. On timeout the runner
-// goroutine is abandoned (it holds no external resources — everything is
-// in-memory and per-episode).
-func withDeadline(f func() episodeResult, d time.Duration) (episodeResult, bool) {
-	ch := make(chan episodeResult, 1)
-	go func() { ch <- f() }()
-	select {
-	case r := <-ch:
-		return r, true
-	case <-time.After(d):
-		return episodeResult{}, false
+// replayTwice is the episode loop both soaks share: it runs one seeded
+// episode twice — once to measure, once to check bit-identical replay —
+// each under a wall-clock watchdog, and returns the first run's outcome
+// with the breaches of both runs plus the determinism verdict. done is
+// false when the watchdog fired; vio then holds only that breach (stuck
+// names what hung), and the runner goroutine is abandoned — it holds no
+// external resources, everything is in-memory and per-episode.
+func replayTwice[O comparable](run func() (O, []string, error), deadline time.Duration, seed int64, stuck string) (out O, vio []string, done bool, err error) {
+	type result struct {
+		out O
+		vio []string
+		err error
 	}
+	var rs [2]result
+	for i, pass := range []string{"run", "replay"} {
+		ch := make(chan result, 1)
+		go func() {
+			o, v, e := run()
+			ch <- result{o, v, e}
+		}()
+		select {
+		case rs[i] = <-ch:
+		case <-time.After(deadline):
+			return out, []string{fmt.Sprintf("watchdog: %s still going after %v — stuck %s", pass, deadline, stuck)}, false, nil
+		}
+		if rs[i].err != nil {
+			return out, nil, false, rs[i].err
+		}
+	}
+	vio = append(rs[0].vio, rs[1].vio...)
+	if rs[0].out != rs[1].out {
+		vio = append(vio, fmt.Sprintf("determinism: replay of seed %d diverged:\n  run    %+v\n  replay %+v",
+			seed, rs[0].out, rs[1].out))
+	}
+	return rs[0].out, vio, true, nil
+}
+
+// soakAdvisor puts a small advisor on the deployment, trains it offline on
+// the cost model and online against the live engine (no sample: the soaks
+// want the armed faults in the measured runs), inside the guard envelope
+// when g is set, and returns the design it settles on for the uniform mix.
+func soakAdvisor(dep *advisor.Deployment, seed int64, g *guard.Guard) (*partition.State, *core.OnlineCost, error) {
+	hp := core.Test()
+	hp.Episodes = 16
+	hp.OnlineEpisodes = 10
+	sess, err := dep.NewSession(hp, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: build advisor: %w", err)
+	}
+	if err := sess.TrainOffline(); err != nil {
+		return nil, nil, fmt.Errorf("chaos: offline training: %w", err)
+	}
+	oc := core.NewOnlineCost(dep.Engine, dep.Bench.Workload, nil)
+	oc.Guard = g
+	if err := sess.Advisor.TrainOnline(oc, nil); err != nil {
+		return nil, nil, fmt.Errorf("chaos: online training: %w", err)
+	}
+	st, _, err := sess.Advisor.SuggestBest(dep.Bench.Workload.UniformFreq(), oc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: suggestion: %w", err)
+	}
+	return st, oc, nil
 }
 
 // runOnce builds a fresh database + engine, arms a generated fault
 // schedule and the self-healing layer, trains the advisor offline and
 // online, asks for a design, and evaluates the per-run invariants.
-func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, schedule, []string, error) {
+func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, []string, error) {
 	var out outcome
 	var vio []string
 
-	b := benchmarks.Micro()
-	data := b.Generate(cfg.Scale, epSeed)
-	hw := hardware.SystemXMemory()
-	e := exec.New(b.Schema, data, hw, exec.Memory)
-	sp := b.Space()
-	wl := b.Workload
-	freq := wl.UniformFreq()
+	dep := advisor.NewDeployment(advisor.Micro(), advisor.MemoryCluster(), cfg.Scale, epSeed)
+	e, wl := dep.Engine, dep.Bench.Workload
 
 	// Calibrate the schedule's time unit — one fault-free workload pass —
 	// before any fault is armed.
-	e.Deploy(sp.InitialState(), nil)
+	e.Deploy(dep.Space.InitialState(), nil)
 	unit := e.Exec(context.Background(), exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}).Seconds
 	if unit <= 0 {
-		return out, schedule{}, nil, fmt.Errorf("chaos: calibration workload consumed no simulated time")
+		return out, nil, fmt.Errorf("chaos: calibration workload consumed no simulated time")
 	}
 
 	rng := rand.New(rand.NewSource(epSeed))
-	sched := buildSchedule(rng, hw.Nodes, unit, permanentLoss)
+	sched := buildSchedule(rng, e.HW.Nodes, unit, permanentLoss)
+	out.crashes, out.permanent, out.partitions = sched.Crashes, sched.Permanent, sched.Partitions
 	inj, err := faults.New(sched.cfg)
 	if err != nil {
-		return out, sched, nil, fmt.Errorf("chaos: generated schedule invalid: %w", err)
+		return out, nil, fmt.Errorf("chaos: generated schedule invalid: %w", err)
 	}
 	e.SetFaults(inj)
 	e.ResetClock()
 	e.SetSelfHeal(true)
 
-	hp := core.Test()
-	hp.Episodes = 16
-	hp.OnlineEpisodes = 10
-	adv, err := core.New(sp, wl, hp, epSeed)
-	if err != nil {
-		return out, sched, nil, fmt.Errorf("chaos: build advisor: %w", err)
-	}
-	cm := costmodel.New(e.TrueCatalog(), hw)
-	offline := func(st *partition.State, f workload.FreqVector) float64 {
-		return cm.WorkloadCost(st, wl, f)
-	}
-	if err := adv.TrainOffline(offline, nil); err != nil {
-		return out, sched, nil, fmt.Errorf("chaos: offline training: %w", err)
-	}
-	oc := core.NewOnlineCost(e, wl, nil)
 	var g *guard.Guard
 	if cfg.Guarded {
 		gcfg := guard.DefaultConfig()
@@ -289,16 +297,12 @@ func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, schedule, [
 		gcfg.CanaryQueries = 1
 		g, err = guard.New(e, wl, gcfg)
 		if err != nil {
-			return out, sched, nil, fmt.Errorf("chaos: build guard: %w", err)
+			return out, nil, fmt.Errorf("chaos: build guard: %w", err)
 		}
-		oc.Guard = g
 	}
-	if err := adv.TrainOnline(oc, nil); err != nil {
-		return out, sched, nil, fmt.Errorf("chaos: online training: %w", err)
-	}
-	st, _, err := adv.SuggestBest(freq, oc)
+	st, oc, err := soakAdvisor(dep, epSeed, g)
 	if err != nil {
-		return out, sched, nil, fmt.Errorf("chaos: suggestion: %w", err)
+		return out, nil, err
 	}
 
 	// Invariant: replica-placement consistency — a query errors iff some
@@ -371,8 +375,8 @@ func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, schedule, [
 	out.queries, out.reparts, out.repairs = queries, reparts, repairs
 	out.moved, out.deployed, out.repaired = moved, e.DeployedBytes, repaired
 	out.sig = st.Signature()
-	out.cost = oc.WorkloadCost(st, freq)
-	return out, sched, vio, nil
+	out.cost = oc.WorkloadCost(st, wl.UniformFreq())
+	return out, vio, nil
 }
 
 // PermanentLossAdaptation trains the same-seeded advisor twice — once on a
@@ -385,38 +389,15 @@ func PermanentLossAdaptation(seed int64, scale float64) (faultFree, faulted stri
 		scale = 0.2
 	}
 	suggest := func(lostNode int) (string, error) {
-		b := benchmarks.Micro()
-		data := b.Generate(scale, seed)
-		hw := hardware.SystemXMemory()
-		e := exec.New(b.Schema, data, hw, exec.Memory)
-		sp := b.Space()
-		wl := b.Workload
+		dep := advisor.NewDeployment(advisor.Micro(), advisor.MemoryCluster(), scale, seed)
 		if lostNode >= 0 {
 			inj := faults.MustNew(faults.Config{Crashes: []faults.NodeCrash{
 				{Node: lostNode, Window: faults.Window{Start: 1e-9, End: math.Inf(1)}},
 			}})
-			e.SetFaults(inj)
-			e.SetSelfHeal(true)
+			dep.Engine.SetFaults(inj)
+			dep.Engine.SetSelfHeal(true)
 		}
-		hp := core.Test()
-		hp.Episodes = 16
-		hp.OnlineEpisodes = 10
-		adv, err := core.New(sp, wl, hp, seed)
-		if err != nil {
-			return "", err
-		}
-		cm := costmodel.New(e.TrueCatalog(), hw)
-		offline := func(st *partition.State, f workload.FreqVector) float64 {
-			return cm.WorkloadCost(st, wl, f)
-		}
-		if err := adv.TrainOffline(offline, nil); err != nil {
-			return "", err
-		}
-		oc := core.NewOnlineCost(e, wl, nil)
-		if err := adv.TrainOnline(oc, nil); err != nil {
-			return "", err
-		}
-		st, _, err := adv.SuggestBest(wl.UniformFreq(), oc)
+		st, _, err := soakAdvisor(dep, seed, nil)
 		if err != nil {
 			return "", err
 		}

@@ -6,11 +6,11 @@ import (
 	"math"
 	"time"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
-	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
 )
 
@@ -114,13 +114,7 @@ type SkewReport struct {
 
 // Violations flattens every episode's breaches.
 func (r *SkewReport) Violations() []string {
-	var out []string
-	for _, e := range r.Episodes {
-		for _, v := range e.Violations {
-			out = append(out, fmt.Sprintf("episode %d: %s", e.Episode, v))
-		}
-	}
-	return out
+	return violations(r.Episodes, func(e SkewEpisode) (int, []string) { return e.Episode, e.Violations })
 }
 
 // RunSkew executes the skew soak: cfg.Episodes episodes of adversarial
@@ -168,64 +162,23 @@ type skewOutcome struct {
 	repaired    int64
 }
 
-type skewResult struct {
-	out skewOutcome
-	vio []string
-	err error
-}
-
 func runSkewEpisode(cfg SkewConfig, ep int, epSeed int64) (SkewEpisode, error) {
 	er := SkewEpisode{Episode: ep, Seed: epSeed}
-	run := func() skewResult {
-		out, vio, err := runSkewOnce(cfg, epSeed)
-		return skewResult{out: out, vio: vio, err: err}
+	out, vio, done, err := replayTwice(func() (skewOutcome, []string, error) {
+		return runSkewOnce(cfg, epSeed)
+	}, cfg.EpisodeDeadline, epSeed, "mitigation loop")
+	er.Violations = vio
+	if err != nil || !done {
+		return er, err
 	}
-	first, ok := withSkewDeadline(run, cfg.EpisodeDeadline)
-	if !ok {
-		er.Violations = append(er.Violations,
-			fmt.Sprintf("watchdog: run still going after %v — stuck mitigation loop", cfg.EpisodeDeadline))
-		return er, nil
-	}
-	if first.err != nil {
-		return er, first.err
-	}
-	second, ok := withSkewDeadline(run, cfg.EpisodeDeadline)
-	if !ok {
-		er.Violations = append(er.Violations,
-			fmt.Sprintf("watchdog: replay still going after %v — stuck mitigation loop", cfg.EpisodeDeadline))
-		return er, nil
-	}
-	if second.err != nil {
-		return er, second.err
-	}
-	vio := append(first.vio, second.vio...)
-	if first.out != second.out {
-		vio = append(vio, fmt.Sprintf("determinism: replay of seed %d diverged:\n  run    %+v\n  replay %+v",
-			epSeed, first.out, second.out))
-	}
-	er.TraceDigest, er.HeatDigest = first.out.traceDigest, first.out.heatDigest
-	er.Detections, er.Mitigations = first.out.detections, first.out.mitigations
-	er.Layout, er.FinalImbalance = first.out.layout, first.out.finalIm
-	er.QueriesExecuted, er.Repartitions, er.Repairs = first.out.queries, first.out.reparts, first.out.repairs
-	er.BytesMoved, er.DeployedBytes, er.RepairedBytes = first.out.moved, first.out.deployed, first.out.repaired
+	er.TraceDigest, er.HeatDigest = out.traceDigest, out.heatDigest
+	er.Detections, er.Mitigations = out.detections, out.mitigations
+	er.Layout, er.FinalImbalance = out.layout, out.finalIm
+	er.QueriesExecuted, er.Repartitions, er.Repairs = out.queries, out.reparts, out.repairs
+	er.BytesMoved, er.DeployedBytes, er.RepairedBytes = out.moved, out.deployed, out.repaired
 	tr := benchmarks.CelebrityTrace(epSeed, cfg.Windows)
 	er.Events = tr.Events()
-	er.Violations = vio
 	return er, nil
-}
-
-// withSkewDeadline runs f under a wall-clock watchdog (the runner holds
-// only in-memory per-episode state, so an abandoned goroutine leaks
-// nothing durable).
-func withSkewDeadline(f func() skewResult, d time.Duration) (skewResult, bool) {
-	ch := make(chan skewResult, 1)
-	go func() { ch <- f() }()
-	select {
-	case r := <-ch:
-		return r, true
-	case <-time.After(d):
-		return skewResult{}, false
-	}
 }
 
 // skewWindowPaceSec is the simulated think-time closing each traffic
@@ -243,12 +196,8 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 	var out skewOutcome
 	var vio []string
 
-	b := benchmarks.Celebrity()
-	data := b.Generate(cfg.Scale, epSeed)
-	hw := hardware.PostgresXLDisk()
-	e := exec.New(b.Schema, data, hw, exec.Disk)
-	sp := b.Space()
-	wl := b.Workload
+	dep := advisor.NewDeployment(benchmarks.Celebrity(), advisor.DiskCluster(), cfg.Scale, epSeed)
+	e, sp, wl := dep.Engine, dep.Space, dep.Bench.Workload
 	tr := benchmarks.CelebrityTrace(epSeed, cfg.Windows)
 	out.traceDigest = tr.Digest()
 
@@ -306,7 +255,7 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 			now := e.SimNow()
 			outage := float64(len(wl.Queries))*float64(oc.MaxRetries)*oc.RetryBackoffCapSec + 1
 			inj, err := faults.New(faults.Config{Crashes: []faults.NodeCrash{
-				{Node: hw.Nodes - 1, Window: faults.Window{
+				{Node: e.HW.Nodes - 1, Window: faults.Window{
 					Start: now,
 					End:   now + outage,
 				}},

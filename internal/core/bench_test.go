@@ -55,10 +55,10 @@ func BenchmarkTrainOfflinePrefetched(b *testing.B) {
 	benchTrainOffline(b, runtime.NumCPU())
 }
 
-// BenchmarkTrainOfflinePrefetchWorkers sweeps the prefetch-worker count
+// BenchmarkTrainOfflinePrefetchSweep sweeps the prefetch-worker count
 // 1, 2, 4, … up to NumCPU — the saturation curve for the speculative
 // pipeline.
-func BenchmarkTrainOfflinePrefetchWorkers(b *testing.B) {
+func BenchmarkTrainOfflinePrefetchSweep(b *testing.B) {
 	max := runtime.NumCPU()
 	for w := 1; ; w *= 2 {
 		if w > max {

@@ -193,7 +193,7 @@ func TestOnlineCostQueryScopedCache(t *testing.T) {
 	}
 }
 
-func TestOnlineCostLazyRepartitioning(t *testing.T) {
+func TestOnlineCostRepartitionsLazily(t *testing.T) {
 	b, sp, e := onlineFixture(t)
 	oc := NewOnlineCost(e, b.Workload, nil)
 	freq := workload.FreqVector{1, 0, 0} // only qab: touches a and b

@@ -105,11 +105,11 @@ type OnlineCost struct {
 	// nil means all 1.
 	Scale []float64
 
-	// Optimization toggles (all on in production use; the Table-2
-	// experiment flips them).
-	UseCache        bool
-	LazyRepartition bool
-	UseTimeouts     bool
+	// UseTimeouts arms the §4.2 per-query timeout rule (on by default; the
+	// Table-2 and guard experiments switch it off). The runtime cache and
+	// lazy repartitioning are always on — Table 2 prices them from the
+	// Naive* counterfactual counters, as the paper does.
+	UseTimeouts bool
 
 	// Fault-tolerance knobs. An execution that fails (injected crash or
 	// transient error) is retried up to MaxRetries times with capped
@@ -171,8 +171,6 @@ func NewOnlineCost(engine *exec.Engine, wl *workload.Workload, scale []float64) 
 		Engine:             engine,
 		WL:                 wl,
 		Scale:              scale,
-		UseCache:           true,
-		LazyRepartition:    true,
 		UseTimeouts:        true,
 		MaxRetries:         4,
 		RetryBackoffSec:    0.05,
@@ -279,7 +277,7 @@ func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 		if oc.cache[i] == nil {
 			oc.cache[i] = make(map[string]float64)
 		}
-		if rt, ok := oc.cache[i][sig]; oc.UseCache && ok {
+		if rt, ok := oc.cache[i][sig]; ok {
 			total += freq[i] * q.Weight * oc.scaleOf(i) * rt
 			oc.Stats.CacheHits++
 			oc.Stats.NaiveExecSeconds += rt
@@ -304,22 +302,21 @@ func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 		preDegraded := oc.Stats.DegradedSeconds
 		preSpent := oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds
 
-		var tables []string
-		if oc.LazyRepartition {
-			set := make(map[string]bool)
-			for _, i := range misses {
-				for _, t := range oc.WL.Queries[i].Tables() {
-					set[t] = true
-				}
+		// Lazy repartitioning: deploy only the tables the misses touch.
+		set := make(map[string]bool)
+		for _, i := range misses {
+			for _, t := range oc.WL.Queries[i].Tables() {
+				set[t] = true
 			}
-			for t := range set {
-				tables = append(tables, t)
-			}
-			// Deploy sums per-table seconds in list order; sort so the
-			// float-addition order (and thus RepartitionSeconds, to the last
-			// ULP) doesn't inherit map-iteration randomness.
-			sort.Strings(tables)
 		}
+		var tables []string
+		for t := range set {
+			tables = append(tables, t)
+		}
+		// Deploy sums per-table seconds in list order; sort so the
+		// float-addition order (and thus RepartitionSeconds, to the last
+		// ULP) doesn't inherit map-iteration randomness.
+		sort.Strings(tables)
 		oc.Stats.RepartitionSeconds += oc.Engine.Deploy(st, tables)
 		// The §4.2 limits are computable before any execution: bestForFreq
 		// only moves after the whole pass, so every miss shares the same
@@ -540,11 +537,6 @@ func (oc *OnlineCost) breakerPenalty(freq workload.FreqVector) float64 {
 		}
 	}
 	return oc.FailurePenaltySec * float64(active)
-}
-
-// Tripped reports whether the design's circuit breaker is open.
-func (oc *OnlineCost) Tripped(st *partition.State) bool {
-	return oc.tripped[st.Signature()]
 }
 
 // retry re-measures one query whose batch execution failed with batchErr,

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"partadvisor/internal/benchmarks"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/hardware"
+	"partadvisor/advisor"
 )
 
 // Table1 renders the hyperparameter table (paper Table 1) from the live
@@ -33,21 +31,19 @@ func Table1() *Result {
 
 // fig3Case identifies one subfigure of Fig. 3.
 type fig3Case struct {
-	id      string
-	bench   func() *benchmarks.Benchmark
-	hw      hardware.Profile
-	flavor  exec.Flavor
-	complex bool
+	id    string
+	bench func() *advisor.Benchmark
+	hw    advisor.HardwareProfile
 }
 
 func fig3Cases() []fig3Case {
 	return []fig3Case{
-		{"fig3a", benchmarks.SSB, hardware.PostgresXLDisk(), exec.Disk, false},
-		{"fig3b", benchmarks.SSB, hardware.SystemXMemory(), exec.Memory, false},
-		{"fig3c", benchmarks.TPCDS, hardware.PostgresXLDisk(), exec.Disk, true},
-		{"fig3d", benchmarks.TPCDS, hardware.SystemXMemory(), exec.Memory, true},
-		{"fig3e", benchmarks.TPCCH, hardware.PostgresXLDisk(), exec.Disk, true},
-		{"fig3f", benchmarks.TPCCH, hardware.SystemXMemory(), exec.Memory, true},
+		{"fig3a", advisor.SSB, advisor.DiskCluster()},
+		{"fig3b", advisor.SSB, advisor.MemoryCluster()},
+		{"fig3c", advisor.TPCDS, advisor.DiskCluster()},
+		{"fig3d", advisor.TPCDS, advisor.MemoryCluster()},
+		{"fig3e", advisor.TPCCH, advisor.DiskCluster()},
+		{"fig3f", advisor.TPCCH, advisor.MemoryCluster()},
 	}
 }
 
@@ -71,34 +67,33 @@ func Fig3(cfg Config, only string) ([]*Result, error) {
 }
 
 func runFig3Case(cfg Config, c fig3Case) (*Result, error) {
-	b := c.bench()
-	s := newSetup(cfg, b, c.hw, c.flavor)
+	d := advisor.NewDeployment(c.bench(), c.hw, cfg.Scale, cfg.Seed)
 	res := &Result{
 		ID:     c.id,
-		Title:  fmt.Sprintf("Offline RL vs baselines — %s (%s)", b.Name, c.flavor),
+		Title:  fmt.Sprintf("Offline RL vs baselines — %s (%s)", d.Bench.Name, d.Engine.Flavor),
 		Header: []string{"Approach", "Workload runtime (sim s)"},
 	}
 
-	ha, hb := s.heuristics()
-	res.AddRow("Heuristic (a)", s.evalWorkload(ha))
-	res.AddRow("Heuristic (b)", s.evalWorkload(hb))
+	ha, hb := heuristics(d)
+	res.AddRow("Heuristic (a)", d.MeasureWorkload(ha))
+	res.AddRow("Heuristic (b)", d.MeasureWorkload(hb))
 
-	if mo := s.minOptimizer(); mo != nil {
-		res.AddRow("Minimum Optimizer", s.evalWorkload(mo))
+	if mo := minOptimizer(d); mo != nil {
+		res.AddRow("Minimum Optimizer", d.MeasureWorkload(mo))
 		res.Notef("minimum-optimizer partitioning: %s", mo)
 	} else {
 		res.AddRow("Minimum Optimizer", "not available")
 	}
 
-	adv, err := s.trainOfflineAdvisor(cfg, c.complex, cfg.Seed+17)
+	s, err := trainOffline(cfg, d, cfg.Seed+17)
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := adv.Suggest(b.Workload.UniformFreq())
+	st, err := s.Suggest(nil)
 	if err != nil {
 		return nil, err
 	}
-	res.AddRow("RL", s.evalWorkload(st))
+	res.AddRow("RL", d.MeasureWorkload(st))
 	res.Notef("RL partitioning: %s", st)
 	return res, nil
 }

@@ -3,62 +3,47 @@ package experiments
 import (
 	"fmt"
 
-	"partadvisor/internal/benchmarks"
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
 )
 
 // onlineRun bundles the artifacts of one TPC-CH offline+online training on
 // the Disk engine — shared by Fig. 4a, Fig. 4b, Table 2 and Fig. 7.
 type onlineRun struct {
-	setup      *setup
-	sample     *exec.Engine
-	advisor    *core.Advisor
+	*advisor.Session
 	onlineCost *core.OnlineCost
 	offlineSt  *partition.State
 	onlineSt   *partition.State
-	scale      []float64
 }
 
 // runOnlineTPCCH trains the DRL agent offline on the cost model, computes
 // the §4.2 scale factors, and refines it online on the sampled database.
 func runOnlineTPCCH(cfg Config, timeouts bool) (*onlineRun, error) {
-	s := newSetup(cfg, benchmarks.TPCCH(), hardware.PostgresXLDisk(), exec.Disk)
-	adv, err := s.trainOfflineAdvisor(cfg, true, cfg.Seed+23)
+	d := advisor.NewDeployment(advisor.TPCCH(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	s, err := trainOffline(cfg, d, cfg.Seed+23)
 	if err != nil {
 		return nil, err
 	}
-	freq := s.bench.Workload.UniformFreq()
-	offSt, _, err := adv.Suggest(freq)
+	offSt, err := s.Suggest(nil)
 	if err != nil {
 		return nil, err
 	}
-	sample := s.sampleEngine(cfg)
-	scale, setupSec := core.ComputeScaleFactors(s.engine, sample, s.bench.Workload, offSt)
-	oc := core.NewOnlineCost(sample, s.bench.Workload, scale)
+	oc, err := s.PrepareOnline(sampleOf(cfg, d))
+	if err != nil {
+		return nil, err
+	}
 	oc.UseTimeouts = timeouts
-	oc.Stats.SetupSeconds = setupSec
-	if err := adv.TrainOnline(oc, nil); err != nil {
+	if err := s.RefineOnline(oc); err != nil {
 		return nil, err
 	}
 	// After online refinement, inference uses the cached measured costs and
 	// re-ranks against every measured design (SuggestBest).
-	adv.InferCost = oc.WorkloadCost
-	onSt, _, err := adv.SuggestBest(freq, oc)
+	onSt, _, err := s.Advisor.SuggestBest(d.Bench.Workload.UniformFreq(), oc)
 	if err != nil {
 		return nil, err
 	}
-	return &onlineRun{
-		setup:      s,
-		sample:     sample,
-		advisor:    adv,
-		onlineCost: oc,
-		offlineSt:  offSt,
-		onlineSt:   onSt,
-		scale:      scale,
-	}, nil
+	return &onlineRun{Session: s, onlineCost: oc, offlineSt: offSt, onlineSt: onSt}, nil
 }
 
 // Fig4a reproduces Exp. 2: online-refined RL vs the offline-only agent and
@@ -69,20 +54,19 @@ func Fig4a(cfg Config) (*Result, *onlineRun, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := run.setup
 	res := &Result{
 		ID:     "fig4a",
 		Title:  "Online RL vs baselines — TPC-CH (disk)",
 		Header: []string{"Approach", "Workload runtime (sim s)"},
 	}
-	ha, hb := s.heuristics()
-	res.AddRow("Heuristic (a)", s.evalWorkload(ha))
-	res.AddRow("Heuristic (b)", s.evalWorkload(hb))
-	if mo := s.minOptimizer(); mo != nil {
-		res.AddRow("Minimum Optimizer", s.evalWorkload(mo))
+	ha, hb := heuristics(run.Deployment)
+	res.AddRow("Heuristic (a)", run.MeasureWorkload(ha))
+	res.AddRow("Heuristic (b)", run.MeasureWorkload(hb))
+	if mo := minOptimizer(run.Deployment); mo != nil {
+		res.AddRow("Minimum Optimizer", run.MeasureWorkload(mo))
 	}
-	res.AddRow("RL offline", s.evalWorkload(run.offlineSt))
-	res.AddRow("RL online", s.evalWorkload(run.onlineSt))
+	res.AddRow("RL offline", run.MeasureWorkload(run.offlineSt))
+	res.AddRow("RL online", run.MeasureWorkload(run.onlineSt))
 	res.Notef("offline partitioning: %s", run.offlineSt)
 	res.Notef("online partitioning: %s", run.onlineSt)
 	return res, run, nil
@@ -100,9 +84,8 @@ func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
 			return nil, err
 		}
 	}
-	s := run.setup
-	ha, hb := s.heuristics()
-	mo := s.minOptimizer()
+	ha, hb := heuristics(run.Deployment)
+	mo := minOptimizer(run.Deployment)
 
 	res := &Result{
 		ID:     "fig4b",
@@ -113,9 +96,9 @@ func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
 	prev := 0.0
 	for _, level := range levels {
 		if frac := level - prev; frac > 0 {
-			upd := s.bench.GenerateUpdate(s.data, frac/(1+prev), cfg.Seed+int64(level*100))
+			upd := run.Bench.GenerateUpdate(run.Data(), frac/(1+prev), cfg.Seed+int64(level*100))
 			for table, rows := range upd {
-				if err := s.engine.BulkLoad(table, rows); err != nil {
+				if err := run.Engine.BulkLoad(table, rows); err != nil {
 					return nil, err
 				}
 			}
@@ -123,14 +106,14 @@ func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
 		}
 		moCell := "n/a"
 		if mo != nil {
-			moCell = fmtFloat(s.evalWorkload(mo))
+			moCell = fmtFloat(run.MeasureWorkload(mo))
 		}
 		res.AddRow(
 			fmt.Sprintf("+%d%%", int(level*100)),
-			s.evalWorkload(ha),
-			s.evalWorkload(hb),
+			run.MeasureWorkload(ha),
+			run.MeasureWorkload(hb),
 			moCell,
-			s.evalWorkload(run.onlineSt),
+			run.MeasureWorkload(run.onlineSt),
 		)
 	}
 	res.Notef("optimizer statistics were NOT refreshed after updates (no ANALYZE), as in the paper")
@@ -156,19 +139,16 @@ func Table2(cfg Config) (*Result, error) {
 	// and the offline episode budget moved online). Its instrumented stats
 	// yield the None / +Cache / +Lazy / +Timeouts rows; the bootstrapped
 	// run above yields the final row.
-	s := run.setup
-	hp := cfg.HP(true)
-	scratch, err := core.New(s.space, s.bench.Workload, hp, cfg.Seed+31)
+	hp := cfg.HP(run.Bench.ComplexSchema())
+	scratch, err := run.NewSession(hp, cfg.Seed+31)
 	if err != nil {
 		return nil, err
 	}
-	ocScratch := core.NewOnlineCost(s.sampleEngine(cfg), s.bench.Workload, run.scale)
+	ocScratch := core.NewOnlineCost(sampleOf(cfg, run.Deployment), run.Bench.Workload, run.onlineCost.Scale)
 	ocScratch.UseTimeouts = false
-	scratchHP := hp
-	scratchHP.OnlineEpisodes = hp.Episodes + hp.OnlineEpisodes
-	scratchHP.OnlineEpsilonFromEpisode = 0
-	scratch.HP = scratchHP
-	if err := scratch.TrainOnline(ocScratch, nil); err != nil {
+	scratch.Advisor.HP.OnlineEpisodes = hp.Episodes + hp.OnlineEpisodes
+	scratch.Advisor.HP.OnlineEpsilonFromEpisode = 0
+	if err := scratch.Advisor.TrainOnline(ocScratch, nil); err != nil {
 		return nil, err
 	}
 	sc := ocScratch.Stats

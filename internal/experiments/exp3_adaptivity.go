@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
@@ -73,7 +74,7 @@ func clusterSamplers(wl *workload.Workload) (a, b func(*rand.Rand) workload.Freq
 
 // stockItemPartitioning builds Fig. 5's Heuristic (b): Stock and Item
 // co-partitioned, small tables replicated.
-func stockItemPartitioning(sp *partition.Space, s *setup) *partition.State {
+func stockItemPartitioning(sp *partition.Space) *partition.State {
 	st := sp.InitialState()
 	for ei, e := range sp.Edges {
 		if (e.Table1 == "item" && e.Table2 == "stock") || (e.Table1 == "stock" && e.Table2 == "item") {
@@ -108,27 +109,25 @@ func Fig5(cfg Config, run *onlineRun) (*Result, *core.Committee, error) {
 			return nil, nil, err
 		}
 	}
-	s := run.setup
-	committeeCfg := core.DefaultCommitteeConfig(run.advisor)
+	committeeCfg := core.DefaultCommitteeConfig(run.Advisor)
 	committeeCfg.Seed = cfg.Seed + 41
-	committee, err := core.BuildCommittee(run.advisor, run.onlineCost.WorkloadCost, committeeCfg)
+	committee, err := core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, committeeCfg)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	approaches := []suggester{
 		{name: "RL Naive", fn: func(f workload.FreqVector) (*partition.State, error) {
-			st, _, err := run.advisor.Suggest(f)
-			return st, err
+			return run.Suggest(f)
 		}},
 		{name: "RL Subspace Experts", fn: func(f workload.FreqVector) (*partition.State, error) {
 			st, _, err := committee.Suggest(f)
 			return st, err
 		}},
 		fixedSuggester("Heuristic (a)", run.onlineSt),
-		fixedSuggester("Heuristic (b)", stockItemPartitioning(s.space, s)),
+		fixedSuggester("Heuristic (b)", stockItemPartitioning(run.Space)),
 	}
-	samplerA, samplerB := clusterSamplers(s.bench.Workload)
+	samplerA, samplerB := clusterSamplers(run.Bench.Workload)
 	rng := rand.New(rand.NewSource(cfg.Seed + 43))
 	accA, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerA, cfg.Mixes, rng)
 	if err != nil {
@@ -188,21 +187,17 @@ func Fig6(cfg Config, ks []int, repeats int) (*Result, error) {
 // Time is the §4.2-accounted online simulated time (executions +
 // repartitioning) plus the per-step training overhead, proxied by steps.
 func incrementalRatio(cfg Config, k int, seed int64) (float64, error) {
-	s := newSetup(cfg, tpcchBench(), diskHW(), diskFlavor())
-	wl := s.bench.Workload
+	d := advisor.NewDeployment(advisor.TPCCH(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	wl := d.Bench.Workload
 	rng := rand.New(rand.NewSource(seed))
 
 	// Full run.
-	hp := cfg.HP(true)
-	full, err := core.New(s.space, wl, hp, seed)
+	full, err := trainOffline(cfg, d, seed)
 	if err != nil {
 		return 0, err
 	}
-	if err := full.TrainOffline(s.offlineCost(), nil); err != nil {
-		return 0, err
-	}
-	ocFull := core.NewOnlineCost(s.sampleEngine(cfg), wl, nil)
-	if err := full.TrainOnline(ocFull, nil); err != nil {
+	ocFull := core.NewOnlineCost(sampleOf(cfg, d), wl, nil)
+	if err := full.Advisor.TrainOnline(ocFull, nil); err != nil {
 		return 0, err
 	}
 	tFull := ocFull.Stats.TotalSeconds()
@@ -222,14 +217,20 @@ func incrementalRatio(cfg Config, k int, seed int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	inc, err := core.New(s.space, sub, hp, seed+1)
+	hp := cfg.HP(d.Bench.ComplexSchema())
+	inc, err := core.New(d.Space, sub, hp, seed+1)
 	if err != nil {
 		return 0, err
 	}
-	if err := inc.TrainOffline(offlineCostFor(s, sub), nil); err != nil {
+	// The reduced workload needs its own offline cost: the deployment's is
+	// bound to the full one.
+	subCost := func(st *partition.State, freq workload.FreqVector) float64 {
+		return d.Cost.WorkloadCost(st, sub, freq)
+	}
+	if err := inc.TrainOffline(subCost, nil); err != nil {
 		return 0, err
 	}
-	ocSub := core.NewOnlineCost(s.sampleEngine(cfg), sub, nil)
+	ocSub := core.NewOnlineCost(sampleOf(cfg, d), sub, nil)
 	if err := inc.TrainOnline(ocSub, nil); err != nil {
 		return 0, err
 	}

@@ -19,21 +19,20 @@ import (
 // observe far fewer distinct partitionings in the same time — the effect
 // the paper identifies as the reason RL wins.
 func learnedCostPair(cfg Config, run *onlineRun) (exploit, explore *baselines.LearnedCostModel, err error) {
-	s := run.setup
-	wl := s.bench.Workload
-	hp := cfg.HP(true)
+	wl := run.Bench.Workload
+	hp := run.Advisor.HP
 	// Offline pairs ~ the number of (workload, partitioning) pairs the RL
 	// agent sees offline: episodes x tmax.
-	pairs := hp.Episodes * hp.TmaxFor(len(s.space.Tables))
+	pairs := hp.Episodes * hp.TmaxFor(len(run.Space.Tables))
 	// Online budget: the RL agent's measured online simulated time.
 	budget := run.onlineCost.Stats.TotalSeconds()
 	maxIters := 4 * hp.OnlineEpisodes
 
 	sampleFreq := func(rng *rand.Rand) workload.FreqVector { return wl.SampleUniform(rng) }
 	build := func(seed int64, expl bool) *baselines.LearnedCostModel {
-		oc := core.NewOnlineCost(s.sampleEngine(cfg), wl, run.scale)
-		m := baselines.NewLearnedCostModel(s.space, wl, hp.DQN.Hidden, hp.DQN.LearningRate, seed)
-		m.PretrainOffline(s.cm, pairs, sampleFreq)
+		oc := core.NewOnlineCost(sampleOf(cfg, run.Deployment), wl, run.onlineCost.Scale)
+		m := baselines.NewLearnedCostModel(run.Space, wl, hp.DQN.Hidden, hp.DQN.LearningRate, seed)
+		m.PretrainOffline(run.Cost, pairs, sampleFreq)
 		for it := 0; it < maxIters && oc.Stats.TotalSeconds() < budget; it++ {
 			m.TrainOnline(oc.WorkloadCost, sampleFreq, 1, expl)
 		}
@@ -58,17 +57,16 @@ func Fig7a(cfg Config, run *onlineRun) (*Result, *baselines.LearnedCostModel, *b
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s := run.setup
-	freq := s.bench.Workload.UniformFreq()
+	freq := run.Bench.Workload.UniformFreq()
 	res := &Result{
 		ID:     "fig7a",
 		Title:  "RL vs neural cost models — TPC-CH workload runtime (sim s)",
 		Header: []string{"Approach", "Workload runtime (sim s)"},
 	}
-	res.AddRow("RL", s.evalWorkload(run.offlineSt))
-	res.AddRow("RL online", s.evalWorkload(run.onlineSt))
-	res.AddRow("Learned Costs (Exploit)", s.evalWorkload(exploit.Suggest(freq)))
-	res.AddRow("Learned Costs (Explore)", s.evalWorkload(explore.Suggest(freq)))
+	res.AddRow("RL", run.MeasureWorkload(run.offlineSt))
+	res.AddRow("RL online", run.MeasureWorkload(run.onlineSt))
+	res.AddRow("Learned Costs (Exploit)", run.MeasureWorkload(exploit.Suggest(freq)))
+	res.AddRow("Learned Costs (Explore)", run.MeasureWorkload(explore.Suggest(freq)))
 	return res, exploit, explore, nil
 }
 
@@ -85,9 +83,9 @@ func Fig7b(cfg Config, run *onlineRun, committee *core.Committee,
 		}
 	}
 	if committee == nil {
-		ccfg := core.DefaultCommitteeConfig(run.advisor)
+		ccfg := core.DefaultCommitteeConfig(run.Advisor)
 		ccfg.Seed = cfg.Seed + 41
-		committee, err = core.BuildCommittee(run.advisor, run.onlineCost.WorkloadCost, ccfg)
+		committee, err = core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, ccfg)
 		if err != nil {
 			return nil, err
 		}
@@ -98,11 +96,9 @@ func Fig7b(cfg Config, run *onlineRun, committee *core.Committee,
 			return nil, err
 		}
 	}
-	s := run.setup
 	approaches := []suggester{
 		{name: "RL Naive", fn: func(f workload.FreqVector) (*partition.State, error) {
-			st, _, err := run.advisor.Suggest(f)
-			return st, err
+			return run.Suggest(f)
 		}},
 		{name: "RL Subspace Experts", fn: func(f workload.FreqVector) (*partition.State, error) {
 			st, _, err := committee.Suggest(f)
@@ -115,7 +111,7 @@ func Fig7b(cfg Config, run *onlineRun, committee *core.Committee,
 			return explore.Suggest(f), nil
 		}},
 	}
-	samplerA, samplerB := clusterSamplers(s.bench.Workload)
+	samplerA, samplerB := clusterSamplers(run.Bench.Workload)
 	rng := rand.New(rand.NewSource(cfg.Seed + 59))
 	accA, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerA, cfg.Mixes, rng)
 	if err != nil {

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"partadvisor/internal/benchmarks"
-	"partadvisor/internal/core"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/hardware"
+	"partadvisor/advisor"
 	"partadvisor/internal/partition"
 )
 
@@ -27,36 +24,28 @@ func microDesign(sp *partition.Space, replicateB bool) *partition.State {
 // fig8Deployment evaluates one hardware deployment: the two fixed designs
 // plus an online-trained DRL agent (retrained per deployment, as in the
 // paper), reporting each approach's speedup over the slowest.
-func fig8Deployment(cfg Config, hw hardware.Profile, seed int64) (replB, partB, rl float64, rlState *partition.State, err error) {
-	b := benchmarks.Micro()
-	s := newSetup(cfg, b, hw, exec.Memory)
-	sp := s.space
+func fig8Deployment(cfg Config, hw advisor.HardwareProfile, seed int64) (replB, partB, rl float64, rlState *partition.State, err error) {
+	d := advisor.NewDeployment(advisor.Micro(), hw, cfg.Scale, cfg.Seed)
 
-	tRepl := s.evalWorkload(microDesign(sp, true))
-	tPart := s.evalWorkload(microDesign(sp, false))
+	tRepl := d.MeasureWorkload(microDesign(d.Space, true))
+	tPart := d.MeasureWorkload(microDesign(d.Space, false))
 
-	adv, err := s.trainOfflineAdvisor(cfg, false, seed)
+	s, err := trainOffline(cfg, d, seed)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	sample := s.sampleEngine(cfg)
-	freq := b.Workload.UniformFreq()
-	offSt, _, err := adv.Suggest(freq)
+	oc, err := s.PrepareOnline(sampleOf(cfg, d))
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	scale, setupSec := core.ComputeScaleFactors(s.engine, sample, b.Workload, offSt)
-	oc := core.NewOnlineCost(sample, b.Workload, scale)
-	oc.Stats.SetupSeconds = setupSec
-	if err := adv.TrainOnline(oc, nil); err != nil {
+	if err := s.RefineOnline(oc); err != nil {
 		return 0, 0, 0, nil, err
 	}
-	adv.InferCost = oc.WorkloadCost
-	st, _, err := adv.SuggestBest(freq, oc)
+	st, _, err := s.Advisor.SuggestBest(d.Bench.Workload.UniformFreq(), oc)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	tRL := s.evalWorkload(st)
+	tRL := d.MeasureWorkload(st)
 
 	slowest := tRepl
 	if tPart > slowest {
@@ -75,7 +64,7 @@ func fig8Deployment(cfg Config, hw hardware.Profile, seed int64) (replB, partB, 
 // powerful nodes.
 func Fig8(cfg Config, slowCompute bool) (*Result, error) {
 	id, title := "fig8a", "Adaptivity to deployment — standard hardware (speedup over slowest, higher is better)"
-	base := hardware.SystemXMemory()
+	base := advisor.MemoryCluster()
 	if slowCompute {
 		id, title = "fig8b", "Adaptivity to deployment — slower compute (speedup over slowest, higher is better)"
 		base = base.WithSlowCompute()
@@ -85,7 +74,7 @@ func Fig8(cfg Config, slowCompute bool) (*Result, error) {
 		Title:  title,
 		Header: []string{"Deployment", "B replicated", "B partitioned", "RL online"},
 	}
-	for i, hw := range []hardware.Profile{base, base.WithSlowNetwork()} {
+	for i, hw := range []advisor.HardwareProfile{base, base.WithSlowNetwork()} {
 		label := "10 Gbps"
 		if i == 1 {
 			label = "0.6 Gbps"

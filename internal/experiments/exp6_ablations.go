@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"partadvisor/internal/benchmarks"
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
 )
 
@@ -22,8 +20,8 @@ import (
 // measured workload runtime of the suggested design (quality) and the wall
 // time spent training (cost).
 func Ablations(cfg Config) (*Result, error) {
-	b := benchmarks.Micro()
-	s := newSetup(cfg, b, hardware.SystemXMemory(), exec.Memory)
+	d := advisor.NewDeployment(advisor.Micro(), advisor.MemoryCluster(), cfg.Scale, cfg.Seed)
+	b := d.Bench
 
 	type variant struct {
 		name         string
@@ -44,7 +42,7 @@ func Ablations(cfg Config) (*Result, error) {
 		Header: []string{"Variant", "Workload runtime (sim s)", "Training wall time", "Steps"},
 	}
 	for vi, v := range variants {
-		sp := s.space
+		sp := d.Space
 		if v.disableEdges {
 			sp = partition.NewSpace(b.Schema,
 				b.Workload.JoinEdges(b.Schema.ForeignKeyEdges()),
@@ -57,9 +55,8 @@ func Ablations(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := s.offlineCost()
 		start := time.Now()
-		if err := adv.TrainOffline(cost, nil); err != nil {
+		if err := adv.TrainOffline(d.OfflineCost(), nil); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
@@ -67,7 +64,7 @@ func Ablations(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.AddRow(v.name, s.evalWorkload(st), elapsed.Round(time.Millisecond).String(),
+		res.AddRow(v.name, d.MeasureWorkload(st), elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", adv.StepsTrained))
 		res.Notef("%s: %s", v.name, st)
 	}

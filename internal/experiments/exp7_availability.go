@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"partadvisor/internal/benchmarks"
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
@@ -33,8 +33,8 @@ type availabilityResult struct {
 // faces the identical fault timeline; the stagger (an irrational-ish
 // fraction of the period) makes the rounds sample up-phases, down-phases
 // and the transitions.
-func measureAvailability(s *setup, st *partition.State, inj *faults.Injector, period float64, rounds int) availabilityResult {
-	e := s.engine
+func measureAvailability(d *advisor.Deployment, st *partition.State, inj *faults.Injector, period float64, rounds int) availabilityResult {
+	e := d.Engine
 	e.SetFaults(inj)
 	defer e.SetFaults(nil)
 	e.ResetClock()
@@ -44,7 +44,7 @@ func measureAvailability(s *setup, st *partition.State, inj *faults.Injector, pe
 	for r := 0; r < rounds; r++ {
 		// One query per request: each must see the clock its predecessors
 		// advanced, so a round sweeps across the crash phases.
-		for _, q := range s.bench.Workload.Queries {
+		for _, q := range d.Bench.Workload.Queries {
 			issued++
 			rep := e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: q.Graph}}})
 			if rep.Errs[0] == nil {
@@ -66,15 +66,15 @@ func measureAvailability(s *setup, st *partition.State, inj *faults.Injector, pe
 // keep answering through replica failover; a lost shard of a partitioned
 // table surfaces as a retried-then-failed query.
 func Availability(cfg Config) (*Result, error) {
-	s := newSetup(cfg, benchmarks.Micro(), diskHW(), diskFlavor())
-	wl := s.bench.Workload
+	d := advisor.NewDeployment(advisor.Micro(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	wl := d.Bench.Workload
 	freq := wl.UniformFreq()
 
 	// Calibrate the crash period to the fault-free workload runtime so each
 	// evaluation round overlaps a comparable slice of the schedule: node 1
 	// is down for the middle half of every period. The 3x factor keeps the
 	// up-window longer than any single query, so clean measurements exist.
-	period := 3 * s.evalWorkload(s.space.InitialState())
+	period := 3 * d.MeasureWorkload(d.Space.InitialState())
 	crash := func(p float64) faults.Config {
 		return faults.Config{PeriodicCrashes: []faults.PeriodicCrash{
 			{Node: 1, Period: p, DownStart: 0.25 * p, DownEnd: 0.75 * p},
@@ -83,16 +83,17 @@ func Availability(cfg Config) (*Result, error) {
 	evalInj := faults.MustNew(crash(period))
 
 	// Fault-blind baselines.
-	ha, hb := s.heuristics()
-	mo := s.minOptimizer()
+	ha, hb := heuristics(d)
+	mo := minOptimizer(d)
 
 	// RL offline: trained on the network-centric cost model, which knows
 	// nothing about failures either.
-	adv, err := s.trainOfflineAdvisor(cfg, false, cfg.Seed+41)
+	s, err := trainOffline(cfg, d, cfg.Seed+41)
 	if err != nil {
 		return nil, err
 	}
-	offSt, _, err := adv.Suggest(freq)
+	adv := s.Advisor
+	offSt, err := s.Suggest(freq)
 	if err != nil {
 		return nil, err
 	}
@@ -100,21 +101,22 @@ func Availability(cfg Config) (*Result, error) {
 	// RL online: refined against measured runtimes on the sampled database
 	// with the crash schedule ARMED — failures, retries and penalties flow
 	// into the rewards, so the agent can learn that replication survives.
-	sample := s.sampleEngine(cfg)
-	scale, setupSec := core.ComputeScaleFactors(s.engine, sample, wl, offSt)
-	sample.Deploy(s.space.InitialState(), nil)
+	sample := sampleOf(cfg, d)
+	oc, err := s.PrepareOnline(sample)
+	if err != nil {
+		return nil, err
+	}
+	sample.Deploy(d.Space.InitialState(), nil)
 	samplePeriod := 3 * core.MeasureWorkload(sample, wl)
 	trainInj := faults.MustNew(crash(samplePeriod))
 	sample.SetFaults(trainInj)
 	sample.ResetClock()
-	oc := core.NewOnlineCost(sample, wl, scale)
-	oc.Stats.SetupSeconds = setupSec
 
 	// Probe the full-replication design at a healthy instant so its clean
 	// runtimes enter the cache and SuggestBest can rank it. Probes during a
 	// down phase still succeed (failover) but are degraded and uncached, so
 	// retry at staggered offsets until a clean measurement lands.
-	replAll := replicateAll(s.space)
+	replAll := replicateAll(d.Space)
 	for i := 0; i < 64; i++ {
 		if _, ok := oc.CachedCost(replAll, freq); ok {
 			break
@@ -126,10 +128,9 @@ func Availability(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiments: no clean measurement of the replicate-all design after 64 probes")
 	}
 
-	if err := adv.TrainOnline(oc, nil); err != nil {
+	if err := s.RefineOnline(oc); err != nil {
 		return nil, err
 	}
-	adv.InferCost = oc.WorkloadCost
 
 	// Suggest-and-validate loop: the runtime cache holds *clean* runtimes,
 	// so a fragile partitioned design measured during an up-phase looks
@@ -176,7 +177,7 @@ func Availability(cfg Config) (*Result, error) {
 	}
 	const rounds = 8
 	addRow := func(name string, st *partition.State) availabilityResult {
-		a := measureAvailability(s, st, evalInj, period, rounds)
+		a := measureAvailability(d, st, evalInj, period, rounds)
 		res.AddRow(name, fmt.Sprintf("%.0f%%", 100*a.OKFraction), a.Runtime)
 		return a
 	}
@@ -193,7 +194,7 @@ func Availability(cfg Config) (*Result, error) {
 	res.Notef("online training: %d retries, %d failed measurements, %.3gs degraded",
 		oc.Stats.Retries, oc.Stats.FailedQueries, oc.Stats.DegradedSeconds)
 	res.Notef("RL online partitioning: %s (%d of %d tables replicated; offline design had %d)",
-		onSt, replicatedCount(onSt), len(s.space.Tables), replicatedCount(offSt))
+		onSt, replicatedCount(onSt), len(d.Space.Tables), replicatedCount(offSt))
 	_ = online
 	_ = ref
 	return res, nil

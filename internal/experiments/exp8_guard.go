@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"partadvisor/internal/benchmarks"
+	"partadvisor/advisor"
 	"partadvisor/internal/core"
 	"partadvisor/internal/faults"
 	"partadvisor/internal/guard"
@@ -19,28 +19,25 @@ type guardVariant struct {
 // the sampled database under the given crash schedule, with or without the
 // guard armed. Everything except the guard is seeded identically, so any
 // divergence between the two runs is the guard's doing.
-func runGuardVariant(s *setup, cfg Config, guarded bool) (*guardVariant, error) {
-	wl := s.bench.Workload
-	freq := wl.UniformFreq()
+func runGuardVariant(d *advisor.Deployment, cfg Config, guarded bool) (*guardVariant, error) {
+	wl := d.Bench.Workload
 
-	adv, err := s.trainOfflineAdvisor(cfg, false, cfg.Seed+57)
+	s, err := trainOffline(cfg, d, cfg.Seed+57)
 	if err != nil {
 		return nil, err
 	}
-	offSt, _, err := adv.Suggest(freq)
+	sample := sampleOf(cfg, d)
+	oc, err := s.PrepareOnline(sample)
 	if err != nil {
 		return nil, err
 	}
-
-	sample := s.sampleEngine(cfg)
-	scale, setupSec := core.ComputeScaleFactors(s.engine, sample, wl, offSt)
 
 	// Calibrate the fault schedule to the sample's fault-free runtime, as
 	// in the availability experiment: node 1 is down for the middle half
 	// of every period, and a 20x straggler hits node 0 in alternating
 	// windows — so measurement passes swing between clean and massively
 	// regressed, the regime the guard exists for.
-	sample.Deploy(s.space.InitialState(), nil)
+	sample.Deploy(d.Space.InitialState(), nil)
 	samplePeriod := 3 * core.MeasureWorkload(sample, wl)
 	fc := faults.Config{
 		PeriodicCrashes: []faults.PeriodicCrash{
@@ -56,8 +53,6 @@ func runGuardVariant(s *setup, cfg Config, guarded bool) (*guardVariant, error) 
 	sample.SetFaults(faults.MustNew(fc))
 	sample.ResetClock()
 
-	oc := core.NewOnlineCost(sample, wl, scale)
-	oc.Stats.SetupSeconds = setupSec
 	// The §4.2 per-query timeouts are disabled in BOTH variants: on the
 	// two-query microbenchmark they cap every pass at ~2x best, hiding the
 	// regression signal this experiment measures. The guard is the only
@@ -74,16 +69,15 @@ func runGuardVariant(s *setup, cfg Config, guarded bool) (*guardVariant, error) 
 		}
 		oc.Guard = g
 	}
-	if err := adv.TrainOnline(oc, nil); err != nil {
+	if err := s.RefineOnline(oc); err != nil {
 		return nil, err
 	}
-	adv.InferCost = oc.WorkloadCost
-	finalSt, _, err := adv.SuggestBest(freq, oc)
+	finalSt, _, err := s.Advisor.SuggestBest(wl.UniformFreq(), oc)
 	if err != nil {
 		return nil, err
 	}
 	return &guardVariant{
-		FinalRuntime: s.evalWorkload(finalSt),
+		FinalRuntime: d.MeasureWorkload(finalSt),
 		Stats:        oc.Stats,
 	}, nil
 }
@@ -94,12 +88,12 @@ func runGuardVariant(s *setup, cfg Config, guarded bool) (*guardVariant, error) 
 // (fewer simulated seconds spent past 2x the best-known cost) without
 // costing final design quality.
 func GuardedOnline(cfg Config) (*Result, error) {
-	s := newSetup(cfg, benchmarks.Micro(), diskHW(), diskFlavor())
-	plain, err := runGuardVariant(s, cfg, false)
+	d := advisor.NewDeployment(advisor.Micro(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	plain, err := runGuardVariant(d, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	guarded, err := runGuardVariant(s, cfg, true)
+	guarded, err := runGuardVariant(d, cfg, true)
 	if err != nil {
 		return nil, err
 	}

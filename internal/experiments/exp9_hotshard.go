@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
@@ -74,8 +75,8 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 		// space keeps the variant honest (no mitigation actions exist).
 		b.SpaceOptions = partition.Options{}
 	}
-	s := newSetup(cfg, b, diskHW(), diskFlavor())
-	sp, e, wl := s.space, s.engine, s.bench.Workload
+	d := advisor.NewDeployment(b, advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	sp, e, wl := d.Space, d.Engine, b.Workload
 	tr := benchmarks.CelebrityTrace(cfg.Seed, benchmarks.CelebrityWindows)
 
 	st := sp.InitialState()

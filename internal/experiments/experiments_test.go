@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
 )
@@ -227,21 +228,18 @@ func TestFig8Structure(t *testing.T) {
 func TestMeasureAccuracyHelper(t *testing.T) {
 	// A dominant fixed suggester must score 100%; a clearly inferior one 0%.
 	cfg := TestConfig()
-	s := newSetup(cfg, tpcchBench(), diskHW(), diskFlavor())
-	sp := s.space
+	d := advisor.NewDeployment(advisor.TPCCH(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	sp := d.Space
 	good := sp.InitialState()
 	// Replicate the largest table: strictly worse for every mix.
 	bad := sp.Apply(good, partition.Action{Kind: partition.ActReplicate, Table: sp.TableIndex("orderline")})
-	cost := func(st *partition.State, freq workload.FreqVector) float64 {
-		return s.cm.WorkloadCost(st, s.bench.Workload, freq)
-	}
 	approaches := []suggester{
 		fixedSuggester("good", good),
 		fixedSuggester("bad", bad),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	acc, err := measureAccuracy(cost, approaches,
-		func(r *rand.Rand) workload.FreqVector { return s.bench.Workload.SampleUniform(r) },
+	acc, err := measureAccuracy(d.OfflineCost(), approaches,
+		func(r *rand.Rand) workload.FreqVector { return d.Bench.Workload.SampleUniform(r) },
 		10, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -70,6 +70,18 @@ func SystemXMemory() Profile {
 	}
 }
 
+// ByName returns the deployment behind an engine name as the commands and
+// tenant specs spell it: "disk" (Postgres-XL-like) or "memory" (System-X-like).
+func ByName(name string) (Profile, bool) {
+	switch name {
+	case "disk":
+		return PostgresXLDisk(), true
+	case "memory":
+		return SystemXMemory(), true
+	}
+	return Profile{}, false
+}
+
 // WithSlowNetwork returns the profile with a 0.6 Gbps interconnect — the
 // bandwidth of the basic Amazon Redshift deployment used in Exp. 5.
 func (p Profile) WithSlowNetwork() Profile {

@@ -62,3 +62,15 @@ func TestModifiersCompose(t *testing.T) {
 		t.Fatalf("composed profile = %+v", p)
 	}
 }
+
+func TestByName(t *testing.T) {
+	if p, ok := ByName("disk"); !ok || p.Name != PostgresXLDisk().Name {
+		t.Fatalf("disk = %+v, %v", p, ok)
+	}
+	if p, ok := ByName("memory"); !ok || p.Name != SystemXMemory().Name {
+		t.Fatalf("memory = %+v, %v", p, ok)
+	}
+	if _, ok := ByName("tape"); ok {
+		t.Fatal("unknown engine name accepted")
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 )
 
@@ -537,7 +538,7 @@ func TestShutdownCheckpointsTenants(t *testing.T) {
 
 	// A fresh advisor built like the tenant's resumes from the file.
 	spec := specs[0]
-	b := pickBenchmark(spec.Bench)
+	b := benchmarks.ByName(spec.Bench)
 	hp := core.Test()
 	hp.Episodes = spec.OfflineEpisodes
 	hp.OnlineEpisodes = spec.OnlineEpisodes

@@ -11,13 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
-	"partadvisor/internal/costmodel"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
-	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
 )
 
@@ -79,22 +78,6 @@ func (sp *TenantSpec) normalize() error {
 	return nil
 }
 
-func pickBenchmark(name string) *benchmarks.Benchmark {
-	switch name {
-	case "ssb":
-		return benchmarks.SSB()
-	case "tpcds":
-		return benchmarks.TPCDS()
-	case "tpcch":
-		return benchmarks.TPCCH()
-	case "tpch":
-		return benchmarks.TPCH()
-	case "micro":
-		return benchmarks.Micro()
-	}
-	return nil
-}
-
 // TenantStats is the published per-tenant statistics snapshot. The batch
 // and shed counters are live atomics re-read at serialization time; the
 // advisor fields are refreshed by the advising goroutine after every
@@ -152,13 +135,11 @@ type advisorSnap struct {
 type Tenant struct {
 	Spec TenantSpec
 
-	bench *benchmarks.Benchmark
-	eng   *exec.Engine
-	wl    *workload.Workload
-	space *partition.Space
-	adv   *core.Advisor
-	oc    *core.OnlineCost
-	tq    *tenantQueue
+	eng *exec.Engine
+	wl  *workload.Workload
+	adv *core.Advisor
+	oc  *core.OnlineCost
+	tq  *tenantQueue
 
 	mon   *workload.Monitor
 	monMu sync.Mutex
@@ -210,41 +191,32 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	b := pickBenchmark(spec.Bench)
+	// Substrate: data + engine, deterministic from the spec.
+	b := benchmarks.ByName(spec.Bench)
 	if b == nil {
 		return nil, fmt.Errorf("serve: unknown benchmark %q", spec.Bench)
 	}
-	var hw hardware.Profile
-	var flavor exec.Flavor
-	switch spec.Engine {
-	case "disk":
-		hw, flavor = hardware.PostgresXLDisk(), exec.Disk
-	case "memory":
-		hw, flavor = hardware.SystemXMemory(), exec.Memory
-	default:
+	hw, ok := hardware.ByName(spec.Engine)
+	if !ok {
 		return nil, fmt.Errorf("serve: unknown engine flavor %q", spec.Engine)
 	}
+	dep := advisor.NewDeployment(b, hw, spec.Scale, spec.Seed)
+	eng := dep.Engine
 
-	data := b.Generate(spec.Scale, spec.Seed)
-	eng := exec.New(b.Schema, data, hw, flavor)
-	sp := b.Space()
-
+	// Brain: the advisor, bootstrapped offline on the substrate's cost model.
 	hp := core.Test()
 	hp.Episodes = spec.OfflineEpisodes
 	hp.OnlineEpisodes = spec.OnlineEpisodes
 	hp.OnlineEpsilonFromEpisode = spec.OfflineEpisodes / 2
-	adv, err := core.New(sp, b.Workload, hp, spec.Seed)
+	sess, err := dep.NewSession(hp, spec.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %s: %w", spec.ID, err)
 	}
-	cm := costmodel.New(eng.TrueCatalog(), hw)
-	offCost := func(st *partition.State, freq workload.FreqVector) float64 {
-		return cm.WorkloadCost(st, b.Workload, freq)
-	}
-	if err := adv.TrainOffline(offCost, nil); err != nil {
+	adv := sess.Advisor
+	if err := sess.TrainOffline(); err != nil {
 		return nil, fmt.Errorf("serve: tenant %s offline bootstrap: %w", spec.ID, err)
 	}
-	st, _, err := adv.Suggest(b.Workload.UniformFreq())
+	st, err := sess.Suggest(nil)
 	if err != nil {
 		return nil, fmt.Errorf("serve: tenant %s bootstrap suggestion: %w", spec.ID, err)
 	}
@@ -262,10 +234,8 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Tenant{
 		Spec:      spec,
-		bench:     b,
 		eng:       eng,
 		wl:        b.Workload,
-		space:     sp,
 		adv:       adv,
 		oc:        oc,
 		mon:       workload.NewMonitor(b.Workload),
