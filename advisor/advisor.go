@@ -194,7 +194,6 @@ func NewDeployment(b *Benchmark, hw HardwareProfile, scale float64, seed int64) 
 	d.offline = env.NewCostCache(func(st *Partitioning, freq FreqVector) float64 {
 		return d.Cost.WorkloadCost(st, b.Workload, freq)
 	}, 0)
-	d.offline.SetConcurrentBase(true) // the cost model is concurrency-safe
 	return d
 }
 
@@ -255,14 +254,6 @@ type Session struct {
 // advisor share the seed.
 func NewSession(b *Benchmark, hw HardwareProfile, seed int64) (*Session, error) {
 	return NewDeployment(b, hw, 1, seed).NewSession(core.Repro(b.ComplexSchema()), seed)
-}
-
-// Prefetch pipelines TrainOffline with n speculative cost-prefetch
-// goroutines warming the offline cost cache (0 restores serial training).
-// The trained advisor is bit-identical at every setting; n trades idle
-// cores for wall-clock.
-func (s *Session) Prefetch(n int) {
-	s.Advisor.Prefetch = &core.PrefetchConfig{Cache: s.offline, Workers: n}
 }
 
 // TrainOffline bootstraps the advisor on the cost model (Algorithm 1).

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -67,7 +68,6 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 10, "offline episodes between checkpoints")
 		resume     = flag.Bool("resume", false, "resume training from the -checkpoint file")
 		haltAfter  = flag.Int("halt-after", 0, "stop after N total training episodes with exit code 3 (testing)")
-		prefetch   = flag.Int("prefetch", 0, "speculative cost-prefetch workers for offline training (0 = serial; the trajectory is identical either way)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
@@ -81,6 +81,11 @@ func main() {
 		guardMaxBytes    = flag.Int64("guard-max-table-bytes", 0, "per-table deployed-footprint ceiling in bytes (0 = unlimited)")
 	)
 	flag.Parse()
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if stop := prof.StartCPU(*cpuProfile); stop != nil {
 		defer stop()
 	}
@@ -107,10 +112,6 @@ func main() {
 		fail("%v", err)
 	}
 	adv := sess.Advisor
-	// Pipelined offline training: prefetch workers warm the offline cost
-	// cache with speculative designs while the decision loop trains the
-	// network. Training is bit-identical to -prefetch 0.
-	sess.Prefetch(*prefetch)
 	if *ckptPath != "" {
 		adv.Ckpt = &core.CheckpointConfig{
 			Path:  *ckptPath,
@@ -305,6 +306,15 @@ func trapSignals(name string) func() bool {
 		os.Exit(1)
 	}()
 	return stopped.Load
+}
+
+// checkScale rejects a -scale that Generate would silently clamp to its
+// floor-sized data (zero, negative) or could never materialize (NaN, Inf).
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale must be a positive number, got %g", scale)
+	}
+	return nil
 }
 
 func fail(format string, args ...interface{}) {

@@ -76,3 +76,25 @@ func TestQueryNames(t *testing.T) {
 		t.Fatalf("queryNames = %v", names)
 	}
 }
+
+// TestCheckScale: a -scale that Generate would clamp to floor-sized data
+// (or could never materialize) is a usage error, not a silent run.
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{1, true},
+		{0.05, true},
+		{2.5, true},
+		{0, false},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		if err := checkScale(tc.scale); (err == nil) != tc.ok {
+			t.Errorf("checkScale(%g) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,6 +34,11 @@ func main() {
 		statsOnly = flag.Bool("stats", false, "print table statistics instead of writing files")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "datagen: -scale must be a positive number, got %g\n", *scale)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	b := benchmarks.ByName(*benchName)
 	if b == nil {

@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -54,6 +55,12 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	// 0 means "the profile's scale"; anything else must be a usable scale.
+	if *scale < 0 || math.IsNaN(*scale) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "expdriver: -scale must be a positive number (or 0 for the profile's), got %g\n", *scale)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if stop := prof.StartCPU(*cpuProfile); stop != nil {
 		defer stop()
 	}

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// Process-level crash-restart soak for advisord (DESIGN.md §11).
+// Process-level crash-restart soak for advisord (DESIGN.md §10).
 //
 // Unlike the in-process fault soak in this package — which injects
 // faults inside one advisor — this harness exercises the durability

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 
@@ -16,32 +15,6 @@ import (
 // trains over the whole workload space (uniform sampling); subspace experts
 // restrict the sampler to their subspace.
 type FreqSampler func(*rand.Rand) workload.FreqVector
-
-// DefaultPrefetchTopK is how many speculative candidate designs are
-// enqueued per decision step when PrefetchConfig.TopK is unset.
-const DefaultPrefetchTopK = 4
-
-// PrefetchConfig enables the speculative cost prefetcher during training:
-// worker goroutines warm Cache with the costs of likely next designs while
-// the decision loop runs the network update. The cost function passed to
-// training must be Cache.Cost (the prefetcher warms exactly the cache the
-// loop reads), and the cache's base must be safe for concurrent calls when
-// Workers > 1 (see env.CostCache.SetConcurrentBase).
-//
-// Prefetching is invisible to the trajectory: candidate ranking uses pure
-// Q-network forwards that consume no randomness, and a warmed cache entry
-// holds the same bits an inline evaluation would produce. Training with 0,
-// 1 or N workers yields bit-identical designs, rewards, replay contents,
-// losses and final weights.
-type PrefetchConfig struct {
-	// Cache is the cost cache shared with the training cost function.
-	Cache *env.CostCache
-	// Workers is the number of prefetch goroutines (<= 0 disables).
-	Workers int
-	// TopK bounds the speculative candidates enqueued per step
-	// (DefaultPrefetchTopK when <= 0).
-	TopK int
-}
 
 // Advisor is one learned partitioning advisor: a DQN agent over the
 // partitioning design space of a schema + workload.
@@ -81,12 +54,6 @@ type Advisor struct {
 	// trainEpisodes), and returns ErrStopped. The commands' SIGINT/SIGTERM
 	// handlers set the flag this polls.
 	Stop func() bool
-
-	// Prefetch, when non-nil with positive Workers, pipelines training:
-	// speculative candidate designs are cost-evaluated on worker goroutines
-	// while the decision loop trains the network (see PrefetchConfig; the
-	// trajectory stays bit-identical to serial training).
-	Prefetch *PrefetchConfig
 
 	// TraceRewards makes trainEpisodes append each episode's summed reward
 	// to RewardTrace — the determinism digest tests hash this trajectory.
@@ -191,61 +158,6 @@ func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, episodes
 	if err != nil {
 		return err
 	}
-	// Speculative prefetch: after the agent commits to an action, the
-	// resulting design plus the top-K Q-ranked follow-up designs are handed
-	// to worker goroutines, which warm the cost cache while this loop runs
-	// Observe/TrainStep. The ranking forward passes are pure (no RNG), and
-	// prefetched entries are bit-identical to inline evaluations, so the
-	// trajectory does not depend on the worker count.
-	var pf *env.Prefetcher
-	topK := 0
-	if a.Prefetch != nil && a.Prefetch.Workers > 0 && a.Prefetch.Cache != nil {
-		pf = env.NewPrefetcher(a.Prefetch.Cache, a.Prefetch.Workers)
-		defer pf.Close()
-		topK = a.Prefetch.TopK
-		if topK <= 0 {
-			topK = DefaultPrefetchTopK
-		}
-	}
-	var specObs []float64
-	var specValid []int
-	var specPicked []bool
-	speculate := func(next *partition.State) {
-		// The design the imminent Step prices goes first, so its fill
-		// starts immediately and Step's lookup joins it.
-		pf.Enqueue(next, e.Freq())
-		if e.StepsLeft() <= 1 {
-			return // the episode ends at next — no follow-up step to warm
-		}
-		specObs = e.EncodedFor(next, specObs)
-		specValid = e.ValidActionsFor(next, specValid)
-		qs := a.Agent.Q.Values(specObs, specValid)
-		k := topK
-		if k > len(specValid) {
-			k = len(specValid)
-		}
-		specPicked = specPicked[:0]
-		for range specValid {
-			specPicked = append(specPicked, false)
-		}
-		for n := 0; n < k; n++ {
-			bi, bv := -1, math.Inf(-1)
-			for i, v := range qs {
-				if !specPicked[i] && v > bv {
-					bv = v
-					bi = i
-				}
-			}
-			if bi < 0 {
-				break
-			}
-			specPicked[bi] = true
-			cand := a.Space.Apply(next, a.Space.Actions()[specValid[bi]])
-			if !pf.Enqueue(cand, e.Freq()) {
-				break // queue full: the workers are behind, stop speculating
-			}
-		}
-	}
 	for ep := start; ep < episodes; ep++ {
 		freq := sampler(a.rng)
 		e.Reset(freq)
@@ -254,9 +166,6 @@ func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, episodes
 		for {
 			valid := e.ValidActions()
 			act := a.Agent.SelectAction(obs, valid)
-			if pf != nil {
-				speculate(e.Peek(act))
-			}
 			_, reward, done := e.Step(act)
 			next := e.EncodedCopy()
 			nextValid := append([]int(nil), e.ValidActions()...)

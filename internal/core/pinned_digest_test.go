@@ -4,12 +4,53 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
 
 	"partadvisor/internal/benchmarks"
+	"partadvisor/internal/partition"
+	"partadvisor/internal/workload"
 )
+
+// syntheticPureCost is a fast, deterministic cost stand-in for the digest
+// tests: a pure function of (partitioning signature, mix bits) in [1, 2).
+// The digests only need determinism, not physical plausibility.
+func syntheticPureCost(st *partition.State, freq workload.FreqVector) float64 {
+	h := fnv.New64a()
+	h.Write([]byte(st.Signature()))
+	var b [8]byte
+	for _, f := range freq {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	return 1 + float64(h.Sum64()%100000)/100000
+}
+
+// trainingDigest trains a (with TraceRewards on) against syntheticPureCost
+// and returns the hex SHA-256 over the saved model bytes concatenated with
+// the bit-encoded per-episode reward trajectory. Any divergence in action
+// selection, cost evaluation, replay contents or gradient math changes it.
+func trainingDigest(t *testing.T, a *Advisor) string {
+	t.Helper()
+	a.TraceRewards = true
+	if err := a.TrainOffline(syntheticPureCost, nil); err != nil {
+		t.Fatal(err)
+	}
+	model, err := a.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(model)
+	var buf [8]byte
+	for _, r := range a.RewardTrace {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // TestTrainingDigestPinned is the licence for every "bit-identical" claim
 // about the training step: a fixed-seed advisor on the TPC-CH space with
@@ -51,28 +92,33 @@ func TestTrainingDigestPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.TraceRewards = true
-			if err := a.TrainOffline(syntheticPureCost, nil); err != nil {
-				t.Fatal(err)
-			}
+			got := trainingDigest(t, a)
 			if a.TrainUpdates == 0 {
 				t.Fatal("no gradient update ran; the digest would pin nothing")
 			}
-			model, err := a.SaveModel()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			h.Write(model)
-			var buf [8]byte
-			for _, r := range a.RewardTrace {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r))
-				h.Write(buf[:])
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			if got != tc.want {
 				t.Fatalf("model+trace digest after %d episodes (%d updates)\n  got  %s\n  want %s",
 					tc.episodes, a.TrainUpdates, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestTrainOfflineDigestSeedSensitivity guards the digest itself: a
+// different seed must yield a different digest, otherwise the pinned test
+// above could pass on a hash that does not depend on training.
+func TestTrainOfflineDigestSeedSensitivity(t *testing.T) {
+	b, sp, _ := microFixture(t)
+	digestFor := func(seed int64) string {
+		hp := Test()
+		hp.Episodes = 10
+		a, err := New(sp, b.Workload, hp, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trainingDigest(t, a)
+	}
+	if digestFor(1) == digestFor(2) {
+		t.Fatal("digests for different seeds collide — the digest is not sensitive to training")
 	}
 }

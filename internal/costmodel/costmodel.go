@@ -27,10 +27,10 @@ import (
 // Model estimates query and workload costs for partitioning states. It is
 // safe for concurrent use: planCost is a pure function of the (immutable)
 // catalog and hardware profile, and the memo map below is guarded by a
-// read-write mutex, so the training loop's speculative prefetch workers can
-// evaluate candidate designs in parallel with the main loop. Two goroutines
-// racing on the same uncached (state, query) both compute the identical
-// plan cost, so which one's store wins is unobservable.
+// read-write mutex, so goroutines sharing one model need no lock of their
+// own. Two goroutines racing on the same uncached (state, query) both
+// compute the identical plan cost, so which one's store wins is
+// unobservable.
 type Model struct {
 	Cat *stats.Catalog
 	HW  hardware.Profile

@@ -28,46 +28,22 @@ const DefaultCostCacheBound = 1 << 16
 // starts; cold hits are promoted back. Total footprint is therefore at most
 // two generations.
 //
-// Misses fill through a single-flight protocol: the first goroutine to miss
-// a key registers an in-flight call and evaluates the base function outside
-// the cache mutex; goroutines missing the same key while that evaluation
-// runs block on it and share its result instead of re-evaluating. This is
-// what lets the training loop's speculative prefetch workers warm the cache
-// concurrently with the decision loop — when the loop asks for a cost whose
-// fill a prefetch worker already started, it joins that fill and reads the
-// exact float64 bits the worker computed, so cached, joined and inline
-// evaluations are indistinguishable.
-//
-// By default base calls are still serialized through a dedicated mutex
-// (distinct from the lookup mutex, so lookups never block behind a slow
-// evaluation): a CostCache stays safe to share even when the underlying
-// cost function keeps state of its own, like a measured OnlineCost mutating
-// accounting and the engine's deployed layout on every call. When the base
-// is itself concurrency-safe (costmodel.Model, a snapshot-scoped engine
-// evaluation), call SetConcurrentBase(true) to let distinct keys fill
-// genuinely in parallel.
+// One mutex is held across lookup, base call and store. Goroutines that
+// miss the same key therefore cost one base call (the rest find the entry
+// when they get the lock), Invalidate cannot interleave with a fill, and a
+// CostCache stays safe to share when the underlying cost function keeps
+// state of its own, like a measured OnlineCost mutating accounting and the
+// engine's deployed layout on every call. The base must not call back into
+// the cache.
 type CostCache struct {
-	mu       sync.Mutex
-	base     CostFunc
-	bound    int
-	hot      map[string]float64
-	cold     map[string]float64
-	inflight map[string]*inflightCall
-	gen      uint64 // bumped by Invalidate; stale fills never publish
-	hits     uint64
-	misses   uint64
-	keyBuf   []byte
-
-	// baseMu serializes base-function calls unless concurrentBase is set.
-	baseMu         sync.Mutex
-	concurrentBase bool
-}
-
-// inflightCall is one single-flight base evaluation: done is closed once
-// val holds the result.
-type inflightCall struct {
-	done chan struct{}
-	val  float64
+	mu     sync.Mutex
+	base   CostFunc
+	bound  int
+	hot    map[string]float64
+	cold   map[string]float64
+	hits   uint64
+	misses uint64
+	keyBuf []byte
 }
 
 // NewCostCache wraps base with a memoization cache holding at most bound
@@ -76,20 +52,8 @@ func NewCostCache(base CostFunc, bound int) *CostCache {
 	if bound <= 0 {
 		bound = DefaultCostCacheBound
 	}
-	return &CostCache{
-		base:     base,
-		bound:    bound,
-		hot:      make(map[string]float64),
-		inflight: make(map[string]*inflightCall),
-	}
+	return &CostCache{base: base, bound: bound, hot: make(map[string]float64)}
 }
-
-// SetConcurrentBase declares the base function safe for concurrent calls,
-// letting misses for distinct keys evaluate genuinely in parallel (the
-// speculative prefetcher needs this to use more than one worker). Leave it
-// off for stateful bases like the measured online cost. Not safe to flip
-// while calls are in flight.
-func (c *CostCache) SetConcurrentBase(ok bool) { c.concurrentBase = ok }
 
 // key builds the lookup key into c.keyBuf (valid until the next call; the
 // caller must hold c.mu).
@@ -110,58 +74,21 @@ func (c *CostCache) key(st *partition.State, freq workload.FreqVector) []byte {
 // Cost implements CostFunc (pass cache.Cost wherever a CostFunc is taken).
 func (c *CostCache) Cost(st *partition.State, freq workload.FreqVector) float64 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	keyBytes := c.key(st, freq)
 	if v, ok := c.hot[string(keyBytes)]; ok {
 		c.hits++
-		c.mu.Unlock()
 		return v
 	}
 	if v, ok := c.cold[string(keyBytes)]; ok {
 		c.hits++
 		c.store(string(keyBytes), v)
-		c.mu.Unlock()
 		return v
 	}
-	if call, ok := c.inflight[string(keyBytes)]; ok {
-		// Single-flight join: someone (typically a prefetch worker) is
-		// already evaluating this key. Share its result — counted as a hit,
-		// since no extra base call happens.
-		c.hits++
-		c.mu.Unlock()
-		<-call.done
-		return call.val
-	}
-	// First miss for this key: register the in-flight call and evaluate
-	// outside the lookup mutex so concurrent lookups (and, with a
-	// concurrency-safe base, other fills) keep flowing.
-	key := string(keyBytes)
-	call := &inflightCall{done: make(chan struct{})}
-	c.inflight[key] = call
 	c.misses++
-	gen := c.gen
-	c.mu.Unlock()
-
-	if !c.concurrentBase {
-		c.baseMu.Lock()
-	}
+	key := string(keyBytes)
 	v := c.base(st, freq)
-	if !c.concurrentBase {
-		c.baseMu.Unlock()
-	}
-
-	call.val = v
-	close(call.done)
-
-	c.mu.Lock()
-	if c.inflight[key] == call {
-		delete(c.inflight, key)
-	}
-	// Publish only if no Invalidate ran while we were evaluating: a fill
-	// started before an invalidation must never install a stale entry.
-	if c.gen == gen {
-		c.store(key, v)
-	}
-	c.mu.Unlock()
+	c.store(key, v)
 	return v
 }
 
@@ -175,8 +102,8 @@ func (c *CostCache) store(key string, v float64) {
 	c.hot[key] = v
 }
 
-// Stats returns the accumulated hit and miss counts. Single-flight joins
-// count as hits (they consumed no base call).
+// Stats returns the accumulated hit and miss counts; every miss is exactly
+// one base call.
 func (c *CostCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -191,20 +118,12 @@ func (c *CostCache) Len() int {
 }
 
 // Invalidate drops every cached entry (call after the underlying catalog or
-// engine state changed in a way that alters costs). Fills in flight at the
-// time of the call still deliver their value to goroutines already waiting
-// on them, but the value is not published into the cache: a later lookup of
-// the same key re-evaluates against the changed world.
+// engine state changed in a way that alters costs).
 func (c *CostCache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
 	c.hot = make(map[string]float64)
 	c.cold = nil
-	// Detach in-flight calls: their completion sees a changed generation
-	// (or a map that no longer holds their record) and skips publication,
-	// while fresh misses for the same keys start clean fills immediately.
-	c.inflight = make(map[string]*inflightCall)
 }
 
 // SynchronizedCost serializes calls to a stateful CostFunc with a mutex so

@@ -99,8 +99,9 @@ func TestCostCacheInvalidate(t *testing.T) {
 	}
 }
 
-// TestCostCacheConcurrent exercises the cache (and its serialized base
-// calls) from many goroutines under -race.
+// TestCostCacheConcurrent exercises the cache from many goroutines under
+// -race: the unsynchronized base is safe only because the cache's mutex is
+// held across every base call.
 func TestCostCacheConcurrent(t *testing.T) {
 	sp := cacheSpace(t)
 	statefulCounter := 0 // deliberately unsynchronized stateful base
@@ -125,4 +126,76 @@ func TestCostCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCostCacheSingleFlightCoalesces: goroutines missing the same key cost
+// exactly one base call — whoever gets the mutex first fills the entry and
+// the rest find it — with every other caller counted as a hit. The base is
+// stateful and unsynchronized, so -race also checks that fills never
+// overlap.
+func TestCostCacheSingleFlightCoalesces(t *testing.T) {
+	sp := cacheSpace(t)
+	st := sp.InitialState()
+	f := workload.FreqVector{1}
+
+	calls := 0
+	base := func(*partition.State, workload.FreqVector) float64 {
+		calls++
+		return 42
+	}
+	cc := NewCostCache(base, 16)
+
+	const callers = 8
+	results := make([]float64, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i] = cc.Cost(st, f)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if calls != 1 {
+		t.Fatalf("base called %d times for one key under contention", calls)
+	}
+	for i, v := range results {
+		if v != 42 {
+			t.Fatalf("goroutine %d got %v, want 42", i, v)
+		}
+	}
+	hits, misses := cc.Stats()
+	if misses != 1 || hits != callers-1 {
+		t.Fatalf("stats = (%d hits, %d misses), want (%d, 1)", hits, misses, callers-1)
+	}
+}
+
+// TestCostCacheBoundUnderContention hammers the cache with distinct keys
+// from many goroutines and checks the two-generation bound holds
+// throughout. Run with -race.
+func TestCostCacheBoundUnderContention(t *testing.T) {
+	sp := cacheSpace(t)
+	st := sp.InitialState()
+	base := func(_ *partition.State, freq workload.FreqVector) float64 { return freq[0] }
+	const bound = 8
+	cc := NewCostCache(base, bound)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				cc.Cost(st, workload.FreqVector{float64(g*1000 + i)})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := cc.Len(); n > 2*bound {
+		t.Fatalf("cache holds %d entries, bound is two generations of %d", n, bound)
+	}
 }

@@ -101,38 +101,6 @@ func (e *Env) ValidActions() []int {
 	return e.validBuf
 }
 
-// Peek returns the state an action would lead to, without taking it. The
-// returned state is freshly derived (partition.State is immutable), so it is
-// safe to hand to prefetch workers while the episode continues.
-func (e *Env) Peek(actionIdx int) *partition.State {
-	return e.Space.Apply(e.cur, e.Space.Actions()[actionIdx])
-}
-
-// StepsLeft returns how many steps remain before the episode ends.
-func (e *Env) StepsLeft() int { return e.Tmax - e.step }
-
-// EncodedFor writes the observation of an arbitrary state under the episode
-// mix into dst (grown as needed) and returns it — the encoding the agent
-// would see after stepping to st. Used by the training loop to rank
-// speculative candidates without disturbing the episode's own buffers.
-func (e *Env) EncodedFor(st *partition.State, dst []float64) []float64 {
-	n := e.Space.StateLen()
-	want := n + len(e.freq)
-	if cap(dst) < want {
-		dst = make([]float64, want)
-	}
-	dst = dst[:want]
-	st.Encode(dst[:n])
-	copy(dst[n:], e.freq)
-	return dst
-}
-
-// ValidActionsFor returns the valid action indices at an arbitrary state,
-// reusing buf's storage.
-func (e *Env) ValidActionsFor(st *partition.State, buf []int) []int {
-	return e.Space.ValidActions(st, buf)
-}
-
 // Reward returns the normalized reward of an arbitrary state under the
 // episode mix: −cost(P)/cost(s0).
 func (e *Env) Reward(st *partition.State) float64 {

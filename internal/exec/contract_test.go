@@ -624,10 +624,10 @@ func TestEvalDesignSnapshotPerturbsNothing(t *testing.T) {
 	})
 }
 
-// TestEvalDesignSnapshotConcurrent exercises the prefetch-worker usage
-// pattern under the race detector: many goroutines price different
-// candidate designs at once while results must stay bit-identical to the
-// quiet single-goroutine evaluations.
+// TestEvalDesignSnapshotConcurrent runs what-if evaluations concurrently
+// under the race detector: many goroutines price different candidate
+// designs at once while results must stay bit-identical to the quiet
+// single-goroutine evaluations.
 func TestEvalDesignSnapshotConcurrent(t *testing.T) {
 	f := microFixture(t)
 	e := f.engine()

@@ -259,7 +259,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunWithLimitAborts(t *testing.T) {
+func TestExecLimitAborts(t *testing.T) {
 	e, _ := newEngine(t)
 	g := engGraph(t, `SELECT * FROM orderline ol, orders o, customer c
 		WHERE ol.ol_o_id = o.o_id AND o.o_c_id = c.c_id`)

@@ -224,7 +224,7 @@ func TestExplainReportsFault(t *testing.T) {
 	}
 }
 
-func TestRunWithLimitClampsAtLimit(t *testing.T) {
+func TestExecLimitClampsAtLimit(t *testing.T) {
 	// §4.2: an aborted query is killed at the deadline, so the consumed
 	// time equals the limit exactly — never the overshooting step cost.
 	e, _ := newEngine(t)

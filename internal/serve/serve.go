@@ -22,7 +22,7 @@
 //     only consume its weight share of the worker pool.
 //
 //  3. Request deadlines. A batch's context deadline propagates through
-//     exec.Engine.RunBatchQueriesAbortCtx into the frozen-cursor abort:
+//     exec.Engine.Exec(ctx, Request) into the frozen-cursor abort:
 //     a batch cut at its deadline charges exactly the delivered prefix
 //     with bit-identical accounting. Deadlines that expire while the
 //     request is still queued cancel it without occupying a worker.

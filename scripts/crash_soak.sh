@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # crash_soak.sh — kill-9 crash-restart soak for advisord's durability
-# subsystem (DESIGN.md §11). Builds the real advisord + loadgen binaries
+# subsystem (DESIGN.md §10). Builds the real advisord + loadgen binaries
 # and drives internal/chaos.RunCrashSoak: N seeded SIGKILL/restart
 # cycles under live traffic, with one kill aimed mid-checkpoint-write
 # and one deliberately truncated newest generation. The soak asserts:

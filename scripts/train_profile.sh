@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # train_profile.sh — run one offline training job under the pprof CPU and
-# heap profilers (cmd/advisor's -cpuprofile/-memprofile via internal/prof),
-# with the speculative cost prefetcher on by default. Use it to find where
-# training wall-clock actually goes before optimizing.
+# heap profilers (cmd/advisor's -cpuprofile/-memprofile via internal/prof).
+# Use it to find where training wall-clock actually goes before optimizing.
 #
-# Usage: scripts/train_profile.sh [bench] [prefetch-workers] [out-prefix]
+# Usage: scripts/train_profile.sh [bench] [out-prefix]
 #
-#   bench            ssb | tpcds | tpcch | tpch | micro   (default ssb)
-#   prefetch-workers 0 disables the prefetcher             (default nproc)
-#   out-prefix       profile file prefix                   (default train)
+#   bench       ssb | tpcds | tpcch | tpch | micro   (default ssb)
+#   out-prefix  profile file prefix                   (default train)
 #
 # Inspect afterwards with:
 #   go tool pprof -top <prefix>.cpu.pprof
@@ -17,11 +15,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench="${1:-ssb}"
-workers="${2:-$(nproc 2>/dev/null || echo 1)}"
-prefix="${3:-train}"
+prefix="${2:-train}"
 
 go run ./cmd/advisor -bench "$bench" -profile test -scale 0.05 \
-  -prefetch "$workers" \
   -cpuprofile "${prefix}.cpu.pprof" -memprofile "${prefix}.mem.pprof"
 
 echo "wrote ${prefix}.cpu.pprof and ${prefix}.mem.pprof"
