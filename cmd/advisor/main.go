@@ -24,9 +24,10 @@
 // checkpoint is written (when -checkpoint is set and the offline phase is
 // running), and the process exits 0; a second signal exits immediately.
 //
-// With -guard, online refinement runs inside the safety envelope of
-// DESIGN.md §8 (design validation, canary measurement, automatic rollback,
-// exploration budgets); the -guard-* flags tune its knobs.
+// With -guard (which needs -online), online refinement runs inside the
+// safety envelope of DESIGN.md §8 (design validation, canary measurement,
+// automatic rollback, exploration budgets); the -guard-* flags tune it and
+// need -guard.
 package main
 
 import (
@@ -47,13 +48,13 @@ import (
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
-	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/prof"
 	"partadvisor/internal/workload"
 )
 
 func main() {
+	def := core.DefaultGuardConfig()
 	var (
 		benchName  = flag.String("bench", "ssb", "benchmark: ssb, tpcds, tpcch, tpch or micro")
 		engine     = flag.String("engine", "disk", "engine flavor: disk (Postgres-XL-like) or memory (System-X-like)")
@@ -72,19 +73,23 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
 		guardOn          = flag.Bool("guard", false, "guard online refinement (validation, canary, rollback, budgets)")
-		guardCanary      = flag.Int("guard-canary", 2, "canary queries before a full pass on a new design (0 disables)")
-		guardCanaryF     = flag.Float64("guard-canary-factor", 3, "abort the pass when the canary exceeds this multiple of the best-known cost")
-		guardRollbackF   = flag.Float64("guard-rollback-factor", 2, "roll back designs regressing past this multiple of the best-known cost (0 disables)")
-		guardWindow      = flag.Int("guard-window", 32, "exploration-budget sliding window in measurement passes (0 disables)")
-		guardWindowBytes = flag.Int64("guard-window-bytes", 0, "bytes-moved cap per budget window (0 = unlimited)")
-		guardWindowDeg   = flag.Float64("guard-window-degraded-sec", 0, "degraded-execution seconds cap per budget window (0 = unlimited)")
-		guardMaxBytes    = flag.Int64("guard-max-table-bytes", 0, "per-table deployed-footprint ceiling in bytes (0 = unlimited)")
+		guardCanary      = flag.Int("guard-canary", def.CanaryQueries, "canary queries before a full pass on a new design (0 disables)")
+		guardCanaryF     = flag.Float64("guard-canary-factor", def.CanaryRegressionFactor, "abort the pass when the canary exceeds this multiple of the best-known cost")
+		guardRollbackF   = flag.Float64("guard-rollback-factor", def.RollbackFactor, "roll back designs regressing past this multiple of the best-known cost (0 disables)")
+		guardWindow      = flag.Int("guard-window", def.WindowPasses, "exploration-budget sliding window in measurement passes (0 disables)")
+		guardWindowBytes = flag.Int64("guard-window-bytes", def.WindowBytes, "bytes-moved cap per budget window (0 = unlimited)")
+		guardWindowDeg   = flag.Float64("guard-window-degraded-sec", def.WindowDegradedSec, "degraded-execution seconds cap per budget window (0 = unlimited)")
+		guardMaxBytes    = flag.Int64("guard-max-table-bytes", def.MaxTableBytes, "per-table deployed-footprint ceiling in bytes (0 = unlimited)")
 	)
 	flag.Parse()
-	if err := checkScale(*scale); err != nil {
-		fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	for _, err := range []error{checkScale(*scale), checkGuard(*online, *guardOn, set)} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	if stop := prof.StartCPU(*cpuProfile); stop != nil {
 		defer stop()
@@ -164,19 +169,18 @@ func main() {
 			fail("%v", err)
 		}
 		if *guardOn {
-			gcfg := guard.DefaultConfig()
-			gcfg.CanaryQueries = *guardCanary
-			gcfg.CanaryRegressionFactor = *guardCanaryF
-			gcfg.RollbackFactor = *guardRollbackF
-			gcfg.WindowPasses = *guardWindow
-			gcfg.WindowBytes = *guardWindowBytes
-			gcfg.WindowDegradedSec = *guardWindowDeg
-			gcfg.MaxTableBytes = *guardMaxBytes
-			g, err := guard.New(sample, b.Workload, gcfg)
-			if err != nil {
+			oc.Guard = &core.GuardConfig{
+				MaxTableBytes:          *guardMaxBytes,
+				CanaryQueries:          *guardCanary,
+				CanaryRegressionFactor: *guardCanaryF,
+				RollbackFactor:         *guardRollbackF,
+				WindowPasses:           *guardWindow,
+				WindowBytes:            *guardWindowBytes,
+				WindowDegradedSec:      *guardWindowDeg,
+			}
+			if err := oc.Validate(); err != nil {
 				fail("guard: %v", err)
 			}
-			oc.Guard = g
 		}
 		start := time.Now()
 		if err := sess.RefineOnline(oc); err != nil {
@@ -313,6 +317,21 @@ func trapSignals(name string) func() bool {
 func checkScale(scale float64) error {
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("-scale must be a positive number, got %g", scale)
+	}
+	return nil
+}
+
+// checkGuard rejects guard flags that would be silently ignored: -guard
+// without -online, or a -guard-* flag (set names the flags given on the
+// command line) without -guard.
+func checkGuard(online, guardOn bool, set []string) error {
+	if guardOn && !online {
+		return fmt.Errorf("-guard requires -online (the guard wraps online refinement)")
+	}
+	for _, name := range set {
+		if !guardOn && strings.HasPrefix(name, "guard-") {
+			return fmt.Errorf("-%s requires -guard", name)
+		}
 	}
 	return nil
 }

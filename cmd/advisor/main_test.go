@@ -98,3 +98,24 @@ func TestCheckScale(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckGuard: guard flags that would be silently ignored — -guard
+// without -online, a -guard-* flag without -guard — are usage errors.
+func TestCheckGuard(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		online, guardOn bool
+		set             []string
+		ok              bool
+	}{
+		{"no guard", false, false, []string{"bench", "online"}, true},
+		{"guarded online", true, true, []string{"guard", "guard-canary", "online"}, true},
+		{"guard without online", false, true, []string{"guard"}, false},
+		{"guard knob without guard", true, false, []string{"guard-window-bytes", "online"}, false},
+		{"guard knob alone", false, false, []string{"guard-canary"}, false},
+	} {
+		if err := checkGuard(tc.online, tc.guardOn, tc.set); (err == nil) != tc.ok {
+			t.Errorf("%s: checkGuard = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
-	"partadvisor/internal/guard"
 	"partadvisor/internal/partition"
 )
 
@@ -34,7 +33,7 @@ type Config struct {
 	EpisodeDeadline time.Duration
 	// Logf, when set, receives per-episode progress lines.
 	Logf func(format string, args ...any)
-	// Guarded arms the guard.DefaultConfig safety envelope around each
+	// Guarded arms the core.DefaultGuardConfig safety envelope around each
 	// episode's online training and enables two additional invariants:
 	// every rollback must leave the deployed layout bit-for-bit equal to
 	// the best-known design, and veto/canary/rollback counts must replay
@@ -237,7 +236,7 @@ func replayTwice[O comparable](run func() (O, []string, error), deadline time.Du
 // the cost model and online against the live engine (no sample: the soaks
 // want the armed faults in the measured runs), inside the guard envelope
 // when g is set, and returns the design it settles on for the uniform mix.
-func soakAdvisor(dep *advisor.Deployment, seed int64, g *guard.Guard) (*partition.State, *core.OnlineCost, error) {
+func soakAdvisor(dep *advisor.Deployment, seed int64, g *core.GuardConfig) (*partition.State, *core.OnlineCost, error) {
 	hp := core.Test()
 	hp.Episodes = 16
 	hp.OnlineEpisodes = 10
@@ -289,16 +288,13 @@ func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, []string, e
 	e.ResetClock()
 	e.SetSelfHeal(true)
 
-	var g *guard.Guard
+	var g *core.GuardConfig
 	if cfg.Guarded {
-		gcfg := guard.DefaultConfig()
+		gcfg := core.DefaultGuardConfig()
 		// The canary only arms when it is a strict prefix of a pass's cache
 		// misses; the microbenchmark has two queries, so K=1.
 		gcfg.CanaryQueries = 1
-		g, err = guard.New(e, wl, gcfg)
-		if err != nil {
-			return out, nil, fmt.Errorf("chaos: build guard: %w", err)
-		}
+		g = &gcfg
 	}
 	st, oc, err := soakAdvisor(dep, epSeed, g)
 	if err != nil {
@@ -360,7 +356,7 @@ func runOnce(cfg Config, epSeed int64, permanentLoss bool) (outcome, []string, e
 	// outcome must replay identically.
 	if g != nil {
 		var dig strings.Builder
-		for ri, r := range g.Rollbacks() {
+		for ri, r := range oc.Rollbacks() {
 			if !r.Consistent {
 				vio = append(vio, fmt.Sprintf(
 					"rollback %d: deployed layout diverged from best-known design (%s -> %s at sim t=%g)",

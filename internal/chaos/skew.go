@@ -253,7 +253,7 @@ func runSkewOnce(cfg SkewConfig, epSeed int64) (skewOutcome, []string, error) {
 			// repair at rejoin.
 			armed = true
 			now := e.SimNow()
-			outage := float64(len(wl.Queries))*float64(oc.MaxRetries)*oc.RetryBackoffCapSec + 1
+			outage := float64(len(wl.Queries))*core.MaxRetryWaitSec + 1
 			inj, err := faults.New(faults.Config{Crashes: []faults.NodeCrash{
 				{Node: e.HW.Nodes - 1, Window: faults.Window{
 					Start: now,

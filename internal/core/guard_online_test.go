@@ -9,33 +9,30 @@ import (
 	"partadvisor/internal/cluster"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/faults"
-	"partadvisor/internal/guard"
 	"partadvisor/internal/partition"
 )
 
 func TestOnlineCostValidate(t *testing.T) {
 	b, _, e := onlineFixture(t)
-	fresh := func() *OnlineCost { return NewOnlineCost(e, b.Workload, nil) }
-	if err := fresh().Validate(); err != nil {
-		t.Fatalf("default OnlineCost invalid: %v", err)
+	guarded := func(c GuardConfig) *OnlineCost {
+		oc := NewOnlineCost(e, b.Workload, nil)
+		oc.Guard = &c
+		return oc
 	}
-	cases := []struct {
-		name string
-		mut  func(*OnlineCost)
-	}{
-		{"negative MaxRetries", func(oc *OnlineCost) { oc.MaxRetries = -1 }},
-		{"negative RetryBackoffSec", func(oc *OnlineCost) { oc.RetryBackoffSec = -0.1 }},
-		{"backoff cap below base", func(oc *OnlineCost) { oc.RetryBackoffSec = 2; oc.RetryBackoffCapSec = 1 }},
-		{"negative FailurePenaltySec", func(oc *OnlineCost) { oc.FailurePenaltySec = -1 }},
-		{"negative CircuitBreakAfter", func(oc *OnlineCost) { oc.CircuitBreakAfter = -1 }},
+	if err := NewOnlineCost(e, b.Workload, nil).Validate(); err != nil {
+		t.Fatalf("unguarded OnlineCost invalid: %v", err)
 	}
-	for _, tc := range cases {
-		oc := fresh()
-		tc.mut(oc)
+	if err := guarded(DefaultGuardConfig()).Validate(); err != nil {
+		t.Fatalf("DefaultGuardConfig invalid: %v", err)
+	}
+	for _, tc := range badGuardConfigs {
+		c := DefaultGuardConfig()
+		tc.mut(&c)
+		oc := guarded(c)
 		if err := oc.Validate(); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: Validate = %v, want ErrBadConfig", tc.name, err)
 		}
-		// TrainOnline must refuse to start with the bad knobs.
+		// TrainOnline must refuse to start with the bad guard.
 		hp := Test()
 		hp.OnlineEpisodes = 1
 		adv, err := New(b.Space(), b.Workload, hp, 7)
@@ -67,13 +64,9 @@ func moveAccounting(e *exec.Engine) (moved, deployed, repaired int64) {
 func TestGuardedVetoNeverDeploys(t *testing.T) {
 	b, sp, e := onlineFixture(t)
 	oc := NewOnlineCost(e, b.Workload, nil)
-	cfg := guard.DefaultConfig()
+	cfg := DefaultGuardConfig()
 	cfg.MaxTableBytes = 1 // every non-empty table exceeds the ceiling
-	g, err := guard.New(e, b.Workload, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc.Guard = g
+	oc.Guard = &cfg
 	freq := b.Workload.UniformFreq()
 	preQ, preR, preMoved := e.Counters()
 	cost := oc.WorkloadCost(sp.InitialState(), freq)
@@ -101,18 +94,14 @@ func TestGuardedRollbackRestoresBest(t *testing.T) {
 	b, sp, e := onlineFixture(t)
 	wl := b.Workload
 	freq := wl.UniformFreq()
-	cfg := guard.DefaultConfig()
+	cfg := DefaultGuardConfig()
 	cfg.CanaryQueries = 0 // full pass measures, so the rollback path decides
 	cfg.CanaryRegressionFactor = 0
 	oc := NewOnlineCost(e, wl, nil)
 	// The §4.2 timeouts would cap every measurement at ~2x best and mask
 	// the regression; the rollback path must work without them too.
 	oc.UseTimeouts = false
-	g, err := guard.New(e, wl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc.Guard = g
+	oc.Guard = &cfg
 
 	best := sp.InitialState()
 	bestCost := oc.WorkloadCost(best, freq)
@@ -140,7 +129,7 @@ func TestGuardedRollbackRestoresBest(t *testing.T) {
 	if oc.Stats.RollbackSeconds <= 0 {
 		t.Fatalf("RollbackSeconds = %v, want > 0", oc.Stats.RollbackSeconds)
 	}
-	recs := g.Rollbacks()
+	recs := oc.Rollbacks()
 	if len(recs) != 1 || !recs[0].Consistent {
 		t.Fatalf("rollback log = %+v", recs)
 	}
@@ -166,15 +155,11 @@ func TestGuardedCanaryAbortCharged(t *testing.T) {
 	// Without per-query timeouts the canary is the only early cutoff, so
 	// the abort is attributable to it alone.
 	oc.UseTimeouts = false
-	gcfg := guard.DefaultConfig()
+	gcfg := DefaultGuardConfig()
 	// The canary must be a strict prefix of the misses; the microbenchmark
 	// has two queries, so K=1.
 	gcfg.CanaryQueries = 1
-	g, err := guard.New(e, wl, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc.Guard = g
+	oc.Guard = &gcfg
 
 	best := sp.InitialState()
 	bestCost := oc.WorkloadCost(best, freq) // first pass: no canary (no best yet)
@@ -224,7 +209,7 @@ func activeQueries(freq []float64) int {
 
 func TestGuardedConcurrentAdvisorsRace(t *testing.T) {
 	// Two guarded advisors refine online concurrently against ONE shared
-	// engine (each with its own OnlineCost + Guard, as the committee does).
+	// engine (each with its own guarded OnlineCost, as the committee does).
 	// The engine mutex serializes every deploy/execution; -race must stay
 	// silent and both guards must keep their accounting self-consistent.
 	b, sp, e := onlineFixture(t)
@@ -241,11 +226,8 @@ func TestGuardedConcurrentAdvisorsRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		oc := NewOnlineCost(e, b.Workload, nil)
-		g, err := guard.New(e, b.Workload, guard.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		oc.Guard = g
+		gcfg := DefaultGuardConfig()
+		oc.Guard = &gcfg
 		wg.Add(1)
 		go func(i int, adv *Advisor, oc *OnlineCost) {
 			defer wg.Done()

@@ -165,7 +165,7 @@ func MitigateHotShard(oc *OnlineCost, current *partition.State, freq workload.Fr
 	currentCost := oc.WorkloadCost(current, freq)
 	best, bestCost, improved := current, currentCost, false
 	for _, plan := range ProposeMitigations(current.Space(), current, table) {
-		if oc.Guard != nil && oc.Guard.CheckDesign(plan.State) != nil {
+		if oc.vetoed(plan.State) {
 			continue
 		}
 		if c := oc.WorkloadCost(plan.State, freq); c < bestCost {

@@ -8,13 +8,12 @@ import (
 	"sort"
 
 	"partadvisor/internal/exec"
-	"partadvisor/internal/guard"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/sqlparse"
 	"partadvisor/internal/workload"
 )
 
-// ErrBadConfig is wrapped by OnlineCost configuration-validation failures.
+// ErrBadConfig is wrapped by every OnlineCost.Validate failure.
 var ErrBadConfig = errors.New("core: invalid online-cost configuration")
 
 // OnlineStats accounts the simulated time of the online phase, including
@@ -111,24 +110,6 @@ type OnlineCost struct {
 	// Naive* counterfactual counters, as the paper does.
 	UseTimeouts bool
 
-	// Fault-tolerance knobs. An execution that fails (injected crash or
-	// transient error) is retried up to MaxRetries times with capped
-	// exponential backoff — the backoff advances the engine's simulated
-	// clock, so a crashed node can recover while we wait. When the budget
-	// is exhausted the measurement is charged FailurePenaltySec (or twice
-	// the best-known workload cost when one exists) and never cached.
-	MaxRetries         int
-	RetryBackoffSec    float64
-	RetryBackoffCapSec float64
-	FailurePenaltySec  float64
-	// CircuitBreakAfter trips a per-design circuit breaker after this many
-	// consecutive measurement passes in which the design lost at least one
-	// query (retry budget exhausted). A tripped design is charged the
-	// failure penalty immediately — no deploy, no execution — so the agent
-	// stops burning simulated time on layouts that keep failing even across
-	// partition heals and node rejoins. 0 disables the breaker.
-	CircuitBreakAfter int
-
 	// Ctx, when non-nil, bounds every measurement: batch execution stops at
 	// cancellation through the frozen-cursor abort (the charged prefix keeps
 	// exact accounting), the retry/backoff loop gives up before its next
@@ -139,13 +120,10 @@ type OnlineCost struct {
 	Ctx context.Context
 
 	// Guard, when non-nil, arms the safety envelope of DESIGN.md §8 around
-	// every measurement: design validation before deploy, canary
-	// measurement of never-measured designs, automatic rollback after
-	// regressed passes, and the sliding-window exploration budget. The
-	// guard shares this OnlineCost's serialization (it has no locking of
-	// its own), so wrap concurrent use in env.SynchronizedCost exactly as
-	// for an unguarded OnlineCost.
-	Guard *guard.Guard
+	// every measurement (see GuardConfig). Its state lives in this
+	// OnlineCost, so wrap concurrent use in env.SynchronizedCost exactly as
+	// for an unguarded one.
+	Guard *GuardConfig
 
 	Stats OnlineStats
 
@@ -162,52 +140,64 @@ type OnlineCost struct {
 	// signature; tripped marks designs whose breaker has fired.
 	failStreak map[string]int
 	tripped    map[string]bool
+
+	// Guard state: designs with a clean full pass (no canary needed), the
+	// best-known (design, cost) per frequency key, the budget window of the
+	// last ≤ WindowPasses passes, and the rollback log.
+	measured  map[string]bool
+	best      map[string]bestEntry
+	window    []passRecord
+	rollbacks []RollbackRecord
 }
+
+// Fault tolerance (DESIGN.md §5). An execution that fails (injected crash
+// or transient error) is retried up to maxRetries times with capped
+// exponential backoff that advances the engine's simulated clock, so a
+// crashed node can recover while we wait. An exhausted budget charges
+// failurePenaltySec (or twice the best-known workload cost when one exists)
+// and is never cached; circuitBreakAfter consecutive failing passes of one
+// design trip its breaker, after which the design is charged the penalty
+// without deploying or executing.
+const (
+	maxRetries         = 4
+	retryBackoffSec    = 0.05
+	retryBackoffCapSec = 1.0
+	failurePenaltySec  = 10
+	circuitBreakAfter  = 3
+)
+
+// MaxRetryWaitSec is the simulated time one query's retries wait out an
+// availability loss before the measurement is abandoned: each retry of a
+// crashed node, lost shard or partition waits at the backoff cap.
+const MaxRetryWaitSec = maxRetries * retryBackoffCapSec
 
 // NewOnlineCost builds the measured cost function with all optimizations
 // enabled.
 func NewOnlineCost(engine *exec.Engine, wl *workload.Workload, scale []float64) *OnlineCost {
-	oc := &OnlineCost{
-		Engine:             engine,
-		WL:                 wl,
-		Scale:              scale,
-		UseTimeouts:        true,
-		MaxRetries:         4,
-		RetryBackoffSec:    0.05,
-		RetryBackoffCapSec: 1.0,
-		FailurePenaltySec:  10,
-		CircuitBreakAfter:  3,
-		bestForFreq:        math.Inf(1),
+	return &OnlineCost{
+		Engine:      engine,
+		WL:          wl,
+		Scale:       scale,
+		UseTimeouts: true,
+		bestForFreq: math.Inf(1),
+		cache:       make([]map[string]float64, len(wl.Queries)+wl.Reserved),
+		visited:     make(map[string]*partition.State),
+		failedQ:     make(map[string]bool),
+		failStreak:  make(map[string]int),
+		tripped:     make(map[string]bool),
+		measured:    make(map[string]bool),
+		best:        make(map[string]bestEntry),
 	}
-	oc.cache = make([]map[string]float64, len(wl.Queries)+wl.Reserved)
-	oc.visited = make(map[string]*partition.State)
-	oc.failedQ = make(map[string]bool)
-	oc.failStreak = make(map[string]int)
-	oc.tripped = make(map[string]bool)
-	return oc
 }
 
-// Validate rejects nonsensical fault-tolerance knobs with errors wrapping
-// ErrBadConfig. TrainOnline calls it before the first measurement;
-// hand-rolled training loops should call it after mutating the knobs.
+// Validate rejects a nonsensical Guard with errors wrapping ErrBadConfig.
+// TrainOnline calls it before the first measurement; hand-rolled training
+// loops should call it after arming the guard.
 func (oc *OnlineCost) Validate() error {
-	if oc.MaxRetries < 0 {
-		return fmt.Errorf("%w: MaxRetries %d is negative", ErrBadConfig, oc.MaxRetries)
+	if oc.Guard == nil {
+		return nil
 	}
-	if oc.RetryBackoffSec < 0 {
-		return fmt.Errorf("%w: RetryBackoffSec %g is negative", ErrBadConfig, oc.RetryBackoffSec)
-	}
-	if oc.RetryBackoffCapSec < oc.RetryBackoffSec {
-		return fmt.Errorf("%w: RetryBackoffCapSec %g below RetryBackoffSec %g",
-			ErrBadConfig, oc.RetryBackoffCapSec, oc.RetryBackoffSec)
-	}
-	if oc.FailurePenaltySec < 0 {
-		return fmt.Errorf("%w: FailurePenaltySec %g is negative", ErrBadConfig, oc.FailurePenaltySec)
-	}
-	if oc.CircuitBreakAfter < 0 {
-		return fmt.Errorf("%w: CircuitBreakAfter %d is negative", ErrBadConfig, oc.CircuitBreakAfter)
-	}
-	return nil
+	return oc.Guard.validate()
 }
 
 // Visited returns the distinct physical layouts measured so far (keyed by
@@ -238,31 +228,24 @@ const regressedFactor = 2.0
 
 // WorkloadCost measures Σ_j f_j·S_j·c_sample(P, q_j) under the given
 // partitioning, executing only uncached queries and repartitioning only the
-// tables those queries touch. With a Guard armed, the measurement runs
-// inside the safety envelope: infeasible designs are vetoed before any
-// deploy, budget-exhausted passes are denied, never-measured designs run a
-// canary prefix first, and regressed or failed passes roll the cluster back
-// to the best-known design — each charged the same finite penalty the
-// circuit breaker uses, which never becomes the cost to beat.
+// tables those queries touch. A design whose breaker is open, that the
+// guard vetoes, or whose pass the guard's budget denies is charged the
+// finite penalty without touching the engine; a pass cut by cancellation or
+// by a regressing canary is charged the penalty after its prefix. The
+// penalty never becomes the cost to beat.
 func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector) float64 {
 	if key := freqKey(freq); key != oc.curFreqKey {
 		oc.curFreqKey = key
 		oc.bestForFreq = math.Inf(1)
 	}
 	dsig := st.Signature()
-	if oc.CircuitBreakAfter > 0 && oc.tripped[dsig] {
-		// The breaker is open: this design kept losing queries across
-		// heals, so charge the penalty without deploying or executing.
-		oc.Stats.CircuitBroken++
-		return oc.breakerPenalty(freq)
+	if oc.tripped[dsig] {
+		return oc.penalize(&oc.Stats.CircuitBroken, freq)
 	}
-	if oc.Guard != nil {
-		if err := oc.Guard.CheckDesign(st); err != nil {
-			// Infeasible or degenerate: never deployed, never registered as
-			// visited (SuggestBest must not rank it), penalty charged.
-			oc.Stats.GuardVetoes++
-			return oc.breakerPenalty(freq)
-		}
+	if oc.vetoed(st) {
+		// Never deployed, never registered as visited: SuggestBest must not
+		// rank it.
+		return oc.penalize(&oc.Stats.GuardVetoes, freq)
 	}
 	if oc.visited[dsig] == nil {
 		oc.visited[dsig] = st
@@ -286,217 +269,205 @@ func (oc *OnlineCost) WorkloadCost(st *partition.State, freq workload.FreqVector
 		misses = append(misses, i)
 	}
 	oc.accountNaiveRepartition(st)
-	measuredClean := true
+	clean := true
 	if len(misses) > 0 {
-		if oc.Guard != nil && oc.Guard.BudgetExhausted() {
-			// The sliding-window exploration budget is spent: no deploy, no
-			// execution — the agent is forced onto cached designs until
-			// older passes age out of the window.
-			oc.Stats.BudgetDenials++
-			return oc.breakerPenalty(freq)
+		if oc.Guard != nil && oc.budgetExhausted() {
+			// The agent is forced onto cached designs until older passes age
+			// out of the window.
+			return oc.penalize(&oc.Stats.BudgetDenials, freq)
 		}
-		// Pre-pass snapshots for guard accounting: bytes moved and degraded
-		// seconds feed the budget window, total spent seconds classify the
-		// pass as regressed time.
-		_, _, preBytes := oc.Engine.Counters()
-		preDegraded := oc.Stats.DegradedSeconds
-		preSpent := oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds
-
-		// Lazy repartitioning: deploy only the tables the misses touch.
-		set := make(map[string]bool)
-		for _, i := range misses {
-			for _, t := range oc.WL.Queries[i].Tables() {
-				set[t] = true
-			}
-		}
-		var tables []string
-		for t := range set {
-			tables = append(tables, t)
-		}
-		// Deploy sums per-table seconds in list order; sort so the
-		// float-addition order (and thus RepartitionSeconds, to the last
-		// ULP) doesn't inherit map-iteration randomness.
-		sort.Strings(tables)
-		oc.Stats.RepartitionSeconds += oc.Engine.Deploy(st, tables)
-		// The §4.2 limits are computable before any execution: bestForFreq
-		// only moves after the whole pass, so every miss shares the same
-		// budget rule — which is what lets the misses run as one batch.
-		weights := make([]float64, len(misses))
-		limits := make([]float64, len(misses))
-		for k, i := range misses {
-			q := oc.WL.Queries[i]
-			weights[k] = freq[i] * q.Weight * oc.scaleOf(i)
-			if oc.UseTimeouts && !math.IsInf(oc.bestForFreq, 1) && weights[k] > 0 {
-				limits[k] = oc.bestForFreq / weights[k]
-			}
-		}
-		// order maps batch position → miss index. The canary stage front-
-		// loads the highest-weight misses (stable sort: ties keep query
-		// order) so the first K batch positions are the top-K canary.
-		order := make([]int, len(misses))
-		for k := range order {
-			order[k] = k
-		}
-		canaryK := 0
-		if oc.Guard != nil && oc.Guard.NeedsCanary(dsig) && !math.IsInf(oc.bestForFreq, 1) {
-			if k := oc.Guard.Config().CanaryQueries; k < len(misses) {
-				canaryK = k
-				sort.SliceStable(order, func(a, b int) bool {
-					return weights[order[a]] > weights[order[b]]
-				})
-			}
-		}
-		qs := make([]exec.BatchQuery, len(misses))
-		for pos, k := range order {
-			qs[pos] = exec.BatchQuery{Graph: oc.WL.Queries[misses[k]].Graph, Limit: limits[k]}
-		}
-		var abort *exec.BatchAbort
-		var onResult func(pos int, r exec.RunReport, err error)
-		if canaryK > 0 {
-			// Abort from the in-order delivery callback: the decision is a
-			// pure function of batch position, so the cut — and the charged
-			// prefix — is identical at every worker count. Failed canary
-			// queries contribute only their consumed (overhead) time, which
-			// underestimates and so never aborts spuriously.
-			abort = &exec.BatchAbort{}
-			canaryCost := total
-			threshold := oc.Guard.Config().CanaryRegressionFactor * oc.bestForFreq
-			onResult = func(pos int, r exec.RunReport, err error) {
-				if pos >= canaryK {
-					return
-				}
-				canaryCost += weights[order[pos]] * r.Seconds
-				if canaryCost > threshold {
-					abort.Set()
-				}
-			}
-		}
-		rep := oc.Engine.Exec(oc.ctx(), exec.Request{Queries: qs, Abort: abort, OnResult: onResult})
-		oc.Stats.QueriesExecuted += rep.Completed
-		oc.Stats.ExecSeconds += rep.Seconds
-		oc.Stats.NaiveExecSeconds += rep.Seconds
-		oc.Stats.DegradedSeconds += rep.DegradedSeconds
-		// Classification when the batch was cut: a canary-triggered abort
-		// wins over a racing context cancellation — abort.Set is only ever
-		// called by the canary callback, so a set flag means a genuine
-		// regression was observed and must feed CanaryAborts and the
-		// rollback check even if the caller happens to be shutting down.
-		canaryAborted := abort != nil && abort.Aborted()
-		if rep.Completed < len(qs) && !canaryAborted && oc.ctx().Err() != nil {
-			// Cancelled mid-pass: the charged prefix is already booked above
-			// with exact accounting; nothing is cached, the pass neither
-			// counts as a canary abort nor triggers a rollback (the caller is
-			// shutting down, not observing a regression), and the budget
-			// window still records whatever the pass moved.
-			if oc.Guard != nil {
-				_, _, postBytes := oc.Engine.Counters()
-				oc.Guard.RecordPass(postBytes-preBytes, oc.Stats.DegradedSeconds-preDegraded)
-			}
-			return oc.breakerPenalty(freq)
-		}
-		if rep.Completed < len(qs) {
-			// Canary regression: the full pass is skipped, only the canary
-			// prefix was charged, and the design stays canary-subject (it
-			// never completed a clean full measurement). A pass this bad is
-			// regressed time by definition.
-			oc.Stats.CanaryAborts++
-			oc.Stats.RegressedSeconds += oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds - preSpent
-			_, _, postBytes := oc.Engine.Counters()
-			oc.Guard.RecordPass(postBytes-preBytes, oc.Stats.DegradedSeconds-preDegraded)
-			oc.rollbackIfNeeded(st, dsig, 0, true)
-			return oc.breakerPenalty(freq)
-		}
-		passFailed := false
-		for pos, k := range order {
-			i := misses[k]
-			q := oc.WL.Queries[i]
-			weight := weights[k]
-			sig := st.TableSignature(q.Tables())
-			rt := rep.Reports[pos].Seconds
-			aborted := rep.Reports[pos].Aborted
-			degraded := rep.Reports[pos].DegradedSeconds > 0
-			err := rep.Errs[pos]
-			if err != nil {
-				// The batch attempt failed (injected fault); fall back to the
-				// sequential retry-with-backoff loop for this query alone.
-				rt, aborted, degraded, err = oc.retry(q.Graph, limits[k], err)
-			}
-			if err != nil {
-				// Retry budget exhausted: the design loses this query under
-				// the current fault regime. Charge a penalty so the agent
-				// steers away from it, remember the failure for CachedCost,
-				// and never cache the (meaningless) partial runtime. A
-				// failure observed only because the context was cancelled is
-				// a shutdown artifact, not a verdict: it is penalized this
-				// pass but not remembered against the design.
-				passFailed = true
-				if oc.ctx().Err() == nil {
-					oc.Stats.FailedQueries++
-					oc.failedQ[failKey(i, sig)] = true
-				}
-				if !math.IsInf(oc.bestForFreq, 1) && weight > 0 {
-					rt = 2 * oc.bestForFreq / weight
-				} else {
-					rt = oc.FailurePenaltySec
-				}
-				total += weight * rt
-				continue
-			}
-			if aborted {
-				oc.Stats.Aborts++
-			} else if !math.IsInf(oc.bestForFreq, 1) && weight > 0 {
-				// Counterfactual (or realized-zero) timeout saving.
-				if l := oc.bestForFreq / weight; rt > l {
-					oc.Stats.TimeoutSavedSeconds += rt - l
-				}
-			}
-			// A runtime measured while faults were active is noise (straggler
-			// or degraded-network inflated); caching it would poison every
-			// later cost of this design, so only clean measurements persist.
-			if !degraded {
-				oc.cache[i][sig] = rt
-			}
-			total += weight * rt
-		}
-		// Advance (or reset) the breaker streak: only passes that actually
-		// measured something count — cache-hit-only passes say nothing new
-		// about the design's health.
-		if oc.CircuitBreakAfter > 0 {
-			if passFailed {
-				oc.failStreak[dsig]++
-				if oc.failStreak[dsig] >= oc.CircuitBreakAfter {
-					oc.tripped[dsig] = true
-					oc.Stats.BreakerTrips++
-				}
-			} else {
-				delete(oc.failStreak, dsig)
-			}
-		}
-		measuredClean = !passFailed
-		if !math.IsInf(oc.bestForFreq, 1) && total > regressedFactor*oc.bestForFreq {
-			oc.Stats.RegressedSeconds += oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds - preSpent
-		}
-		if oc.Guard != nil {
-			// Budget accounting precedes any rollback: the rollback is a
-			// forced safety action, not exploration, so its bytes do not
-			// count against the exploration window.
-			_, _, postBytes := oc.Engine.Counters()
-			oc.Guard.RecordPass(postBytes-preBytes, oc.Stats.DegradedSeconds-preDegraded)
-			if measuredClean {
-				oc.Guard.MarkMeasured(dsig)
-			}
-			oc.rollbackIfNeeded(st, dsig, total, passFailed)
+		var cancelled, canaryAborted bool
+		total, clean, cancelled, canaryAborted = oc.measure(st, dsig, freq, total, misses)
+		switch {
+		case cancelled:
+			return oc.penalize(nil, freq)
+		case canaryAborted:
+			return oc.penalize(&oc.Stats.CanaryAborts, freq)
 		}
 	}
-	if oc.Guard != nil && measuredClean {
-		// Record after the rollback decision — the measurement must compete
-		// against the previous best, not against itself.
-		oc.Guard.ObserveMeasured(oc.curFreqKey, st, total)
+	if oc.Guard != nil && clean {
+		// After the rollback decision: the measurement competes against the
+		// previous best, not against itself.
+		oc.observeBest(st, total)
 	}
 	if total < oc.bestForFreq {
 		oc.bestForFreq = total
 	}
 	return total
+}
+
+// measure is one measurement pass over the cache misses: pre-snapshot →
+// lazy deploy → batch execution → settle each miss (retry, fail, cache) →
+// breaker streak → regressed time → budget window → mark measured →
+// rollback. It returns the pass total (total plus the misses' weighted
+// runtimes), whether every miss was measured cleanly, and whether the batch
+// was cut short by cancellation (which books only the charged prefix and the
+// budget window) or by the canary.
+func (oc *OnlineCost) measure(st *partition.State, dsig string, freq workload.FreqVector, total float64, misses []int) (cost float64, clean, cancelled, canaryAborted bool) {
+	_, _, preBytes := oc.Engine.Counters()
+	preDegraded := oc.Stats.DegradedSeconds
+	preSpent := oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds
+
+	// Lazy repartitioning: deploy only the tables the misses touch. Deploy
+	// sums per-table seconds in list order; sort so the float-addition order
+	// (and thus RepartitionSeconds, to the last ULP) doesn't inherit
+	// map-iteration randomness.
+	set := make(map[string]bool)
+	for _, i := range misses {
+		for _, t := range oc.WL.Queries[i].Tables() {
+			set[t] = true
+		}
+	}
+	tables := make([]string, 0, len(set))
+	for t := range set {
+		tables = append(tables, t)
+	}
+	sort.Strings(tables)
+	oc.Stats.RepartitionSeconds += oc.Engine.Deploy(st, tables)
+
+	// The §4.2 limits are computable before any execution: bestForFreq only
+	// moves after the whole pass, so every miss shares the same budget rule
+	// — which is what lets the misses run as one batch.
+	hasBest := !math.IsInf(oc.bestForFreq, 1)
+	weights := make([]float64, len(misses))
+	limits := make([]float64, len(misses))
+	for k, i := range misses {
+		weights[k] = freq[i] * oc.WL.Queries[i].Weight * oc.scaleOf(i)
+		if oc.UseTimeouts && hasBest && weights[k] > 0 {
+			limits[k] = oc.bestForFreq / weights[k]
+		}
+	}
+	// order maps batch position → miss index. The canary stage front-loads
+	// the highest-weight misses (stable sort: ties keep query order) so the
+	// first K batch positions are the top-K canary.
+	order := make([]int, len(misses))
+	for k := range order {
+		order[k] = k
+	}
+	req := exec.Request{Queries: make([]exec.BatchQuery, len(misses))}
+	if g := oc.Guard; g != nil && oc.needsCanary(dsig) && hasBest && g.CanaryQueries < len(misses) {
+		sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+		// Abort from the in-order delivery callback: the decision is a pure
+		// function of batch position, so the cut — and the charged prefix —
+		// is identical at every worker count. Failed canary queries
+		// contribute only their consumed (overhead) time, which
+		// underestimates and so never aborts spuriously.
+		abort := &exec.BatchAbort{}
+		canaryCost, threshold := total, g.CanaryRegressionFactor*oc.bestForFreq
+		req.Abort = abort
+		req.OnResult = func(pos int, r exec.RunReport, err error) {
+			if pos >= g.CanaryQueries {
+				return
+			}
+			canaryCost += weights[order[pos]] * r.Seconds
+			if canaryCost > threshold {
+				abort.Set()
+			}
+		}
+	}
+	for pos, k := range order {
+		req.Queries[pos] = exec.BatchQuery{Graph: oc.WL.Queries[misses[k]].Graph, Limit: limits[k]}
+	}
+	rep := oc.Engine.Exec(oc.ctx(), req)
+	oc.charge(rep)
+
+	// A cut batch is a cancellation unless the canary set the abort flag:
+	// abort.Set is only ever called by the canary callback, so a set flag is
+	// a genuine regression even if the caller happens to be shutting down.
+	cut := rep.Completed < len(req.Queries)
+	cancelled = cut && !(req.Abort != nil && req.Abort.Aborted()) && oc.ctx().Err() != nil
+	failed := cut
+	if !cut {
+		for pos, k := range order {
+			c, ok := oc.settle(st, misses[k], weights[k], limits[k], rep, pos)
+			total += c
+			failed = failed || !ok
+		}
+		// Only passes that measured something move the breaker: cache-hit
+		// passes say nothing new about the design's health.
+		if failed {
+			oc.failStreak[dsig]++
+			if oc.failStreak[dsig] >= circuitBreakAfter {
+				oc.tripped[dsig] = true
+				oc.Stats.BreakerTrips++
+			}
+		} else {
+			delete(oc.failStreak, dsig)
+		}
+	}
+	// A canary abort is regressed time by definition. A cancelled pass is
+	// neither regressed nor grounds for a rollback: the caller is shutting
+	// down, not observing a regression.
+	if !cancelled && (cut || hasBest && total > regressedFactor*oc.bestForFreq) {
+		oc.Stats.RegressedSeconds += oc.Stats.ExecSeconds + oc.Stats.RepartitionSeconds - preSpent
+	}
+	if oc.Guard != nil {
+		// The budget window records what the pass moved before any rollback:
+		// the rollback is a forced safety action, not exploration.
+		_, _, postBytes := oc.Engine.Counters()
+		oc.recordPass(postBytes-preBytes, oc.Stats.DegradedSeconds-preDegraded)
+		if !failed {
+			oc.measured[dsig] = true
+		}
+		if !cancelled {
+			oc.rollbackIfNeeded(st, dsig, total, failed)
+		}
+	}
+	return total, !failed, cancelled, cut && !cancelled
+}
+
+// settle books the outcome of query i at batch position pos and returns its
+// weighted cost: a failed attempt falls back to the retry loop; an exhausted
+// retry budget charges a penalty runtime and is remembered against the
+// design; a clean runtime is cached. ok reports whether it was measured.
+func (oc *OnlineCost) settle(st *partition.State, i int, weight, limit float64, rep exec.BatchReport, pos int) (cost float64, ok bool) {
+	q := oc.WL.Queries[i]
+	sig := st.TableSignature(q.Tables())
+	r, err := rep.Reports[pos], rep.Errs[pos]
+	rt, aborted, degraded := r.Seconds, r.Aborted, r.DegradedSeconds > 0
+	if err != nil {
+		rt, aborted, degraded, err = oc.retry(q.Graph, limit, err)
+	}
+	hasBest := !math.IsInf(oc.bestForFreq, 1)
+	if err != nil {
+		// The design loses this query under the current fault regime:
+		// penalize it so the agent steers away, and never cache the
+		// (meaningless) partial runtime. A failure observed only because the
+		// context was cancelled is a shutdown artifact, not a verdict: it is
+		// penalized this pass but not remembered against the design.
+		if oc.ctx().Err() == nil {
+			oc.Stats.FailedQueries++
+			oc.failedQ[failKey(i, sig)] = true
+		}
+		rt = failurePenaltySec
+		if hasBest && weight > 0 {
+			rt = 2 * oc.bestForFreq / weight
+		}
+		return weight * rt, false
+	}
+	if aborted {
+		oc.Stats.Aborts++
+	} else if hasBest && weight > 0 {
+		// Counterfactual (or realized-zero) timeout saving.
+		if l := oc.bestForFreq / weight; rt > l {
+			oc.Stats.TimeoutSavedSeconds += rt - l
+		}
+	}
+	// A runtime measured while faults were active is noise (straggler or
+	// degraded-network inflated); caching it would poison every later cost
+	// of this design, so only clean measurements persist.
+	if !degraded {
+		oc.cache[i][sig] = rt
+	}
+	return weight * rt, true
+}
+
+// charge books one executed batch's consumed time.
+func (oc *OnlineCost) charge(rep exec.BatchReport) {
+	oc.Stats.QueriesExecuted += rep.Completed
+	oc.Stats.ExecSeconds += rep.Seconds
+	oc.Stats.NaiveExecSeconds += rep.Seconds
+	oc.Stats.DegradedSeconds += rep.DegradedSeconds
 }
 
 // ctx returns the measurement-bounding context (Background when unset).
@@ -507,26 +478,15 @@ func (oc *OnlineCost) ctx() context.Context {
 	return context.Background()
 }
 
-// rollbackIfNeeded consults the guard about the just-measured design and,
-// when it regressed past RollbackFactor × best (or failed), redeploys the
-// best-known design, charging the deploy seconds into RepartitionSeconds
-// (Deploy itself charges the moved bytes into the conservation identity).
-func (oc *OnlineCost) rollbackIfNeeded(st *partition.State, dsig string, cost float64, failed bool) {
-	to, ok := oc.Guard.ShouldRollback(oc.curFreqKey, st, cost, failed)
-	if !ok {
-		return
+// penalize is the exit of a measurement that yields no cost: it counts the
+// reason (nil for a cancelled pass) and prices the design at twice the
+// best-known cost of the current mix when one exists, else the flat failure
+// penalty per active query. bestForFreq is left untouched — a penalty must
+// never become the cost to beat.
+func (oc *OnlineCost) penalize(reason *int, freq workload.FreqVector) float64 {
+	if reason != nil {
+		*reason++
 	}
-	secs := oc.Guard.Rollback(to, dsig)
-	oc.Stats.Rollbacks++
-	oc.Stats.RollbackSeconds += secs
-	oc.Stats.RepartitionSeconds += secs
-}
-
-// breakerPenalty prices a circuit-broken design without touching the
-// engine: twice the best-known cost of the current mix when one exists,
-// else the flat failure penalty per active query. bestForFreq is left
-// untouched — a penalty must never become the cost to beat.
-func (oc *OnlineCost) breakerPenalty(freq workload.FreqVector) float64 {
 	if !math.IsInf(oc.bestForFreq, 1) {
 		return 2 * oc.bestForFreq
 	}
@@ -536,54 +496,45 @@ func (oc *OnlineCost) breakerPenalty(freq workload.FreqVector) float64 {
 			active++
 		}
 	}
-	return oc.FailurePenaltySec * float64(active)
+	return failurePenaltySec * float64(active)
 }
 
 // retry re-measures one query whose batch execution failed with batchErr,
 // using capped exponential backoff. The failed batch attempt counts as the
-// first try, so the total attempt budget (1 + MaxRetries executions)
-// matches the historical sequential path. Every attempt's consumed time
-// (including the partial time of failed attempts and the backoff waits) is
-// booked — fault recovery is real training time. The backoff advances the
-// engine's simulated clock so crash windows can end while we wait.
-// Availability losses (a crashed node, a lost shard, a network partition)
-// only heal through a topology change, so they wait at the backoff cap
-// immediately instead of creeping up to it; transient failures keep the
-// exponential schedule.
+// first try, so the total attempt budget is 1 + maxRetries executions.
+// Every attempt's consumed time (including the partial time of failed
+// attempts and the backoff waits) is booked — fault recovery is real
+// training time. Availability losses (a crashed node, a lost shard, a
+// network partition) only heal through a topology change, so they wait at
+// the backoff cap immediately instead of creeping up to it; transient
+// failures keep the exponential schedule.
 func (oc *OnlineCost) retry(g *sqlparse.Graph, limit float64, batchErr error) (rt float64, aborted, degraded bool, err error) {
 	err = batchErr
-	backoff := oc.RetryBackoffSec
-	for attempt := 1; attempt <= oc.MaxRetries; attempt++ {
+	backoff := retryBackoffSec
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		if oc.ctx().Err() != nil {
-			// Cancelled: give up the remaining retry budget immediately. The
-			// last attempt's error stands and the measurement is treated as
-			// degraded (never cached), exactly like a budget-exhausted
-			// failure.
+			// Cancelled: give up the remaining budget immediately. The last
+			// attempt's error stands and the measurement is treated as
+			// degraded (never cached), exactly like an exhausted budget.
 			return rt, false, true, err
 		}
 		oc.Stats.Retries++
-		wait := backoff
+		wait := math.Min(backoff, retryBackoffCapSec)
 		if errors.Is(err, exec.ErrNodeDown) || errors.Is(err, exec.ErrShardLost) ||
 			errors.Is(err, exec.ErrPartitioned) {
-			wait = oc.RetryBackoffCapSec
-		}
-		if wait > oc.RetryBackoffCapSec {
-			wait = oc.RetryBackoffCapSec
+			wait = retryBackoffCapSec
 		}
 		oc.Engine.AdvanceClock(wait)
 		oc.Stats.ExecSeconds += wait
 		oc.Stats.NaiveExecSeconds += wait
 		backoff *= 2
 		batch := oc.Engine.Exec(oc.ctx(), exec.Request{Queries: []exec.BatchQuery{{Graph: g, Limit: limit}}})
-		rep, execErr := batch.Reports[0], batch.Errs[0]
-		oc.Stats.QueriesExecuted += batch.Completed
-		oc.Stats.ExecSeconds += rep.Seconds
-		oc.Stats.NaiveExecSeconds += rep.Seconds
-		oc.Stats.DegradedSeconds += rep.DegradedSeconds
-		if execErr == nil {
+		oc.charge(batch)
+		rep := batch.Reports[0]
+		if batch.Errs[0] == nil {
 			return rep.Seconds, rep.Aborted, rep.DegradedSeconds > 0, nil
 		}
-		rt, err = rep.Seconds, execErr
+		rt, err = rep.Seconds, batch.Errs[0]
 	}
 	return rt, false, true, err
 }
@@ -728,10 +679,7 @@ func (a *Advisor) SuggestBest(freq workload.FreqVector, oc *OnlineCost) (*partit
 	// guard's validator under the cluster's current health — must not
 	// anchor the ranking with its (stale or penalty) measured cost: any
 	// surviving cached design beats it.
-	if oc.KnownFailed(best, freq) {
-		bestCost = math.Inf(1)
-	}
-	if oc.Guard != nil && oc.Guard.CheckDesign(best) != nil {
+	if oc.KnownFailed(best, freq) || oc.vetoed(best) {
 		bestCost = math.Inf(1)
 	}
 	// Scan visited designs in sorted-signature order so ties resolve
@@ -743,7 +691,7 @@ func (a *Advisor) SuggestBest(freq workload.FreqVector, oc *OnlineCost) (*partit
 	sort.Strings(sigs)
 	for _, sig := range sigs {
 		st := oc.Visited()[sig]
-		if oc.Guard != nil && oc.Guard.CheckDesign(st) != nil {
+		if oc.vetoed(st) {
 			continue
 		}
 		if c, ok := oc.CachedCost(st, freq); ok && c < bestCost {

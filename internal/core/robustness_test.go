@@ -278,8 +278,9 @@ func TestRetryRecoversFromCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetFaults(in)
+	// Availability losses wait at the 1 s backoff cap, outliving the 0.3 s
+	// window.
 	oc := NewOnlineCost(e, b.Workload, nil)
-	oc.RetryBackoffSec = 0.2 // availability losses wait at the 1s cap, outliving the 0.3s window
 	cost := oc.WorkloadCost(s0, b.Workload.UniformFreq())
 	if oc.Stats.Retries == 0 {
 		t.Fatal("crashed node produced no retries")
@@ -308,8 +309,6 @@ func TestPermanentFailurePenalized(t *testing.T) {
 	}
 	e.SetFaults(in)
 	oc := NewOnlineCost(e, b.Workload, nil)
-	oc.MaxRetries = 1
-	oc.RetryBackoffSec = 0.01
 	freq := b.Workload.UniformFreq()
 	cost := oc.WorkloadCost(s0, freq)
 	if oc.Stats.FailedQueries == 0 {

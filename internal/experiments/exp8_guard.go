@@ -6,7 +6,6 @@ import (
 	"partadvisor/advisor"
 	"partadvisor/internal/core"
 	"partadvisor/internal/faults"
-	"partadvisor/internal/guard"
 )
 
 // guardVariant is one online-refinement run's outcome.
@@ -59,15 +58,11 @@ func runGuardVariant(d *advisor.Deployment, cfg Config, guarded bool) (*guardVar
 	// early-cutoff mechanism under test.
 	oc.UseTimeouts = false
 	if guarded {
-		gcfg := guard.DefaultConfig()
+		gcfg := core.DefaultGuardConfig()
 		// The canary must be a strict prefix of a pass's misses; the
 		// microbenchmark has two queries, so K=1.
 		gcfg.CanaryQueries = 1
-		g, err := guard.New(sample, wl, gcfg)
-		if err != nil {
-			return nil, err
-		}
-		oc.Guard = g
+		oc.Guard = &gcfg
 	}
 	if err := s.RefineOnline(oc); err != nil {
 		return nil, err

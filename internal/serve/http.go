@@ -29,9 +29,9 @@ type BatchRequest struct {
 	Workers int `json:"workers"`
 }
 
-// maxBatchBody bounds a batch request body: maxBatchPositions query names
-// fit many times over.
-const maxBatchBody = 1 << 20
+// maxBody bounds a request body: a tenant spec, or maxBatchPositions query
+// names many times over.
+const maxBody = 1 << 20
 
 // BatchResponse is the JSON answer for an executed (or deadline-cut)
 // batch.
@@ -112,10 +112,25 @@ func (s *Server) writeShed(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), RetryAfterSec: retry})
 }
 
+// decodeBody decodes a JSON body of at most maxBody bytes into v. On
+// failure it answers 413 (too large) or 400 itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorResponse{Error: "bad " + what + ": " + err.Error()})
+	return false
+}
+
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var spec TenantSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad tenant spec: " + err.Error()})
+	if !decodeBody(w, r, "tenant spec", &spec) {
 		return
 	}
 	t, err := s.CreateTenant(spec)
@@ -156,13 +171,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorResponse{Error: "bad batch request: " + err.Error()})
+	if !decodeBody(w, r, "batch request", &req) {
 		return
 	}
 	priority := 1

@@ -15,14 +15,14 @@ import (
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/exec"
-	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/workload"
 )
 
 // TenantSpec configures one tenant database at creation time.
 type TenantSpec struct {
-	// ID names the tenant; it must be unique and non-empty.
+	// ID names the tenant and its checkpoint directory: unique, 1–64
+	// characters of [A-Za-z0-9._-], and neither "." nor "..".
 	ID string `json:"id"`
 	// Bench picks the benchmark database: ssb, tpcds, tpcch, tpch or
 	// micro (default micro — the smallest, sized for many tenants per
@@ -49,10 +49,10 @@ type TenantSpec struct {
 	AdviseEveryMS int64 `json:"advise_every_ms"`
 }
 
-// normalize applies spec defaults.
+// normalize validates the id and applies spec defaults.
 func (sp *TenantSpec) normalize() error {
-	if sp.ID == "" {
-		return fmt.Errorf("serve: tenant spec has no id")
+	if !validTenantID(sp.ID) {
+		return fmt.Errorf("serve: tenant id %q: want 1-64 characters of [A-Za-z0-9._-], not . or ..", sp.ID)
 	}
 	if sp.Bench == "" {
 		sp.Bench = "micro"
@@ -76,6 +76,21 @@ func (sp *TenantSpec) normalize() error {
 		sp.OnlineEpisodes = 2
 	}
 	return nil
+}
+
+// validTenantID reports whether id is safe as a single path component under
+// the state directory: no separator, no parent reference, nothing a
+// filesystem or a URL would reinterpret.
+func validTenantID(id string) bool {
+	if len(id) == 0 || len(id) > 64 || id == "." || id == ".." {
+		return false
+	}
+	for _, c := range id {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // TenantStats is the published per-tenant statistics snapshot. The batch
@@ -224,11 +239,8 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 
 	oc := core.NewOnlineCost(eng, b.Workload, nil)
 	if !spec.NoGuard {
-		g, err := guard.New(eng, b.Workload, guard.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %s guard: %w", spec.ID, err)
-		}
-		oc.Guard = g
+		g := core.DefaultGuardConfig()
+		oc.Guard = &g
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
