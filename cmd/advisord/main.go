@@ -148,11 +148,11 @@ func main() {
 			case tr.Err != "":
 				fmt.Fprintf(os.Stderr, "advisord: recovery: tenant %s FAILED: %s\n", tr.ID, tr.Err)
 			case tr.FreshBootstrap:
-				fmt.Printf("advisord: recovery: tenant %s fresh bootstrap — no verified checkpoint (found %d, corrupt %d)\n",
-					tr.ID, tr.Generations, tr.CorruptSkipped)
+				fmt.Printf("advisord: recovery: tenant %s fresh bootstrap — no verified checkpoint (found %d, corrupt %d, %.0fms)\n",
+					tr.ID, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
 			default:
-				fmt.Printf("advisord: recovery: tenant %s restored generation %d (found %d, corrupt %d)\n",
-					tr.ID, tr.RestoredGen, tr.Generations, tr.CorruptSkipped)
+				fmt.Printf("advisord: recovery: tenant %s restored generation %d (found %d, corrupt %d, %.0fms)\n",
+					tr.ID, tr.RestoredGen, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
 			}
 		}
 		preloadTenants()

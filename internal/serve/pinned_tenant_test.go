@@ -3,67 +3,202 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"partadvisor/internal/core"
 )
 
-// TestNewTenantDigestPinned pins what newTenant produces for the tenant
-// specs the benchmark's fleets use (bench/loadgen.go planTenants: scale 0.3,
-// default episodes, guard on): the bootstrapped model, bit for bit, and the
-// design it deploys. serve_mixed and crash_recover carry no digest of their
-// own, so this is the statement that a change to how a tenant is assembled
-// — or a recovery that restores instead of re-bootstrapping — stands up the
-// same tenant. The constants were recorded at PR 18, before newTenant moved
-// onto the shared assembly; they are never recomputed.
-//
-// amd64 only, like core's TestTrainingDigestPinned.
-func TestNewTenantDigestPinned(t *testing.T) {
+// newTenantPins are the bootstrapped tenants of the benchmark's fleets
+// (bench/loadgen.go planTenants: scale 0.3, default episodes, guard on): the
+// model SHA-256 and the deployed design, recorded before newTenant moved
+// onto the shared assembly. They are never recomputed.
+var newTenantPins = []struct {
+	bench  string
+	seed   int64
+	model  string
+	design string
+}{
+	{"micro", 1, "b2d01eb31a578711de577b7f9afe0c2e8f59a9220cfc16c75341d77dfe73fc71",
+		"a=HASH([a_c]);b=HASH([b_id]);c=HASH([c_id]);"},
+	{"ssb", 3, "958d92647b182011b3c531e5a19266798a4d123d37bf7ec09554d7431fb1c368",
+		"customer=HASH([c_custkey]);date=HASH([d_datekey]);lineorder=HASH([lo_orderdate]);part=HASH([p_partkey]);supplier=HASH([s_suppkey]);"},
+	{"tpcch", 1, "1bffe4185ebe0bd4505dafdff9c6f3bb310d8d89867321ad7e33fba153b44540",
+		"customer=HASH([c_d_id]);district=HASH([d_id]);history=HASH([h_c_id]);item=HASH([i_id]);nation=HASH([n_nationkey]);neworder=HASH([no_d_id]);orderline=HASH([ol_i_id]);orders=HASH([o_d_id]);region=HASH([r_regionkey]);stock=HASH([s_i_id]);supplier=REPLICATE;warehouse=HASH([w_id]);"},
+	{"tpch", 7, "25eb88413562b0dea6a56e84f77e715e405d3f64cf515d817002706e1f869975",
+		"customer=HASH([c_custkey]);lineitem=HASH([l_orderkey]);nation=HASH([n_nationkey]);orders=HASH([o_orderkey]);part=HASH([p_partkey]);partsupp=HASH([ps_partkey]);region=HASH([r_regionkey]);supplier=HASH([s_suppkey]);"},
+}
+
+func skipUnlessAMD64(t *testing.T) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests were recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	for _, tc := range []struct {
-		bench  string
-		seed   int64
-		model  string
-		design string
-	}{
-		{"micro", 1, "b2d01eb31a578711de577b7f9afe0c2e8f59a9220cfc16c75341d77dfe73fc71",
-			"a=HASH([a_c]);b=HASH([b_id]);c=HASH([c_id]);"},
-		{"ssb", 3, "958d92647b182011b3c531e5a19266798a4d123d37bf7ec09554d7431fb1c368",
-			"customer=HASH([c_custkey]);date=HASH([d_datekey]);lineorder=HASH([lo_orderdate]);part=HASH([p_partkey]);supplier=HASH([s_suppkey]);"},
-		{"tpcch", 1, "1bffe4185ebe0bd4505dafdff9c6f3bb310d8d89867321ad7e33fba153b44540",
-			"customer=HASH([c_d_id]);district=HASH([d_id]);history=HASH([h_c_id]);item=HASH([i_id]);nation=HASH([n_nationkey]);neworder=HASH([no_d_id]);orderline=HASH([ol_i_id]);orders=HASH([o_d_id]);region=HASH([r_regionkey]);stock=HASH([s_i_id]);supplier=REPLICATE;warehouse=HASH([w_id]);"},
-		{"tpch", 7, "25eb88413562b0dea6a56e84f77e715e405d3f64cf515d817002706e1f869975",
-			"customer=HASH([c_custkey]);lineitem=HASH([l_orderkey]);nation=HASH([n_nationkey]);orders=HASH([o_orderkey]);part=HASH([p_partkey]);partsupp=HASH([ps_partkey]);region=HASH([r_regionkey]);supplier=HASH([s_suppkey]);"},
-	} {
+}
+
+// modelSHA is the SHA-256 of the tenant's serialized Q-network.
+func modelSHA(t *testing.T, tn *Tenant) string {
+	t.Helper()
+	model, err := tn.adv.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(model)
+	return hex.EncodeToString(sum[:])
+}
+
+// designSig renders the tenant's deployed design in table order.
+func designSig(tn *Tenant) string {
+	deployed := tn.Stats().Design
+	tables := make([]string, 0, len(deployed))
+	for tbl := range deployed {
+		tables = append(tables, tbl)
+	}
+	sort.Strings(tables)
+	var sig strings.Builder
+	for _, tbl := range tables {
+		sig.WriteString(tbl + "=" + deployed[tbl] + ";")
+	}
+	return sig.String()
+}
+
+// checkpointDigest hashes everything a checkpoint restores: the agent blob
+// (both networks, Adam moments, replay buffer, ε), the training counters,
+// the per-phase episode counts and the RNG position.
+func checkpointDigest(ck *core.Checkpoint) string {
+	h := sha256.New()
+	h.Write(ck.Agent)
+	// fmt prints maps in sorted key order.
+	fmt.Fprintf(h, "|%d|%d|%d|%v|%d|%d", ck.EpisodesTrained, ck.StepsTrained, ck.TrainUpdates,
+		ck.PhaseDone, ck.RNGInt63, ck.RNGUint64)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// recordMix feeds the tenant's workload monitor a fixed observed window:
+// every query of the workload, weighted by its position.
+func recordMix(t *testing.T, tn *Tenant, weight func(i int) float64) {
+	t.Helper()
+	tn.monMu.Lock()
+	defer tn.monMu.Unlock()
+	for i, q := range tn.wl.Queries {
+		if err := tn.mon.Record(q.Name, weight(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// idleSpec is a tenant whose advising loop never ticks during a test, so
+// the test goroutine may drive adviseOnce itself.
+func idleSpec(bench string, seed int64) TenantSpec {
+	spec := TenantSpec{ID: "t1", Bench: bench, Scale: 0.3, Seed: seed, AdviseEveryMS: time.Hour.Milliseconds()}
+	if err := spec.normalize(); err != nil {
+		panic(err)
+	}
+	return spec
+}
+
+// TestNewTenantDigestPinned pins what newTenant produces for the tenant
+// specs the benchmark's fleets use: the bootstrapped model, bit for bit, and
+// the design it deploys. serve_mixed and crash_recover carry no digest of
+// their own, so this is the statement that a change to how a tenant is
+// assembled stands up the same tenant.
+//
+// amd64 only, like core's TestTrainingDigestPinned.
+func TestNewTenantDigestPinned(t *testing.T) {
+	skipUnlessAMD64(t)
+	for _, tc := range newTenantPins {
 		t.Run(tc.bench, func(t *testing.T) {
 			tn, err := newTenant(TenantSpec{ID: "t1", Bench: tc.bench, Scale: 0.3, Seed: tc.seed}, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tn.advCancel()
-			model, err := tn.adv.SaveModel()
+			if got := modelSHA(t, tn); got != tc.model {
+				t.Errorf("bootstrapped model SHA-256\n  got  %s\n  want %s", got, tc.model)
+			}
+			if got := designSig(tn); got != tc.design {
+				t.Errorf("deployed design\n  got  %s\n  want %s", got, tc.design)
+			}
+		})
+	}
+}
+
+// TestRecoveredTenantDigestPinned pins what recovery hands back for the
+// benchmark's tenant specs: a tenant is created, advised twice on a fixed
+// observed mix, checkpointed as a generation and recovered into a new
+// server. The restored training state, the design recovery deploys and the
+// model after one more advise cycle on a second mix are hashed with
+// constants recorded while recovery still re-ran the offline bootstrap
+// underneath the restore; a recovery that restores without it must hand
+// back the same advisor. Engine accounting (repartitions, bytes moved, the
+// simulated clock) is deliberately not hashed: it counts the deploys that
+// led up to the restored design, not the design.
+//
+// amd64 only, like TestNewTenantDigestPinned.
+func TestRecoveredTenantDigestPinned(t *testing.T) {
+	skipUnlessAMD64(t)
+	for _, tc := range []struct {
+		bench    string
+		seed     int64
+		restored string
+		design   string
+		model    string
+	}{
+		{"micro", 1, "5b655c8a51af4e64bcecb27027859cffb7e61a1b151a146aeecbeb2da8b93954",
+			"a=HASH([a_b]);b=HASH([b_id]);c=HASH([c_id]);",
+			"d9b0549eda7c76d6c573ae6bc8248285075eb7e1c5fd4cb834ff3ec35f9356ea"},
+		{"ssb", 3, "16041b9f4b19bb0673b94fb744e92aa83e5c7b06a7e18f2a2ca8cbea709944ca",
+			"customer=HASH([c_custkey]);date=HASH([d_datekey]);lineorder=HASH([lo_orderdate]);part=HASH([p_partkey]);supplier=HASH([s_suppkey]);",
+			"f9ecbbc7e13c971bd99fdc7d40a884e1031f30072af1a94eaa32705772a6df4d"},
+		{"tpcch", 1, "aa9fc7dba8fb556daff1e5e397b296f91225ca78a5c6bd605239da8f2b1b401e",
+			"customer=HASH([c_d_id]);district=HASH([d_id]);history=HASH([h_c_id]);item=HASH([i_id]);nation=HASH([n_nationkey]);neworder=HASH([no_d_id]);orderline=HASH([ol_i_id]);orders=HASH([o_d_id]);region=HASH([r_regionkey]);stock=HASH([s_i_id]);supplier=REPLICATE;warehouse=HASH([w_id]);",
+			"3879d09de590524dadb841ca14ca77170a7892335030a83d24784e650dd4c1de"},
+		{"tpch", 7, "52d3bd3ada560dc60c422c8efdc9fbb77b77d6f6cce738f35963a9acef9ded83",
+			"customer=HASH([c_custkey]);lineitem=HASH([l_orderkey]);nation=HASH([n_nationkey]);orders=HASH([o_orderkey]);part=HASH([p_partkey]);partsupp=HASH([ps_partkey]);region=HASH([r_regionkey]);supplier=HASH([s_suppkey]);",
+			"e75df8eff989379728c2f3d19d219f5c2cadd566690151a4f73c2df38e9a4867"},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DefaultConfig()
+			cfg.StateDir = dir
+			spec := idleSpec(tc.bench, tc.seed)
+			putSpec(t, dir, spec)
+			tn, err := newTenant(spec, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(model)
-			if got := hex.EncodeToString(sum[:]); got != tc.model {
-				t.Errorf("bootstrapped model SHA-256\n  got  %s\n  want %s", got, tc.model)
+			for cycle := 0; cycle < 2; cycle++ {
+				recordMix(t, tn, func(i int) float64 { return float64(1 + i%3) })
+				tn.adviseOnce()
 			}
-			deployed := tn.Stats().Design
-			tables := make([]string, 0, len(deployed))
-			for tbl := range deployed {
-				tables = append(tables, tbl)
+			if _, err := tn.saveGeneration(); err != nil {
+				t.Fatal(err)
 			}
-			sort.Strings(tables)
-			var sig strings.Builder
-			for _, tbl := range tables {
-				sig.WriteString(tbl + "=" + deployed[tbl] + ";")
+			tn.discard()
+
+			s, rep := recoverNew(t, cfg)
+			if tr := rep.Tenants[0]; tr.Err != "" || tr.RestoredGen != 0 {
+				t.Fatalf("recovery: %+v, want generation 0 restored", tr)
 			}
-			if got := sig.String(); got != tc.design {
-				t.Errorf("deployed design\n  got  %s\n  want %s", got, tc.design)
+			rt, _ := s.Tenant("t1")
+			ck, err := rt.adv.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := checkpointDigest(ck); got != tc.restored {
+				t.Errorf("restored training state\n  got  %s\n  want %s", got, tc.restored)
+			}
+			if got := designSig(rt); got != tc.design {
+				t.Errorf("design deployed at recovery\n  got  %s\n  want %s", got, tc.design)
+			}
+			recordMix(t, rt, func(i int) float64 { return float64(1 + (i*7)%5) })
+			rt.adviseOnce()
+			if got := modelSHA(t, rt); got != tc.model {
+				t.Errorf("model after one advise cycle on the recovered tenant\n  got  %s\n  want %s", got, tc.model)
 			}
 		})
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -471,5 +473,282 @@ func TestShutdownWritesFinalGeneration(t *testing.T) {
 	}
 	if ck.Seed != 1 {
 		t.Fatalf("final generation seed %d, want 1", ck.Seed)
+	}
+}
+
+// TestRecoveredTenantKeepsCheckpointCadence: a tenant restored from a
+// generation waits a full checkpoint interval before it writes the next
+// one. Rewriting the state it just loaded would be a redundant copy that
+// pushes an older, distinct generation out of the CheckpointKeep window. A
+// tenant that fell back to its bootstrap has nothing verified on disk and
+// writes at its first tick.
+func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
+	dir := t.TempDir()
+	cfg := stateConfig(dir)
+	cfg.CheckpointEvery = time.Hour
+	cfg.AdviseEvery = 10 * time.Millisecond
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for _, id := range []string{"t1", "t2"} {
+		if _, err := s.CreateTenant(fastSpec(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Halt()
+	// Each advising loop wrote generation 0 before Halt stopped it.
+	gens, err := listGenerations(filepath.Join(dir, ckptSubdir, "t2"))
+	if err != nil || len(gens) != 1 {
+		t.Fatalf("t2 generations after halt: %d (%v), want 1", len(gens), err)
+	}
+	if err := os.WriteFile(gens[0].Path, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Start()
+	defer mustShutdown(t, s2)
+	if _, err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	s2.MarkReady()
+	rt1, _ := s2.Tenant("t1")
+	rt2, _ := s2.Tenant("t2")
+	waitGenerations(t, rt2.ckptDir, 2)
+	time.Sleep(100 * time.Millisecond) // ten advising ticks
+	if gens, _ := listGenerations(rt1.ckptDir); len(gens) != 1 || rt1.ckptWrites.Load() != 0 {
+		t.Fatalf("restored t1 rewrote its generation within the interval: %d on disk, %d written",
+			len(gens), rt1.ckptWrites.Load())
+	}
+}
+
+// putSpec records a spec straight into the manifest under dir, with no
+// tenant ever built from it.
+func putSpec(t *testing.T, dir string, spec TenantSpec) {
+	t.Helper()
+	reg, err := openRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.put(spec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverNew opens a server on cfg's state directory and recovers it; the
+// server is halted when the test ends.
+func recoverNew(t *testing.T, cfg Config) (*Server, *RecoveryReport) {
+	t.Helper()
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(s.Halt)
+	rep, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MarkReady()
+	return s, rep
+}
+
+// TestRecoveryFallbackBootstrapPinned: a tenant with nothing restorable on
+// disk comes back with exactly the advisor CreateTenant bootstraps — the
+// model and design TestNewTenantDigestPinned pins for micro — whether it
+// has no generation at all (a crash between the manifest write and
+// generation 0), only corrupt ones, or only ones that verify but fail
+// Restore after loading part of their state (written by a tenant of
+// another benchmark with the same seed): the bootstrap runs on an advisor
+// no failed attempt touched. Generation numbering still resumes past the
+// newest file.
+func TestRecoveryFallbackBootstrapPinned(t *testing.T) {
+	skipUnlessAMD64(t)
+	pin := newTenantPins[0]
+	for _, tc := range []struct {
+		name             string
+		corrupt, foreign int
+	}{
+		{"no generation", 0, 0},
+		{"all corrupt", 3, 0},
+		{"none restores", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			putSpec(t, dir, idleSpec(pin.bench, pin.seed))
+			ckptDir := filepath.Join(dir, ckptSubdir, "t1")
+			if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < tc.corrupt; g++ {
+				if err := os.WriteFile(generationPath(ckptDir, uint64(g)), []byte("garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.foreign > 0 {
+				// Long enough a bootstrap that the optimizer has stepped, so
+				// the state Restore loads before it fails is not empty.
+				spec := TenantSpec{ID: "ssb", Bench: "ssb", Scale: 0.05, Seed: pin.seed}
+				ft, err := newTenant(spec, testConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ft.discard()
+				if ft.adv.TrainUpdates == 0 {
+					t.Fatal("foreign tenant never trained")
+				}
+				for g := tc.corrupt; g < tc.corrupt+tc.foreign; g++ {
+					if err := ft.adv.SaveCheckpoint(generationPath(ckptDir, uint64(g))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			skipped := tc.corrupt + tc.foreign
+			s, rep := recoverNew(t, stateConfig(dir))
+			tr := rep.Tenants[0]
+			if tr.Err != "" || !tr.FreshBootstrap || tr.RestoredGen != -1 || tr.CorruptSkipped != skipped {
+				t.Fatalf("recovery %+v, want a fresh bootstrap past %d skipped generations", tr, skipped)
+			}
+			rt, _ := s.Tenant("t1")
+			if got := modelSHA(t, rt); got != pin.model {
+				t.Errorf("fallback model SHA-256\n  got  %s\n  want %s", got, pin.model)
+			}
+			if got := designSig(rt); got != pin.design {
+				t.Errorf("fallback design\n  got  %s\n  want %s", got, pin.design)
+			}
+			if skipped > 0 {
+				if got := rt.nextGen.Load(); got != uint64(skipped) {
+					t.Errorf("nextGen = %d, want %d (past the newest skipped file)", got, skipped)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveryFailedRestoreStartsFresh: the two newest generations verify
+// but cannot be restored — one was written by a tenant with another seed
+// (rejected before anything is loaded), one by a tenant of another
+// benchmark with the same seed (rejected only after its optimizer state
+// was loaded). Recovery must skip both and hand back the older good
+// generation bit for bit: every attempt restores into a fresh advisor, so
+// nothing of a failed attempt reaches the next.
+func TestRecoveryFailedRestoreStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	cfg := stateConfig(dir)
+	spec := fastSpec("t1")
+	spec.AdviseEveryMS = time.Hour.Milliseconds()
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	putSpec(t, dir, spec)
+	good, err := newTenant(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordMix(t, good, func(i int) float64 { return float64(1 + i) })
+	good.adviseOnce()
+	goodPath, err := good.saveGeneration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good.discard()
+	want, err := core.LoadCheckpoint(goodPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherBench, otherSeed := spec, spec
+	otherBench.Bench, otherBench.OfflineEpisodes = "ssb", 30
+	otherSeed.Seed = 2
+	for gen, foreign := range map[uint64]TenantSpec{1: otherBench, 2: otherSeed} {
+		ft, err := newTenant(foreign, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft.discard()
+		if err := ft.adv.SaveCheckpoint(generationPath(good.ckptDir, gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, rep := recoverNew(t, cfg)
+	tr := rep.Tenants[0]
+	if tr.Err != "" || tr.RestoredGen != 0 || tr.CorruptSkipped != 2 || tr.FreshBootstrap {
+		t.Fatalf("recovery %+v, want generation 0 after skipping 2", tr)
+	}
+	rt, _ := s.Tenant("t1")
+	got, err := rt.adv.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkpointDigest(got) != checkpointDigest(want) {
+		t.Fatalf("restored state differs from generation 0: %d/%d/%d episodes/steps/updates, rng %d/%d; want %d/%d/%d, rng %d/%d",
+			got.EpisodesTrained, got.StepsTrained, got.TrainUpdates, got.RNGInt63, got.RNGUint64,
+			want.EpisodesTrained, want.StepsTrained, want.TrainUpdates, want.RNGInt63, want.RNGUint64)
+	}
+	if n := rt.nextGen.Load(); n != 3 {
+		t.Fatalf("nextGen = %d, want 3", n)
+	}
+}
+
+// TestRecoverParallelFleet recovers a mixed fleet, plus a manifest entry
+// that cannot be built, on several goroutines (run it under -race). The
+// report is in sorted-id order, the bad entry carries its error and is
+// absent from the server, every other tenant is restored from its
+// checkpoint, and recovering the same state again reports the same thing.
+func TestRecoverParallelFleet(t *testing.T) {
+	dir := t.TempDir()
+	cfg := stateConfig(dir)
+	cfg.CheckpointEvery = time.Hour
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for i, bench := range []string{"tpch", "micro", "ssb", "tpcch", "micro", "ssb"} {
+		spec := fastSpec(fmt.Sprintf("t%d", 6-i))
+		spec.Bench = bench
+		spec.AdviseEveryMS = time.Hour.Milliseconds()
+		if _, err := s.CreateTenant(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.reg.put(TenantSpec{ID: "t3x", Bench: "nope"}); err != nil {
+		t.Fatal(err)
+	}
+	s.Halt()
+
+	var reports [2][]TenantRecovery
+	for round := range reports {
+		s, rep := recoverNew(t, cfg)
+		ids := make([]string, len(rep.Tenants))
+		for i, tr := range rep.Tenants {
+			ids[i] = tr.ID
+			if tr.DurationSec <= 0 {
+				t.Errorf("round %d tenant %s: duration_sec %v", round, tr.ID, tr.DurationSec)
+			}
+			_, present := s.Tenant(tr.ID)
+			switch {
+			case tr.ID == "t3x":
+				if tr.Err == "" || present {
+					t.Errorf("round %d: unbuildable entry %+v (present %v), want an error and no tenant", round, tr, present)
+				}
+			case tr.Err != "" || tr.FreshBootstrap || tr.RestoredGen != 0 || !present:
+				t.Errorf("round %d: tenant %+v (present %v), want generation 0 restored", round, tr, present)
+			}
+			rep.Tenants[i].DurationSec = 0
+		}
+		if want := []string{"t1", "t2", "t3", "t3x", "t4", "t5", "t6"}; !reflect.DeepEqual(ids, want) {
+			t.Fatalf("round %d report order %v, want %v", round, ids, want)
+		}
+		reports[round] = rep.Tenants
+		s.Halt()
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Fatalf("second recovery differs:\n  %+v\n  %+v", reports[0], reports[1])
 	}
 }

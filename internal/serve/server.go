@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,8 +144,7 @@ func (s *Server) register(t *Tenant, persist bool) error {
 	s.mu.Lock()
 	abort := func(err error) error {
 		s.mu.Unlock()
-		t.advCancel()
-		close(t.advDone) // loop never started
+		t.discard()
 		return err
 	}
 	if _, raced := s.tenants[t.Spec.ID]; raced {
@@ -205,6 +205,10 @@ type TenantRecovery struct {
 	// Err records a tenant whose rebuild failed outright (bad spec,
 	// resource exhaustion); the tenant is absent from the server.
 	Err string `json:"error,omitempty"`
+	// DurationSec is the wall-clock this tenant's recovery took: the
+	// deployment build, the restore attempts and, on fallback, the
+	// bootstrap.
+	DurationSec float64 `json:"duration_sec"`
 }
 
 // RecoveryReport summarizes a Recover pass; it is also served by /readyz
@@ -217,28 +221,40 @@ type RecoveryReport struct {
 // Recovery returns the last Recover report, or nil.
 func (s *Server) Recovery() *RecoveryReport { return s.recovery.Load() }
 
-// Recover rebuilds the tenant fleet from the durable manifest. For each
-// recorded spec it reconstructs the tenant (deterministic bootstrap),
-// then walks its checkpoint generations newest-first and restores the
-// first one that passes integrity verification — a corrupt generation is
-// skipped, falling back to the previous one, down to a fresh bootstrap
-// if none survive. Generation numbering resumes past the newest file
-// found (even a corrupt one), so generations stay monotonic across
-// restarts. Orphan checkpoint directories with no manifest entry (a
-// crash mid-delete) are removed. Call before Start-ing traffic; finish
+// Recover rebuilds the tenant fleet from the durable manifest, on
+// min(GOMAXPROCS, tenants) goroutines. Each tenant is rebuilt by
+// recoverTenant: its deployment, then the newest checkpoint generation that
+// verifies and restores, down to a fresh bootstrap only if none does. The
+// report lists the tenants in manifest (sorted-id) order whatever order
+// they finished in. Orphan checkpoint directories with no manifest entry
+// (a crash mid-delete) are removed. Call before Start-ing traffic; finish
 // with MarkReady.
 func (s *Server) Recover() (*RecoveryReport, error) {
 	if s.reg == nil {
 		return nil, fmt.Errorf("serve: Recover requires StateDir")
 	}
 	began := time.Now()
-	rep := &RecoveryReport{}
 	specs := s.reg.list()
+	rep := &RecoveryReport{Tenants: make([]TenantRecovery, len(specs))}
+	work := make(chan int, len(specs))
+	for i := range specs {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(specs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				rep.Tenants[i] = s.recoverTenant(specs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	known := make(map[string]bool, len(specs))
 	for _, spec := range specs {
 		known[spec.ID] = true
-		tr := s.recoverTenant(spec)
-		rep.Tenants = append(rep.Tenants, tr)
 	}
 	// Sweep checkpoint directories for tenants the manifest no longer
 	// records: DeleteTenant removes the manifest entry first, so a crash
@@ -255,11 +271,18 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverTenant rebuilds one tenant and restores its newest verified
-// checkpoint generation.
-func (s *Server) recoverTenant(spec TenantSpec) TenantRecovery {
-	tr := TenantRecovery{ID: spec.ID, RestoredGen: -1}
-	t, err := newTenant(spec, s.cfg)
+// recoverTenant rebuilds one tenant from its spec and starts it. It builds
+// the deployment with an untrained advisor, sweeps temp debris, and walks
+// the checkpoint generations newest-first: the first that passes integrity
+// verification and restores is what the tenant resumes from, each corrupt
+// or unrestorable one is counted and skipped. Only when no generation
+// restores does the tenant run its offline bootstrap, which stands up the
+// same advisor CreateTenant did.
+func (s *Server) recoverTenant(spec TenantSpec) (tr TenantRecovery) {
+	began := time.Now()
+	tr = TenantRecovery{ID: spec.ID, RestoredGen: -1}
+	defer func() { tr.DurationSec = time.Since(began).Seconds() }()
+	t, err := buildTenant(spec, s.cfg)
 	if err != nil {
 		tr.Err = err.Error()
 		return tr
@@ -268,8 +291,7 @@ func (s *Server) recoverTenant(spec TenantSpec) TenantRecovery {
 	gens, err := listGenerations(t.ckptDir)
 	if err != nil {
 		tr.Err = err.Error()
-		t.advCancel()
-		close(t.advDone)
+		t.discard()
 		return tr
 	}
 	tr.Generations = len(gens)
@@ -291,7 +313,14 @@ func (s *Server) recoverTenant(spec TenantSpec) TenantRecovery {
 		tr.RestoredGen = int64(g.Gen)
 		break
 	}
-	tr.FreshBootstrap = tr.RestoredGen < 0
+	if tr.RestoredGen < 0 {
+		tr.FreshBootstrap = true
+		if err := t.bootstrap(); err != nil {
+			tr.Err = err.Error()
+			t.discard()
+			return tr
+		}
+	}
 	t.restoredGen.Store(tr.RestoredGen)
 	if err := s.register(t, false); err != nil {
 		tr.Err = err.Error()

@@ -150,6 +150,12 @@ type advisorSnap struct {
 type Tenant struct {
 	Spec TenantSpec
 
+	// dep is the substrate (data, engine, cost model) and hp the advisor's
+	// hyperparameters: together with the spec's seed they stand up a fresh
+	// advisor on demand (see freshAdvisor).
+	dep *advisor.Deployment
+	hp  core.Hyperparams
+
 	eng *exec.Engine
 	wl  *workload.Workload
 	adv *core.Advisor
@@ -168,8 +174,9 @@ type Tenant struct {
 	advDone   chan struct{}
 
 	// Generational checkpointing (StateDir mode). ckptDir/ckptKeep/
-	// ckptEvery are set once at construction; lastCkpt is owned by the
-	// advising goroutine. nextGen is the next generation number to write —
+	// ckptEvery are set once at construction; lastCkpt is set by a restore
+	// and then owned by the advising goroutine (zero means write at the
+	// first tick). nextGen is the next generation number to write —
 	// recovery seeds it past the newest file found on disk (even a corrupt
 	// one) so generation numbers are monotonic across restarts.
 	ckptDir   string
@@ -194,19 +201,33 @@ type Tenant struct {
 	snap atomic.Pointer[advisorSnap]
 }
 
-// newTenant builds the tenant: generates data, bootstraps the advisor
-// offline against the cost model, deploys the bootstrap suggestion, and
-// arms the guarded online cost. It does not start the advising loop.
-//
-// The bootstrap is deterministic in (spec, seed): recovery rebuilds the
-// same tenant, then restores a checkpoint on top — the checkpoint's RNG
-// position is always at or past the freshly-bootstrapped advisor's, so
-// the core fast-forward restore contract holds.
+// newTenant builds the tenant and bootstraps its advisor: what CreateTenant
+// stands up, and what recovery falls back to when no checkpoint generation
+// restores. It does not start the advising loop. Both steps are
+// deterministic in the spec, so the same spec always bootstraps the same
+// advisor and deploys the same design.
 func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
+	t, err := buildTenant(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.bootstrap(); err != nil {
+		t.discard()
+		return nil, err
+	}
+	return t, nil
+}
+
+// buildTenant stands up everything of a tenant except what its advisor has
+// learned: the deployment (data generation and engine build, deterministic
+// from the spec), an untrained advisor inferring on the deployment's
+// offline cost, the guarded online cost over the engine, the tenant's
+// context and its checkpoint directory. The engine keeps the layout it was
+// loaded with until bootstrap or restoreCheckpoint deploys a design.
+func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	// Substrate: data + engine, deterministic from the spec.
 	b := benchmarks.ByName(spec.Bench)
 	if b == nil {
 		return nil, fmt.Errorf("serve: unknown benchmark %q", spec.Bench)
@@ -215,67 +236,92 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown engine flavor %q", spec.Engine)
 	}
-	dep := advisor.NewDeployment(b, hw, spec.Scale, spec.Seed)
-	eng := dep.Engine
-
-	// Brain: the advisor, bootstrapped offline on the substrate's cost model.
+	if spec.AdviseEveryMS <= 0 {
+		spec.AdviseEveryMS = cfg.AdviseEvery.Milliseconds()
+	}
 	hp := core.Test()
 	hp.Episodes = spec.OfflineEpisodes
 	hp.OnlineEpisodes = spec.OnlineEpisodes
 	hp.OnlineEpsilonFromEpisode = spec.OfflineEpisodes / 2
-	sess, err := dep.NewSession(hp, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %s: %w", spec.ID, err)
-	}
-	adv := sess.Advisor
-	if err := sess.TrainOffline(); err != nil {
-		return nil, fmt.Errorf("serve: tenant %s offline bootstrap: %w", spec.ID, err)
-	}
-	st, err := sess.Suggest(nil)
-	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %s bootstrap suggestion: %w", spec.ID, err)
-	}
-	eng.Deploy(st, nil)
+	dep := advisor.NewDeployment(b, hw, spec.Scale, spec.Seed)
 
-	oc := core.NewOnlineCost(eng, b.Workload, nil)
+	oc := core.NewOnlineCost(dep.Engine, b.Workload, nil)
 	if !spec.NoGuard {
 		g := core.DefaultGuardConfig()
 		oc.Guard = &g
 	}
-
 	ctx, cancel := context.WithCancel(context.Background())
+	// Measurements are bounded by the tenant's lifetime.
+	oc.Ctx = ctx
 	t := &Tenant{
 		Spec:      spec,
-		eng:       eng,
+		dep:       dep,
+		hp:        hp,
+		eng:       dep.Engine,
 		wl:        b.Workload,
-		adv:       adv,
 		oc:        oc,
 		mon:       workload.NewMonitor(b.Workload),
 		advCtx:    ctx,
 		advCancel: cancel,
 		advDone:   make(chan struct{}),
 	}
-	// Measurements and the per-episode Stop poll are bounded by the
-	// tenant's lifetime and the overload controller's pause demand.
-	oc.Ctx = ctx
-	adv.Stop = func() bool {
-		return ctx.Err() != nil || (t.paused != nil && t.paused())
+	adv, err := t.freshAdvisor()
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-	t.snap.Store(&advisorSnap{episodes: adv.EpisodesTrained})
+	t.adv = adv
+	t.snap.Store(&advisorSnap{})
 	t.restoredGen.Store(-1)
-	if spec.AdviseEveryMS <= 0 {
-		spec.AdviseEveryMS = cfg.AdviseEvery.Milliseconds()
-		t.Spec.AdviseEveryMS = spec.AdviseEveryMS
-	}
 	if cfg.StateDir != "" {
 		t.ckptDir = filepath.Join(cfg.StateDir, ckptSubdir, spec.ID)
 		t.ckptKeep = cfg.CheckpointKeep
 		t.ckptEvery = cfg.CheckpointEvery
 		if err := os.MkdirAll(t.ckptDir, 0o755); err != nil {
+			cancel()
 			return nil, fmt.Errorf("serve: tenant %s checkpoint dir: %w", spec.ID, err)
 		}
 	}
 	return t, nil
+}
+
+// freshAdvisor puts a new, untrained advisor on the tenant's deployment.
+// Its RNG sits at the construction position, at or before that of any
+// checkpoint this spec wrote, so core's fast-forward restore always
+// reaches it. The per-episode Stop poll is bounded by the tenant's
+// lifetime and the overload controller's pause demand.
+func (t *Tenant) freshAdvisor() (*core.Advisor, error) {
+	sess, err := t.dep.NewSession(t.hp, t.Spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: tenant %s: %w", t.Spec.ID, err)
+	}
+	adv := sess.Advisor
+	adv.InferCost = t.dep.OfflineCost()
+	adv.Stop = func() bool {
+		return t.advCtx.Err() != nil || (t.paused != nil && t.paused())
+	}
+	return adv, nil
+}
+
+// bootstrap trains the tenant's untrained advisor offline against the cost
+// model, then suggests a design for the uniform mix and deploys it.
+func (t *Tenant) bootstrap() error {
+	if err := t.adv.TrainOffline(t.dep.OfflineCost(), nil); err != nil {
+		return fmt.Errorf("serve: tenant %s offline bootstrap: %w", t.Spec.ID, err)
+	}
+	st, _, err := t.adv.Suggest(t.wl.UniformFreq())
+	if err != nil {
+		return fmt.Errorf("serve: tenant %s bootstrap suggestion: %w", t.Spec.ID, err)
+	}
+	t.eng.Deploy(st, nil)
+	t.snap.Store(&advisorSnap{episodes: t.adv.EpisodesTrained})
+	return nil
+}
+
+// discard releases a tenant whose advising loop never started.
+func (t *Tenant) discard() {
+	t.advCancel()
+	close(t.advDone)
 }
 
 // startAdvising launches the background advising loop.
@@ -362,19 +408,29 @@ func (t *Tenant) pruneGenerations() {
 	}
 }
 
-// restoreCheckpoint overlays a verified checkpoint onto the freshly
-// bootstrapped advisor and re-deploys its best suggestion so the engine's
-// layout matches the restored policy. Must run before startAdvising.
+// restoreCheckpoint restores a verified checkpoint into a fresh advisor on
+// the tenant's deployment and deploys its suggestion for the uniform mix,
+// so the engine's layout matches the restored policy. The tenant's advisor
+// is replaced only on success: a Restore that fails part-way leaves the
+// tenant's advisor untouched, and the next attempt starts fresh again. The
+// restored state is on disk already, so the checkpoint interval restarts
+// now. Must run before startAdvising.
 func (t *Tenant) restoreCheckpoint(ck *core.Checkpoint) error {
-	if err := t.adv.Restore(ck); err != nil {
+	adv, err := t.freshAdvisor()
+	if err != nil {
 		return err
 	}
-	st, _, err := t.adv.Suggest(t.wl.UniformFreq())
+	if err := adv.Restore(ck); err != nil {
+		return err
+	}
+	st, _, err := adv.Suggest(t.wl.UniformFreq())
 	if err != nil {
 		return fmt.Errorf("serve: tenant %s post-restore suggestion: %w", t.Spec.ID, err)
 	}
+	t.adv = adv
 	t.eng.Deploy(st, nil)
-	t.snap.Store(&advisorSnap{episodes: t.adv.EpisodesTrained})
+	t.snap.Store(&advisorSnap{episodes: adv.EpisodesTrained})
+	t.lastCkpt = time.Now()
 	return nil
 }
 
