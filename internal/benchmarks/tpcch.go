@@ -312,6 +312,7 @@ func generateTPCCH(scale float64, seed int64) map[string]*relation.Relation {
 
 	// Orders: each order belongs to its customer's (w, d).
 	orders := relation.New("orders", []string{"o_w_id", "o_d_id", "o_id", "o_c_id", "o_entry_d", "o_carrier_id", "o_ol_cnt"})
+	orders.Grow(nO)
 	entryDates := g.Dates(nO, 2005, 2008)
 	for i := 0; i < nO; i++ {
 		c := g.Rand().Intn(nC)
@@ -322,6 +323,7 @@ func generateTPCCH(scale float64, seed int64) map[string]*relation.Relation {
 	// Orderlines: ~10 per order, inheriting the order's (w, d).
 	orderline := relation.New("orderline", []string{"ol_w_id", "ol_d_id", "ol_o_id", "ol_number",
 		"ol_i_id", "ol_supply_w_id", "ol_delivery_d", "ol_quantity", "ol_amount"})
+	orderline.Grow(nOL)
 	oW, oD := orders.Col("o_w_id"), orders.Col("o_d_id")
 	for i := 0; i < nOL; i++ {
 		o := i % nO
@@ -331,6 +333,7 @@ func generateTPCCH(scale float64, seed int64) map[string]*relation.Relation {
 	}
 
 	neworder := relation.New("neworder", []string{"no_w_id", "no_d_id", "no_o_id"})
+	neworder.Grow(nNO)
 	for i := 0; i < nNO; i++ {
 		o := nO - 1 - i // newest orders
 		neworder.AppendRow(oW[o], oD[o], int64(o))
@@ -345,6 +348,7 @@ func generateTPCCH(scale float64, seed int64) map[string]*relation.Relation {
 
 	// Stock: one row per (warehouse, item) slice.
 	stock := relation.New("stock", []string{"s_w_id", "s_i_id", "s_suppkey", "s_quantity", "s_ytd", "s_order_cnt"})
+	stock.Grow(nS)
 	for i := 0; i < nS; i++ {
 		w := int64(i % tpcchWarehouses)
 		it := int64(i % nI)

@@ -369,6 +369,7 @@ func generateTPCDS(scale float64, seed int64) map[string]*relation.Relation {
 	nSR := n(dsStoreReturns, 400)
 	sr := relation.New("store_returns", []string{"sr_item_sk", "sr_customer_sk", "sr_ticket_number",
 		"sr_returned_date_sk", "sr_reason_sk", "sr_return_amt"})
+	sr.Grow(nSR)
 	for i := 0; i < nSR; i++ {
 		row := g.Rand().Intn(nSS)
 		sr.AppendRow(ss.Col("ss_item_sk")[row], ss.Col("ss_customer_sk")[row], ss.Col("ss_ticket_number")[row],
@@ -395,6 +396,7 @@ func generateTPCDS(scale float64, seed int64) map[string]*relation.Relation {
 	nCR := n(dsCatalogReturns, 200)
 	cr := relation.New("catalog_returns", []string{"cr_item_sk", "cr_order_number",
 		"cr_returning_customer_sk", "cr_returned_date_sk", "cr_reason_sk", "cr_return_amount"})
+	cr.Grow(nCR)
 	for i := 0; i < nCR; i++ {
 		row := g.Rand().Intn(nCS)
 		cr.AppendRow(cs.Col("cs_item_sk")[row], cs.Col("cs_order_number")[row],
@@ -422,6 +424,7 @@ func generateTPCDS(scale float64, seed int64) map[string]*relation.Relation {
 	nWR := n(dsWebReturns, 100)
 	wr := relation.New("web_returns", []string{"wr_item_sk", "wr_order_number",
 		"wr_returning_customer_sk", "wr_returned_date_sk", "wr_reason_sk", "wr_return_amt"})
+	wr.Grow(nWR)
 	for i := 0; i < nWR; i++ {
 		row := g.Rand().Intn(nWS)
 		wr.AppendRow(ws.Col("ws_item_sk")[row], ws.Col("ws_order_number")[row],

@@ -245,6 +245,7 @@ func generateTPCH(scale float64, seed int64) map[string]*relation.Relation {
 	}, []string{"p_partkey", "p_brand", "p_type", "p_size", "p_container", "p_retailprice"})
 
 	partsupp := relation.New("partsupp", []string{"ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"})
+	partsupp.Grow(nPS)
 	for i := 0; i < nPS; i++ {
 		partsupp.AppendRow(int64(i%nP), int64((i/nP+i)%nS), int64(g.Rand().Intn(10000)), int64(g.Rand().Intn(1000)))
 	}
@@ -265,6 +266,7 @@ func generateTPCH(scale float64, seed int64) map[string]*relation.Relation {
 	lineitem := relation.New("lineitem", []string{"l_orderkey", "l_partkey", "l_suppkey",
 		"l_linenumber", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate",
 		"l_commitdate", "l_receiptdate", "l_shipmode", "l_returnflag"})
+	lineitem.Grow(nL)
 	oDates := orders.Col("o_orderdate")
 	for i := 0; i < nL; i++ {
 		o := i % nO

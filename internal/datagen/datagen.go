@@ -7,6 +7,7 @@ package datagen
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"partadvisor/internal/relation"
 	"partadvisor/internal/valenc"
@@ -150,23 +151,21 @@ func DateDim(name string, loYear, hiYear int) *relation.Relation {
 	return r
 }
 
-// Table assembles a relation from named columns (all the same length).
+// Table assembles a relation from named columns (all the same length),
+// laid out in order. Each column is copied, so the relation never aliases a
+// caller's slice: a generator may reuse a column for several tables, or
+// keep it, without one table's later appends or edits reaching another.
+// Ragged columns panic.
 func Table(name string, cols map[string][]int64, order []string) *relation.Relation {
-	r := relation.New(name, order)
 	n := len(cols[order[0]])
-	for _, c := range order {
+	data := make([][]int64, len(order))
+	for i, c := range order {
 		if len(cols[c]) != n {
 			panic("datagen: ragged columns for " + name + "." + c)
 		}
+		data[i] = slices.Clone(cols[c])
 	}
-	for row := 0; row < n; row++ {
-		vals := make([]int64, len(order))
-		for i, c := range order {
-			vals[i] = cols[c][row]
-		}
-		r.AppendRow(vals...)
-	}
-	return r
+	return relation.FromColumns(name, order, data)
 }
 
 // ScaleRows applies a scale factor to a base count, keeping at least min.

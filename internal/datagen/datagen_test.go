@@ -179,11 +179,45 @@ func TestTableAssembly(t *testing.T) {
 		t.Fatalf("Table = %v", r)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("ragged Table accepted")
+		if got := recover(); got != "datagen: ragged columns for t.b" {
+			t.Fatalf("ragged Table: panic %v", got)
 		}
 	}()
 	Table("t", map[string][]int64{"a": {1}, "b": {1, 2}}, []string{"a", "b"})
+}
+
+// TestTableOwnsColumns: the relation copies its columns, so a generator
+// that edits a slice after Table returns leaves the table unchanged, and
+// the other way round.
+func TestTableOwnsColumns(t *testing.T) {
+	a := []int64{1, 2, 3}
+	r := Table("t", map[string][]int64{"a": a}, []string{"a"})
+	a[0] = 99
+	if got := r.Col("a"); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("table column followed its input slice: %v", got)
+	}
+	r.Col("a")[1] = -1
+	if a[1] != 2 {
+		t.Fatalf("input slice followed the table column: %v", a)
+	}
+}
+
+// TestTableColumnOrder: columns are laid out as order lists them, never in
+// map iteration order.
+func TestTableColumnOrder(t *testing.T) {
+	order := []string{"z", "a", "m", "b", "y", "c"}
+	cols := make(map[string][]int64, len(order))
+	for i, c := range order {
+		cols[c] = []int64{int64(i), int64(10 * i)}
+	}
+	for run := 0; run < 20; run++ {
+		r := Table("t", cols, order)
+		for i, c := range order {
+			if r.Columns()[i] != c || r.ColAt(i)[1] != int64(10*i) {
+				t.Fatalf("column %d = %s %v, want %s", i, r.Columns()[i], r.ColAt(i), c)
+			}
+		}
+	}
 }
 
 func TestScaleRows(t *testing.T) {

@@ -11,6 +11,7 @@
 package exec
 
 import (
+	"math/bits"
 	"slices"
 
 	"partadvisor/internal/relation"
@@ -38,7 +39,8 @@ func BuildTableStats(rel *relation.Relation, t *schema.Table) *stats.TableStats 
 }
 
 // buildColumnStats computes distinct count, bounds and an equi-width
-// histogram for one column.
+// histogram for one column. Spans and offsets are taken in uint64, so a
+// column whose range exceeds MaxInt64 buckets like any other.
 func buildColumnStats(col []int64) *stats.ColumnStats {
 	if len(col) == 0 {
 		return &stats.ColumnStats{Distinct: 0}
@@ -52,13 +54,13 @@ func buildColumnStats(col []int64) *stats.ColumnStats {
 			maxV = v
 		}
 	}
-	distinct := countDistinct(col)
+	distinct := distinctInRange(col, minV, maxV)
 	cs := &stats.ColumnStats{Distinct: distinct, Min: minV, Max: maxV}
 	if maxV > minV {
 		h := make([]int64, histogramBuckets)
-		span := float64(maxV-minV) + 1
+		span := float64(uint64(maxV)-uint64(minV)) + 1
 		for _, v := range col {
-			b := int(float64(v-minV) / span * histogramBuckets)
+			b := int(float64(uint64(v)-uint64(minV)) / span * histogramBuckets)
 			if b >= histogramBuckets {
 				b = histogramBuckets - 1
 			}
@@ -69,8 +71,35 @@ func buildColumnStats(col []int64) *stats.ColumnStats {
 	return cs
 }
 
-// countDistinct counts exact distinct values (sort-based to avoid large
-// map overhead on big columns).
+// bitmapFits reports whether a column of rows values spanning
+// [min, min+span] is counted with a range bitmap: span/64+1 words, never
+// more than the rows-long sorted copy countDistinct would make.
+func bitmapFits(span uint64, rows int) bool {
+	return span < 64*uint64(rows)
+}
+
+// distinctInRange counts the exact distinct values of a column whose bounds
+// are known. A dense column sets one bit per value over [minV, maxV] and
+// sums the bits; a sparse one falls back to countDistinct.
+func distinctInRange(col []int64, minV, maxV int64) int64 {
+	span := uint64(maxV) - uint64(minV)
+	if !bitmapFits(span, len(col)) {
+		return countDistinct(col)
+	}
+	set := make([]uint64, span/64+1)
+	for _, v := range col {
+		off := uint64(v) - uint64(minV)
+		set[off/64] |= 1 << (off % 64)
+	}
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
+}
+
+// countDistinct counts exact distinct values by sorting a copy of the
+// column: the path for columns too sparse for distinctInRange's bitmap.
 func countDistinct(col []int64) int64 {
 	if len(col) == 0 {
 		return 0
