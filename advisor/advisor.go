@@ -176,7 +176,10 @@ type Deployment struct {
 
 // NewDeployment generates the benchmark's data at the given scale and seed
 // and loads it into an engine on the cluster. Disk-like profiles get the
-// Disk engine flavor (optimizer estimates exposed), others Memory.
+// Disk engine flavor (optimizer estimates exposed), others Memory. The
+// offline cost model reads a snapshot of the engine's true statistics as
+// generated: later bulk loads update the engine, not the metadata the
+// deployment was built for (and not under a model pricing concurrently).
 func NewDeployment(b *Benchmark, hw HardwareProfile, scale float64, seed int64) *Deployment {
 	flavor := exec.Memory
 	if hw.ScanBytesPerSec < 1e9 {
@@ -188,7 +191,7 @@ func NewDeployment(b *Benchmark, hw HardwareProfile, scale float64, seed int64) 
 		Bench:  b,
 		Space:  b.Space(),
 		Engine: engine,
-		Cost:   costmodel.New(engine.TrueCatalog(), hw),
+		Cost:   costmodel.New(engine.TrueCatalog().Clone(), hw),
 		data:   data,
 	}
 	d.offline = env.NewCostCache(func(st *Partitioning, freq FreqVector) float64 {

@@ -414,15 +414,27 @@ func TestGreedyPlanMatchesDPOnSmallQuery(t *testing.T) {
 	m := cmModel()
 	sp := cmSpace()
 	g := graph(t, "SELECT * FROM fact f, dbig b, dsmall s WHERE f.f_big = b.b_id AND f.f_small = s.s_id")
-	st := sp.InitialState()
-	q := m.analyze(st, g)
-	comps := q.components()
-	if len(comps) != 1 {
-		t.Fatalf("components = %v", comps)
+	dpPlan := buildSkeleton(m.Cat, g, maxDPAliases)
+	greedyPlan := buildSkeleton(m.Cat, g, 0)
+	if len(dpPlan.roots) != 1 || len(greedyPlan.roots) != 1 {
+		t.Fatalf("components: dp %d, greedy %d", len(dpPlan.roots), len(greedyPlan.roots))
 	}
-	dp := minCost(q.dpPlan(comps[0]).props)
-	greedy := minCost(q.greedyPlan(comps[0]).props)
-	if dp > greedy*1.0001 {
-		t.Fatalf("DP %v worse than greedy %v", dp, greedy)
+	// The greedy order is one of the DP's plans: one split per join node.
+	if len(greedyPlan.splits) != len(greedyPlan.nodes)-len(greedyPlan.aliases) || len(dpPlan.splits) <= len(greedyPlan.splits) {
+		t.Fatalf("splits: dp %d, greedy %d", len(dpPlan.splits), len(greedyPlan.splits))
+	}
+	for i, a := range sp.Actions() {
+		st := sp.InitialState()
+		if !sp.Valid(st, a) {
+			continue
+		}
+		st = sp.Apply(st, a)
+		dp, greedy := m.price(dpPlan, st), m.price(greedyPlan, st)
+		if dp > greedy*1.0001 {
+			t.Fatalf("action %d (%s): DP %v worse than greedy %v", i, sp.ActionString(a), dp, greedy)
+		}
+		if got := m.QueryCost(st, g); got != dp {
+			t.Fatalf("action %d: QueryCost %v, DP skeleton %v", i, got, dp)
+		}
 	}
 }

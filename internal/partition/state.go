@@ -120,7 +120,7 @@ func (s *State) Signature() string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		b.WriteString(s.tableSig(i, d))
+		s.writeTableSig(&b, i, d)
 	}
 	return b.String()
 }
@@ -130,6 +130,7 @@ func (s *State) Signature() string {
 // by the state combination of exactly the tables the query touches.
 func (s *State) TableSignature(tables []string) string {
 	var b strings.Builder
+	b.Grow(32 * len(tables))
 	for _, name := range tables {
 		i := s.space.TableIndex(name)
 		if i < 0 {
@@ -138,23 +139,31 @@ func (s *State) TableSignature(tables []string) string {
 		if b.Len() > 0 {
 			b.WriteByte('|')
 		}
-		b.WriteString(s.tableSig(i, s.Tables[i]))
+		s.writeTableSig(&b, i, s.Tables[i])
 	}
 	return b.String()
 }
 
-func (s *State) tableSig(i int, d TableDesign) string {
+// writeTableSig appends the signature of table i's design to b.
+func (s *State) writeTableSig(b *strings.Builder, i int, d TableDesign) {
+	b.WriteString(s.space.Tables[i].Name)
 	if d.Replicated {
-		return s.space.Tables[i].Name + "=R"
+		b.WriteString("=R")
+		return
 	}
-	sig := s.space.Tables[i].Name + "=H(" + s.space.Tables[i].Keys[d.Key].String() + ")"
+	b.WriteString("=H(")
+	if key := s.space.Tables[i].Keys[d.Key]; len(key) == 1 {
+		b.WriteString(key[0])
+	} else {
+		b.WriteString(key.String())
+	}
+	b.WriteByte(')')
 	if d.Salt > 0 {
-		sig += fmt.Sprintf("+S%d", d.Salt)
+		fmt.Fprintf(b, "+S%d", d.Salt)
 	}
 	if d.HotSplit {
-		sig += "+HS"
+		b.WriteString("+HS")
 	}
-	return sig
 }
 
 // DiffTables returns the names of tables whose physical design differs
