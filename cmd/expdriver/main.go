@@ -5,21 +5,18 @@
 // Usage:
 //
 //	expdriver [-exp <id>] [-profile repro|paper|test] [-scale F] [-seed N] [-list]
-//	          [-chaos] [-chaos-episodes N] [-guard]
-//	          [-skew] [-skew-faulty]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	expdriver -soak faults|guarded|skew|skew-faulty [-soak-episodes N] [-scale F] [-seed N]
 //
 // Run "expdriver -list" for the experiment ids. Without -exp, all
-// experiments run (minutes at the default repro profile). With -chaos, the
-// driver runs the chaos soak harness instead of the paper experiments and
-// exits non-zero on any invariant violation; -guard arms the online guard
-// inside the soak, adding the rollback-consistency and guarded-replay
-// invariants. With -skew, the driver runs the hot-shard skew soak (seeded
-// adversarial traffic against the detection/mitigation loop); -skew-faulty
-// additionally crashes a node at detection time with self-healing armed.
+// experiments run (minutes at the default repro profile). With -soak, the
+// driver runs one regime of the seeded soak harness (internal/chaos)
+// instead of the paper experiments and exits 1 on any invariant violation.
+// An unknown regime, -soak-episodes below 1, or -exp, -profile or -list
+// alongside -soak is a usage error (exit 2).
 //
 // SIGINT/SIGTERM stop the driver gracefully: the in-flight experiment or
-// chaos episode finishes, partial results are printed, and the process
+// soak episode finishes, partial results are printed, and the process
 // exits 0. A second signal exits immediately.
 package main
 
@@ -46,18 +43,16 @@ func main() {
 		scale      = flag.Float64("scale", 0, "data scale override (default: profile's)")
 		seed       = flag.Int64("seed", 0, "seed override (default: profile's)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		chaosRun   = flag.Bool("chaos", false, "run the chaos soak harness instead of experiments")
-		chaosEps   = flag.Int("chaos-episodes", 3, "chaos soak episodes (with -chaos or -skew)")
-		guarded    = flag.Bool("guard", false, "arm the online guard in the chaos soak (with -chaos)")
-		skewRun    = flag.Bool("skew", false, "run the hot-shard skew soak instead of experiments")
-		skewFaulty = flag.Bool("skew-faulty", false, "compose the skew soak with a crash/rejoin fault (with -skew)")
+		soak       = flag.String("soak", "", "run a soak regime instead of the experiments: faults, guarded, skew or skew-faulty")
+		soakEps    = flag.Int("soak-episodes", 3, "soak episodes (with -soak)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
-	// 0 means "the profile's scale"; anything else must be a usable scale.
-	if *scale < 0 || math.IsNaN(*scale) || math.IsInf(*scale, 1) {
-		fmt.Fprintf(os.Stderr, "expdriver: -scale must be a positive number (or 0 for the profile's), got %g\n", *scale)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*scale, *soak, *soakEps, set); err != nil {
+		fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -72,21 +67,18 @@ func main() {
 
 	stop := trapSignals("expdriver")
 
-	if *chaosRun {
-		cfg := chaos.Config{Episodes: *chaosEps, Seed: 1, Guarded: *guarded, Stop: stop,
+	if set["soak"] {
+		cfg := chaos.Config{Regime: chaos.Regime(*soak), Seed: 1, Episodes: *soakEps, Scale: *scale, Stop: stop,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			}}
 		if *seed != 0 {
 			cfg.Seed = *seed
-		}
-		if *scale > 0 {
-			cfg.Scale = *scale
 		}
 		start := time.Now()
 		rep, err := chaos.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: chaos harness: %v\n", err)
+			fmt.Fprintf(os.Stderr, "expdriver: soak harness: %v\n", err)
 			os.Exit(1)
 		}
 		if vio := rep.Violations(); len(vio) > 0 {
@@ -95,44 +87,9 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		mode := ""
-		if *guarded {
-			mode = " (guarded)"
-		}
-		fmt.Printf("chaos soak%s passed: %d episodes, 0 violations, %s (seed %d)\n",
-			mode, len(rep.Episodes), time.Since(start).Round(time.Millisecond), cfg.Seed)
-		return
-	}
-
-	if *skewRun {
-		cfg := chaos.SkewConfig{Episodes: *chaosEps, Seed: 1, Faulty: *skewFaulty, Stop: stop,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			}}
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		if *scale > 0 {
-			cfg.Scale = *scale
-		}
-		start := time.Now()
-		rep, err := chaos.RunSkew(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: skew harness: %v\n", err)
-			os.Exit(1)
-		}
-		if vio := rep.Violations(); len(vio) > 0 {
-			for _, v := range vio {
-				fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %s\n", v)
-			}
-			os.Exit(1)
-		}
-		mode := ""
-		if *skewFaulty {
-			mode = " (faulty)"
-		}
-		fmt.Printf("skew soak%s passed: %d episodes, 0 violations, %s (seed %d)\n",
-			mode, len(rep.Episodes), time.Since(start).Round(time.Millisecond), cfg.Seed)
+		fmt.Printf("%s soak passed: %d episodes, 0 violations, %s (seed %d)\n",
+			cfg.Regime, len(rep.Episodes), time.Since(start).Round(time.Millisecond), cfg.Seed)
+		prof.WriteHeap(*memProfile)
 		return
 	}
 
@@ -182,8 +139,35 @@ func main() {
 	prof.WriteHeap(*memProfile)
 }
 
+// checkFlags rejects what the driver would otherwise run with a flag
+// silently ignored or defaulted.
+func checkFlags(scale float64, soak string, soakEps int, set map[string]bool) error {
+	// 0 means "the profile's scale"; anything else must be a usable scale.
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale must be a positive number (or 0 for the profile's), got %g", scale)
+	}
+	if !set["soak"] {
+		if set["soak-episodes"] {
+			return fmt.Errorf("-soak-episodes requires -soak")
+		}
+		return nil
+	}
+	if _, err := chaos.ParseRegime(soak); err != nil {
+		return err
+	}
+	if soakEps < 1 {
+		return fmt.Errorf("-soak-episodes must be at least 1, got %d", soakEps)
+	}
+	for _, name := range []string{"exp", "profile", "list"} {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to -soak", name)
+		}
+	}
+	return nil
+}
+
 // trapSignals arms graceful shutdown: the first SIGINT/SIGTERM flips the
-// returned flag (polled between experiments and chaos episodes) so in-flight
+// returned flag (polled between experiments and soak episodes) so in-flight
 // work finishes and partial results print; a second signal exits immediately.
 func trapSignals(name string) func() bool {
 	var stopped atomic.Bool

@@ -17,12 +17,12 @@ import (
 
 // Process-level crash-restart soak for advisord (DESIGN.md §10).
 //
-// Unlike the in-process fault soak in this package — which injects
-// faults inside one advisor — this harness exercises the durability
-// subsystem the only way it can honestly be exercised: it runs the real
-// advisord binary with -state-dir, SIGKILLs it at seeded random points
-// under live batch traffic (including mid-checkpoint-write), restarts
-// it, and asserts the recovery invariants end to end:
+// Unlike Run (soak.go) — which injects faults inside one advisor — this
+// harness exercises the durability subsystem the only way it can honestly
+// be exercised: it runs the real advisord binary with -state-dir, SIGKILLs
+// it at seeded random points under live batch traffic (including
+// mid-checkpoint-write), restarts it, and asserts the recovery invariants
+// end to end:
 //
 //   - every tenant recorded in the manifest comes back after each kill,
 //   - recovered checkpoints always verify or fall back a generation —
@@ -32,6 +32,22 @@ import (
 //   - after /readyz reports 200 the service answers traffic without a
 //     single 5xx, and the readiness gap itself is bounded.
 
+// The soak's fixed shape: two preloaded tenants, a seeded 2-4 s uptime
+// before each kill, and a 60 s bound on a restart answering /readyz 200
+// (beyond it is a violation, not a hang).
+const (
+	crashTenants      = 2
+	crashMinUp        = 2 * time.Second
+	crashMaxUp        = 4 * time.Second
+	crashReadyTimeout = 60 * time.Second
+	// faultCycle's kill tries to land mid-checkpoint-write by watching for
+	// checkpoint temp files (if no write is caught in the watch window the
+	// kill proceeds and the torn-write debris is planted, reported as such);
+	// after it the newest checkpoint generation of t1 is truncated, forcing
+	// the next recovery onto the fallback ladder.
+	faultCycle = 1
+)
+
 // CrashConfig parameterizes a crash-restart soak.
 type CrashConfig struct {
 	// Seed drives kill timing. Identical seeds replay identical schedules.
@@ -40,65 +56,31 @@ type CrashConfig struct {
 	// soak runs Cycles+1 process instances: each of the first Cycles is
 	// killed, the final instance only verifies recovery.
 	Cycles int
-	// Tenants is the -preload tenant count (default 2).
-	Tenants int
 	// AdvisordBin is the advisord binary path (required).
 	AdvisordBin string
-	// LoadgenBin, when set, bridges a loadgen run with -max-retries
-	// across the first kill/restart window and asserts its availability
-	// counters (0 terminal 5xx/transport errors, >0 ok, >0 retries).
+	// LoadgenBin is the loadgen binary path (required): a loadgen run with
+	// -max-retries bridges the first kill/restart window, and its
+	// availability counters are asserted (0 terminal 5xx/transport errors,
+	// >0 ok, >0 retries).
 	LoadgenBin string
 	// Addr is the host:port advisord listens on (default 127.0.0.1:18201).
 	Addr string
 	// StateDir is the durable state directory (required; reused across
 	// all cycles — that is the point).
 	StateDir string
-	// MinUp/MaxUp bound the seeded uptime before each kill (default 2s/4s).
-	MinUp, MaxUp time.Duration
-	// ReadyTimeout bounds how long a restart may take to answer /readyz
-	// 200 (default 60s). Exceeding it is a violation, not a hang.
-	ReadyTimeout time.Duration
-	// MidWriteCycle picks the kill that tries to land mid-checkpoint-write
-	// by watching for checkpoint temp files (default 1; -1 disables). If
-	// no write is caught in the watch window the kill proceeds and the
-	// mid-write state is synthesized with a stray temp file, reported as
-	// such.
-	MidWriteCycle int
-	// CorruptCycle picks the kill after which the newest checkpoint
-	// generation of t1 is truncated, forcing the next recovery onto the
-	// fallback ladder (default 1; -1 disables).
-	CorruptCycle int
 	// Logf receives progress lines (default: discard).
 	Logf func(format string, args ...any)
 }
 
 func (c CrashConfig) withDefaults() (CrashConfig, error) {
-	if c.AdvisordBin == "" || c.StateDir == "" {
-		return c, fmt.Errorf("chaos: crash soak needs AdvisordBin and StateDir")
+	if c.AdvisordBin == "" || c.LoadgenBin == "" || c.StateDir == "" {
+		return c, fmt.Errorf("chaos: crash soak needs AdvisordBin, LoadgenBin and StateDir")
 	}
 	if c.Cycles <= 0 {
 		c.Cycles = 3
 	}
-	if c.Tenants <= 0 {
-		c.Tenants = 2
-	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:18201"
-	}
-	if c.MinUp <= 0 {
-		c.MinUp = 2 * time.Second
-	}
-	if c.MaxUp < c.MinUp {
-		c.MaxUp = c.MinUp + 2*time.Second
-	}
-	if c.ReadyTimeout <= 0 {
-		c.ReadyTimeout = 60 * time.Second
-	}
-	if c.MidWriteCycle == 0 {
-		c.MidWriteCycle = 1
-	}
-	if c.CorruptCycle == 0 {
-		c.CorruptCycle = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -225,7 +207,13 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 	prevRestored := map[string]int64{}
 	prevNewest := map[string]uint64{}
 	var corruptExpect int64 = -1 // fallback generation the next recovery must land on
-	var loadgenCmd *osexec.Cmd
+	var loadgenCmd *osexec.Cmd   // set on cycle 0, waited for on the final one
+	defer func() {
+		if loadgenCmd != nil { // a harness error ended the soak early
+			loadgenCmd.Process.Kill()
+			loadgenCmd.Wait()
+		}
+	}()
 	loadgenOut := filepath.Join(logDir, "loadgen.json")
 
 	for cycle := 0; cycle <= cfg.Cycles; cycle++ {
@@ -239,7 +227,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		cmd := osexec.Command(cfg.AdvisordBin,
 			"-addr", cfg.Addr,
 			"-state-dir", cfg.StateDir,
-			"-preload", fmt.Sprint(cfg.Tenants),
+			"-preload", fmt.Sprint(crashTenants),
 			"-bench", "micro",
 			"-scale", "0.05",
 			"-offline-episodes", "2",
@@ -263,8 +251,8 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		began := time.Now()
 		var ready readyPayload
 		for {
-			if time.Since(began) > cfg.ReadyTimeout {
-				violate("cycle %d: not ready after %v (see %s)", cycle, cfg.ReadyTimeout, logPath)
+			if time.Since(began) > crashReadyTimeout {
+				violate("cycle %d: not ready after %v (see %s)", cycle, crashReadyTimeout, logPath)
 				kill()
 				rep.Cycles = append(rep.Cycles, cr)
 				return rep, nil
@@ -291,7 +279,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 
 		// Invariant: every expected tenant exists.
 		ids := listTenantIDs(client, base)
-		for i := 1; i <= cfg.Tenants; i++ {
+		for i := 1; i <= crashTenants; i++ {
 			id := fmt.Sprintf("t%d", i)
 			if !ids[id] {
 				violate("cycle %d: tenant %s missing after recovery (have %v)", cycle, id, ids)
@@ -319,9 +307,9 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 					}
 					prevRestored[tr.ID] = tr.RestoredGen
 				}
-				if len(ready.Recovery.Tenants) != cfg.Tenants {
+				if len(ready.Recovery.Tenants) != crashTenants {
 					violate("cycle %d: recovery report covers %d tenants, want %d",
-						cycle, len(ready.Recovery.Tenants), cfg.Tenants)
+						cycle, len(ready.Recovery.Tenants), crashTenants)
 				}
 				if corruptExpect >= 0 {
 					got, ok := cr.Restored["t1"]
@@ -347,11 +335,11 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		})
 
 		// Bridge a loadgen run across the first kill window.
-		if cycle == 0 && cfg.LoadgenBin != "" {
-			dur := cfg.MaxUp + 15*time.Second
+		if cycle == 0 {
+			dur := crashMaxUp + 15*time.Second
 			loadgenCmd = osexec.Command(cfg.LoadgenBin,
 				"-addr", base,
-				"-tenants", fmt.Sprint(cfg.Tenants),
+				"-tenants", fmt.Sprint(crashTenants),
 				"-concurrency", "1",
 				"-duration", dur.String(),
 				"-max-retries", "200",
@@ -372,22 +360,20 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 
 		if cycle == cfg.Cycles {
 			// Final instance: verification only — clean up and stop.
-			if loadgenCmd != nil {
-				loadgenCmd.Wait()
-				checkLoadgenSummary(loadgenOut, rep, violate)
-				loadgenCmd = nil
-			}
+			loadgenCmd.Wait()
+			checkLoadgenSummary(loadgenOut, rep, violate)
+			loadgenCmd = nil
 			kill()
 			rep.Cycles = append(rep.Cycles, cr)
 			break
 		}
 
-		// Seeded uptime, then SIGKILL — on the designated cycle, try to
-		// land the kill while a checkpoint temp file exists.
-		up := cfg.MinUp + time.Duration(rng.Int63n(int64(cfg.MaxUp-cfg.MinUp)+1))
+		// Seeded uptime, then SIGKILL — on the fault cycle, try to land the
+		// kill while a checkpoint temp file exists.
+		up := crashMinUp + time.Duration(rng.Int63n(int64(crashMaxUp-crashMinUp)+1))
 		time.Sleep(up)
 		cr.UptimeSec = time.Since(began).Seconds()
-		if cycle == cfg.MidWriteCycle {
+		if cycle == faultCycle {
 			watchUntil := time.Now().Add(3 * time.Second)
 			for time.Now().Before(watchUntil) {
 				if anyCkptTempFile(cfg.StateDir) {
@@ -400,7 +386,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		cr.Killed = true
 		kill()
 
-		if cycle == cfg.MidWriteCycle && !cr.MidWriteKill {
+		if cycle == faultCycle && !cr.MidWriteKill {
 			// The watch missed every write window: plant the same torn-write
 			// debris a mid-write kill leaves, so the recovery path is
 			// exercised regardless, and say so in the report.
@@ -411,7 +397,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		}
 
 		// Invariant: on-disk generation numbers are monotonic.
-		for i := 1; i <= cfg.Tenants; i++ {
+		for i := 1; i <= crashTenants; i++ {
 			id := fmt.Sprintf("t%d", i)
 			gens := tenantGens(cfg.StateDir, id)
 			if len(gens) == 0 {
@@ -425,7 +411,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 			prevNewest[id] = gens[0].gen
 		}
 
-		if cycle == cfg.CorruptCycle {
+		if cycle == faultCycle {
 			gens := tenantGens(cfg.StateDir, "t1")
 			if len(gens) >= 2 {
 				fi, err := os.Stat(gens[0].path)
@@ -444,11 +430,6 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 		}
 
 		rep.Cycles = append(rep.Cycles, cr)
-	}
-
-	if loadgenCmd != nil {
-		loadgenCmd.Process.Kill()
-		loadgenCmd.Wait()
 	}
 	return rep, nil
 }
@@ -534,7 +515,7 @@ func checkLoadgenSummary(path string, rep *CrashReport, violate func(string, ...
 	}
 }
 
-// crashErr is a tiny helper for tests that want one error out of a report.
+// Err joins the report's violations into one error (nil when none).
 func (r *CrashReport) Err() error {
 	if len(r.Violations) == 0 {
 		return nil

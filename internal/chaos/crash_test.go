@@ -7,7 +7,6 @@ import (
 	osexec "os/exec"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 var (
@@ -35,13 +34,10 @@ func TestCrashRestartSoak(t *testing.T) {
 	cfg := CrashConfig{
 		Seed:        *crashSeed,
 		Cycles:      *crashCycles,
-		Tenants:     2,
 		AdvisordBin: filepath.Join(bins, "advisord"),
 		LoadgenBin:  filepath.Join(bins, "loadgen"),
 		Addr:        "127.0.0.1:18201",
 		StateDir:    stateDir,
-		MinUp:       2 * time.Second,
-		MaxUp:       4 * time.Second,
 		Logf:        t.Logf,
 	}
 	rep, err := RunCrashSoak(cfg)

@@ -1,21 +1,3 @@
-// Package chaos implements a seeded soak harness for the self-healing
-// cluster: it composes randomized fault schedules — crash/rejoin windows,
-// recurring outages, network partitions, stragglers, degraded links,
-// transient failures — over full train-and-suggest episodes of the online
-// partitioning advisor, and checks a set of invariants after every
-// episode:
-//
-//   - cost-accounting conservation: the engine's BytesMoved splits exactly
-//     into deploy bytes and repair bytes, and the repair total equals the
-//     sum over the repair log;
-//   - determinism: replaying an episode under the identical seed yields
-//     bit-identical stats, counters, and the identical suggested design;
-//   - replica-placement consistency: a query errors if and only if some
-//     fragment it needs has no accessible copy;
-//   - liveness: a watchdog fails the episode when training stops making
-//     progress before a wall-clock deadline.
-//
-// Everything is derived from one seed, so a red soak run is replayable.
 package chaos
 
 import (
