@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -201,5 +203,33 @@ func TestRecoveredTenantDigestPinned(t *testing.T) {
 				t.Errorf("model after one advise cycle on the recovered tenant\n  got  %s\n  want %s", got, tc.model)
 			}
 		})
+	}
+}
+
+// TestManifestBytesPinned pins the manifest's on-disk bytes: three fixed
+// specs registered in a fresh state directory, hashed whole, header line
+// included. A change to how the manifest is framed or written must leave
+// this constant alone; recorded before the manifest moved onto the shared
+// atomic-write function.
+//
+// amd64 only, like the other pins.
+func TestManifestBytesPinned(t *testing.T) {
+	skipUnlessAMD64(t)
+	dir := t.TempDir()
+	for _, spec := range []TenantSpec{
+		{ID: "t2", Bench: "ssb", Engine: "memory", Scale: 0.3, Seed: 3, Weight: 2, OfflineEpisodes: 30, OnlineEpisodes: 2},
+		{ID: "t1", Bench: "micro", Engine: "disk", Scale: 0.05, Seed: 1, Weight: 1, OfflineEpisodes: 2, OnlineEpisodes: 1, AdviseEveryMS: 25},
+		{ID: "t3", Bench: "tpcch", Engine: "disk", Scale: 1, Seed: 7, Weight: 0.5, OfflineEpisodes: 4, OnlineEpisodes: 3, NoGuard: true},
+	} {
+		putSpec(t, dir, spec)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	const want = "bfc51e353adfad2da1d4e8eb9fd9b67160f0f6557f9817c929750f173c73f2c3"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("manifest.json SHA-256\n  got  %s\n  want %s", got, want)
 	}
 }
