@@ -35,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -47,6 +46,7 @@ import (
 	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
+	"partadvisor/internal/datagen"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/prof"
@@ -84,7 +84,7 @@ func main() {
 	flag.Parse()
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	for _, err := range []error{checkScale(*scale), checkGuard(*online, *guardOn, set)} {
+	for _, err := range []error{datagen.CheckScale(*scale), checkGuard(*online, *guardOn, set)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "advisor: %v\n", err)
 			flag.Usage()
@@ -310,15 +310,6 @@ func trapSignals(name string) func() bool {
 		os.Exit(1)
 	}()
 	return stopped.Load
-}
-
-// checkScale rejects a -scale that Generate would silently clamp to its
-// floor-sized data (zero, negative) or could never materialize (NaN, Inf).
-func checkScale(scale float64) error {
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		return fmt.Errorf("-scale must be a positive number, got %g", scale)
-	}
-	return nil
 }
 
 // checkGuard rejects guard flags that would be silently ignored: -guard

@@ -7,6 +7,7 @@ import (
 
 	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
+	"partadvisor/internal/datagen"
 )
 
 func TestParseFreq(t *testing.T) {
@@ -78,7 +79,9 @@ func TestQueryNames(t *testing.T) {
 }
 
 // TestCheckScale: a -scale that Generate would clamp to floor-sized data
-// (or could never materialize) is a usage error, not a silent run.
+// (zero, negative, or so large the row counts overflow) or could never
+// materialize is a usage error, not a silent run. main checks -scale with
+// datagen.CheckScale.
 func TestCheckScale(t *testing.T) {
 	for _, tc := range []struct {
 		scale float64
@@ -87,14 +90,16 @@ func TestCheckScale(t *testing.T) {
 		{1, true},
 		{0.05, true},
 		{2.5, true},
+		{datagen.MaxScale, true},
 		{0, false},
 		{-1, false},
+		{1e19, false},
 		{math.NaN(), false},
 		{math.Inf(1), false},
 		{math.Inf(-1), false},
 	} {
-		if err := checkScale(tc.scale); (err == nil) != tc.ok {
-			t.Errorf("checkScale(%g) = %v, want ok=%v", tc.scale, err, tc.ok)
+		if err := datagen.CheckScale(tc.scale); (err == nil) != tc.ok {
+			t.Errorf("CheckScale(%g) = %v, want ok=%v", tc.scale, err, tc.ok)
 		}
 	}
 }

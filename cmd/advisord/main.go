@@ -5,12 +5,10 @@
 //
 // Usage:
 //
-//	advisord [-addr :8080] [-workers N] [-tenant-inflight N]
-//	         [-tenant-queue N] [-global-queue N] [-batch-workers N]
-//	         [-tier1 F] [-tier2 F] [-tick-ms N] [-advise-ms N]
-//	         [-checkpoint-dir DIR]
-//	         [-state-dir DIR] [-checkpoint-every-ms N] [-checkpoint-keep K]
-//	         [-preload N] [-bench micro] [-scale F] [-offline-episodes N]
+//	advisord -state-dir DIR [-addr :8080] [-workers N] [-tenant-queue N]
+//	         [-global-queue N] [-advise-ms N] [-checkpoint-every-ms N]
+//	         [-drain-sec F] [-preload N] [-bench micro] [-scale F]
+//	         [-offline-episodes N]
 //
 // API (see internal/serve):
 //
@@ -24,22 +22,20 @@
 //	GET    /readyz               readiness (503 until recovery completes)
 //	GET    /statz                global service stats
 //
-// -preload N creates N tenants named t1..tN at startup so a load driver
-// can start immediately.
-//
-// -state-dir DIR makes the service crash-safe: tenant specs persist in
-// an fsync'd manifest, advisor state is checkpointed in the background
-// into verified generation files, and a restart recovers every tenant
-// from the newest generation that passes integrity verification before
-// /readyz flips to 200. The listener comes up immediately (healthz
-// answers during recovery); request paths answer 503 + Retry-After
-// until recovery completes.
+// -state-dir DIR is required: tenant specs persist in an fsync'd
+// manifest, advisor state is checkpointed in the background into verified
+// generation files (the newest three are kept), and every start recovers
+// each tenant from the newest generation that passes integrity
+// verification. Startup has one order: the listener comes up (healthz
+// answers; request paths answer 503 + Retry-After), the fleet is
+// recovered, -preload N tops it up with tenants t1..tN that the manifest
+// does not already hold, and then /readyz flips to 200.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting, the
 // admission gate closes (new work answers 503), queued and running batches
 // drain, every tenant's advising goroutine stops at an episode boundary,
-// and — with -checkpoint-dir — each tenant writes one atomic checkpoint.
-// A second signal exits immediately.
+// and each tenant writes a final checkpoint generation, which the next
+// start restores. A second signal exits immediately.
 package main
 
 import (
@@ -53,113 +49,96 @@ import (
 	"syscall"
 	"time"
 
+	"partadvisor/internal/datagen"
 	"partadvisor/internal/serve"
 )
 
 func main() {
 	cfg := serve.DefaultConfig()
 	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		drainSec  = flag.Float64("drain-sec", 30, "max seconds to drain admitted work at shutdown")
-		ckptDir   = flag.String("checkpoint-dir", "", "write per-tenant checkpoints here at shutdown")
-		stateDir  = flag.String("state-dir", "", "durable state directory (crash-safe manifest + generational checkpoints)")
-		ckptMS    = flag.Int64("checkpoint-every-ms", 5000, "background checkpoint interval (ms, with -state-dir)")
-		ckptKeep  = flag.Int("checkpoint-keep", 3, "checkpoint generations to retain per tenant (with -state-dir)")
-		preload   = flag.Int("preload", 0, "create this many tenants (t1..tN) at startup")
-		bench     = flag.String("bench", "micro", "benchmark for preloaded tenants")
-		scale     = flag.Float64("scale", 0.1, "data scale for preloaded tenants")
-		episodes  = flag.Int("offline-episodes", 4, "offline bootstrap episodes for preloaded tenants")
-		tickMS    = flag.Int64("tick-ms", cfg.TickEvery.Milliseconds(), "overload-controller sampling period (ms)")
-		adviseMS  = flag.Int64("advise-ms", cfg.AdviseEvery.Milliseconds(), "default per-tenant advising period (ms)")
-		tier1     = flag.Float64("tier1", cfg.Tier1Occupancy, "queue occupancy arming tier 1 (pause advising)")
-		tier2     = flag.Float64("tier2", cfg.Tier2Occupancy, "queue occupancy arming tier 2 (shed low priority)")
-		upTicks   = flag.Int("tier-up-ticks", cfg.TierUpTicks, "consecutive hot ticks to escalate a tier")
-		downTicks = flag.Int("tier-down-ticks", cfg.TierDownTicks, "consecutive cool ticks to step a tier down")
+		addr     = flag.String("addr", ":8080", "HTTP listen address")
+		drainSec = flag.Float64("drain-sec", 30, "max seconds to drain admitted work at shutdown")
+		ckptMS   = flag.Int64("checkpoint-every-ms", cfg.CheckpointEvery.Milliseconds(), "background checkpoint interval (ms)")
+		preload  = flag.Int("preload", 0, "create this many tenants (t1..tN) at startup")
+		bench    = flag.String("bench", "micro", "benchmark for preloaded tenants")
+		scale    = flag.Float64("scale", 0.1, "data scale for preloaded tenants")
+		episodes = flag.Int("offline-episodes", 4, "offline bootstrap episodes for preloaded tenants")
+		adviseMS = flag.Int64("advise-ms", cfg.AdviseEvery.Milliseconds(), "default per-tenant advising period (ms)")
 	)
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: tenant manifest and checkpoint generations (required)")
 	flag.IntVar(&cfg.MaxConcurrent, "workers", cfg.MaxConcurrent, "worker pool size (global execution semaphore)")
-	flag.IntVar(&cfg.MaxTenantInflight, "tenant-inflight", cfg.MaxTenantInflight, "max workers one tenant may occupy")
 	flag.IntVar(&cfg.MaxTenantQueue, "tenant-queue", cfg.MaxTenantQueue, "per-tenant queue bound")
 	flag.IntVar(&cfg.MaxGlobalQueue, "global-queue", cfg.MaxGlobalQueue, "global queue bound")
-	flag.IntVar(&cfg.BatchWorkers, "batch-workers", cfg.BatchWorkers, "per-batch engine workers (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	cfg.CheckpointDir = *ckptDir
-	cfg.StateDir = *stateDir
 	cfg.CheckpointEvery = time.Duration(*ckptMS) * time.Millisecond
-	cfg.CheckpointKeep = *ckptKeep
-	cfg.TickEvery = time.Duration(*tickMS) * time.Millisecond
 	cfg.AdviseEvery = time.Duration(*adviseMS) * time.Millisecond
-	cfg.Tier1Occupancy, cfg.Tier2Occupancy = *tier1, *tier2
-	cfg.TierUpTicks, cfg.TierDownTicks = *upTicks, *downTicks
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "advisord:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if cfg.StateDir == "" {
+		usage(errors.New("-state-dir is required"))
+	}
+	if err := datagen.CheckScale(*scale); err != nil {
+		usage(err)
+	}
 
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "advisord:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	srv.Start()
-
-	preloadTenants := func() {
-		for i := 1; i <= *preload; i++ {
-			id := fmt.Sprintf("t%d", i)
-			if _, exists := srv.Tenant(id); exists {
-				continue // recovered from the manifest
-			}
-			spec := serve.TenantSpec{
-				ID:              id,
-				Bench:           *bench,
-				Scale:           *scale,
-				Seed:            int64(i),
-				OfflineEpisodes: *episodes,
-			}
-			start := time.Now()
-			if _, err := srv.CreateTenant(spec); err != nil {
-				fmt.Fprintln(os.Stderr, "advisord: preload:", err)
-				os.Exit(2)
-			}
-			fmt.Printf("advisord: tenant %s ready (%s %g, bootstrap %.0fms)\n",
-				spec.ID, spec.Bench, spec.Scale, time.Since(start).Seconds()*1000)
-		}
-	}
-	if *stateDir == "" {
-		// No durable state: the server is born ready, so preload before the
-		// listener comes up and every request path works from the first byte.
-		preloadTenants()
-	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("advisord: listening on %s (%d workers, queue %d, tiers %.2f/%.2f)\n",
-		*addr, cfg.MaxConcurrent, cfg.MaxGlobalQueue, cfg.Tier1Occupancy, cfg.Tier2Occupancy)
+	fmt.Printf("advisord: listening on %s (%d workers, queue %d)\n", *addr, cfg.MaxConcurrent, cfg.MaxGlobalQueue)
 
-	if *stateDir != "" {
-		// Crash-safe mode: the listener is already up (healthz live,
-		// request paths 503 + Retry-After), so recovery time is visible to
-		// probes instead of looking like a dead host. Recover the fleet,
-		// top up with preload, then open the gates.
-		rep, err := srv.Recover()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "advisord: recover:", err)
+	// The listener is already up (healthz live, request paths 503 +
+	// Retry-After), so recovery time is visible to probes instead of
+	// looking like a dead host. Recover the fleet, top up with preload,
+	// then open the gates.
+	recovered, err := srv.Recover()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "advisord: recover:", err)
+		os.Exit(2)
+	}
+	for _, tr := range recovered.Tenants {
+		switch {
+		case tr.Err != "":
+			fmt.Fprintf(os.Stderr, "advisord: recovery: tenant %s FAILED: %s\n", tr.ID, tr.Err)
+		case tr.FreshBootstrap:
+			fmt.Printf("advisord: recovery: tenant %s fresh bootstrap — no verified checkpoint (found %d, corrupt %d, %.0fms)\n",
+				tr.ID, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
+		default:
+			fmt.Printf("advisord: recovery: tenant %s restored generation %d (found %d, corrupt %d, %.0fms)\n",
+				tr.ID, tr.RestoredGen, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
+		}
+	}
+	for i := 1; i <= *preload; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if _, exists := srv.Tenant(id); exists {
+			continue // recovered from the manifest
+		}
+		spec := serve.TenantSpec{
+			ID:              id,
+			Bench:           *bench,
+			Scale:           *scale,
+			Seed:            int64(i),
+			OfflineEpisodes: *episodes,
+		}
+		start := time.Now()
+		if _, err := srv.CreateTenant(spec); err != nil {
+			fmt.Fprintln(os.Stderr, "advisord: preload:", err)
 			os.Exit(2)
 		}
-		for _, tr := range rep.Tenants {
-			switch {
-			case tr.Err != "":
-				fmt.Fprintf(os.Stderr, "advisord: recovery: tenant %s FAILED: %s\n", tr.ID, tr.Err)
-			case tr.FreshBootstrap:
-				fmt.Printf("advisord: recovery: tenant %s fresh bootstrap — no verified checkpoint (found %d, corrupt %d, %.0fms)\n",
-					tr.ID, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
-			default:
-				fmt.Printf("advisord: recovery: tenant %s restored generation %d (found %d, corrupt %d, %.0fms)\n",
-					tr.ID, tr.RestoredGen, tr.Generations, tr.CorruptSkipped, tr.DurationSec*1000)
-			}
-		}
-		preloadTenants()
-		srv.MarkReady()
-		fmt.Printf("advisord: ready (%d tenants, recovery %.0fms)\n",
-			len(srv.TenantList()), rep.DurationSec*1000)
+		fmt.Printf("advisord: tenant %s ready (%s %g, bootstrap %.0fms)\n",
+			spec.ID, spec.Bench, spec.Scale, time.Since(start).Seconds()*1000)
 	}
+	srv.MarkReady()
+	fmt.Printf("advisord: ready (%d tenants, recovery %.0fms)\n",
+		len(srv.TenantList()), recovered.DurationSec*1000)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -177,7 +156,8 @@ func main() {
 	}()
 
 	// Shutdown ordering: stop accepting first (listener), then close the
-	// admission gate and drain the scheduler, then checkpoint.
+	// admission gate and drain the scheduler, then write the final
+	// generations.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainSec*float64(time.Second)))
 	defer cancel()
 	srv.BeginDrain()

@@ -14,13 +14,13 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 
 	"partadvisor/internal/benchmarks"
+	"partadvisor/internal/datagen"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/relation"
 )
@@ -34,8 +34,8 @@ func main() {
 		statsOnly = flag.Bool("stats", false, "print table statistics instead of writing files")
 	)
 	flag.Parse()
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		fmt.Fprintf(os.Stderr, "datagen: -scale must be a positive number, got %g\n", *scale)
+	if err := datagen.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}

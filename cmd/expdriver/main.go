@@ -23,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"partadvisor/internal/chaos"
+	"partadvisor/internal/datagen"
 	"partadvisor/internal/experiments"
 	"partadvisor/internal/prof"
 )
@@ -143,8 +143,10 @@ func main() {
 // silently ignored or defaulted.
 func checkFlags(scale float64, soak string, soakEps int, set map[string]bool) error {
 	// 0 means "the profile's scale"; anything else must be a usable scale.
-	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 1) {
-		return fmt.Errorf("-scale must be a positive number (or 0 for the profile's), got %g", scale)
+	if scale != 0 {
+		if err := datagen.CheckScale(scale); err != nil {
+			return fmt.Errorf("-scale: %w (or 0 for the profile's)", err)
+		}
 	}
 	if !set["soak"] {
 		if set["soak-episodes"] {

@@ -30,7 +30,9 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%s: checkFlags error = %v, want error %v", tc.name, err, tc.wantErr)
 		}
 	}
-	if err := checkFlags(-1, "", 3, map[string]bool{}); err == nil {
-		t.Error("negative -scale accepted")
+	for _, scale := range []float64{-1, 1e19} {
+		if err := checkFlags(scale, "", 3, map[string]bool{}); err == nil {
+			t.Errorf("-scale %g accepted", scale)
+		}
 	}
 }

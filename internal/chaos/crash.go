@@ -10,9 +10,11 @@ import (
 	"os"
 	osexec "os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
+
+	"partadvisor/internal/durable"
+	"partadvisor/internal/serve"
 )
 
 // Process-level crash-restart soak for advisord (DESIGN.md §10).
@@ -131,51 +133,21 @@ type readyPayload struct {
 	} `json:"recovery"`
 }
 
-// crashGen is one generation file found on disk.
-type crashGen struct {
-	gen  uint64
-	path string
+// tenantGens lists a tenant's checkpoint generations newest-first, read
+// through the same parser recovery uses.
+func tenantGens(stateDir, tenant string) []serve.GenerationFile {
+	gens, _ := serve.ListGenerations(serve.GenerationDir(stateDir, tenant))
+	return gens
 }
 
-// tenantGens lists a tenant's checkpoint generations newest-first.
-func tenantGens(stateDir, tenant string) []crashGen {
-	dir := filepath.Join(stateDir, "ckpt", tenant)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []crashGen
-	for _, e := range entries {
-		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "gen-%d.ckpt", &g); err == nil &&
-			strings.HasSuffix(e.Name(), ".ckpt") && !strings.Contains(e.Name(), ".tmp") {
-			out = append(out, crashGen{gen: g, path: filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].gen > out[j].gen })
-	return out
-}
-
-// anyCkptTempFile reports whether any tenant checkpoint directory holds
-// a temp file right now — i.e. a checkpoint write is in flight.
+// anyCkptTempFile reports whether any tenant's checkpoint directory holds
+// a durable.Replace temp file right now — i.e. a checkpoint write is in
+// flight.
 func anyCkptTempFile(stateDir string) bool {
-	root := filepath.Join(stateDir, "ckpt")
-	tenants, err := os.ReadDir(root)
-	if err != nil {
-		return false
-	}
-	for _, td := range tenants {
-		if !td.IsDir() {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(root, td.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if strings.Contains(e.Name(), ".ckpt.tmp") {
-				return true
-			}
+	paths, _ := filepath.Glob(filepath.Join(serve.GenerationDir(stateDir, "*"), "*"))
+	for _, path := range paths {
+		if durable.IsTemp(filepath.Base(path)) {
+			return true
 		}
 	}
 	return false
@@ -233,8 +205,6 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 			"-offline-episodes", "2",
 			"-advise-ms", "50",
 			"-checkpoint-every-ms", "100",
-			"-checkpoint-keep", "3",
-			"-tick-ms", "20",
 		)
 		cmd.Stdout, cmd.Stderr = logFile, logFile
 		if err := cmd.Start(); err != nil {
@@ -388,11 +358,16 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 
 		if cycle == faultCycle && !cr.MidWriteKill {
 			// The watch missed every write window: plant the same torn-write
-			// debris a mid-write kill leaves, so the recovery path is
+			// debris a mid-write kill leaves (a partly written temp file
+			// beside t1's newest generation), so the recovery path is
 			// exercised regardless, and say so in the report.
-			stray := filepath.Join(cfg.StateDir, "ckpt", "t1", "gen-99999999.ckpt.tmp999")
-			if err := os.WriteFile(stray, []byte("torn checkpoint write"), 0o644); err == nil {
-				cr.MidWriteSynthesized = true
+			if gens := tenantGens(cfg.StateDir, "t1"); len(gens) > 0 {
+				f, err := os.CreateTemp(filepath.Dir(gens[0].Path), durable.TempPattern(gens[0].Path))
+				if err == nil {
+					_, err = f.WriteString("torn checkpoint write")
+					f.Close()
+				}
+				cr.MidWriteSynthesized = err == nil
 			}
 		}
 
@@ -404,23 +379,23 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 				violate("cycle %d: tenant %s has no checkpoint generations after kill", cycle, id)
 				continue
 			}
-			if gens[0].gen < prevNewest[id] {
+			if gens[0].Gen < prevNewest[id] {
 				violate("cycle %d: tenant %s newest generation regressed: %d < %d",
-					cycle, id, gens[0].gen, prevNewest[id])
+					cycle, id, gens[0].Gen, prevNewest[id])
 			}
-			prevNewest[id] = gens[0].gen
+			prevNewest[id] = gens[0].Gen
 		}
 
 		if cycle == faultCycle {
 			gens := tenantGens(cfg.StateDir, "t1")
 			if len(gens) >= 2 {
-				fi, err := os.Stat(gens[0].path)
+				fi, err := os.Stat(gens[0].Path)
 				if err == nil {
-					if err := os.Truncate(gens[0].path, fi.Size()/2); err == nil {
+					if err := os.Truncate(gens[0].Path, fi.Size()/2); err == nil {
 						cr.CorruptInjected = true
-						corruptExpect = int64(gens[1].gen)
+						corruptExpect = int64(gens[1].Gen)
 						cfg.Logf("cycle %d: truncated newest generation %d; next recovery must fall back to %d",
-							cycle, gens[0].gen, gens[1].gen)
+							cycle, gens[0].Gen, gens[1].Gen)
 					}
 				}
 			}

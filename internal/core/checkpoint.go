@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
+
+	"partadvisor/internal/durable"
 )
 
 // Training phase names used for checkpoint bookkeeping. trainEpisodes tags
@@ -269,12 +270,9 @@ func decodePayload(payload []byte) (ck *Checkpoint, err error) {
 	return ck, nil
 }
 
-// SaveCheckpoint writes the current training state to path atomically and
-// durably: the framed, checksummed snapshot goes to a unique temp file in
-// the target directory (same filesystem, so the rename is atomic), is
-// fsynced, renamed over path, and the directory is fsynced so the rename
-// itself survives a power loss. A crash at any instant leaves either the
-// old or the new snapshot intact — never a torn file.
+// SaveCheckpoint writes the current training state to path through
+// durable.Replace: a crash at any instant leaves either the old or the new
+// snapshot intact, never a torn file.
 func (a *Advisor) SaveCheckpoint(path string) error {
 	ck, err := a.Checkpoint()
 	if err != nil {
@@ -284,44 +282,9 @@ func (a *Advisor) SaveCheckpoint(path string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
+	if err := durable.Replace(path, data); err != nil {
+		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: write checkpoint %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: write checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: install checkpoint %s: %w", path, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// platforms cannot fsync directories; those errors are not fatal — the
-// rename is already atomic, durability is best-effort there.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
 	return nil
 }
 

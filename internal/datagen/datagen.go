@@ -5,6 +5,7 @@
 package datagen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -166,6 +167,24 @@ func Table(name string, cols map[string][]int64, order []string) *relation.Relat
 		data[i] = slices.Clone(cols[c])
 	}
 	return relation.FromColumns(name, order, data)
+}
+
+// MaxScale is the largest data scale a generator accepts. The largest
+// base table (TPC-H lineitem, 120 000 rows at scale 1) has 12 million rows
+// at 100, a hundred times the paper and repro profiles' scale 1; far past
+// it a database no longer fits in memory, and from about 7.7e13 the row
+// count overflows int and ScaleRows would silently clamp every table to
+// its floor.
+const MaxScale = 100
+
+// CheckScale rejects a scale outside (0, MaxScale]: zero, negative, NaN,
+// infinite or too large. Every entry point that takes a scale from a user
+// calls it before generating anything.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= MaxScale) {
+		return fmt.Errorf("scale %g is outside (0, %d]", scale, MaxScale)
+	}
+	return nil
 }
 
 // ScaleRows applies a scale factor to a base count, keeping at least min.

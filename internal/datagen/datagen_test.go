@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"math"
 	"testing"
 
 	"partadvisor/internal/valenc"
@@ -226,6 +227,25 @@ func TestScaleRows(t *testing.T) {
 	}
 	if got := ScaleRows(1000, 0.001, 10); got != 10 {
 		t.Fatalf("ScaleRows min = %d", got)
+	}
+}
+
+// TestCheckScale: the scales CheckScale accepts are exactly those ScaleRows
+// turns into an honest row count; 1e19 used to overflow to MinInt64 and
+// clamp every table to its floor.
+func TestCheckScale(t *testing.T) {
+	for _, scale := range []float64{1e-9, 0.05, 1, MaxScale} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("CheckScale(%g) = %v, want ok", scale, err)
+		}
+	}
+	for _, scale := range []float64{0, -1, MaxScale * 1.0001, 1e19, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckScale(scale); err == nil {
+			t.Errorf("CheckScale(%g) accepted", scale)
+		}
+	}
+	if got := ScaleRows(120_000, MaxScale, 4000); got != 120_000*MaxScale {
+		t.Fatalf("ScaleRows at MaxScale = %d, want %d", got, 120_000*MaxScale)
 	}
 }
 

@@ -59,9 +59,9 @@ func (o *overload) Tier() Tier { return Tier(o.tier.Load()) }
 func (o *overload) Observe(occupancy float64) Tier {
 	target := TierNormal
 	switch {
-	case occupancy >= o.cfg.Tier2Occupancy:
+	case occupancy >= tier2Occupancy:
 		target = TierShedLowPriority
-	case occupancy >= o.cfg.Tier1Occupancy:
+	case occupancy >= tier1Occupancy:
 		target = TierPauseAdvising
 	}
 	cur := o.Tier()

@@ -26,7 +26,6 @@ func stateConfig(dir string) Config {
 	cfg := testConfig()
 	cfg.StateDir = dir
 	cfg.CheckpointEvery = 20 * time.Millisecond
-	cfg.CheckpointKeep = 3
 	return cfg
 }
 
@@ -42,11 +41,11 @@ func newStateServer(t *testing.T, dir string) *Server {
 
 // waitGenerations polls a tenant's checkpoint directory until at least n
 // generations exist.
-func waitGenerations(t *testing.T, dir string, n int) []generationFile {
+func waitGenerations(t *testing.T, dir string, n int) []GenerationFile {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		gens, err := listGenerations(dir)
+		gens, err := ListGenerations(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func TestRegistryPersistsAcrossCrash(t *testing.T) {
 	submitOne(t, s, t1)
 	waitGenerations(t, t1.ckptDir, 2)
 	wantEpisodes := 0
-	if gens, err := listGenerations(t1.ckptDir); err == nil {
+	if gens, err := ListGenerations(t1.ckptDir); err == nil {
 		if ck, err := core.LoadCheckpoint(gens[0].Path); err == nil {
 			wantEpisodes = ck.EpisodesTrained
 		}
@@ -148,7 +147,7 @@ func TestRecoveryCorruptionFallback(t *testing.T) {
 	gens := waitGenerations(t, t1.ckptDir, 2)
 	s.Halt()
 
-	gens, err := listGenerations(t1.ckptDir)
+	gens, err := ListGenerations(t1.ckptDir)
 	if err != nil || len(gens) < 2 {
 		t.Fatalf("need >= 2 generations after halt, have %d (%v)", len(gens), err)
 	}
@@ -203,7 +202,7 @@ func TestRecoveryAllCorruptFreshBootstrap(t *testing.T) {
 	waitGenerations(t, t1.ckptDir, 1)
 	s.Halt()
 
-	gens, _ := listGenerations(t1.ckptDir)
+	gens, _ := ListGenerations(t1.ckptDir)
 	for _, g := range gens {
 		if err := os.WriteFile(g.Path, []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
@@ -479,7 +478,7 @@ func TestShutdownWritesFinalGeneration(t *testing.T) {
 // TestRecoveredTenantKeepsCheckpointCadence: a tenant restored from a
 // generation waits a full checkpoint interval before it writes the next
 // one. Rewriting the state it just loaded would be a redundant copy that
-// pushes an older, distinct generation out of the CheckpointKeep window. A
+// pushes an older, distinct generation out of the checkpointKeep window. A
 // tenant that fell back to its bootstrap has nothing verified on disk and
 // writes at its first tick.
 func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
@@ -499,7 +498,7 @@ func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
 	}
 	s.Halt()
 	// Each advising loop wrote generation 0 before Halt stopped it.
-	gens, err := listGenerations(filepath.Join(dir, ckptSubdir, "t2"))
+	gens, err := ListGenerations(filepath.Join(dir, ckptSubdir, "t2"))
 	if err != nil || len(gens) != 1 {
 		t.Fatalf("t2 generations after halt: %d (%v), want 1", len(gens), err)
 	}
@@ -521,7 +520,7 @@ func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
 	rt2, _ := s2.Tenant("t2")
 	waitGenerations(t, rt2.ckptDir, 2)
 	time.Sleep(100 * time.Millisecond) // ten advising ticks
-	if gens, _ := listGenerations(rt1.ckptDir); len(gens) != 1 || rt1.ckptWrites.Load() != 0 {
+	if gens, _ := ListGenerations(rt1.ckptDir); len(gens) != 1 || rt1.ckptWrites.Load() != 0 {
 		t.Fatalf("restored t1 rewrote its generation within the interval: %d on disk, %d written",
 			len(gens), rt1.ckptWrites.Load())
 	}

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"partadvisor/internal/durable"
 )
 
 // The durable state layout under Config.StateDir:
@@ -19,10 +21,9 @@ import (
 //	<state-dir>/ckpt/<tenant>/gen-%08d.ckpt checkpoint generations
 //
 // The manifest is the source of truth for which tenants exist: it is
-// rewritten atomically (unique temp file + fsync + rename + directory
-// fsync) on every create and delete, so the set of tenants survives any
-// crash — a kill at any instant leaves either the previous or the new
-// manifest intact, never a torn one. A header line carrying the SHA-256
+// rewritten through durable.Replace on every create and delete, so the
+// set of tenants survives any crash — a kill at any instant leaves
+// either the previous or the new manifest intact, never a torn one. A header line carrying the SHA-256
 // of the JSON body turns silent bit rot into a loud ErrCorruptManifest
 // instead of a half-parsed tenant fleet.
 //
@@ -60,23 +61,15 @@ type registry struct {
 // openRegistry prepares the state directory (creating it and the
 // checkpoint subtree), sweeps temp files left by a rename that never
 // happened, and loads the manifest if one exists. A crash between
-// writing manifest.json.tmp* and the rename leaves the previous manifest
-// as the newest committed state — exactly what loading ignores the temp
-// debris in favor of.
+// writing the manifest's temp file and the rename leaves the previous
+// manifest as the newest committed state — exactly what loading ignores
+// the temp debris in favor of.
 func openRegistry(dir string) (*registry, error) {
 	if err := os.MkdirAll(filepath.Join(dir, ckptSubdir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: state dir: %w", err)
 	}
+	durable.SweepTemp(dir)
 	r := &registry{dir: dir, specs: make(map[string]TenantSpec)}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("serve: state dir: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), manifestName+".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 	data, err := os.ReadFile(r.path())
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -96,9 +89,10 @@ func openRegistry(dir string) (*registry, error) {
 
 func (r *registry) path() string { return filepath.Join(r.dir, manifestName) }
 
-// ckptDir returns the checkpoint-generation directory for one tenant.
-func (r *registry) ckptDir(id string) string {
-	return filepath.Join(r.dir, ckptSubdir, id)
+// GenerationDir is the directory holding one tenant's checkpoint
+// generations under a state directory.
+func GenerationDir(stateDir, id string) string {
+	return filepath.Join(stateDir, ckptSubdir, id)
 }
 
 // verifyManifest checks the header line's SHA-256 against the body and
@@ -166,9 +160,8 @@ func (r *registry) delete(id string) error {
 	return nil
 }
 
-// persistLocked writes the manifest atomically and durably: unique temp
-// file in the same directory, fsync, rename over the live name, fsync
-// the directory. Caller holds r.mu.
+// persistLocked writes the manifest through durable.Replace. Caller
+// holds r.mu.
 func (r *registry) persistLocked() error {
 	body := manifestBody{Tenants: make([]TenantSpec, 0, len(r.specs))}
 	for _, spec := range r.specs {
@@ -182,47 +175,14 @@ func (r *registry) persistLocked() error {
 	payload = append(payload, '\n')
 	sum := sha256.Sum256(payload)
 	data := append([]byte(manifestHeader+hex.EncodeToString(sum[:])+"\n"), payload...)
-
-	f, err := os.CreateTemp(r.dir, manifestName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: manifest temp file: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
+	if err := durable.Replace(r.path(), data); err != nil {
 		return fmt.Errorf("serve: write manifest: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, r.path()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: install manifest: %w", err)
-	}
-	syncDir(r.dir)
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// platforms cannot fsync directories; the rename is already atomic, so
-// durability is best-effort there.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// generationFile is one checkpoint generation on disk.
-type generationFile struct {
+// GenerationFile is one checkpoint generation on disk.
+type GenerationFile struct {
 	Gen  uint64
 	Path string
 }
@@ -234,10 +194,12 @@ func generationPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("gen-%08d.ckpt", gen))
 }
 
-// listGenerations returns a tenant's checkpoint generations sorted
-// newest-first. Temp files and foreign names are ignored. A missing
-// directory is an empty list, not an error.
-func listGenerations(dir string) ([]generationFile, error) {
+// ListGenerations returns the checkpoint generations in a tenant's
+// GenerationDir sorted newest-first: only names generationPath writes
+// count, so temp files and foreign names are ignored. A missing directory
+// is an empty list, not an error. Recovery and the crash soak read the
+// layout through it.
+func ListGenerations(dir string) ([]GenerationFile, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -245,32 +207,15 @@ func listGenerations(dir string) ([]generationFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []generationFile
+	var out []GenerationFile
 	for _, e := range entries {
 		var gen uint64
-		if _, err := fmt.Sscanf(e.Name(), "gen-%d.ckpt", &gen); err != nil {
+		_, err := fmt.Sscanf(e.Name(), "gen-%d.ckpt", &gen)
+		if err != nil || e.Name() != filepath.Base(generationPath(dir, gen)) {
 			continue
 		}
-		if e.Name() != fmt.Sprintf("gen-%08d.ckpt", gen) {
-			continue
-		}
-		out = append(out, generationFile{Gen: gen, Path: filepath.Join(dir, e.Name())})
+		out = append(out, GenerationFile{Gen: gen, Path: filepath.Join(dir, e.Name())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Gen > out[j].Gen })
 	return out, nil
-}
-
-// sweepTempFiles removes checkpoint temp files left by a write that a
-// crash interrupted mid-flight. The atomic rename contract means such
-// debris is never the newest committed generation.
-func sweepTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".ckpt.tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }

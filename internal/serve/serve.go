@@ -28,19 +28,22 @@
 //     request is still queued cancel it without occupying a worker.
 //
 //  4. Graceful degradation tiers. A tick loop watches global queue
-//     occupancy with hysteresis. Sustained load past Tier1Occupancy
+//     occupancy with hysteresis. Sustained load past half the queue
 //     pauses every tenant's background advising (the service sheds its
-//     own optional work first); past Tier2Occupancy it also sheds
+//     own optional work first); past nine tenths it also sheds
 //     lowest-priority batch traffic at admission. Health and stats
 //     endpoints never queue and are never shed — they read the engines'
 //     lock-free published views. When the load drops the tiers step back
 //     down and advising resumes.
 //
-// Shutdown is drain-then-stop: admission closes first (new work is
-// rejected with ErrClosed → 503), admitted work drains through the worker
-// pool, tenant advisor goroutines stop at an episode boundary via the
-// core.Advisor.Stop contract, and every tenant writes a final atomic
-// checkpoint (the PR 2 temp-file + fsync + rename path).
+// The lifecycle is one path: NewServer opens the state directory,
+// Recover rebuilds the tenants its manifest records, MarkReady opens the
+// request paths. Shutdown is drain-then-stop: admission closes first (new
+// work is rejected with ErrClosed → 503), admitted work drains through the
+// worker pool, tenant advisor goroutines stop at an episode boundary via
+// the core.Advisor.Stop contract, and every tenant writes a final
+// checkpoint generation, which the next Recover restores. Every durable
+// write goes through durable.Replace.
 package serve
 
 import (
@@ -80,8 +83,20 @@ func IsShed(err error) bool {
 		errors.Is(err, ErrShedPriority)
 }
 
+// The fixed parts of the service envelope. The tier ladder arms tier 1
+// (pause background advising) at half the global queue and tier 2 (also
+// shed priority-0 traffic) at nine tenths; a batch runs inline on its
+// worker, since cross-tenant parallelism comes from the worker pool; each
+// tenant keeps its newest three checkpoint generations.
+const (
+	tier1Occupancy = 0.5
+	tier2Occupancy = 0.9
+	batchWorkers   = 1
+	checkpointKeep = 3
+)
+
 // Config holds the service knobs. The zero value is unusable; start from
-// DefaultConfig.
+// DefaultConfig and set StateDir.
 type Config struct {
 	// MaxConcurrent is the worker-pool size — the global execution
 	// semaphore. At most this many batches execute at once.
@@ -96,16 +111,7 @@ type Config struct {
 	// MaxGlobalQueue bounds the sum of all queued requests; submissions
 	// past it are shed with ErrGlobalQueueFull.
 	MaxGlobalQueue int
-	// BatchWorkers is the per-batch engine worker count handed to
-	// exec.Engine (0 = GOMAXPROCS, 1 = inline). Service deployments keep
-	// it small: cross-tenant parallelism comes from the worker pool.
-	BatchWorkers int
 
-	// Tier1Occupancy and Tier2Occupancy are global queue occupancy
-	// fractions ([0,1]) that arm degradation tier 1 (pause background
-	// advising) and tier 2 (also shed priority-0 traffic).
-	Tier1Occupancy float64
-	Tier2Occupancy float64
 	// TierUpTicks is how many consecutive over-threshold ticks escalate a
 	// tier; TierDownTicks how many under-threshold ticks step one back
 	// down. Hysteresis keeps the controller from flapping.
@@ -116,47 +122,33 @@ type Config struct {
 
 	// AdviseEvery is the default per-tenant background advising period.
 	AdviseEvery time.Duration
-	// CheckpointDir, when non-empty, receives one atomic checkpoint per
-	// tenant (<dir>/<tenant>.ckpt) at shutdown.
-	CheckpointDir string
 
-	// StateDir, when non-empty, makes the server crash-safe: tenant specs
+	// StateDir is the durable state directory (required): tenant specs
 	// are recorded in an fsync'd manifest (written on create, removed on
 	// delete), each tenant's advisor state is checkpointed in the
 	// background into generation-numbered files, and Recover rebuilds the
-	// fleet from this directory after an unclean death.
+	// fleet from it after a restart, clean or not.
 	StateDir string
 	// CheckpointEvery is the per-tenant background checkpoint interval
-	// (only meaningful with StateDir; checkpoints land at the next
-	// advising episode boundary after the interval elapses).
+	// (checkpoints land at the next advising episode boundary after the
+	// interval elapses).
 	CheckpointEvery time.Duration
-	// CheckpointKeep is how many checkpoint generations to retain per
-	// tenant; older generations are pruned after each successful write.
-	CheckpointKeep int
 }
 
 // DefaultConfig returns a service envelope sized for the test benchmarks:
-// a CPU-bound worker pool, short queues (shed early, retry cheap), and a
-// half/nine-tenths occupancy tier ladder.
+// a CPU-bound worker pool and short queues (shed early, retry cheap). It
+// has no StateDir; the caller names one.
 func DefaultConfig() Config {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
 	return Config{
-		MaxConcurrent:     workers,
+		MaxConcurrent:     max(2, runtime.GOMAXPROCS(0)),
 		MaxTenantInflight: 2,
 		MaxTenantQueue:    16,
 		MaxGlobalQueue:    64,
-		BatchWorkers:      1,
-		Tier1Occupancy:    0.5,
-		Tier2Occupancy:    0.9,
 		TierUpTicks:       3,
 		TierDownTicks:     8,
 		TickEvery:         100 * time.Millisecond,
 		AdviseEvery:       500 * time.Millisecond,
 		CheckpointEvery:   5 * time.Second,
-		CheckpointKeep:    3,
 	}
 }
 
@@ -171,24 +163,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: MaxTenantQueue %d < 1", c.MaxTenantQueue)
 	case c.MaxGlobalQueue < 1:
 		return fmt.Errorf("serve: MaxGlobalQueue %d < 1", c.MaxGlobalQueue)
-	case c.Tier1Occupancy <= 0 || c.Tier1Occupancy > 1:
-		return fmt.Errorf("serve: Tier1Occupancy %g outside (0,1]", c.Tier1Occupancy)
-	case c.Tier2Occupancy < c.Tier1Occupancy || c.Tier2Occupancy > 1:
-		return fmt.Errorf("serve: Tier2Occupancy %g outside [Tier1 %g, 1]", c.Tier2Occupancy, c.Tier1Occupancy)
 	case c.TierUpTicks < 1 || c.TierDownTicks < 1:
 		return fmt.Errorf("serve: tier hysteresis ticks must be >= 1 (up %d, down %d)", c.TierUpTicks, c.TierDownTicks)
 	case c.TickEvery <= 0:
 		return fmt.Errorf("serve: TickEvery %v <= 0", c.TickEvery)
 	case c.AdviseEvery <= 0:
 		return fmt.Errorf("serve: AdviseEvery %v <= 0", c.AdviseEvery)
-	}
-	if c.StateDir != "" {
-		switch {
-		case c.CheckpointEvery <= 0:
-			return fmt.Errorf("serve: CheckpointEvery %v <= 0 with StateDir set", c.CheckpointEvery)
-		case c.CheckpointKeep < 1:
-			return fmt.Errorf("serve: CheckpointKeep %d < 1 with StateDir set", c.CheckpointKeep)
-		}
+	case c.StateDir == "":
+		return fmt.Errorf("serve: StateDir is required")
+	case c.CheckpointEvery <= 0:
+		return fmt.Errorf("serve: CheckpointEvery %v <= 0", c.CheckpointEvery)
 	}
 	return nil
 }

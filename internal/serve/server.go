@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,19 +13,20 @@ import (
 	"time"
 
 	"partadvisor/internal/core"
+	"partadvisor/internal/durable"
 )
 
 // Server hosts the tenants, the admission-controlled scheduler and the
-// overload controller. Build with NewServer, then Start, then serve
-// Handler() over HTTP; shut down with BeginDrain + Shutdown.
+// overload controller. Build with NewServer, then Start, serve Handler()
+// over HTTP, Recover and MarkReady; shut down with BeginDrain + Shutdown.
 type Server struct {
 	cfg   Config
 	sched *scheduler
 	ov    *overload
 
-	// reg is the durable tenant manifest (nil without StateDir). ready
-	// gates the HTTP request paths: it starts false in StateDir mode and
-	// flips true once recovery (or the operator's preload) completes.
+	// reg is the durable tenant manifest. ready gates the HTTP request
+	// paths: it starts false and flips true at MarkReady, once recovery
+	// (and the operator's preload) completes.
 	reg      *registry
 	ready    atomic.Bool
 	recovery atomic.Pointer[RecoveryReport]
@@ -46,35 +48,30 @@ type Server struct {
 	deadlineMisses atomic.Int64
 }
 
-// NewServer validates the config and builds an idle server. With
-// StateDir set it opens (or initializes) the durable tenant manifest —
-// a corrupt manifest fails construction with ErrCorruptManifest — and
-// the server starts not-ready: call Recover, then MarkReady.
+// NewServer validates the config, opens (or initializes) the durable
+// tenant manifest under StateDir — a corrupt manifest fails construction
+// with ErrCorruptManifest — and builds an idle server that starts
+// not-ready: call Recover, then MarkReady.
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{
+	reg, err := openRegistry(cfg.StateDir)
+	if err != nil {
+		return nil, err
+	}
+	return &Server{
 		cfg:     cfg,
 		sched:   newScheduler(cfg),
 		ov:      newOverload(cfg),
+		reg:     reg,
 		tenants: make(map[string]*Tenant),
 		start:   time.Now(),
-	}
-	if cfg.StateDir != "" {
-		reg, err := openRegistry(cfg.StateDir)
-		if err != nil {
-			return nil, err
-		}
-		s.reg = reg
-	}
-	s.ready.Store(cfg.StateDir == "")
-	return s, nil
+	}, nil
 }
 
 // Ready reports whether the server accepts tenant and batch requests
-// over HTTP. Without StateDir it is always true; with StateDir it flips
-// true at MarkReady after recovery.
+// over HTTP: false until MarkReady.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // MarkReady opens the HTTP request paths after recovery and preload.
@@ -135,7 +132,7 @@ func (s *Server) CreateTenant(spec TenantSpec) (*Tenant, error) {
 }
 
 // register installs a built tenant into the server. With persist set it
-// also records the spec in the durable manifest inside the same critical
+// also records the spec in the manifest inside the same critical
 // section, so a crash immediately after CreateTenant returns cannot lose
 // the tenant, and a concurrent duplicate create cannot interleave between
 // the map insert and the manifest write.
@@ -150,7 +147,7 @@ func (s *Server) register(t *Tenant, persist bool) error {
 	if _, raced := s.tenants[t.Spec.ID]; raced {
 		return abort(fmt.Errorf("serve: tenant %q already exists", t.Spec.ID))
 	}
-	if persist && s.reg != nil {
+	if persist {
 		if err := s.reg.put(t.Spec); err != nil {
 			return abort(err)
 		}
@@ -173,17 +170,13 @@ func (s *Server) DeleteTenant(id string) error {
 	}
 	s.sched.removeTenant(id)
 	t.stopAdvising()
-	if s.reg != nil {
-		// Manifest first, then the checkpoint files: a crash in between
-		// leaves orphan generations that recovery sweeps, never a manifest
-		// entry with no way to rebuild the tenant.
-		if err := s.reg.delete(id); err != nil {
-			return err
-		}
-		if t.ckptDir != "" {
-			os.RemoveAll(t.ckptDir)
-		}
+	// Manifest first, then the checkpoint files: a crash in between leaves
+	// orphan generations that recovery sweeps, never a manifest entry with
+	// no way to rebuild the tenant.
+	if err := s.reg.delete(id); err != nil {
+		return err
 	}
+	os.RemoveAll(t.ckptDir)
 	return nil
 }
 
@@ -230,9 +223,6 @@ func (s *Server) Recovery() *RecoveryReport { return s.recovery.Load() }
 // (a crash mid-delete) are removed. Call before Start-ing traffic; finish
 // with MarkReady.
 func (s *Server) Recover() (*RecoveryReport, error) {
-	if s.reg == nil {
-		return nil, fmt.Errorf("serve: Recover requires StateDir")
-	}
 	began := time.Now()
 	specs := s.reg.list()
 	rep := &RecoveryReport{Tenants: make([]TenantRecovery, len(specs))}
@@ -259,10 +249,10 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	// Sweep checkpoint directories for tenants the manifest no longer
 	// records: DeleteTenant removes the manifest entry first, so a crash
 	// between the two leaves exactly this debris.
-	if entries, err := os.ReadDir(s.reg.dir + "/" + ckptSubdir); err == nil {
+	if entries, err := os.ReadDir(filepath.Join(s.reg.dir, ckptSubdir)); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && !known[e.Name()] {
-				os.RemoveAll(s.reg.ckptDir(e.Name()))
+				os.RemoveAll(GenerationDir(s.reg.dir, e.Name()))
 			}
 		}
 	}
@@ -287,8 +277,8 @@ func (s *Server) recoverTenant(spec TenantSpec) (tr TenantRecovery) {
 		tr.Err = err.Error()
 		return tr
 	}
-	sweepTempFiles(t.ckptDir)
-	gens, err := listGenerations(t.ckptDir)
+	durable.SweepTemp(t.ckptDir)
+	gens, err := ListGenerations(t.ckptDir)
 	if err != nil {
 		tr.Err = err.Error()
 		t.discard()
@@ -392,7 +382,7 @@ func (s *Server) SubmitBatch(ctx context.Context, t *Tenant, names []string, rep
 		return nil, err
 	}
 	if workers == 0 {
-		workers = s.cfg.BatchWorkers
+		workers = batchWorkers
 	}
 	done := make(chan BatchResult, 1)
 	tk := newTask(float64(len(qs)), nil)
@@ -533,8 +523,10 @@ type ShutdownReport struct {
 
 // Shutdown drains the scheduler (bounded by ctx), stops the overload
 // loop and every tenant's advising goroutine at an episode boundary, and
-// writes one atomic checkpoint per tenant when CheckpointDir is set.
-// Call BeginDrain (and drain the HTTP listener) first.
+// writes one final checkpoint generation per tenant: it captures every
+// episode trained since the last background checkpoint, and the next
+// Recover restores it. Call BeginDrain (and drain the HTTP listener)
+// first.
 func (s *Server) Shutdown(ctx context.Context) (ShutdownReport, error) {
 	s.BeginDrain()
 	rep := ShutdownReport{Drained: true}
@@ -548,28 +540,14 @@ func (s *Server) Shutdown(ctx context.Context) (ShutdownReport, error) {
 	var firstErr error
 	for _, t := range s.TenantList() {
 		t.stopAdvising()
-		if s.cfg.CheckpointDir != "" {
-			path, err := t.checkpoint(s.cfg.CheckpointDir)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
+		path, err := t.saveGeneration()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
 			}
-			rep.Checkpoints = append(rep.Checkpoints, path)
+			continue
 		}
-		if t.ckptDir != "" {
-			// A final generation after the loop stopped captures every
-			// episode trained since the last background checkpoint.
-			path, err := t.saveGeneration()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			rep.Checkpoints = append(rep.Checkpoints, path)
-		}
+		rep.Checkpoints = append(rep.Checkpoints, path)
 	}
 	return rep, firstErr
 }

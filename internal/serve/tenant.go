@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
+	"partadvisor/internal/datagen"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/workload"
@@ -30,7 +30,7 @@ type TenantSpec struct {
 	Bench string `json:"bench"`
 	// Engine picks disk (Postgres-XL-like, default) or memory (System-X).
 	Engine string `json:"engine"`
-	// Scale is the data scale (default 0.3).
+	// Scale is the data scale (default 0.3), at most datagen.MaxScale.
 	Scale float64 `json:"scale"`
 	// Seed seeds data generation and the advisor (default 1).
 	Seed int64 `json:"seed"`
@@ -49,7 +49,7 @@ type TenantSpec struct {
 	AdviseEveryMS int64 `json:"advise_every_ms"`
 }
 
-// normalize validates the id and applies spec defaults.
+// normalize validates the id and the scale and applies spec defaults.
 func (sp *TenantSpec) normalize() error {
 	if !validTenantID(sp.ID) {
 		return fmt.Errorf("serve: tenant id %q: want 1-64 characters of [A-Za-z0-9._-], not . or ..", sp.ID)
@@ -62,6 +62,9 @@ func (sp *TenantSpec) normalize() error {
 	}
 	if sp.Scale <= 0 {
 		sp.Scale = 0.3
+	}
+	if err := datagen.CheckScale(sp.Scale); err != nil {
+		return fmt.Errorf("serve: tenant %s: %w", sp.ID, err)
 	}
 	if sp.Seed == 0 {
 		sp.Seed = 1
@@ -126,9 +129,9 @@ type TenantStats struct {
 	Design          map[string]string `json:"design"`
 	Online          core.OnlineStats  `json:"online"`
 
-	// Durability counters (StateDir mode). RestoredGeneration is the
-	// checkpoint generation this tenant was recovered from, or -1 when it
-	// started fresh.
+	// Durability counters. RestoredGeneration is the checkpoint
+	// generation this tenant was recovered from, or -1 when it started
+	// fresh.
 	CheckpointsWritten int64 `json:"checkpoints_written"`
 	CheckpointErrors   int64 `json:"checkpoint_errors"`
 	RestoredGeneration int64 `json:"restored_generation"`
@@ -173,14 +176,13 @@ type Tenant struct {
 	advCancel context.CancelFunc
 	advDone   chan struct{}
 
-	// Generational checkpointing (StateDir mode). ckptDir/ckptKeep/
-	// ckptEvery are set once at construction; lastCkpt is set by a restore
-	// and then owned by the advising goroutine (zero means write at the
-	// first tick). nextGen is the next generation number to write —
-	// recovery seeds it past the newest file found on disk (even a corrupt
-	// one) so generation numbers are monotonic across restarts.
+	// Generational checkpointing. ckptDir and ckptEvery are set once at
+	// construction; lastCkpt is set by a restore and then owned by the
+	// advising goroutine (zero means write at the first tick). nextGen is
+	// the next generation number to write — recovery seeds it past the
+	// newest file found on disk (even a corrupt one) so generation numbers
+	// are monotonic across restarts.
 	ckptDir   string
-	ckptKeep  int
 	ckptEvery time.Duration
 	lastCkpt  time.Time
 
@@ -221,8 +223,9 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 // buildTenant stands up everything of a tenant except what its advisor has
 // learned: the deployment (data generation and engine build, deterministic
 // from the spec), an untrained advisor inferring on the deployment's
-// offline cost, the guarded online cost over the engine, the tenant's
-// context and its checkpoint directory. The engine keeps the layout it was
+// offline cost, the guarded online cost over the engine and the tenant's
+// context. It touches no file: the checkpoint directory is created by the
+// first generation written into it. The engine keeps the layout it was
 // loaded with until bootstrap or restoreCheckpoint deploys a design.
 func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	if err := spec.normalize(); err != nil {
@@ -264,6 +267,8 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		advCtx:    ctx,
 		advCancel: cancel,
 		advDone:   make(chan struct{}),
+		ckptDir:   GenerationDir(cfg.StateDir, spec.ID),
+		ckptEvery: cfg.CheckpointEvery,
 	}
 	adv, err := t.freshAdvisor()
 	if err != nil {
@@ -273,15 +278,6 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 	t.adv = adv
 	t.snap.Store(&advisorSnap{})
 	t.restoredGen.Store(-1)
-	if cfg.StateDir != "" {
-		t.ckptDir = filepath.Join(cfg.StateDir, ckptSubdir, spec.ID)
-		t.ckptKeep = cfg.CheckpointKeep
-		t.ckptEvery = cfg.CheckpointEvery
-		if err := os.MkdirAll(t.ckptDir, 0o755); err != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: tenant %s checkpoint dir: %w", spec.ID, err)
-		}
-	}
 	return t, nil
 }
 
@@ -347,7 +343,7 @@ func (t *Tenant) adviseLoop(every time.Duration) {
 	// goroutine is the advisor's single owner, so writing from the loop
 	// needs no locking. A tenant that dies before its first interval
 	// still recovers — from this bootstrap snapshot.
-	if t.ckptDir != "" && t.nextGen.Load() == 0 {
+	if t.nextGen.Load() == 0 {
 		t.saveGeneration()
 		t.lastCkpt = time.Now()
 	}
@@ -372,9 +368,6 @@ func (t *Tenant) adviseLoop(every time.Duration) {
 // elapsed. Called only from the advising goroutine between cycles — an
 // episode boundary, so the advisor is never snapshotted mid-step.
 func (t *Tenant) maybeCheckpoint() {
-	if t.ckptDir == "" || t.ckptEvery <= 0 {
-		return
-	}
 	if time.Since(t.lastCkpt) < t.ckptEvery {
 		return
 	}
@@ -388,7 +381,11 @@ func (t *Tenant) maybeCheckpoint() {
 func (t *Tenant) saveGeneration() (string, error) {
 	gen := t.nextGen.Add(1) - 1
 	path := generationPath(t.ckptDir, gen)
-	if err := t.adv.SaveCheckpoint(path); err != nil {
+	err := os.MkdirAll(t.ckptDir, 0o755)
+	if err == nil {
+		err = t.adv.SaveCheckpoint(path)
+	}
+	if err != nil {
 		t.ckptErrs.Add(1)
 		return "", fmt.Errorf("serve: tenant %s generation %d: %w", t.Spec.ID, gen, err)
 	}
@@ -397,13 +394,13 @@ func (t *Tenant) saveGeneration() (string, error) {
 	return path, nil
 }
 
-// pruneGenerations removes all but the newest ckptKeep generations.
+// pruneGenerations removes all but the newest checkpointKeep generations.
 func (t *Tenant) pruneGenerations() {
-	gens, err := listGenerations(t.ckptDir)
-	if err != nil || len(gens) <= t.ckptKeep {
+	gens, err := ListGenerations(t.ckptDir)
+	if err != nil || len(gens) <= checkpointKeep {
 		return
 	}
-	for _, g := range gens[t.ckptKeep:] {
+	for _, g := range gens[checkpointKeep:] {
 		os.Remove(g.Path)
 	}
 }
@@ -618,14 +615,4 @@ func (t *Tenant) Explain(name string) ([]string, float64, error) {
 	}
 	plan, sec := t.eng.Explain(q.Graph)
 	return plan, sec, nil
-}
-
-// checkpoint writes the tenant's advisor state atomically into dir.
-// Must only be called after stopAdvising (the advisor is single-owner).
-func (t *Tenant) checkpoint(dir string) (string, error) {
-	path := filepath.Join(dir, t.Spec.ID+".ckpt")
-	if err := t.adv.SaveCheckpoint(path); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -27,12 +27,12 @@ go build -o "$dir/loadgen" ./cmd/loadgen
 
 # Deliberately small envelope so 2x load reliably exercises the queue
 # bounds and the tier ladder.
-"$dir/advisord" -addr "127.0.0.1:$port" -preload 3 -scale 0.05 \
-  -offline-episodes 2 -workers 2 -global-queue 8 -tenant-queue 4 \
+"$dir/advisord" -addr "127.0.0.1:$port" -state-dir "$dir/state" -preload 3 \
+  -scale 0.05 -offline-episodes 2 -workers 2 -global-queue 8 -tenant-queue 4 \
   > "$dir/advisord.out" 2>&1 &
 pid=$!
-for _ in $(seq 1 100); do
-  if curl -sf "http://127.0.0.1:$port/healthz" > /dev/null 2>&1; then break; fi
+for _ in $(seq 1 300); do
+  if curl -sf "http://127.0.0.1:$port/readyz" > /dev/null 2>&1; then break; fi
   sleep 0.1
 done
 

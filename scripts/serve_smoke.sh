@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — advisord graceful-shutdown smoke: start the service
-# with preloaded tenants, drive a little traffic, SIGTERM it mid-flight,
-# and assert the drain-then-stop contract:
+# on a fresh state directory with preloaded tenants, drive a little
+# traffic, SIGTERM it mid-flight, and assert the drain-then-stop contract:
 #
 #   * the process exits 0,
 #   * it reports drained=true,
-#   * every tenant wrote a shutdown checkpoint,
+#   * every tenant wrote a final checkpoint generation at shutdown,
 #   * requests sent after the drain began were answered (503), not hung.
+#
+# Then restart advisord on the same state directory and assert the round
+# trip: every tenant is restored from the generation its shutdown wrote,
+# and the second instance shuts down cleanly too.
 #
 # Usage: scripts/serve_smoke.sh [port]
 set -euo pipefail
@@ -24,19 +28,19 @@ trap 'kill "$pid" "$lg" 2>/dev/null || true; rm -rf "$dir"' EXIT
 go build -o "$dir/advisord" ./cmd/advisord
 go build -o "$dir/loadgen" ./cmd/loadgen
 
-mkdir -p "$dir/ckpts"
-"$dir/advisord" -addr "127.0.0.1:$port" -preload 3 -scale 0.05 \
-  -offline-episodes 2 -workers 2 -checkpoint-dir "$dir/ckpts" \
-  > "$dir/advisord.out" 2>&1 &
-pid=$!
+start_advisord() { # $1: output file
+  "$dir/advisord" -addr "127.0.0.1:$port" -state-dir "$dir/state" -preload 3 \
+    -scale 0.05 -offline-episodes 2 -workers 2 > "$1" 2>&1 &
+  pid=$!
+  # Wait for readiness: recovery and preload done, request paths open.
+  for _ in $(seq 1 300); do
+    if curl -sf "http://127.0.0.1:$port/readyz" > /dev/null 2>&1; then return; fi
+    sleep 0.1
+  done
+  echo "FAIL: advisord never became ready" >&2; cat "$1" >&2; exit 1
+}
 
-# Wait for the listener.
-for _ in $(seq 1 100); do
-  if curl -sf "http://127.0.0.1:$port/healthz" > /dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-curl -sf "http://127.0.0.1:$port/healthz" > /dev/null \
-  || { echo "FAIL: advisord never came up" >&2; cat "$dir/advisord.out" >&2; exit 1; }
+start_advisord "$dir/advisord.out"
 
 # Put real traffic in flight so the drain has something to drain.
 "$dir/loadgen" -addr "http://127.0.0.1:$port" -tenants 3 -concurrency 2 \
@@ -60,11 +64,14 @@ wait "$lg" || true
 
 grep -q "drained=true" "$dir/advisord.out" \
   || { echo "FAIL: no drained=true in output" >&2; cat "$dir/advisord.out" >&2; exit 1; }
+declare -A gen
 for t in t1 t2 t3; do
-  grep -q "checkpoint .*/$t.ckpt" "$dir/advisord.out" \
-    || { echo "FAIL: no shutdown checkpoint line for $t" >&2; cat "$dir/advisord.out" >&2; exit 1; }
-  [ -s "$dir/ckpts/$t.ckpt" ] \
-    || { echo "FAIL: missing/empty checkpoint file for $t" >&2; exit 1; }
+  path="$(grep -o "checkpoint .*/ckpt/$t/gen-[0-9]*\.ckpt" "$dir/advisord.out" | cut -d' ' -f2)" \
+    || { echo "FAIL: no shutdown generation line for $t" >&2; cat "$dir/advisord.out" >&2; exit 1; }
+  [ -s "$path" ] \
+    || { echo "FAIL: missing/empty shutdown generation $path for $t" >&2; exit 1; }
+  gen[$t]="$(basename "$path" .ckpt | sed 's/^gen-0*//')"
+  gen[$t]="${gen[$t]:-0}"
 done
 if [ "$rc" -eq 28 ]; then
   echo "FAIL: in-drain request hung past 5s (HTTP $code)" >&2
@@ -73,4 +80,18 @@ fi
 grep -q "shutdown complete" "$dir/advisord.out" \
   || { echo "FAIL: shutdown did not complete" >&2; cat "$dir/advisord.out" >&2; exit 1; }
 
-echo "serve smoke passed: SIGTERM -> drain -> per-tenant checkpoints -> exit 0"
+# Round trip: a restart on the same state directory restores every tenant
+# from the generation its shutdown wrote.
+start_advisord "$dir/advisord2.out"
+for t in t1 t2 t3; do
+  grep -q "recovery: tenant $t restored generation ${gen[$t]} " "$dir/advisord2.out" \
+    || { echo "FAIL: $t not restored from its shutdown generation ${gen[$t]}" >&2; cat "$dir/advisord2.out" >&2; exit 1; }
+done
+kill -TERM "$pid"
+if ! wait "$pid"; then
+  echo "FAIL: restarted advisord exited non-zero after SIGTERM" >&2
+  cat "$dir/advisord2.out" >&2
+  exit 1
+fi
+
+echo "serve smoke passed: SIGTERM -> drain -> per-tenant generations -> exit 0 -> restart restores each"
