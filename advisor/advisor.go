@@ -101,8 +101,6 @@ type (
 	NodeCrash = faults.NodeCrash
 	// Checkpoint is a crash-safe training snapshot.
 	Checkpoint = core.Checkpoint
-	// CheckpointConfig enables periodic training checkpoints.
-	CheckpointConfig = core.CheckpointConfig
 )
 
 // NewFaultInjector validates a fault schedule and builds its injector; arm
@@ -111,9 +109,6 @@ func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) { return faults.N
 
 // LoadCheckpoint reads a training snapshot written by Advisor.SaveCheckpoint.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return core.LoadCheckpoint(path) }
-
-// ErrHalted is returned by training when Advisor.HaltAfter is reached.
-var ErrHalted = core.ErrHalted
 
 // ErrCorruptCheckpoint marks a checkpoint file that failed integrity
 // verification (truncation, bit flip, foreign file); LoadCheckpoint never

@@ -16,7 +16,8 @@
 // With -checkpoint, training writes a crash-safe snapshot every
 // -checkpoint-every offline episodes (atomic temp-file + rename) plus one
 // at the offline/online boundary; -resume restarts a killed run from the
-// snapshot and continues bit-identically. -halt-after N stops training
+// snapshot and continues bit-identically, refusing a snapshot written for
+// another -bench, -engine, -profile or -seed. -halt-after N stops training
 // after N total episodes with exit code 3 — a controlled crash point for
 // exercising the resume path.
 //
@@ -117,17 +118,17 @@ func main() {
 		fail("%v", err)
 	}
 	adv := sess.Advisor
-	if *ckptPath != "" {
-		adv.Ckpt = &core.CheckpointConfig{
-			Path:  *ckptPath,
-			Every: *ckptEvery,
-			Label: fmt.Sprintf("%s/%s/%s/seed%d", b.Name, *engine, *profile, *seed),
-		}
+	run := &trainRun{
+		adv:       adv,
+		path:      *ckptPath,
+		every:     *ckptEvery,
+		label:     runLabel(b.Name, *engine, *profile, *seed),
+		haltAfter: *haltAfter,
+		signaled:  trapSignals("advisor"),
 	}
-	adv.HaltAfter = *haltAfter
-	adv.Stop = trapSignals("advisor")
+	adv.Stop = run.stop
 	if *resume {
-		if err := adv.Resume(*ckptPath); err != nil {
+		if err := run.resume(); err != nil {
 			fail("resume: %v", err)
 		}
 		fmt.Printf("resumed from %s (%d episodes already trained)\n", *ckptPath, adv.EpisodesTrained)
@@ -146,18 +147,18 @@ func main() {
 	} else {
 		fmt.Printf("offline training: %d episodes (network-centric cost model)...\n", hp.Episodes)
 		start := time.Now()
-		if err := sess.TrainOffline(); err != nil {
-			exitIfHalted(adv, err)
-			exitIfStopped(adv, err)
+		run.offline = true
+		err := sess.TrainOffline()
+		run.offline = false
+		if err != nil {
+			run.exitIfStopped(err)
 			fail("offline training: %v", err)
 		}
 		fmt.Printf("offline training done in %s (%d steps)\n", time.Since(start).Round(time.Millisecond), adv.StepsTrained)
 		// Boundary checkpoint: resumed runs restart online training from
 		// here (the online phase itself is deterministic given this state).
-		if adv.Ckpt != nil {
-			if err := adv.SaveCheckpoint(adv.Ckpt.Path); err != nil {
-				fail("checkpoint: %v", err)
-			}
+		if run.path != "" {
+			run.save()
 		}
 	}
 
@@ -184,8 +185,7 @@ func main() {
 		}
 		start := time.Now()
 		if err := sess.RefineOnline(oc); err != nil {
-			exitIfHalted(adv, err)
-			exitIfStopped(adv, err)
+			run.exitIfStopped(err)
 			fail("online training: %v", err)
 		}
 		fmt.Printf("online training done in %s (executed %d queries, %d cache hits, %.3g sim s)\n",
@@ -269,29 +269,95 @@ func queryNames(wl *workload.Workload) []string {
 	return out
 }
 
-// exitIfHalted handles the -halt-after controlled crash: exit code 3
-// distinguishes "halted as requested, resume from the checkpoint" from
-// real failures.
-func exitIfHalted(adv *core.Advisor, err error) {
-	if errors.Is(err, core.ErrHalted) {
-		fmt.Printf("halted after %d episodes (resume with -resume)\n", adv.EpisodesTrained)
-		os.Exit(3)
+// trainRun is the CLI's training policy, applied from the advisor's
+// per-episode Stop hook: periodic offline snapshots, the -halt-after
+// controlled crash and the graceful SIGINT/SIGTERM stop.
+type trainRun struct {
+	adv       *core.Advisor
+	path      string // -checkpoint; empty disables snapshots
+	every     int
+	label     string
+	haltAfter int
+	signaled  func() bool
+	// offline is set while the offline phase trains. Only it is
+	// snapshotted: the online phase's measured-runtime cache lives in the
+	// cost function, outside the checkpoint, so a resumed run replays
+	// online training from the offline boundary instead.
+	offline bool
+	halted  bool
+}
+
+// runLabel names the run configuration a checkpoint belongs to.
+func runLabel(bench, engine, profile string, seed int64) string {
+	return fmt.Sprintf("%s/%s/%s/seed%d", bench, engine, profile, seed)
+}
+
+// stop is the advisor's Stop hook. In order: snapshot every -checkpoint-every
+// offline episodes; halt at -halt-after total episodes without a further
+// snapshot, as a crash would; on a signal, snapshot once more if still
+// offline and stop.
+func (r *trainRun) stop() bool {
+	snapshot := r.offline && r.path != ""
+	if snapshot && r.every > 0 && r.adv.EpisodesTrained%r.every == 0 {
+		r.save()
+	}
+	if r.haltAfter > 0 && r.adv.EpisodesTrained >= r.haltAfter {
+		r.halted = true
+		return true
+	}
+	if !r.signaled() {
+		return false
+	}
+	if snapshot {
+		r.save()
+	}
+	return true
+}
+
+// save writes the training state, stamped with the run label, to -checkpoint.
+func (r *trainRun) save() {
+	ck, err := r.adv.Checkpoint()
+	if err == nil {
+		ck.Label = r.label
+		err = core.WriteCheckpoint(r.path, ck)
+	}
+	if err != nil {
+		fail("checkpoint at episode %d: %v", r.adv.EpisodesTrained, err)
 	}
 }
 
-// exitIfStopped handles graceful SIGINT/SIGTERM shutdown: the training loop
-// finished its in-flight episode (and, during the offline phase, wrote a
-// final checkpoint), so an orderly exit 0 is correct.
-func exitIfStopped(adv *core.Advisor, err error) {
-	if errors.Is(err, core.ErrStopped) {
-		if adv.Ckpt != nil {
-			fmt.Printf("stopped after %d episodes; checkpoint at %s (resume with -resume)\n",
-				adv.EpisodesTrained, adv.Ckpt.Path)
-		} else {
-			fmt.Printf("stopped after %d episodes\n", adv.EpisodesTrained)
-		}
-		os.Exit(0)
+// resume restores the -checkpoint snapshot, refusing one written for
+// another run configuration.
+func (r *trainRun) resume() error {
+	ck, err := core.LoadCheckpoint(r.path)
+	if err != nil {
+		return err
 	}
+	if ck.Label != "" && ck.Label != r.label {
+		return fmt.Errorf("checkpoint label %q does not match run %q", ck.Label, r.label)
+	}
+	return r.adv.Restore(ck)
+}
+
+// exitIfStopped ends the process when the Stop hook cut training short:
+// exit code 3 after -halt-after distinguishes "halted as requested, resume
+// from the checkpoint" from real failures; a graceful SIGINT/SIGTERM stop
+// exits 0.
+func (r *trainRun) exitIfStopped(err error) {
+	if !errors.Is(err, core.ErrStopped) {
+		return
+	}
+	switch {
+	case r.halted:
+		fmt.Printf("halted after %d episodes (resume with -resume)\n", r.adv.EpisodesTrained)
+		os.Exit(3)
+	case r.path != "":
+		fmt.Printf("stopped after %d episodes; checkpoint at %s (resume with -resume)\n",
+			r.adv.EpisodesTrained, r.path)
+	default:
+		fmt.Printf("stopped after %d episodes\n", r.adv.EpisodesTrained)
+	}
+	os.Exit(0)
 }
 
 // trapSignals installs the graceful-shutdown handler: the first

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"partadvisor/advisor"
 	"partadvisor/internal/benchmarks"
+	"partadvisor/internal/core"
 	"partadvisor/internal/datagen"
+	"partadvisor/internal/hardware"
 )
 
 func TestParseFreq(t *testing.T) {
@@ -122,5 +127,81 @@ func TestCheckGuard(t *testing.T) {
 		if err := checkGuard(tc.online, tc.guardOn, tc.set); (err == nil) != tc.ok {
 			t.Errorf("%s: checkGuard = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// newTrainRun builds a micro advisor for the given engine and profile
+// label, with the CLI's policy installed as its Stop hook.
+func newTrainRun(t *testing.T, engine, profile, path string) (*trainRun, *advisor.Session) {
+	t.Helper()
+	hw, ok := hardware.ByName(engine)
+	if !ok {
+		t.Fatalf("no engine %q", engine)
+	}
+	sess, err := advisor.NewDeployment(benchmarks.Micro(), hw, 0.05, 1).NewSession(core.Test(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &trainRun{
+		adv:      sess.Advisor,
+		path:     path,
+		every:    3,
+		label:    runLabel("micro", engine, profile, 1),
+		signaled: func() bool { return false },
+	}
+	sess.Advisor.Stop = r.stop
+	return r, sess
+}
+
+// TestTrainRunHook: the Stop hook snapshots every -checkpoint-every
+// offline episodes, halts at -halt-after without a further snapshot, and
+// on a signal snapshots once more before stopping.
+func TestTrainRunHook(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	r, sess := newTrainRun(t, "disk", "test", path)
+	r.haltAfter = 7
+	r.offline = true
+	if err := sess.TrainOffline(); !errors.Is(err, core.ErrStopped) || !r.halted {
+		t.Fatalf("TrainOffline = %v (halted %v), want a -halt-after stop", err, r.halted)
+	}
+	ck, err := core.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.adv.EpisodesTrained != 7 || ck.EpisodesTrained != 6 || ck.Label != "micro/disk/test/seed1" {
+		t.Fatalf("halted at %d with snapshot %d %q, want 7 with snapshot 6 labelled micro/disk/test/seed1",
+			r.adv.EpisodesTrained, ck.EpisodesTrained, ck.Label)
+	}
+
+	r, sess = newTrainRun(t, "disk", "test", path)
+	r.signaled = func() bool { return r.adv.EpisodesTrained == 4 }
+	r.offline = true
+	if err := sess.TrainOffline(); !errors.Is(err, core.ErrStopped) || r.halted {
+		t.Fatalf("TrainOffline = %v (halted %v), want a signalled stop", err, r.halted)
+	}
+	if ck, err = core.LoadCheckpoint(path); err != nil || ck.EpisodesTrained != 4 {
+		t.Fatalf("snapshot at signal: %v, %+v; want 4 episodes", err, ck)
+	}
+}
+
+// TestResumeRefusesOtherRun: a checkpoint written for another engine or
+// profile of the same benchmark and seed is refused; the same run resumes.
+func TestResumeRefusesOtherRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	w, sess := newTrainRun(t, "disk", "test", path)
+	w.haltAfter = 5
+	w.offline = true
+	if err := sess.TrainOffline(); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("TrainOffline = %v, want ErrStopped", err)
+	}
+	for _, other := range [][2]string{{"memory", "test"}, {"disk", "paper"}} {
+		r, _ := newTrainRun(t, other[0], other[1], path)
+		if err := r.resume(); err == nil || !strings.Contains(err.Error(), "does not match run") {
+			t.Errorf("%s/%s resumed a micro/disk/test checkpoint: %v", other[0], other[1], err)
+		}
+	}
+	r, _ := newTrainRun(t, "disk", "test", path)
+	if err := r.resume(); err != nil || r.adv.EpisodesTrained != 3 {
+		t.Fatalf("same run: resume = %v at %d episodes, want the episode-3 snapshot", err, r.adv.EpisodesTrained)
 	}
 }

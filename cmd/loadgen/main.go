@@ -8,22 +8,9 @@
 //
 //	loadgen [-addr http://localhost:8080] [-tenants 4] [-concurrency 2]
 //	        [-overload 1] [-duration 20s] [-deadline-ms 0] [-repeat 1]
-//	        [-low-priority-frac 0] [-create] [-scale F]
-//	        [-offline-episodes N] [-max-retries N] [-out BENCH.json]
-//	        [-zipf S] [-spike F] [-spike-start FRAC] [-spike-width FRAC]
-//	        [-traffic-seed N] [-check] [-check-p95-ms 5000]
+//	        [-max-retries N] [-out BENCH.json] [-check] [-check-p95-ms 5000]
 //
-// With -create, the tenants (t1..tN) are created first; otherwise they
-// must already exist (e.g. advisord -preload).
-//
-// With -zipf S > 0, the offered load is skewed across tenants by a Zipf
-// law (tenant rank i gets weight 1/i^S): the same celebrity-tenant shape
-// the offline trace generator produces. With -spike F > 1, a flash crowd
-// multiplies each tenant's worker count by F for the window
-// [-spike-start, -spike-start + -spike-width] (fractions of -duration).
-// Both are deterministic for a -traffic-seed and the realized shape
-// (weights, per-tenant workers, spike window) is reported in the JSON
-// summary under "traffic".
+// The tenants (t1..tN) must already exist (e.g. advisord -preload).
 //
 // With -max-retries > 0, shed (429), not-ready (503 + Retry-After) and
 // connection-level failures are retried with jittered exponential
@@ -86,26 +73,12 @@ type summary struct {
 	Workers     int            `json:"workers_per_tenant"`
 	Overload    float64        `json:"overload"`
 	DurationSec float64        `json:"duration_sec"`
-	Traffic     *trafficReport `json:"traffic,omitempty"`
 	PerTenant   []tenantReport `json:"per_tenant"`
 	Total       tenantReport   `json:"total"`
 	Statz       map[string]any `json:"statz"`
 	FinalTier   int            `json:"final_tier"`
 	Checked     bool           `json:"checked"`
 	Failures    []string       `json:"check_failures,omitempty"`
-}
-
-// trafficReport records the realized adversarial traffic shape (-zipf /
-// -spike) so a benchmark JSON is self-describing and replayable.
-type trafficReport struct {
-	Seed             int64     `json:"seed"`
-	ZipfS            float64   `json:"zipf_s"`
-	TenantWeights    []float64 `json:"tenant_weights"`
-	WorkersPerTenant []int     `json:"workers_per_tenant"`
-	SpikePeak        float64   `json:"spike_peak"`
-	SpikeStartFrac   float64   `json:"spike_start_frac"`
-	SpikeWidthFrac   float64   `json:"spike_width_frac"`
-	SpikeWorkers     int       `json:"spike_workers"`
 }
 
 type sample struct {
@@ -125,75 +98,17 @@ func main() {
 		duration = flag.Duration("duration", 20*time.Second, "measurement duration")
 		deadline = flag.Int64("deadline-ms", 0, "per-request deadline forwarded to the server (0 = none)")
 		repeat   = flag.Int("repeat", 1, "workload repetitions per batch")
-		lowFrac  = flag.Float64("low-priority-frac", 0, "fraction of requests sent at priority 0 (sheddable)")
-		create   = flag.Bool("create", false, "create the tenants before driving load")
-		scale    = flag.Float64("scale", 0.1, "data scale for -create")
-		episodes = flag.Int("offline-episodes", 4, "offline bootstrap episodes for -create")
 		outPath  = flag.String("out", "", "write the JSON summary to this file")
 		check    = flag.Bool("check", false, "assert the graceful-degradation contract; exit 1 on violation")
 		p95Bound = flag.Float64("check-p95-ms", 5000, "admitted-request p95 bound for -check")
 		retries  = flag.Int("max-retries", 0, "retry 429/503/transport failures up to N times with jittered backoff (0 = fail fast)")
-
-		zipfS      = flag.Float64("zipf", 0, "Zipf exponent skewing offered load across tenants (0 = uniform)")
-		spikePeak  = flag.Float64("spike", 1, "flash-crowd peak multiplier on worker counts (1 = no spike)")
-		spikeStart = flag.Float64("spike-start", 0.33, "spike start as a fraction of -duration (with -spike)")
-		spikeWidth = flag.Float64("spike-width", 0.33, "spike width as a fraction of -duration (with -spike)")
-		trafSeed   = flag.Int64("traffic-seed", 1, "seed deriving the worker request streams for -zipf/-spike")
 	)
 	flag.Parse()
 	client := &http.Client{Timeout: 60 * time.Second}
 
-	if *create {
-		for i := 1; i <= *tenants; i++ {
-			spec := map[string]any{
-				"id": fmt.Sprintf("t%d", i), "bench": "micro", "scale": *scale,
-				"seed": i, "offline_episodes": *episodes,
-			}
-			body, _ := json.Marshal(spec)
-			resp, err := client.Post(*addr+"/tenants", "application/json", bytes.NewReader(body))
-			if err != nil {
-				fatalf("create t%d: %v", i, err)
-			}
-			if resp.StatusCode != http.StatusCreated {
-				b, _ := io.ReadAll(resp.Body)
-				fatalf("create t%d: status %d: %s", i, resp.StatusCode, b)
-			}
-			resp.Body.Close()
-		}
-	}
-
 	workers := int(math.Ceil(float64(*conc) * *overload))
 	if workers < 1 {
 		workers = 1
-	}
-
-	// Per-tenant worker allocation: uniform by default; with -zipf S the
-	// total worker budget is split by a Zipf law over tenant rank (every
-	// tenant keeps at least one worker so its report rows stay meaningful).
-	perTenant := make([]int, *tenants+1)
-	tenantWeights := make([]float64, 0, *tenants)
-	{
-		var norm float64
-		raw := make([]float64, *tenants+1)
-		for i := 1; i <= *tenants; i++ {
-			raw[i] = 1.0
-			if *zipfS > 0 {
-				raw[i] = 1 / math.Pow(float64(i), *zipfS)
-			}
-			norm += raw[i]
-		}
-		for i := 1; i <= *tenants; i++ {
-			w := raw[i] / norm
-			tenantWeights = append(tenantWeights, w)
-			if *zipfS > 0 {
-				perTenant[i] = int(math.Round(float64(workers*(*tenants)) * w))
-				if perTenant[i] < 1 {
-					perTenant[i] = 1
-				}
-			} else {
-				perTenant[i] = workers
-			}
-		}
 	}
 
 	fmt.Printf("loadgen: %d tenants x %d workers for %v (overload %.1fx)\n",
@@ -203,32 +118,22 @@ func main() {
 	samplesByTenant := make(map[string][]sample)
 	retriesByTenant := make(map[string]int)
 	var wg sync.WaitGroup
-	begin := time.Now()
-	stop := begin.Add(*duration)
+	stop := time.Now().Add(*duration)
 
-	// spawn starts one closed-loop worker posting to tenant between from
-	// and until (the flash-crowd window for spike workers, the whole run
-	// otherwise).
-	spawn := func(tenant string, seed int64, lowPriority bool, from, until time.Time) {
+	// spawn starts one closed-loop worker posting to tenant until stop.
+	spawn := func(tenant string, seed int64) {
 		wg.Add(1)
 		rng := rand.New(rand.NewSource(seed))
 		go func() {
 			defer wg.Done()
-			if d := time.Until(from); d > 0 {
-				time.Sleep(d)
-			}
 			req := map[string]any{"repeat": *repeat}
 			if *deadline > 0 {
 				req["deadline_ms"] = *deadline
 			}
-			if lowPriority {
-				p := 0
-				req["priority"] = &p
-			}
 			body, _ := json.Marshal(req)
 			url := *addr + "/tenants/" + tenant + "/batch"
 			attempt := 0
-			for time.Now().Before(until) {
+			for time.Now().Before(stop) {
 				start := time.Now()
 				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 				sm := sample{wallMS: float64(time.Since(start).Microseconds()) / 1000}
@@ -272,7 +177,7 @@ func main() {
 					retriesByTenant[tenant]++
 					mu.Unlock()
 					attempt++
-					sleepUntil(until, backoffDelay(rng, attempt, retryAfterSec))
+					sleepUntil(stop, backoffDelay(rng, attempt, retryAfterSec))
 					continue
 				}
 				attempt = 0
@@ -285,52 +190,16 @@ func main() {
 		}()
 	}
 
-	// Flash-crowd window (step spike): extra workers per tenant that only
-	// post inside [spike-start, spike-start+spike-width] of the run.
-	spikeFrom := begin.Add(time.Duration(*spikeStart * float64(*duration)))
-	spikeUntil := spikeFrom.Add(time.Duration(*spikeWidth * float64(*duration)))
-	if spikeUntil.After(stop) {
-		spikeUntil = stop
-	}
-	totalSpike := 0
 	for ti := 1; ti <= *tenants; ti++ {
-		tenant := fmt.Sprintf("t%d", ti)
-		n := perTenant[ti]
-		for w := 0; w < n; w++ {
-			lowPriority := *lowFrac > 0 && float64(w) < *lowFrac*float64(n)
-			// The -traffic-seed offset keeps the default (seed 1) request
-			// streams identical to earlier loadgen revisions.
-			spawn(tenant, int64(ti*1000+w)+(*trafSeed-1)*1_000_000, lowPriority, begin, stop)
+		for w := 0; w < workers; w++ {
+			spawn(fmt.Sprintf("t%d", ti), int64(ti*1000+w))
 		}
-		if *spikePeak > 1 {
-			sn := int(math.Ceil(float64(n) * (*spikePeak - 1)))
-			totalSpike += sn
-			for w := 0; w < sn; w++ {
-				spawn(tenant, int64(ti*1000+n+w)+(*trafSeed-1)*1_000_000+500_000, false, spikeFrom, spikeUntil)
-			}
-		}
-	}
-	if *zipfS > 0 || *spikePeak > 1 {
-		fmt.Printf("loadgen: traffic shape zipf=%.2f spike=%.1fx window [%.0f%%, %.0f%%] (+%d spike workers, seed %d)\n",
-			*zipfS, *spikePeak, *spikeStart*100, (*spikeStart+*spikeWidth)*100, totalSpike, *trafSeed)
 	}
 	wg.Wait()
 
 	sum := summary{
 		Addr: *addr, Tenants: *tenants, Workers: workers,
 		Overload: *overload, DurationSec: duration.Seconds(), Checked: *check,
-	}
-	if *zipfS > 0 || *spikePeak > 1 {
-		sum.Traffic = &trafficReport{
-			Seed:             *trafSeed,
-			ZipfS:            *zipfS,
-			TenantWeights:    tenantWeights,
-			WorkersPerTenant: perTenant[1:],
-			SpikePeak:        *spikePeak,
-			SpikeStartFrac:   *spikeStart,
-			SpikeWidthFrac:   *spikeWidth,
-			SpikeWorkers:     totalSpike,
-		}
 	}
 	for ti := 1; ti <= *tenants; ti++ {
 		tenant := fmt.Sprintf("t%d", ti)

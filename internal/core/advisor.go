@@ -40,19 +40,10 @@ type Advisor struct {
 	// replay buffer is still filling.
 	TrainUpdates int
 
-	// Ckpt, when set, enables periodic crash-safe checkpoints during the
-	// offline phase (see checkpoint.go).
-	Ckpt *CheckpointConfig
-	// HaltAfter, when positive, makes training return ErrHalted once
-	// EpisodesTrained reaches it — a controlled crash point for testing
-	// kill-and-resume.
-	HaltAfter int
-	// Stop, when set, is polled after every completed episode: once it
-	// returns true, training finishes the in-flight episode, writes a
-	// final checkpoint (when Ckpt is set and the offline phase is running;
-	// other phases keep the last offline snapshot untouched, see
-	// trainEpisodes), and returns ErrStopped. The commands' SIGINT/SIGTERM
-	// handlers set the flag this polls.
+	// Stop, when set, is polled after every completed training episode;
+	// once it returns true, training returns ErrStopped. It is the one
+	// per-episode hook: cmd/advisor saves, halts and stops on signals from
+	// it, and advisord stops a tenant's cycle on shutdown or overload.
 	Stop func() bool
 
 	// TraceRewards makes trainEpisodes append each episode's summed reward
@@ -64,11 +55,6 @@ type Advisor struct {
 	seed int64
 	src  *countingSource
 	rng  *rand.Rand
-	// phaseDone counts completed episodes per training phase; resumeSkip
-	// holds the per-phase episode counts a restored checkpoint already
-	// contains, which trainEpisodes skips instead of re-running.
-	phaseDone  map[string]int
-	resumeSkip map[string]int
 }
 
 // New builds an untrained advisor.
@@ -104,15 +90,13 @@ func New(sp *partition.Space, wl *workload.Workload, hp Hyperparams, seed int64)
 		return nil, err
 	}
 	return &Advisor{
-		Space:      sp,
-		WL:         wl,
-		HP:         hp,
-		Agent:      agent,
-		seed:       seed,
-		src:        src,
-		rng:        rng,
-		phaseDone:  make(map[string]int),
-		resumeSkip: make(map[string]int),
+		Space: sp,
+		WL:    wl,
+		HP:    hp,
+		Agent: agent,
+		seed:  seed,
+		src:   src,
+		rng:   rng,
 	}, nil
 }
 
@@ -124,41 +108,32 @@ func (a *Advisor) UniformSampler() FreqSampler {
 	return func(rng *rand.Rand) workload.FreqVector { return a.WL.SampleUniform(rng) }
 }
 
-// TrainOffline runs Algorithm 1 for hp.Episodes episodes against the given
-// cost function (the network-centric cost model in the paper's offline
-// phase). sampler defaults to uniform workload mixes.
+// TrainOffline runs Algorithm 1 against the given cost function (the
+// network-centric cost model in the paper's offline phase) for the
+// hp.Episodes episodes the advisor has not trained yet: all of them on a
+// fresh advisor, the rest after a Restore. sampler defaults to uniform
+// workload mixes.
 func (a *Advisor) TrainOffline(cost env.CostFunc, sampler FreqSampler) error {
 	if a.InferCost == nil {
 		a.InferCost = cost
 	}
-	return a.trainEpisodes(cost, sampler, a.HP.Episodes, PhaseOffline)
+	return a.trainEpisodes(cost, sampler, a.HP.Episodes-a.EpisodesTrained)
 }
 
 // trainEpisodes is the shared training loop of the offline, online and
-// incremental phases. After a Restore, the episodes the checkpoint already
-// contains are skipped (the restored RNG position and agent state make the
-// remaining episodes continue bit-identically); with Ckpt set, the offline
-// phase writes a periodic snapshot every Ckpt.Every episodes.
-func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, episodes int, phase string) error {
+// incremental phases: it trains n episodes, polling Stop after each.
+func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, n int) error {
+	if n <= 0 {
+		return nil
+	}
 	if sampler == nil {
 		sampler = a.UniformSampler()
-	}
-	start := 0
-	if skip := a.resumeSkip[phase]; skip > 0 {
-		start = skip
-		if start > episodes {
-			start = episodes
-		}
-		a.resumeSkip[phase] -= start
-	}
-	if start >= episodes {
-		return nil
 	}
 	e, err := env.New(a.Space, a.WL, cost, a.HP.TmaxFor(len(a.Space.Tables)))
 	if err != nil {
 		return err
 	}
-	for ep := start; ep < episodes; ep++ {
+	for ep := 0; ep < n; ep++ {
 		freq := sampler(a.rng)
 		e.Reset(freq)
 		obs := e.EncodedCopy()
@@ -195,32 +170,7 @@ func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, episodes
 		}
 		a.Agent.DecayEpsilon()
 		a.EpisodesTrained++
-		a.phaseDone[phase]++
-		// Checkpoint only the offline phase: the online phase executes real
-		// queries, and its measured-runtime cache lives in the cost function,
-		// outside the snapshot. Resuming mid-online would silently lose it,
-		// so resumed runs restart online training from the offline boundary.
-		if a.Ckpt != nil && phase == PhaseOffline && a.Ckpt.Every > 0 &&
-			a.phaseDone[phase]%a.Ckpt.Every == 0 {
-			if err := a.SaveCheckpoint(a.Ckpt.Path); err != nil {
-				return fmt.Errorf("core: checkpoint at episode %d: %w", a.EpisodesTrained, err)
-			}
-		}
-		if a.HaltAfter > 0 && a.EpisodesTrained >= a.HaltAfter {
-			return ErrHalted
-		}
 		if a.Stop != nil && a.Stop() {
-			// Graceful stop: the episode above completed in full. Snapshot
-			// only during the offline phase — the online phase's measured-
-			// runtime cache lives outside the checkpoint, so overwriting the
-			// offline-boundary snapshot here would break bit-identical
-			// resume. Leaving it in place means a resumed run replays online
-			// training deterministically from that boundary.
-			if a.Ckpt != nil && phase == PhaseOffline {
-				if err := a.SaveCheckpoint(a.Ckpt.Path); err != nil {
-					return fmt.Errorf("core: checkpoint at stop (episode %d): %w", a.EpisodesTrained, err)
-				}
-			}
 			return ErrStopped
 		}
 	}

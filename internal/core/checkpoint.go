@@ -13,25 +13,9 @@ import (
 	"partadvisor/internal/durable"
 )
 
-// Training phase names used for checkpoint bookkeeping. trainEpisodes tags
-// every episode with its phase so a resumed run knows how many episodes of
-// each phase are already done.
-const (
-	PhaseOffline     = "offline"
-	PhaseOnline      = "online"
-	PhaseIncremental = "incremental"
-)
-
-// ErrHalted is returned by training when the advisor's HaltAfter budget is
-// reached. It simulates a crash at a controlled point: no checkpoint is
-// written when halting, so a resumed run restarts from the last periodic
-// snapshot exactly as it would after a real kill.
-var ErrHalted = errors.New("core: training halted by HaltAfter")
-
-// ErrStopped is returned by training when the advisor's Stop hook fired: the
-// in-flight episode completed, a final offline-phase checkpoint (if armed)
-// was written, and the process may exit cleanly. Unlike ErrHalted — the
-// simulated crash — a stop is an orderly shutdown and exits with status 0.
+// ErrStopped is returned by training when the advisor's Stop hook fired
+// after a completed episode. What a stop means — a graceful shutdown, a
+// paused tenant, a simulated crash — is the caller's business.
 var ErrStopped = errors.New("core: training stopped by request")
 
 // ErrCorruptCheckpoint marks a checkpoint file that fails integrity
@@ -43,18 +27,6 @@ var ErrStopped = errors.New("core: training stopped by request")
 // older generation instead of decoding garbage into a live advisor.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
-// CheckpointConfig enables periodic crash-safe training checkpoints.
-type CheckpointConfig struct {
-	// Path is the snapshot file; it is replaced atomically (temp file +
-	// rename), so a crash mid-write never corrupts the previous snapshot.
-	Path string
-	// Every is the checkpoint period in episodes (during the offline phase).
-	Every int
-	// Label identifies the run configuration (benchmark/engine/seed…); a
-	// snapshot only restores into an advisor with the same label.
-	Label string
-}
-
 // Checkpoint is the serialized training state. Together with the advisor's
 // deterministic construction (same schema, workload, hyperparameters and
 // seed) it is sufficient to continue training bit-identically: the agent
@@ -62,26 +34,23 @@ type CheckpointConfig struct {
 // the RNG draw counts let Restore fast-forward a fresh source to the exact
 // stream position.
 type Checkpoint struct {
-	Version int
-	Seed    int64
-	Label   string
+	Seed int64
+	// Label identifies the run configuration that wrote the snapshot. Core
+	// neither sets nor reads it; a caller that cares stamps it before
+	// WriteCheckpoint and checks it before Restore.
+	Label string
 
 	Agent []byte
 
 	EpisodesTrained int
 	StepsTrained    int
 	TrainUpdates    int
-	// PhaseDone maps phase name → completed episodes, so resumed training
-	// skips exactly the work that is already in the snapshot.
-	PhaseDone map[string]int
 
 	// RNGInt63 and RNGUint64 count the draws taken from the advisor's RNG
 	// source at snapshot time.
 	RNGInt63  uint64
 	RNGUint64 uint64
 }
-
-const checkpointVersion = 1
 
 // countingSource wraps the standard library source and counts draws. Go's
 // rand.NewSource state advances by exactly one step per Int63 or Uint64
@@ -136,40 +105,24 @@ func (a *Advisor) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	done := make(map[string]int, len(a.phaseDone))
-	for k, v := range a.phaseDone {
-		done[k] = v
-	}
-	ck := &Checkpoint{
-		Version:         checkpointVersion,
+	return &Checkpoint{
 		Seed:            a.seed,
 		Agent:           blob,
 		EpisodesTrained: a.EpisodesTrained,
 		StepsTrained:    a.StepsTrained,
 		TrainUpdates:    a.TrainUpdates,
-		PhaseDone:       done,
 		RNGInt63:        a.src.int63s,
 		RNGUint64:       a.src.u64s,
-	}
-	if a.Ckpt != nil {
-		ck.Label = a.Ckpt.Label
-	}
-	return ck, nil
+	}, nil
 }
 
 // Restore loads a checkpoint into a freshly built advisor with the same
-// configuration and seed. After Restore, re-running the same training
-// phases continues bit-identically: trainEpisodes skips the episodes the
-// snapshot already contains.
+// configuration and seed. The advisor then simply continues: training
+// picks up at the restored agent state and RNG position, and TrainOffline
+// trains only the offline episodes the snapshot does not already hold.
 func (a *Advisor) Restore(ck *Checkpoint) error {
-	if ck.Version != checkpointVersion {
-		return fmt.Errorf("core: checkpoint version %d, this build reads %d", ck.Version, checkpointVersion)
-	}
 	if ck.Seed != a.seed {
 		return fmt.Errorf("core: checkpoint was trained with seed %d, advisor built with %d", ck.Seed, a.seed)
-	}
-	if a.Ckpt != nil && a.Ckpt.Label != "" && ck.Label != "" && ck.Label != a.Ckpt.Label {
-		return fmt.Errorf("core: checkpoint label %q does not match run %q", ck.Label, a.Ckpt.Label)
 	}
 	if err := a.Agent.RestoreState(ck.Agent); err != nil {
 		return err
@@ -180,12 +133,6 @@ func (a *Advisor) Restore(ck *Checkpoint) error {
 	a.EpisodesTrained = ck.EpisodesTrained
 	a.StepsTrained = ck.StepsTrained
 	a.TrainUpdates = ck.TrainUpdates
-	a.phaseDone = make(map[string]int, len(ck.PhaseDone))
-	a.resumeSkip = make(map[string]int, len(ck.PhaseDone))
-	for k, v := range ck.PhaseDone {
-		a.phaseDone[k] = v
-		a.resumeSkip[k] = v
-	}
 	return nil
 }
 
@@ -213,13 +160,18 @@ func encodeCheckpointFile(ck *Checkpoint) ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
 	}
-	buf := make([]byte, 0, ckptMinFileSize+payload.Len())
+	return frameCheckpoint(payload.Bytes()), nil
+}
+
+// frameCheckpoint wraps a gob payload in the header and SHA-256 footer.
+func frameCheckpoint(payload []byte) []byte {
+	buf := make([]byte, 0, ckptMinFileSize+len(payload))
 	buf = append(buf, ckptMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, ckptFormat)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
 	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
+	return append(buf, sum[:]...)
 }
 
 // decodeCheckpointFile verifies the framing and checksum of a snapshot
@@ -270,14 +222,20 @@ func decodePayload(payload []byte) (ck *Checkpoint, err error) {
 	return ck, nil
 }
 
-// SaveCheckpoint writes the current training state to path through
-// durable.Replace: a crash at any instant leaves either the old or the new
-// snapshot intact, never a torn file.
+// SaveCheckpoint writes the current training state to path (see
+// WriteCheckpoint).
 func (a *Advisor) SaveCheckpoint(path string) error {
 	ck, err := a.Checkpoint()
 	if err != nil {
 		return err
 	}
+	return WriteCheckpoint(path, ck)
+}
+
+// WriteCheckpoint writes ck to path through durable.Replace: a crash at any
+// instant leaves either the old or the new snapshot intact, never a torn
+// file.
+func WriteCheckpoint(path string, ck *Checkpoint) error {
 	data, err := encodeCheckpointFile(ck)
 	if err != nil {
 		return err

@@ -9,18 +9,16 @@ import (
 )
 
 // fuzzSeedCheckpoint is a small but structurally complete checkpoint:
-// non-empty agent blob, phase map and RNG counters, so mutations hit
-// every section of the framed file.
+// label, non-empty agent blob, training counters and RNG counters, so
+// mutations hit every section of the framed file.
 func fuzzSeedCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Version:         checkpointVersion,
 		Seed:            7,
 		Label:           "fuzz micro disk",
 		Agent:           []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		EpisodesTrained: 12,
 		StepsTrained:    240,
 		TrainUpdates:    60,
-		PhaseDone:       map[string]int{PhaseOffline: 10, PhaseOnline: 2},
 		RNGInt63:        1234,
 		RNGUint64:       99,
 	}

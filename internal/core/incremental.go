@@ -65,7 +65,7 @@ func (a *Advisor) TrainIncremental(newQueries []*workload.Query, cost env.CostFu
 		return f.Normalize()
 	}
 	a.Agent.Epsilon = a.HP.DQN.EpsilonAfter(a.HP.OnlineEpsilonFromEpisode)
-	if err := a.trainEpisodes(cost, sampler, episodes, PhaseIncremental); err != nil {
+	if err := a.trainEpisodes(cost, sampler, episodes); err != nil {
 		return nil, err
 	}
 	if oc != nil {

@@ -657,7 +657,7 @@ func (a *Advisor) TrainOnline(oc *OnlineCost, sampler FreqSampler) error {
 		return fmt.Errorf("core: online training: %w", err)
 	}
 	a.Agent.Epsilon = a.HP.DQN.EpsilonAfter(a.HP.OnlineEpsilonFromEpisode)
-	if err := a.trainEpisodes(oc.WorkloadCost, sampler, a.HP.OnlineEpisodes, PhaseOnline); err != nil {
+	if err := a.trainEpisodes(oc.WorkloadCost, sampler, a.HP.OnlineEpisodes); err != nil {
 		return fmt.Errorf("core: online training: %w", err)
 	}
 	return nil

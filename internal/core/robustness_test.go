@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"os"
@@ -72,9 +74,10 @@ func trainedOnlinePipeline(t *testing.T, seed int64, hp Hyperparams, adv *Adviso
 }
 
 // TestCheckpointRoundTrip is the kill-and-resume guarantee: a run halted
-// mid-offline and resumed from its last periodic snapshot must reach
-// exactly the same final suggestion — and the same online accounting —
-// as the uninterrupted same-seed run.
+// mid-offline from its Stop hook and resumed from its last periodic
+// snapshot must reach exactly the same final suggestion — and the same
+// online accounting — as the uninterrupted same-seed run. The hook is the
+// one cmd/advisor installs: snapshot every 3 episodes, stop after 7.
 func TestCheckpointRoundTrip(t *testing.T) {
 	hp := Test()
 	hp.Episodes = 12
@@ -87,32 +90,38 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// snapshot is episode 6 — resume genuinely replays episode 7).
 	b := benchmarks.Micro()
 	sp := b.Space()
-	path := filepath.Join(t.TempDir(), "ckpt.bin")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.bin")
 	halted, err := New(sp, b.Workload, hp, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	halted.Ckpt = &CheckpointConfig{Path: path, Every: 3, Label: "micro/test/42"}
-	halted.HaltAfter = 7
+	halted.Stop = func() bool {
+		if halted.EpisodesTrained%3 == 0 {
+			if err := halted.SaveCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return halted.EpisodesTrained >= 7
+	}
 	cat := exec.BuildCatalog(b.Schema, b.Generate(1, 1))
 	cm := costmodel.New(cat, hardware.SystemXMemory())
-	if err := halted.TrainOffline(offlineCost(cm, b.Workload), nil); !errors.Is(err, ErrHalted) {
-		t.Fatalf("TrainOffline = %v, want ErrHalted", err)
+	if err := halted.TrainOffline(offlineCost(cm, b.Workload), nil); !errors.Is(err, ErrStopped) {
+		t.Fatalf("TrainOffline = %v, want ErrStopped", err)
 	}
 	if halted.EpisodesTrained != 7 {
 		t.Fatalf("halted after %d episodes, want 7", halted.EpisodesTrained)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp checkpoint file left behind")
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("checkpoint dir holds %v (%v), want just the checkpoint", entries, err)
 	}
 
 	// Run C: fresh advisor, resumed from the snapshot, completes the
-	// pipeline.
+	// pipeline: TrainOffline trains only the 6 episodes the snapshot lacks.
 	resumed, err := New(sp, b.Workload, hp, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed.Ckpt = &CheckpointConfig{Path: path, Every: 3, Label: "micro/test/42"}
 	if err := resumed.Resume(path); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +130,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	_, ocC, stC, rewardC := trainedOnlinePipeline(t, 42, hp, resumed, nil)
 
+	if resumed.EpisodesTrained != hp.Episodes+hp.OnlineEpisodes {
+		t.Fatalf("resumed run trained %d episodes in all, want %d", resumed.EpisodesTrained, hp.Episodes+hp.OnlineEpisodes)
+	}
 	if stA.Signature() != stC.Signature() {
 		t.Fatalf("resumed run suggests %s, uninterrupted run %s", stC, stA)
 	}
@@ -129,6 +141,97 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if ocA.Stats != ocC.Stats {
 		t.Fatalf("online stats diverge after resume:\n%+v\n%+v", ocC.Stats, ocA.Stats)
+	}
+}
+
+// TestOldCheckpointPayloadRestores: a snapshot written while checkpoints
+// still carried a format version and per-phase episode counts decodes —
+// gob skips fields the target struct lacks — and training continues from
+// it exactly as from a current one.
+func TestOldCheckpointPayloadRestores(t *testing.T) {
+	b := benchmarks.Micro()
+	sp := b.Space()
+	hp := Test()
+	hp.Episodes = 8
+	cm := costmodel.New(exec.BuildCatalog(b.Schema, b.Generate(1, 1)), hardware.SystemXMemory())
+	cost := offlineCost(cm, b.Workload)
+
+	whole, err := New(sp, b.Workload, hp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.TrainOffline(cost, nil); err != nil {
+		t.Fatal(err)
+	}
+	half, err := New(sp, b.Workload, hp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half.Stop = func() bool { return half.EpisodesTrained == 5 }
+	if err := half.TrainOffline(cost, nil); !errors.Is(err, ErrStopped) {
+		t.Fatalf("TrainOffline = %v, want ErrStopped", err)
+	}
+	ck, err := half.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The payload's field set before the per-phase replay left core.
+	type oldCheckpoint struct {
+		Version         int
+		Seed            int64
+		Label           string
+		Agent           []byte
+		EpisodesTrained int
+		StepsTrained    int
+		TrainUpdates    int
+		PhaseDone       map[string]int
+		RNGInt63        uint64
+		RNGUint64       uint64
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(oldCheckpoint{
+		Version: 1, Seed: ck.Seed, Label: "micro/disk/test/seed3", Agent: ck.Agent,
+		EpisodesTrained: ck.EpisodesTrained, StepsTrained: ck.StepsTrained, TrainUpdates: ck.TrainUpdates,
+		PhaseDone: map[string]int{"offline": 5}, RNGInt63: ck.RNGInt63, RNGUint64: ck.RNGUint64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, frameCheckpoint(payload.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Label != "micro/disk/test/seed3" || loaded.EpisodesTrained != 5 {
+		t.Fatalf("old payload decoded as %+v", loaded)
+	}
+	resumed, err := New(sp, b.Workload, hp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Restore(loaded); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.TrainOffline(cost, nil); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.EpisodesTrained != hp.Episodes {
+		t.Fatalf("resumed advisor trained %d episodes, want %d", resumed.EpisodesTrained, hp.Episodes)
+	}
+	want, err := whole.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("training resumed from the old payload diverges from the uninterrupted run")
 	}
 }
 

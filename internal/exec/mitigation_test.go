@@ -36,7 +36,7 @@ func TestMitigatedDeployMapsDesign(t *testing.T) {
 	e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	e.Deploy(mitState(t, sp, partition.ActSaltKey), nil)
 	d := e.CurrentDesign("orders")
-	if d.Salt != sp.SaltFactor() || d.HotSplit || len(d.Key) != 1 || d.Key[0] != "o_c_id" {
+	if d.Salt != partition.SaltFactor || d.HotSplit || len(d.Key) != 1 || d.Key[0] != "o_c_id" {
 		t.Fatalf("salted deploy design = %+v", d)
 	}
 

@@ -100,7 +100,7 @@ func (sp *Space) ActionString(a Action) string {
 	case ActDeactivateEdge:
 		return fmt.Sprintf("deactivate edge %s", sp.Edges[a.Edge])
 	case ActSaltKey:
-		return fmt.Sprintf("salt %s (x%d)", sp.Tables[a.Table].Name, sp.saltFactor)
+		return fmt.Sprintf("salt %s (x%d)", sp.Tables[a.Table].Name, SaltFactor)
 	case ActHotSplit:
 		return fmt.Sprintf("hot-split %s", sp.Tables[a.Table].Name)
 	}
@@ -212,7 +212,7 @@ func (sp *Space) Apply(s *State, a Action) *State {
 	case ActDeactivateEdge:
 		n.Edges[a.Edge] = false
 	case ActSaltKey:
-		n.Tables[a.Table].Salt = sp.saltFactor
+		n.Tables[a.Table].Salt = SaltFactor
 		for _, ei := range sp.EdgesFor(a.Table) {
 			n.Edges[ei] = false
 		}

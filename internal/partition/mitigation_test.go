@@ -19,9 +19,6 @@ func TestMitigationSpaceShape(t *testing.T) {
 	if !sp.Mitigations() || base.Mitigations() {
 		t.Fatalf("Mitigations flag: base=%v mit=%v", base.Mitigations(), sp.Mitigations())
 	}
-	if sp.SaltFactor() != 4 {
-		t.Fatalf("default SaltFactor = %d, want 4", sp.SaltFactor())
-	}
 	if got, want := sp.NumActions(), base.NumActions()+2*len(sp.Tables); got != want {
 		t.Fatalf("NumActions = %d, want %d", got, want)
 	}
@@ -56,14 +53,14 @@ func TestMitigationValidApply(t *testing.T) {
 	}
 
 	s = sp.Apply(s, salt)
-	if d := s.Tables[lo]; d.Salt != sp.SaltFactor() || d.HotSplit {
+	if d := s.Tables[lo]; d.Salt != SaltFactor || d.HotSplit {
 		t.Fatalf("after salt: %+v", d)
 	}
 	if sp.Valid(s, salt) {
 		t.Fatalf("re-salting already-salted table is valid")
 	}
 	s = sp.Apply(s, split)
-	if d := s.Tables[lo]; d.Salt != sp.SaltFactor() || !d.HotSplit {
+	if d := s.Tables[lo]; d.Salt != SaltFactor || !d.HotSplit {
 		t.Fatalf("after salt+split: %+v", d)
 	}
 	if err := s.CheckInvariants(); err != nil {

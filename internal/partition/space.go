@@ -87,10 +87,10 @@ type Options struct {
 	// by default: spaces built without it keep byte-identical encodings,
 	// action lists and feature lengths.
 	EnableMitigations bool
-	// SaltFactor is the bucket spread applied by the salt action (default 4
-	// when EnableMitigations is set).
-	SaltFactor int
 }
+
+// SaltFactor is the bucket spread the salt mitigation action applies.
+const SaltFactor = 4
 
 // Space is the full partitioning design space for one schema + workload: the
 // per-table candidate keys, the co-partitioning edges, and the globally
@@ -108,7 +108,6 @@ type Space struct {
 	stateLen     int
 	// hot-shard mitigation support (Options.EnableMitigations)
 	mitigations bool
-	saltFactor  int
 }
 
 // NewSpace builds the design space. Candidate keys per table are, in order:
@@ -122,10 +121,6 @@ func NewSpace(sch *schema.Schema, workloadEdges []schema.JoinEdge, opts Options)
 		Schema:      sch,
 		tableIdx:    make(map[string]int, len(sch.Tables)),
 		mitigations: opts.EnableMitigations,
-		saltFactor:  opts.SaltFactor,
-	}
-	if sp.mitigations && sp.saltFactor <= 0 {
-		sp.saltFactor = 4
 	}
 	allEdges := schema.MergeEdges(sch.ForeignKeyEdges(), workloadEdges, opts.ExtraEdges)
 
@@ -231,10 +226,6 @@ func (sp *Space) StateLen() int { return sp.stateLen }
 // Mitigations reports whether the space includes the hot-shard mitigation
 // actions (Options.EnableMitigations).
 func (sp *Space) Mitigations() bool { return sp.mitigations }
-
-// SaltFactor returns the bucket spread the salt action applies (0 when
-// mitigations are disabled).
-func (sp *Space) SaltFactor() int { return sp.saltFactor }
 
 // Describe renders the design space for logging.
 func (sp *Space) Describe() string {

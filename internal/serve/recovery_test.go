@@ -751,3 +751,48 @@ func TestRecoverParallelFleet(t *testing.T) {
 		t.Fatalf("second recovery differs:\n  %+v\n  %+v", reports[0], reports[1])
 	}
 }
+
+// TestRecoveredTenantKeepsTraining: a tenant advised three times, saved as
+// a generation and recovered into a new server trains its full online
+// budget on its next cycle, exactly like the tenant that never went down.
+// A restored advisor continues; it does not skip the online episodes its
+// snapshot already holds.
+func TestRecoveredTenantKeepsTraining(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.StateDir = dir
+	spec := idleSpec("micro", 1)
+	putSpec(t, dir, spec)
+	tn, err := newTenant(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.discard()
+	mix := func(i int) float64 { return float64(1 + i%3) }
+	for cycle := 0; cycle < 3; cycle++ {
+		recordMix(t, tn, mix)
+		tn.adviseOnce()
+	}
+	if _, err := tn.saveGeneration(); err != nil {
+		t.Fatal(err)
+	}
+	s, rep := recoverNew(t, cfg)
+	if tr := rep.Tenants[0]; tr.Err != "" || tr.RestoredGen != 0 {
+		t.Fatalf("recovery: %+v, want generation 0 restored", tr)
+	}
+	rt, _ := s.Tenant("t1")
+	if rt.adv.EpisodesTrained != tn.adv.EpisodesTrained {
+		t.Fatalf("recovered tenant holds %d episodes, saved %d", rt.adv.EpisodesTrained, tn.adv.EpisodesTrained)
+	}
+	for _, c := range []struct {
+		name string
+		tn   *Tenant
+	}{{"never-crashed", tn}, {"recovered", rt}} {
+		before := c.tn.adv.EpisodesTrained
+		recordMix(t, c.tn, mix)
+		c.tn.adviseOnce()
+		if got := c.tn.adv.EpisodesTrained - before; got != spec.OnlineEpisodes {
+			t.Errorf("%s tenant trained %d episodes in its next cycle, want %d", c.name, got, spec.OnlineEpisodes)
+		}
+	}
+}

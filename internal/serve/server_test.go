@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -645,5 +646,39 @@ func TestCreateTenantRejectsOversizedScale(t *testing.T) {
 	}
 	if n := len(s.TenantList()); n != 0 {
 		t.Fatalf("%d tenants created from oversized scales", n)
+	}
+}
+
+// TestNormalizeBoundsSpec: offline_episodes, online_episodes and weight
+// above their caps are rejected by name (a 400 on POST /tenants, a non-zero
+// advisord -preload exit) before anything trains; the caps themselves pass.
+func TestNormalizeBoundsSpec(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		spec  TenantSpec
+		ok    bool
+	}{
+		{"offline_episodes", TenantSpec{OfflineEpisodes: MaxOfflineEpisodes}, true},
+		{"offline_episodes", TenantSpec{OfflineEpisodes: 1e8}, false},
+		{"online_episodes", TenantSpec{OnlineEpisodes: MaxOnlineEpisodes}, true},
+		{"online_episodes", TenantSpec{OnlineEpisodes: MaxOnlineEpisodes + 1}, false},
+		{"weight", TenantSpec{Weight: MaxTenantWeight}, true},
+		{"weight", TenantSpec{Weight: 1e9}, false},
+		{"weight", TenantSpec{Weight: math.NaN()}, false},
+	} {
+		tc.spec.ID = "t1"
+		err := tc.spec.normalize()
+		if tc.ok && err != nil {
+			t.Errorf("%s at its cap rejected: %v", tc.field, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), tc.field)) {
+			t.Errorf("%+v: normalize = %v, want an error naming %s", tc.spec, err, tc.field)
+		}
+	}
+	s := newTestServer(t, testConfig())
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/tenants", strings.NewReader(`{"id":"t1","online_episodes":100000000}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "online_episodes") {
+		t.Errorf("POST /tenants: status %d, body %q; want 400 naming online_episodes", rec.Code, rec.Body.String())
 	}
 }

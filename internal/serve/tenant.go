@@ -49,7 +49,18 @@ type TenantSpec struct {
 	AdviseEveryMS int64 `json:"advise_every_ms"`
 }
 
-// normalize validates the id and the scale and applies spec defaults.
+// Upper bounds on the spec fields a client sets freely. The episode caps
+// are several times the largest hyperparameter profile's budgets (1200
+// offline, 120 online); past them a create or an advise cycle would hold a
+// core for hours.
+const (
+	MaxOfflineEpisodes = 10000
+	MaxOnlineEpisodes  = 1000
+	MaxTenantWeight    = 1000
+)
+
+// normalize validates the id, the scale and the bounded fields and applies
+// spec defaults.
 func (sp *TenantSpec) normalize() error {
 	if !validTenantID(sp.ID) {
 		return fmt.Errorf("serve: tenant id %q: want 1-64 characters of [A-Za-z0-9._-], not . or ..", sp.ID)
@@ -77,6 +88,14 @@ func (sp *TenantSpec) normalize() error {
 	}
 	if sp.OnlineEpisodes <= 0 {
 		sp.OnlineEpisodes = 2
+	}
+	switch {
+	case sp.OfflineEpisodes > MaxOfflineEpisodes:
+		return fmt.Errorf("serve: tenant %s: offline_episodes %d exceeds %d", sp.ID, sp.OfflineEpisodes, MaxOfflineEpisodes)
+	case sp.OnlineEpisodes > MaxOnlineEpisodes:
+		return fmt.Errorf("serve: tenant %s: online_episodes %d exceeds %d", sp.ID, sp.OnlineEpisodes, MaxOnlineEpisodes)
+	case !(sp.Weight <= MaxTenantWeight):
+		return fmt.Errorf("serve: tenant %s: weight %g exceeds %d", sp.ID, sp.Weight, MaxTenantWeight)
 	}
 	return nil
 }
