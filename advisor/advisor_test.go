@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -134,6 +135,24 @@ func TestParseWorkloadAndQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery("bad", "SELECT * FROM nosuch", b.Schema); err == nil {
 		t.Fatalf("bad query accepted")
+	}
+}
+
+// TestParseQueryRejectsDecimalOutsideInt64: a decimal literal that int64
+// cannot hold is an error, not the platform's out-of-range conversion;
+// decimals that fit still parse, truncated toward zero.
+func TestParseQueryRejectsDecimalOutsideInt64(t *testing.T) {
+	b := Micro()
+	for _, lit := range []string{"99999999999999999999.0", "-99999999999999999999.0", "9223372036854775808.0"} {
+		_, err := ParseQuery("big", "SELECT c_v FROM c WHERE c_v < "+lit, b.Schema)
+		if err == nil || !strings.Contains(err.Error(), "bad numeric literal") {
+			t.Errorf("literal %s: err = %v, want bad numeric literal", lit, err)
+		}
+	}
+	for _, lit := range []string{"9223372036854774784.0", "12.7", "-12.7"} {
+		if _, err := ParseQuery("fits", "SELECT c_v FROM c WHERE c_v < "+lit, b.Schema); err != nil {
+			t.Errorf("literal %s rejected: %v", lit, err)
+		}
 	}
 }
 

@@ -106,7 +106,14 @@ type executor struct {
 	joins []graphJoin
 	preds []jpred
 
-	// Recycled scan/shuffle buffers: a row-index/assignment buffer and
+	// filters holds every alias's filters compiled once per query
+	// (prepare), grouped by alias: g.Refs[i]'s are
+	// filters[filterAt[i]:filterAt[i+1]]. Both are recycled.
+	filters  []scanFilter
+	filterAt []int
+
+	// Recycled scan/shuffle buffers: the scan's selection vector (the
+	// shuffle's assignment buffer), sized to the largest shard seen, and
 	// per-target counters.
 	rows32 []int32
 	counts []int
@@ -185,8 +192,8 @@ func (x *executor) tracef(format string, args ...interface{}) {
 // run executes scans then joins and returns (simulated seconds, aborted).
 func (x *executor) run() (float64, bool) {
 	x.time = x.lay.hw.QueryOverheadSec
-	for _, ref := range x.g.Refs {
-		d := x.scan(ref)
+	for ri := range x.g.Refs {
+		d := x.scan(ri)
 		if x.err != nil {
 			// The scheduler aborts as soon as it discovers missing data.
 			return x.time, false
@@ -245,12 +252,14 @@ func (x *executor) neededCols(alias, table string) []string {
 	return cols
 }
 
-// scan reads one alias: per-node filter + project, charging scan bandwidth
-// on the stored bytes and CPU per scanned row. The filter, projection and
-// alias-qualification are fused into a single pass that materializes only
-// the needed columns into exact-size arena storage; an unfiltered scan is
-// zero-copy (the intermediate aliases the stored shard columns).
-func (x *executor) scan(ref sqlparse.TableRef) *dist {
+// scan reads one alias (g.Refs[ri]): per-node filter + project, charging
+// scan bandwidth on the stored bytes and CPU per scanned row. Filters run
+// a column at a time over a selection vector of row ids, then only the
+// needed columns of the surviving rows are gathered into exact-size arena
+// storage under alias-qualified names; an unfiltered scan is zero-copy
+// (the intermediate aliases the stored shard columns).
+func (x *executor) scan(ri int) *dist {
+	ref := x.g.Refs[ri]
 	t := x.lay.table(ref.Table)
 	hw := x.lay.hw
 	baseCols := x.neededCols(ref.Alias, ref.Table)
@@ -261,7 +270,7 @@ func (x *executor) scan(ref sqlparse.TableRef) *dist {
 		x.colTable[q] = ref.Table
 		x.colBase[q] = c
 	}
-	filters := x.g.FiltersFor(ref.Alias)
+	filters := x.filtersOf(ri)
 	apply := func(shard *relation.Relation) *relation.Relation {
 		if len(filters) == 0 {
 			// Zero-copy scan path: share the stored (possibly cached) shard
@@ -272,37 +281,18 @@ func (x *executor) scan(ref sqlparse.TableRef) *dist {
 			}
 			return relation.FromColumns(ref.Alias, qcols, data)
 		}
-		// Fused filter+project: one pass over the filter columns collects
-		// the surviving row set, then only the needed columns are gathered
-		// into exact-size arena columns.
-		fcols := make([][]int64, len(filters))
-		for i, f := range filters {
-			fcols[i] = shard.Col(f.Column)
-		}
-		keep := x.rows32[:0]
-		n := shard.Rows()
-		for row := 0; row < n; row++ {
-			ok := true
-			for i, f := range filters {
-				if !f.Matches(fcols[i][row]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keep = append(keep, int32(row))
-			}
-		}
+		// Only the needed columns of the selected rows are gathered, into
+		// exact-size arena columns.
+		sel := x.selectRows(shard, filters)
 		data := make([][]int64, len(baseCols))
 		for i, c := range baseCols {
-			data[i] = x.gather(shard.Col(c), keep)
+			data[i] = x.gather(shard.Col(c), sel)
 		}
-		x.rows32 = keep[:0] // retain grown capacity for the next shard
 		return relation.FromColumns(ref.Alias, qcols, data)
 	}
 
 	rowWidth := float64(t.rowWidth)
-	d := &dist{mask: 1 << uint(x.aliasIdx[ref.Alias]), estRows: x.estScanRows(ref)}
+	d := &dist{mask: 1 << uint(ri), estRows: x.estScanRows(ri, ref.Table)}
 	if t.replica != nil {
 		// Every node scans its own full copy; with crashed nodes the
 		// survivors carry on (replica-aware failover), gated by the
@@ -377,6 +367,24 @@ func (x *executor) scan(ref sqlparse.TableRef) *dist {
 	return d
 }
 
+// selectRows returns the ids of the shard's rows that pass every filter
+// (len(filters) > 0), ascending, in the recycled selection vector (valid
+// until the next scan or shuffle). The first filter writes the rows it
+// keeps over the whole column; each later one compacts the vector in
+// place, reading only its column's values at the surviving rows.
+func (x *executor) selectRows(shard *relation.Relation, filters []scanFilter) []int32 {
+	n := shard.Rows()
+	if cap(x.rows32) < n {
+		x.rows32 = make([]int32, n)
+	}
+	sel := x.rows32[:n]
+	k := filters[0].first(shard.Col(filters[0].src.Column), sel)
+	for i := 1; i < len(filters) && k > 0; i++ {
+		k = filters[i].refine(shard.Col(filters[i].src.Column), sel[:k])
+	}
+	return sel[:k]
+}
+
 // gather copies the given rows of one column into an exact-size arena
 // column.
 func (x *executor) gather(src []int64, rows []int32) []int64 {
@@ -387,13 +395,19 @@ func (x *executor) gather(src []int64, rows []int32) []int64 {
 	return dst
 }
 
-// estScanRows is the optimizer's (possibly stale) estimate of an alias's
-// filtered cardinality.
-func (x *executor) estScanRows(ref sqlparse.TableRef) float64 {
+// filtersOf returns g.Refs[ri]'s compiled filters.
+func (x *executor) filtersOf(ri int) []scanFilter {
+	return x.filters[x.filterAt[ri]:x.filterAt[ri+1]]
+}
+
+// estScanRows is the optimizer's (possibly stale) estimate of the filtered
+// cardinality of g.Refs[ri], an alias of table.
+func (x *executor) estScanRows(ri int, table string) float64 {
 	cat := x.lay.estCat
-	rows := float64(cat.Rows(ref.Table))
-	for _, f := range x.g.FiltersFor(ref.Alias) {
-		s := cat.Selectivity(ref.Table, f.Column, f.Op, f.Args)
+	rows := float64(cat.Rows(table))
+	for _, cf := range x.filtersOf(ri) {
+		f := cf.src
+		s := cat.Selectivity(table, f.Column, f.Op, f.Args)
 		if f.Neg {
 			s = 1 - s
 		}

@@ -48,9 +48,18 @@ func (s *execScratch) prepare(lay *layoutSnap, g *sqlparse.Graph, limit, now flo
 		clear(x.colTable)
 		clear(x.colBase)
 	}
+	x.filters = x.filters[:0]
+	x.filterAt = x.filterAt[:0]
 	for i, r := range g.Refs {
 		x.aliasIdx[r.Alias] = i
+		x.filterAt = append(x.filterAt, len(x.filters))
+		for j := range g.Filters {
+			if f := &g.Filters[j]; f.Alias == r.Alias {
+				x.filters = append(x.filters, compileFilter(f))
+			}
+		}
 	}
+	x.filterAt = append(x.filterAt, len(x.filters))
 	x.joins = x.joins[:0]
 	for _, j := range g.Joins {
 		li, lok := x.aliasIdx[j.LeftAlias]

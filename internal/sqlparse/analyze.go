@@ -69,11 +69,6 @@ type Filter struct {
 	Neg bool
 }
 
-// Matches reports whether a value passes the filter.
-func (f Filter) Matches(v int64) bool {
-	return stats.Matches(v, f.Op, f.Args) != f.Neg
-}
-
 // Table returns the base table of the given alias ("" if unknown).
 func (g *Graph) Table(alias string) string {
 	for _, r := range g.Refs {

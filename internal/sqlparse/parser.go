@@ -596,7 +596,8 @@ func (p *parser) parseLiteral() (int64, error) {
 		p.next()
 		if strings.Contains(t.text, ".") {
 			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
+			// int64(f) is implementation-defined outside [-2^63, 2^63).
+			if err != nil || !(f >= -(1<<63) && f < 1<<63) {
 				return 0, p.errf("bad numeric literal %q", t.text)
 			}
 			return int64(f), nil

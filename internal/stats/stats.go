@@ -170,34 +170,45 @@ func (op CompareOp) String() string {
 	return fmt.Sprintf("CompareOp(%d)", int(op))
 }
 
-// Matches reports whether value v satisfies the predicate (op, args). It is
-// the single definition of predicate semantics shared by the selectivity
-// estimator and the execution engine's filters.
-func Matches(v int64, op CompareOp, args []int64) bool {
+// RangeOf maps a comparison to the inclusive interval [lo, hi] of values it
+// accepts; neg reports that it accepts the complement instead (OpNe). It is
+// the single definition of range-predicate semantics shared by the
+// selectivity estimator and the execution engine's scan filters. ok is
+// false for OpIn and for the wrong number of arguments. A comparison no
+// value satisfies (x < MinInt64, x > MaxInt64, BETWEEN lo AND hi with
+// lo > hi) yields an empty interval, lo > hi.
+func RangeOf(op CompareOp, args []int64) (lo, hi int64, neg, ok bool) {
+	if op == OpBetween {
+		if len(args) != 2 {
+			return 0, 0, false, false
+		}
+		return args[0], args[1], false, true
+	}
+	if len(args) != 1 {
+		return 0, 0, false, false
+	}
+	a := args[0]
 	switch op {
 	case OpEq:
-		return len(args) == 1 && v == args[0]
+		return a, a, false, true
 	case OpNe:
-		return len(args) == 1 && v != args[0]
+		return a, a, true, true
 	case OpLt:
-		return len(args) == 1 && v < args[0]
-	case OpLe:
-		return len(args) == 1 && v <= args[0]
-	case OpGt:
-		return len(args) == 1 && v > args[0]
-	case OpGe:
-		return len(args) == 1 && v >= args[0]
-	case OpBetween:
-		return len(args) == 2 && v >= args[0] && v <= args[1]
-	case OpIn:
-		for _, a := range args {
-			if v == a {
-				return true
-			}
+		if a == math.MinInt64 {
+			return 1, 0, false, true
 		}
-		return false
+		return math.MinInt64, a - 1, false, true
+	case OpLe:
+		return math.MinInt64, a, false, true
+	case OpGt:
+		if a == math.MaxInt64 {
+			return 1, 0, false, true
+		}
+		return a + 1, math.MaxInt64, false, true
+	case OpGe:
+		return a, math.MaxInt64, false, true
 	}
-	return false
+	return 0, 0, false, false
 }
 
 // Selectivity estimates the fraction of rows of table.column that satisfy
@@ -212,31 +223,12 @@ func (c *Catalog) Selectivity(table, column string, op CompareOp, args []int64) 
 		return clamp01(1 - 1/float64(maxi64(cs.Distinct, 1)))
 	case OpIn:
 		return clamp01(float64(len(args)) / float64(maxi64(cs.Distinct, 1)))
-	case OpLt:
-		if len(args) != 1 {
+	case OpLt, OpLe, OpGt, OpGe, OpBetween:
+		lo, hi, _, ok := RangeOf(op, args)
+		if !ok {
 			return 1
 		}
-		return cs.rangeFraction(cs.Min, args[0]-1)
-	case OpLe:
-		if len(args) != 1 {
-			return 1
-		}
-		return cs.rangeFraction(cs.Min, args[0])
-	case OpGt:
-		if len(args) != 1 {
-			return 1
-		}
-		return cs.rangeFraction(args[0]+1, cs.Max)
-	case OpGe:
-		if len(args) != 1 {
-			return 1
-		}
-		return cs.rangeFraction(args[0], cs.Max)
-	case OpBetween:
-		if len(args) != 2 {
-			return 1
-		}
-		return cs.rangeFraction(args[0], args[1])
+		return cs.rangeFraction(lo, hi)
 	}
 	return 1
 }

@@ -82,32 +82,38 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestMatches(t *testing.T) {
+// TestRangeOf: every range comparison maps to the interval it accepts,
+// the int64 edges included, and malformed arities and IN report !ok.
+func TestRangeOf(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
 	cases := []struct {
-		v    int64
-		op   CompareOp
-		args []int64
-		want bool
+		op      CompareOp
+		args    []int64
+		lo, hi  int64
+		neg, ok bool
 	}{
-		{5, OpEq, []int64{5}, true},
-		{5, OpEq, []int64{6}, false},
-		{5, OpNe, []int64{6}, true},
-		{5, OpNe, []int64{5}, false},
-		{5, OpLt, []int64{6}, true},
-		{5, OpLt, []int64{5}, false},
-		{5, OpLe, []int64{5}, true},
-		{5, OpGt, []int64{4}, true},
-		{5, OpGt, []int64{5}, false},
-		{5, OpGe, []int64{5}, true},
-		{5, OpBetween, []int64{1, 5}, true},
-		{5, OpBetween, []int64{6, 9}, false},
-		{5, OpIn, []int64{1, 5, 7}, true},
-		{5, OpIn, []int64{1, 7}, false},
-		{5, OpEq, nil, false}, // malformed args
+		{OpEq, []int64{5}, 5, 5, false, true},
+		{OpNe, []int64{5}, 5, 5, true, true},
+		{OpLt, []int64{5}, minI, 4, false, true},
+		{OpLe, []int64{5}, minI, 5, false, true},
+		{OpGt, []int64{5}, 6, maxI, false, true},
+		{OpGe, []int64{5}, 5, maxI, false, true},
+		{OpBetween, []int64{1, 5}, 1, 5, false, true},
+		{OpBetween, []int64{6, 2}, 6, 2, false, true}, // empty: lo > hi
+		{OpLt, []int64{minI}, 1, 0, false, true},      // empty, no wrap
+		{OpGt, []int64{maxI}, 1, 0, false, true},      // empty, no wrap
+		{OpLe, []int64{maxI}, minI, maxI, false, true},
+		{OpGe, []int64{minI}, minI, maxI, false, true},
+		{OpEq, nil, 0, 0, false, false},
+		{OpLt, []int64{1, 2}, 0, 0, false, false},
+		{OpBetween, []int64{1}, 0, 0, false, false},
+		{OpIn, []int64{1, 5, 7}, 0, 0, false, false},
 	}
 	for _, tc := range cases {
-		if got := Matches(tc.v, tc.op, tc.args); got != tc.want {
-			t.Errorf("Matches(%d, %v, %v) = %v, want %v", tc.v, tc.op, tc.args, got, tc.want)
+		lo, hi, neg, ok := RangeOf(tc.op, tc.args)
+		if ok != tc.ok || (ok && (lo != tc.lo || hi != tc.hi || neg != tc.neg)) {
+			t.Errorf("RangeOf(%v, %v) = [%d, %d] neg=%v ok=%v, want [%d, %d] neg=%v ok=%v",
+				tc.op, tc.args, lo, hi, neg, ok, tc.lo, tc.hi, tc.neg, tc.ok)
 		}
 	}
 }
@@ -174,6 +180,27 @@ func TestSelectivityMalformedArgs(t *testing.T) {
 	}
 	if got := c.Selectivity("orders", "o_id", OpBetween, []int64{1}); got != 1 {
 		t.Fatalf("malformed BETWEEN selectivity = %v, want 1", got)
+	}
+}
+
+// TestSelectivityInt64Edges: x > MaxInt64 and x < MinInt64 select
+// nothing. Computing their bounds as args[0]+1 and args[0]-1 wrapped round
+// and estimated both as the whole column.
+func TestSelectivityInt64Edges(t *testing.T) {
+	c := testCatalog()
+	for _, col := range []string{"o_id", "o_amount"} {
+		if got := c.Selectivity("orders", col, OpGt, []int64{math.MaxInt64}); got != 0 {
+			t.Errorf("%s > MaxInt64 selectivity = %v, want 0", col, got)
+		}
+		if got := c.Selectivity("orders", col, OpLt, []int64{math.MinInt64}); got != 0 {
+			t.Errorf("%s < MinInt64 selectivity = %v, want 0", col, got)
+		}
+		if got := c.Selectivity("orders", col, OpGe, []int64{math.MinInt64}); got != 1 {
+			t.Errorf("%s >= MinInt64 selectivity = %v, want 1", col, got)
+		}
+		if got := c.Selectivity("orders", col, OpLe, []int64{math.MaxInt64}); got != 1 {
+			t.Errorf("%s <= MaxInt64 selectivity = %v, want 1", col, got)
+		}
 	}
 }
 
