@@ -83,6 +83,10 @@ func main() {
 	if err := datagen.CheckScale(*scale); err != nil {
 		usage(err)
 	}
+	if *adviseMS > serve.MaxAdviseEveryMS {
+		// Checked on the flag: past the bound its Duration may have wrapped.
+		usage(fmt.Errorf("-advise-ms %d exceeds %d", *adviseMS, serve.MaxAdviseEveryMS))
+	}
 
 	srv, err := serve.NewServer(cfg)
 	if err != nil {

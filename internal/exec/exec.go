@@ -88,9 +88,8 @@ type BatchReport struct {
 type Request struct {
 	// Queries are executed as one batch; a single query is a batch of one.
 	Queries []BatchQuery
-	// Workers bounds the worker pool: <= 0 uses GOMAXPROCS, 1 runs inline on
-	// the caller's goroutine (callers that are themselves one of many
-	// concurrent requests pass 1 to avoid nested fan-out).
+	// Workers bounds the worker pool: <= 0 uses GOMAXPROCS. The caller's
+	// goroutine is always one of the workers, so 1 runs inline.
 	Workers int
 	// Abort, when non-nil, stops the batch early once Set.
 	Abort *BatchAbort
@@ -276,19 +275,17 @@ func (e *Engine) Exec(ctx context.Context, r Request) BatchReport {
 			deliver(i)
 		}
 	}
+	// The caller's goroutine is the first worker; the rest start beside it.
 	dispatch := func() {
-		if workers == 1 {
-			work(scratches[0])
-			return
-		}
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for _, s := range scratches {
+		wg.Add(workers - 1)
+		for _, s := range scratches[1:] {
 			go func(s *execScratch) {
 				defer wg.Done()
 				work(s)
 			}(s)
 		}
+		work(scratches[0])
 		wg.Wait()
 	}
 	if whatIf {

@@ -23,15 +23,18 @@ type BatchRequest struct {
 	// traffic (default 1 when omitted).
 	Priority *int `json:"priority"`
 	// DeadlineMS bounds the request (queueing + execution) in wall-clock
-	// milliseconds; the deadline propagates into the engine batch.
+	// milliseconds, 0 (none) to MaxDeadlineMS; the deadline propagates into
+	// the engine batch.
 	DeadlineMS int64 `json:"deadline_ms"`
-	// Workers overrides the engine's per-batch worker count.
-	Workers int `json:"workers"`
 }
 
 // maxBody bounds a request body: a tenant spec, or maxBatchPositions query
 // names many times over.
 const maxBody = 1 << 20
+
+// MaxDeadlineMS bounds a batch's deadline_ms at an hour, far below where
+// its conversion to a time.Duration would overflow.
+const MaxDeadlineMS = 3_600_000
 
 // BatchResponse is the JSON answer for an executed (or deadline-cut)
 // batch.
@@ -174,6 +177,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "batch request", &req) {
 		return
 	}
+	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
+		writeJSON(w, http.StatusBadRequest, errorResponse{
+			Error: fmt.Sprintf("serve: deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS),
+		})
+		return
+	}
 	priority := 1
 	if req.Priority != nil {
 		priority = *req.Priority
@@ -185,7 +194,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	start := time.Now()
-	wait, err := s.SubmitBatch(ctx, t, req.Queries, req.Repeat, req.LimitSec, priority, req.Workers)
+	wait, err := s.SubmitBatch(ctx, t, req.Queries, req.Repeat, req.LimitSec, priority)
 	switch {
 	case err == nil:
 	case IsShed(err):

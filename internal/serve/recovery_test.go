@@ -61,7 +61,7 @@ func waitGenerations(t *testing.T, dir string, n int) []GenerationFile {
 
 func submitOne(t *testing.T, s *Server, tn *Tenant) {
 	t.Helper()
-	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1)
+	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1)
 	if err != nil {
 		if IsShed(err) {
 			return
@@ -348,7 +348,7 @@ func TestConcurrentCheckpointerTrafficDelete(t *testing.T) {
 					if !ok {
 						return
 					}
-					wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1)
+					wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1)
 					if err != nil {
 						continue
 					}

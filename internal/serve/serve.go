@@ -85,13 +85,11 @@ func IsShed(err error) bool {
 
 // The fixed parts of the service envelope. The tier ladder arms tier 1
 // (pause background advising) at half the global queue and tier 2 (also
-// shed priority-0 traffic) at nine tenths; a batch runs inline on its
-// worker, since cross-tenant parallelism comes from the worker pool; each
-// tenant keeps its newest three checkpoint generations.
+// shed priority-0 traffic) at nine tenths; each tenant keeps its newest
+// three checkpoint generations.
 const (
 	tier1Occupancy = 0.5
 	tier2Occupancy = 0.9
-	batchWorkers   = 1
 	checkpointKeep = 3
 )
 
@@ -120,7 +118,8 @@ type Config struct {
 	// TickEvery is the overload-controller sampling period.
 	TickEvery time.Duration
 
-	// AdviseEvery is the default per-tenant background advising period.
+	// AdviseEvery is the default per-tenant background advising period, at
+	// most MaxAdviseEveryMS milliseconds.
 	AdviseEvery time.Duration
 
 	// StateDir is the durable state directory (required): tenant specs
@@ -167,8 +166,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: tier hysteresis ticks must be >= 1 (up %d, down %d)", c.TierUpTicks, c.TierDownTicks)
 	case c.TickEvery <= 0:
 		return fmt.Errorf("serve: TickEvery %v <= 0", c.TickEvery)
-	case c.AdviseEvery <= 0:
-		return fmt.Errorf("serve: AdviseEvery %v <= 0", c.AdviseEvery)
+	case c.AdviseEvery <= 0 || c.AdviseEvery > MaxAdviseEveryMS*time.Millisecond:
+		return fmt.Errorf("serve: AdviseEvery %v outside (0, %v]", c.AdviseEvery, MaxAdviseEveryMS*time.Millisecond)
 	case c.StateDir == "":
 		return fmt.Errorf("serve: StateDir is required")
 	case c.CheckpointEvery <= 0:

@@ -364,7 +364,7 @@ func (s *Server) TenantList() []*Tenant {
 // SubmitBatch admits a batch for a tenant and returns a wait function
 // that blocks for the result. Admission errors come back immediately:
 // shed errors (IsShed) carry a Retry-After hint via RetryAfter.
-func (s *Server) SubmitBatch(ctx context.Context, t *Tenant, names []string, repeat int, limit float64, priority, workers int) (func() (BatchResult, error), error) {
+func (s *Server) SubmitBatch(ctx context.Context, t *Tenant, names []string, repeat int, limit float64, priority int) (func() (BatchResult, error), error) {
 	if s.draining.Load() {
 		s.rejectedClosed.Add(1)
 		return nil, ErrClosed
@@ -374,20 +374,14 @@ func (s *Server) SubmitBatch(ctx context.Context, t *Tenant, names []string, rep
 		s.shedPriority.Add(1)
 		return nil, ErrShedPriority
 	}
-	if workers < 0 {
-		return nil, fmt.Errorf("serve: workers %d must not be negative", workers)
-	}
 	qs, labels, err := t.resolveQueries(names, repeat, limit)
 	if err != nil {
 		return nil, err
 	}
-	if workers == 0 {
-		workers = batchWorkers
-	}
 	done := make(chan BatchResult, 1)
 	tk := newTask(float64(len(qs)), nil)
 	tk.run = func() {
-		done <- t.execBatch(ctx, qs, labels, workers)
+		done <- t.execBatch(ctx, qs, labels)
 	}
 	if err := s.sched.submit(t.tq, tk); err != nil {
 		switch {

@@ -304,7 +304,7 @@ func TestQueuedDeadlineCancel(t *testing.T) {
 	// A huge batch occupies the only worker...
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	wait1, err := s.SubmitBatch(ctx1, tn, nil, maxBatchPositions/len(tn.wl.Queries), 0, 1, 1)
+	wait1, err := s.SubmitBatch(ctx1, tn, nil, maxBatchPositions/len(tn.wl.Queries), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestQueuedDeadlineCancel(t *testing.T) {
 	// answer instantly via the queued-cancel path.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	wait2, err := s.SubmitBatch(ctx2, tn, nil, 3, 0, 1, 1)
+	wait2, err := s.SubmitBatch(ctx2, tn, nil, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestDeleteTenantUnblocksQueuedWaiters(t *testing.T) {
 	}
 	var waits []func() (BatchResult, error)
 	for i := 0; i < 2; i++ {
-		wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1)
+		wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +394,7 @@ func TestDeleteTenantUnblocksQueuedWaiters(t *testing.T) {
 	}
 	// The deleted tenant's queue is deregistered: submitting through the
 	// stale handle is refused instead of stranding a task.
-	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("submit via deleted tenant: %v, want ErrUnknownTenant", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -414,7 +414,7 @@ func TestDrainDeadlineAnswersQueuedWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1)
+	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,13 +468,13 @@ func TestPrioritySheddingAndPauseResume(t *testing.T) {
 		t.Fatal("advising not paused at tier 2")
 	}
 
-	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 0, 1); !errors.Is(err, ErrShedPriority) {
+	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 0); !errors.Is(err, ErrShedPriority) {
 		t.Fatalf("priority-0 under tier 2: %v, want ErrShedPriority", err)
 	}
 	if !IsShed(ErrShedPriority) {
 		t.Fatal("ErrShedPriority must map to a 429 shed")
 	}
-	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1)
+	wait, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1)
 	if err != nil {
 		t.Fatalf("priority-1 under tier 2: %v, want admitted", err)
 	}
@@ -512,7 +512,7 @@ func TestShutdownCheckpointsTenants(t *testing.T) {
 		}
 	}
 	tn, _ := s.Tenant("alpha")
-	wait, err := s.SubmitBatch(context.Background(), tn, nil, 2, 0, 1, 1)
+	wait, err := s.SubmitBatch(context.Background(), tn, nil, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,13 +564,14 @@ func TestShutdownCheckpointsTenants(t *testing.T) {
 	if _, err := s.CreateTenant(fastSpec("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("create after shutdown: %v, want ErrClosed", err)
 	}
-	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1, 1); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitBatch(context.Background(), tn, nil, 1, 0, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after shutdown: %v, want ErrClosed", err)
 	}
 }
 
 // TestConfigValidate spot-checks the envelope validation: a state
-// directory is required.
+// directory is required, and the default advising period is bounded like a
+// tenant's own.
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	good.StateDir = t.TempDir()
@@ -590,6 +591,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("CheckpointEvery 0 accepted")
 	}
+	bad = good
+	bad.AdviseEvery = MaxAdviseEveryMS*time.Millisecond + 1
+	if bad.Validate() == nil {
+		t.Fatal("AdviseEvery past MaxAdviseEveryMS accepted")
+	}
 }
 
 // TestBatchRejectsHostileBodies posts batch bodies whose sizes come from an
@@ -598,7 +604,8 @@ func TestConfigValidate(t *testing.T) {
 func TestBatchRejectsHostileBodies(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	// No Start(): nothing drains, so a wrongly admitted request is answered
-	// 200 (deadline miss) when its deadline_ms expires instead of hanging.
+	// 200 (deadline miss) when its deadline_ms, or failing that the request
+	// context, expires instead of hanging.
 	h := s.Handler()
 	tn, err := s.CreateTenant(fastSpec("t1"))
 	if err != nil {
@@ -615,19 +622,67 @@ func TestBatchRejectsHostileBodies(t *testing.T) {
 		{"1e5 query names", `"queries":[` + strings.Repeat(`"Q1",`, 100_000) + `"Q1"]`, http.StatusBadRequest},
 		{"negative repeat", `"repeat":-1`, http.StatusBadRequest},
 		{"negative limit_sec", `"limit_sec":-0.5`, http.StatusBadRequest},
-		{"negative workers", `"workers":-2`, http.StatusBadRequest},
+		{"deadline_ms past the bound", `"deadline_ms":9223372036855`, http.StatusBadRequest},
+		{"negative deadline_ms", `"deadline_ms":-1`, http.StatusBadRequest},
 		{"1e6 query names", `"queries":[` + strings.Repeat(`"Q1",`, 1_000_000) + `"Q1"]`, http.StatusRequestEntityTooLarge},
 		{"64 MB body", `"queries":["` + strings.Repeat("x", 64<<20) + `"]`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/tenants/t1/batch", strings.NewReader(`{"deadline_ms":50,`+tc.fields+`}`)))
+		// A later deadline_ms in tc.fields overrides the leading one.
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/tenants/t1/batch", strings.NewReader(`{"deadline_ms":50,`+tc.fields+`}`)).WithContext(ctx))
+		cancel()
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
 		}
 	}
 	if st := tn.Stats(); st.Batches != 0 || st.Queries != 0 {
 		t.Fatalf("hostile bodies were admitted: %+v", st)
+	}
+}
+
+// TestBatchBitsEqualAcrossWorkerCounts: a batch fans out over GOMAXPROCS
+// workers, and what it charges does not depend on how many there are. The
+// same batch on two identically built tenants, one run at GOMAXPROCS 1 and
+// one at 4, completes the same positions with the same timeout aborts and
+// the same simulated seconds, bit for bit. The limit cuts some queries and
+// not others, so the abort count is a real comparison.
+func TestBatchBitsEqualAcrossWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var got []BatchResult
+	for _, procs := range []int{1, 4} {
+		s := newTestServer(t, testConfig())
+		s.Start()
+		spec := fastSpec("t1")
+		spec.Bench = "ssb"
+		spec.Scale = 0.3
+		// No advise cycle runs, so nothing moves the layout before the batch.
+		spec.AdviseEveryMS = MaxAdviseEveryMS
+		tn, err := s.CreateTenant(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		wait, err := s.SubmitBatch(context.Background(), tn, nil, 3, 0.0048, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := wait()
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustShutdown(t, s)
+		got = append(got, res)
+	}
+	one, four := got[0], got[1]
+	if one.Completed != one.Requested || one.Aborts == 0 || one.Aborts == one.Completed {
+		t.Fatalf("GOMAXPROCS 1: %+v; want every position charged, some but not all cut at the limit", one)
+	}
+	if four.Completed != one.Completed || four.Aborts != one.Aborts ||
+		math.Float64bits(four.SimSeconds) != math.Float64bits(one.SimSeconds) {
+		t.Fatalf("GOMAXPROCS 4 charged %+v, GOMAXPROCS 1 %+v", four, one)
 	}
 }
 
@@ -665,6 +720,8 @@ func TestNormalizeBoundsSpec(t *testing.T) {
 		{"weight", TenantSpec{Weight: MaxTenantWeight}, true},
 		{"weight", TenantSpec{Weight: 1e9}, false},
 		{"weight", TenantSpec{Weight: math.NaN()}, false},
+		{"advise_every_ms", TenantSpec{AdviseEveryMS: MaxAdviseEveryMS}, true},
+		{"advise_every_ms", TenantSpec{AdviseEveryMS: 9223372036855}, false},
 	} {
 		tc.spec.ID = "t1"
 		err := tc.spec.normalize()
@@ -676,9 +733,16 @@ func TestNormalizeBoundsSpec(t *testing.T) {
 		}
 	}
 	s := newTestServer(t, testConfig())
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/tenants", strings.NewReader(`{"id":"t1","online_episodes":100000000}`)))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "online_episodes") {
-		t.Errorf("POST /tenants: status %d, body %q; want 400 naming online_episodes", rec.Code, rec.Body.String())
+	// An advise_every_ms this large used to be accepted, then wrapped to a
+	// negative ticker period that panicked the advising goroutine.
+	for field, body := range map[string]string{
+		"online_episodes": `{"id":"t1","online_episodes":100000000}`,
+		"advise_every_ms": `{"id":"t1","advise_every_ms":9223372036855}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/tenants", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("POST /tenants: status %d, body %q; want 400 naming %s", rec.Code, rec.Body.String(), field)
+		}
 	}
 }

@@ -45,18 +45,21 @@ type TenantSpec struct {
 	// NoGuard disables the DESIGN.md §8 safety envelope around the
 	// tenant's online advising (on by default).
 	NoGuard bool `json:"no_guard"`
-	// AdviseEveryMS overrides the server's default advising period.
+	// AdviseEveryMS overrides the server's default advising period, up to
+	// MaxAdviseEveryMS.
 	AdviseEveryMS int64 `json:"advise_every_ms"`
 }
 
 // Upper bounds on the spec fields a client sets freely. The episode caps
 // are several times the largest hyperparameter profile's budgets (1200
 // offline, 120 online); past them a create or an advise cycle would hold a
-// core for hours.
+// core for hours. The advising period is capped at an hour, far below
+// where its conversion to a time.Duration would overflow.
 const (
 	MaxOfflineEpisodes = 10000
 	MaxOnlineEpisodes  = 1000
 	MaxTenantWeight    = 1000
+	MaxAdviseEveryMS   = 3_600_000
 )
 
 // normalize validates the id, the scale and the bounded fields and applies
@@ -96,6 +99,8 @@ func (sp *TenantSpec) normalize() error {
 		return fmt.Errorf("serve: tenant %s: online_episodes %d exceeds %d", sp.ID, sp.OnlineEpisodes, MaxOnlineEpisodes)
 	case !(sp.Weight <= MaxTenantWeight):
 		return fmt.Errorf("serve: tenant %s: weight %g exceeds %d", sp.ID, sp.Weight, MaxTenantWeight)
+	case sp.AdviseEveryMS > MaxAdviseEveryMS:
+		return fmt.Errorf("serve: tenant %s: advise_every_ms %d exceeds %d", sp.ID, sp.AdviseEveryMS, MaxAdviseEveryMS)
 	}
 	return nil
 }
@@ -561,11 +566,12 @@ type BatchResult struct {
 	Cancelled bool
 }
 
-// execBatch runs an admitted batch on the tenant's engine under ctx and
-// feeds the charged prefix into the workload monitor. names[i] labels
+// execBatch runs an admitted batch on the tenant's engine under ctx, fanned
+// out over GOMAXPROCS workers, and feeds the charged prefix into the
+// workload monitor. names[i] labels
 // qs[i] for monitor accounting.
-func (t *Tenant) execBatch(ctx context.Context, qs []exec.BatchQuery, names []string, workers int) BatchResult {
-	rep := t.eng.Exec(ctx, exec.Request{Queries: qs, Workers: workers})
+func (t *Tenant) execBatch(ctx context.Context, qs []exec.BatchQuery, names []string) BatchResult {
+	rep := t.eng.Exec(ctx, exec.Request{Queries: qs})
 	res := BatchResult{
 		Requested:    len(qs),
 		Completed:    rep.Completed,
