@@ -70,23 +70,16 @@ func main() {
 	flag.IntVar(&cfg.MaxTenantQueue, "tenant-queue", cfg.MaxTenantQueue, "per-tenant queue bound")
 	flag.IntVar(&cfg.MaxGlobalQueue, "global-queue", cfg.MaxGlobalQueue, "global queue bound")
 	flag.Parse()
-	cfg.CheckpointEvery = time.Duration(*ckptMS) * time.Millisecond
-	cfg.AdviseEvery = time.Duration(*adviseMS) * time.Millisecond
 	usage := func(err error) {
 		fmt.Fprintln(os.Stderr, "advisord:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if cfg.StateDir == "" {
-		usage(errors.New("-state-dir is required"))
-	}
-	if err := datagen.CheckScale(*scale); err != nil {
+	if err := checkFlags(cfg.StateDir, *scale, *adviseMS, *ckptMS, *drainSec); err != nil {
 		usage(err)
 	}
-	if *adviseMS > serve.MaxAdviseEveryMS {
-		// Checked on the flag: past the bound its Duration may have wrapped.
-		usage(fmt.Errorf("-advise-ms %d exceeds %d", *adviseMS, serve.MaxAdviseEveryMS))
-	}
+	cfg.CheckpointEvery = time.Duration(*ckptMS) * time.Millisecond
+	cfg.AdviseEvery = time.Duration(*adviseMS) * time.Millisecond
 
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
@@ -182,4 +175,33 @@ func main() {
 	if err != nil || !rep.Drained {
 		os.Exit(1)
 	}
+}
+
+// maxIntervalMS bounds every interval flag: one hour, the bound
+// serve.Config.Validate puts on AdviseEvery.
+const maxIntervalMS = serve.MaxAdviseEveryMS
+
+// checkFlags rejects flags advisord cannot run with. The intervals are
+// checked on the flag values, before any time.Duration is formed from
+// them: past the bound the conversion wraps, to a checkpoint interval of
+// microseconds or a drain deadline that has already passed.
+func checkFlags(stateDir string, scale float64, adviseMS, ckptMS int64, drainSec float64) error {
+	if stateDir == "" {
+		return errors.New("-state-dir is required")
+	}
+	if err := datagen.CheckScale(scale); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		ms   int64
+	}{{"-advise-ms", adviseMS}, {"-checkpoint-every-ms", ckptMS}} {
+		if f.ms <= 0 || f.ms > maxIntervalMS {
+			return fmt.Errorf("%s %d outside (0, %d]", f.name, f.ms, maxIntervalMS)
+		}
+	}
+	if !(drainSec > 0 && drainSec <= maxIntervalMS/1000) { // also rejects NaN
+		return fmt.Errorf("-drain-sec %g outside (0, %d]", drainSec, maxIntervalMS/1000)
+	}
+	return nil
 }

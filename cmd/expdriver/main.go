@@ -8,8 +8,11 @@
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	expdriver -soak faults|guarded|skew|skew-faulty [-soak-episodes N] [-scale F] [-seed N]
 //
-// Run "expdriver -list" for the experiment ids. Without -exp, all
-// experiments run (minutes at the default repro profile). With -soak, the
+// Run "expdriver -list" for the experiment ids; an id it does not list is
+// a usage error (exit 2). Without -exp, every experiment but ablations
+// runs (minutes at the default repro profile): ablations reports training
+// wall time, which would keep the full run's output from repeating byte
+// for byte, so it runs only as "-exp ablations". With -soak, the
 // driver runs one regime of the seeded soak harness (internal/chaos)
 // instead of the paper experiments and exits 1 on any invariant violation.
 // An unknown regime, -soak-episodes below 1, or -exp, -profile or -list
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -51,7 +55,7 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(*scale, *soak, *soakEps, set); err != nil {
+	if err := checkFlags(*exp, *scale, *soak, *soakEps, set); err != nil {
 		fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -141,7 +145,10 @@ func main() {
 
 // checkFlags rejects what the driver would otherwise run with a flag
 // silently ignored or defaulted.
-func checkFlags(scale float64, soak string, soakEps int, set map[string]bool) error {
+func checkFlags(exp string, scale float64, soak string, soakEps int, set map[string]bool) error {
+	if exp != "" && !slices.Contains(experiments.IDs(), exp) {
+		return fmt.Errorf("-exp: unknown experiment %q (see -list)", exp)
+	}
 	// 0 means "the profile's scale"; anything else must be a usable scale.
 	if scale != 0 {
 		if err := datagen.CheckScale(scale); err != nil {

@@ -6,13 +6,12 @@ import (
 	"partadvisor/advisor"
 )
 
-// Table1 renders the hyperparameter table (paper Table 1) from the live
+// table1 renders the hyperparameter table (paper Table 1) from the live
 // default configuration, so drift between code and documentation is
 // impossible.
-func Table1() *Result {
+func table1() *Result {
 	hp := PaperConfig().HP(true)
 	r := &Result{
-		ID:     "table1",
 		Title:  "Hyperparameters used for DRL training (paper Table 1)",
 		Header: []string{"Parameter", "Value"},
 	}
@@ -29,71 +28,40 @@ func Table1() *Result {
 	return r
 }
 
-// fig3Case identifies one subfigure of Fig. 3.
-type fig3Case struct {
-	id    string
-	bench func() *advisor.Benchmark
-	hw    advisor.HardwareProfile
-}
-
-func fig3Cases() []fig3Case {
-	return []fig3Case{
-		{"fig3a", advisor.SSB, advisor.DiskCluster()},
-		{"fig3b", advisor.SSB, advisor.MemoryCluster()},
-		{"fig3c", advisor.TPCDS, advisor.DiskCluster()},
-		{"fig3d", advisor.TPCDS, advisor.MemoryCluster()},
-		{"fig3e", advisor.TPCCH, advisor.DiskCluster()},
-		{"fig3f", advisor.TPCCH, advisor.MemoryCluster()},
-	}
-}
-
-// Fig3 reproduces Exp. 1 (offline training): workload runtime of the
-// partitionings found by Heuristic (a), Heuristic (b), the
+// fig3 reproduces one subfigure of Exp. 1 (offline training): workload
+// runtime of the partitionings found by Heuristic (a), Heuristic (b), the
 // Minimum-Optimizer baseline (Disk engines only) and the offline-trained
-// DRL agent, for SSB / TPC-DS / TPC-CH on both engine flavors.
-func Fig3(cfg Config, only string) ([]*Result, error) {
-	var out []*Result
-	for _, c := range fig3Cases() {
-		if only != "" && only != c.id {
-			continue
+// DRL agent, for one benchmark (SSB / TPC-DS / TPC-CH) on one engine
+// flavor.
+func fig3(bench func() *advisor.Benchmark, hw advisor.HardwareProfile) func(Config) (*Result, error) {
+	return func(cfg Config) (*Result, error) {
+		d := advisor.NewDeployment(bench(), hw, cfg.Scale, cfg.Seed)
+		res := &Result{
+			Title:  fmt.Sprintf("Offline RL vs baselines — %s (%s)", d.Bench.Name, d.Engine.Flavor),
+			Header: []string{"Approach", "Workload runtime (sim s)"},
 		}
-		res, err := runFig3Case(cfg, c)
+
+		ha, hb := heuristics(d)
+		res.AddRow("Heuristic (a)", d.MeasureWorkload(ha))
+		res.AddRow("Heuristic (b)", d.MeasureWorkload(hb))
+
+		if mo := minOptimizer(d); mo != nil {
+			res.AddRow("Minimum Optimizer", d.MeasureWorkload(mo))
+			res.Notef("minimum-optimizer partitioning: %s", mo)
+		} else {
+			res.AddRow("Minimum Optimizer", "not available")
+		}
+
+		s, err := trainOffline(cfg, d, cfg.Seed+17)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.id, err)
+			return nil, err
 		}
-		out = append(out, res)
+		st, err := s.Suggest(nil)
+		if err != nil {
+			return nil, err
+		}
+		res.AddRow("RL", d.MeasureWorkload(st))
+		res.Notef("RL partitioning: %s", st)
+		return res, nil
 	}
-	return out, nil
-}
-
-func runFig3Case(cfg Config, c fig3Case) (*Result, error) {
-	d := advisor.NewDeployment(c.bench(), c.hw, cfg.Scale, cfg.Seed)
-	res := &Result{
-		ID:     c.id,
-		Title:  fmt.Sprintf("Offline RL vs baselines — %s (%s)", d.Bench.Name, d.Engine.Flavor),
-		Header: []string{"Approach", "Workload runtime (sim s)"},
-	}
-
-	ha, hb := heuristics(d)
-	res.AddRow("Heuristic (a)", d.MeasureWorkload(ha))
-	res.AddRow("Heuristic (b)", d.MeasureWorkload(hb))
-
-	if mo := minOptimizer(d); mo != nil {
-		res.AddRow("Minimum Optimizer", d.MeasureWorkload(mo))
-		res.Notef("minimum-optimizer partitioning: %s", mo)
-	} else {
-		res.AddRow("Minimum Optimizer", "not available")
-	}
-
-	s, err := trainOffline(cfg, d, cfg.Seed+17)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.Suggest(nil)
-	if err != nil {
-		return nil, err
-	}
-	res.AddRow("RL", d.MeasureWorkload(st))
-	res.Notef("RL partitioning: %s", st)
-	return res, nil
 }

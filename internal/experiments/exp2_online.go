@@ -9,7 +9,8 @@ import (
 )
 
 // onlineRun bundles the artifacts of one TPC-CH offline+online training on
-// the Disk engine — shared by Fig. 4a, Fig. 4b, Table 2 and Fig. 7.
+// the Disk engine: Table 2 builds its own, the other TPC-CH experiments
+// share one (see shared).
 type onlineRun struct {
 	*advisor.Session
 	onlineCost *core.OnlineCost
@@ -46,16 +47,15 @@ func runOnlineTPCCH(cfg Config, timeouts bool) (*onlineRun, error) {
 	return &onlineRun{Session: s, onlineCost: oc, offlineSt: offSt, onlineSt: onSt}, nil
 }
 
-// Fig4a reproduces Exp. 2: online-refined RL vs the offline-only agent and
+// fig4a reproduces Exp. 2: online-refined RL vs the offline-only agent and
 // all baselines on TPC-CH (Disk engine). The paper reports the online agent
 // ~20% ahead of the offline one.
-func Fig4a(cfg Config) (*Result, *onlineRun, error) {
-	run, err := runOnlineTPCCH(cfg, true)
+func fig4a(sh *shared) (*Result, error) {
+	run, err := sh.onlineRun()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := &Result{
-		ID:     "fig4a",
 		Title:  "Online RL vs baselines — TPC-CH (disk)",
 		Header: []string{"Approach", "Workload runtime (sim s)"},
 	}
@@ -69,26 +69,25 @@ func Fig4a(cfg Config) (*Result, *onlineRun, error) {
 	res.AddRow("RL online", run.MeasureWorkload(run.onlineSt))
 	res.Notef("offline partitioning: %s", run.offlineSt)
 	res.Notef("online partitioning: %s", run.onlineSt)
-	return res, run, nil
+	return res, nil
 }
 
-// Fig4b reproduces Exp. 3a: bulk-load +0/20/40/60%% into TPC-CH and re-run
+// fig4b reproduces Exp. 3a: bulk-load +0/20/40/60%% into TPC-CH and re-run
 // every (unchanged) partitioning. Optimizer statistics go stale, so plans
 // degrade — the robustness of co-partitioned designs separates the
-// approaches.
-func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
-	var err error
-	if run == nil {
-		run, err = runOnlineTPCCH(cfg, true)
-		if err != nil {
-			return nil, err
-		}
+// approaches. The loads go into a deployment of its own, so the shared
+// run's engine stays as the other experiments read it.
+func fig4b(sh *shared) (*Result, error) {
+	run, err := sh.onlineRun()
+	if err != nil {
+		return nil, err
 	}
-	ha, hb := heuristics(run.Deployment)
-	mo := minOptimizer(run.Deployment)
+	cfg := sh.cfg
+	d := advisor.NewDeployment(advisor.TPCCH(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
+	ha, hb := heuristics(d)
+	mo := minOptimizer(d)
 
 	res := &Result{
-		ID:     "fig4b",
 		Title:  "TPC-CH with bulk updates (workload runtime, sim s)",
 		Header: []string{"Updates", "Heuristic (a)", "Heuristic (b)", "Min Optimizer", "RL online"},
 	}
@@ -96,9 +95,9 @@ func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
 	prev := 0.0
 	for _, level := range levels {
 		if frac := level - prev; frac > 0 {
-			upd := run.Bench.GenerateUpdate(run.Data(), frac/(1+prev), cfg.Seed+int64(level*100))
+			upd := d.Bench.GenerateUpdate(d.Data(), frac/(1+prev), cfg.Seed+int64(level*100))
 			for table, rows := range upd {
-				if err := run.Engine.BulkLoad(table, rows); err != nil {
+				if err := d.Engine.BulkLoad(table, rows); err != nil {
 					return nil, err
 				}
 			}
@@ -106,25 +105,25 @@ func Fig4b(cfg Config, run *onlineRun) (*Result, error) {
 		}
 		moCell := "n/a"
 		if mo != nil {
-			moCell = fmtFloat(run.MeasureWorkload(mo))
+			moCell = fmtFloat(d.MeasureWorkload(mo))
 		}
 		res.AddRow(
 			fmt.Sprintf("+%d%%", int(level*100)),
-			run.MeasureWorkload(ha),
-			run.MeasureWorkload(hb),
+			d.MeasureWorkload(ha),
+			d.MeasureWorkload(hb),
 			moCell,
-			run.MeasureWorkload(run.onlineSt),
+			d.MeasureWorkload(run.onlineSt),
 		)
 	}
 	res.Notef("optimizer statistics were NOT refreshed after updates (no ANALYZE), as in the paper")
 	return res, nil
 }
 
-// Table2 reproduces the online-training time-reduction accounting: the
+// table2 reproduces the online-training time-reduction accounting: the
 // cumulative effect of the runtime cache, lazy repartitioning, timeouts and
 // the offline bootstrap. The accounting method is the paper's own: one
 // instrumented run tracks what each disabled optimization would have cost.
-func Table2(cfg Config) (*Result, error) {
+func table2(cfg Config) (*Result, error) {
 	// Bootstrapped run (offline phase + online refinement); timeouts off so
 	// their savings are measured counterfactually (as in the paper's §7.3
 	// methodology, which ran "with all optimizations except timeouts").
@@ -165,7 +164,6 @@ func Table2(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:     "table2",
 		Title:  "Training-time reduction of online-phase optimizations (TPC-CH)",
 		Header: []string{"Optimizations", "Training time (sim s)", "Speedup"},
 	}

@@ -97,26 +97,20 @@ func stockItemPartitioning(sp *partition.Space) *partition.State {
 	return st
 }
 
-// Fig5 reproduces Exp. 3b: the fraction of workload mixes for which each
-// approach finds the best partitioning, for clusters A and B, comparing the
-// naive RL agent, the committee of subspace experts, and two fixed
-// heuristics (the online-phase optimum and the Stock–Item co-partitioning).
-func Fig5(cfg Config, run *onlineRun) (*Result, *core.Committee, error) {
-	var err error
-	if run == nil {
-		run, err = runOnlineTPCCH(cfg, true)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	committeeCfg := core.DefaultCommitteeConfig(run.Advisor)
-	committeeCfg.Seed = cfg.Seed + 41
-	committee, err := core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, committeeCfg)
+// accuracyTable scores the naive RL agent, the committee of subspace
+// experts and the given other approaches on workload clusters A and B
+// (Fig. 5, Fig. 7b): the fraction of sampled mixes for which each finds
+// the best measured partitioning. seed seeds the mix sampler.
+func accuracyTable(sh *shared, title string, seed int64, others ...suggester) (*Result, error) {
+	run, err := sh.onlineRun()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	approaches := []suggester{
+	committee, err := sh.committee()
+	if err != nil {
+		return nil, err
+	}
+	approaches := append([]suggester{
 		{name: "RL Naive", fn: func(f workload.FreqVector) (*partition.State, error) {
 			return run.Suggest(f)
 		}},
@@ -124,46 +118,54 @@ func Fig5(cfg Config, run *onlineRun) (*Result, *core.Committee, error) {
 			st, _, err := committee.Suggest(f)
 			return st, err
 		}},
-		fixedSuggester("Heuristic (a)", run.onlineSt),
-		fixedSuggester("Heuristic (b)", stockItemPartitioning(run.Space)),
-	}
+	}, others...)
 	samplerA, samplerB := clusterSamplers(run.Bench.Workload)
-	rng := rand.New(rand.NewSource(cfg.Seed + 43))
-	accA, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerA, cfg.Mixes, rng)
+	rng := rand.New(rand.NewSource(seed))
+	accA, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerA, sh.cfg.Mixes, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	accB, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerB, cfg.Mixes, rng)
+	accB, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerB, sh.cfg.Mixes, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	res := &Result{
-		ID:     "fig5",
-		Title:  "Best partitioning found for varying workloads (accuracy, higher is better)",
-		Header: []string{"Approach", "Workload A", "Workload B"},
-	}
+	res := &Result{Title: title, Header: []string{"Approach", "Workload A", "Workload B"}}
 	for _, ap := range approaches {
 		res.AddRow(ap.name, pct(accA[ap.name]), pct(accB[ap.name]))
 	}
+	return res, nil
+}
+
+// fig5 reproduces Exp. 3b: accuracy on clusters A and B of the naive RL
+// agent, the committee of subspace experts, and two fixed heuristics (the
+// online-phase optimum and the Stock–Item co-partitioning).
+func fig5(sh *shared) (*Result, error) {
+	run, err := sh.onlineRun()
+	if err != nil {
+		return nil, err
+	}
+	committee, err := sh.committee()
+	if err != nil {
+		return nil, err
+	}
+	res, err := accuracyTable(sh, "Best partitioning found for varying workloads (accuracy, higher is better)",
+		sh.cfg.Seed+43,
+		fixedSuggester("Heuristic (a)", run.onlineSt),
+		fixedSuggester("Heuristic (b)", stockItemPartitioning(run.Space)))
+	if err != nil {
+		return nil, err
+	}
 	res.Notef("committee: %d reference partitionings / experts", len(committee.Refs))
-	return res, committee, nil
+	return res, nil
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 
-// Fig6 reproduces Exp. 3c: the time of incremental training (adding back k
-// randomly removed queries) relative to full retraining, with 25%/75%
-// quantiles over repeats.
-func Fig6(cfg Config, ks []int, repeats int) (*Result, error) {
-	if len(ks) == 0 {
-		ks = []int{2, 4, 6, 8, 10, 12, 14, 16}
-	}
-	if repeats <= 0 {
-		repeats = 3
-	}
+// fig6 reproduces Exp. 3c: the time of incremental training (adding back k
+// randomly removed queries, for each k in ks) relative to full retraining,
+// with 25%/75% quantiles over repeats.
+func fig6(cfg Config, ks []int, repeats int) (*Result, error) {
 	res := &Result{
-		ID:     "fig6",
 		Title:  "Incremental training time relative to full retraining (TPC-CH)",
 		Header: []string{"Additional queries", "median", "p25", "p75"},
 	}

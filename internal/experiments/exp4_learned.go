@@ -18,7 +18,7 @@ import (
 // agent's episodes amortize measurements through its cache, the cost models
 // observe far fewer distinct partitionings in the same time — the effect
 // the paper identifies as the reason RL wins.
-func learnedCostPair(cfg Config, run *onlineRun) (exploit, explore *baselines.LearnedCostModel, err error) {
+func learnedCostPair(cfg Config, run *onlineRun) (exploit, explore *baselines.LearnedCostModel) {
 	wl := run.Bench.Workload
 	hp := run.Advisor.HP
 	// Offline pairs ~ the number of (workload, partitioning) pairs the RL
@@ -38,28 +38,24 @@ func learnedCostPair(cfg Config, run *onlineRun) (exploit, explore *baselines.Le
 		}
 		return m
 	}
-	return build(cfg.Seed+51, false), build(cfg.Seed+53, true), nil
+	return build(cfg.Seed+51, false), build(cfg.Seed+53, true)
 }
 
-// Fig7a reproduces Exp. 4: workload runtime of the partitionings suggested
+// fig7a reproduces Exp. 4: workload runtime of the partitionings suggested
 // by offline RL, online RL, and the learned-cost-model baselines under the
 // uniform mix. The paper reports the cost models improving the offline
 // agent by only ~6% while online RL improves it by ~20%.
-func Fig7a(cfg Config, run *onlineRun) (*Result, *baselines.LearnedCostModel, *baselines.LearnedCostModel, error) {
-	var err error
-	if run == nil {
-		run, err = runOnlineTPCCH(cfg, true)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	exploit, explore, err := learnedCostPair(cfg, run)
+func fig7a(sh *shared) (*Result, error) {
+	run, err := sh.onlineRun()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
+	}
+	exploit, explore, err := sh.learnedCosts()
+	if err != nil {
+		return nil, err
 	}
 	freq := run.Bench.Workload.UniformFreq()
 	res := &Result{
-		ID:     "fig7a",
 		Title:  "RL vs neural cost models — TPC-CH workload runtime (sim s)",
 		Header: []string{"Approach", "Workload runtime (sim s)"},
 	}
@@ -67,67 +63,27 @@ func Fig7a(cfg Config, run *onlineRun) (*Result, *baselines.LearnedCostModel, *b
 	res.AddRow("RL online", run.MeasureWorkload(run.onlineSt))
 	res.AddRow("Learned Costs (Exploit)", run.MeasureWorkload(exploit.Suggest(freq)))
 	res.AddRow("Learned Costs (Explore)", run.MeasureWorkload(explore.Suggest(freq)))
-	return res, exploit, explore, nil
+	return res, nil
 }
 
-// Fig7b reproduces the workload-adaptivity comparison of Exp. 4: accuracy
+// fig7b reproduces the workload-adaptivity comparison of Exp. 4: accuracy
 // of naive RL, the subspace experts, and the two learned-cost-model
 // variants on workload clusters A and B.
-func Fig7b(cfg Config, run *onlineRun, committee *core.Committee,
-	exploit, explore *baselines.LearnedCostModel) (*Result, error) {
-	var err error
-	if run == nil {
-		run, err = runOnlineTPCCH(cfg, true)
-		if err != nil {
-			return nil, err
-		}
+func fig7b(sh *shared) (*Result, error) {
+	// The committee first: the cost models' budget reads the online stats
+	// its build advances.
+	if _, err := sh.committee(); err != nil {
+		return nil, err
 	}
-	if committee == nil {
-		ccfg := core.DefaultCommitteeConfig(run.Advisor)
-		ccfg.Seed = cfg.Seed + 41
-		committee, err = core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, ccfg)
-		if err != nil {
-			return nil, err
-		}
+	exploit, explore, err := sh.learnedCosts()
+	if err != nil {
+		return nil, err
 	}
-	if exploit == nil || explore == nil {
-		exploit, explore, err = learnedCostPair(cfg, run)
-		if err != nil {
-			return nil, err
-		}
-	}
-	approaches := []suggester{
-		{name: "RL Naive", fn: func(f workload.FreqVector) (*partition.State, error) {
-			return run.Suggest(f)
-		}},
-		{name: "RL Subspace Experts", fn: func(f workload.FreqVector) (*partition.State, error) {
-			st, _, err := committee.Suggest(f)
-			return st, err
-		}},
-		{name: "Learned Costs (Exploit)", fn: func(f workload.FreqVector) (*partition.State, error) {
+	return accuracyTable(sh, "Workload adaptivity: RL vs neural cost models (accuracy)", sh.cfg.Seed+59,
+		suggester{name: "Learned Costs (Exploit)", fn: func(f workload.FreqVector) (*partition.State, error) {
 			return exploit.Suggest(f), nil
 		}},
-		{name: "Learned Costs (Explore)", fn: func(f workload.FreqVector) (*partition.State, error) {
+		suggester{name: "Learned Costs (Explore)", fn: func(f workload.FreqVector) (*partition.State, error) {
 			return explore.Suggest(f), nil
-		}},
-	}
-	samplerA, samplerB := clusterSamplers(run.Bench.Workload)
-	rng := rand.New(rand.NewSource(cfg.Seed + 59))
-	accA, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerA, cfg.Mixes, rng)
-	if err != nil {
-		return nil, err
-	}
-	accB, err := measureAccuracy(run.onlineCost.WorkloadCost, approaches, samplerB, cfg.Mixes, rng)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		ID:     "fig7b",
-		Title:  "Workload adaptivity: RL vs neural cost models (accuracy)",
-		Header: []string{"Approach", "Workload A", "Workload B"},
-	}
-	for _, ap := range approaches {
-		res.AddRow(ap.name, pct(accA[ap.name]), pct(accB[ap.name]))
-	}
-	return res, nil
+		}})
 }

@@ -57,34 +57,35 @@ func fig8Deployment(cfg Config, hw advisor.HardwareProfile, seed int64) (replB, 
 	return slowest / tRepl, slowest / tPart, slowest / tRL, st, nil
 }
 
-// Fig8 reproduces Exp. 5 (adaptivity to deployments) on the in-memory
+// fig8 reproduces Exp. 5 (adaptivity to deployments) on the in-memory
 // engine: whether to replicate or partition table b flips with the
 // interconnect bandwidth (10 Gbps vs 0.6 Gbps), and the retrained DRL agent
 // must pick the per-deployment optimum. slowCompute selects Fig. 8b's less
 // powerful nodes.
-func Fig8(cfg Config, slowCompute bool) (*Result, error) {
-	id, title := "fig8a", "Adaptivity to deployment — standard hardware (speedup over slowest, higher is better)"
-	base := advisor.MemoryCluster()
-	if slowCompute {
-		id, title = "fig8b", "Adaptivity to deployment — slower compute (speedup over slowest, higher is better)"
-		base = base.WithSlowCompute()
-	}
-	res := &Result{
-		ID:     id,
-		Title:  title,
-		Header: []string{"Deployment", "B replicated", "B partitioned", "RL online"},
-	}
-	for i, hw := range []advisor.HardwareProfile{base, base.WithSlowNetwork()} {
-		label := "10 Gbps"
-		if i == 1 {
-			label = "0.6 Gbps"
+func fig8(slowCompute bool) func(Config) (*Result, error) {
+	return func(cfg Config) (*Result, error) {
+		title := "Adaptivity to deployment — standard hardware (speedup over slowest, higher is better)"
+		base := advisor.MemoryCluster()
+		if slowCompute {
+			title = "Adaptivity to deployment — slower compute (speedup over slowest, higher is better)"
+			base = base.WithSlowCompute()
 		}
-		replB, partB, rl, st, err := fig8Deployment(cfg, hw, cfg.Seed+61+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", id, label, err)
+		res := &Result{
+			Title:  title,
+			Header: []string{"Deployment", "B replicated", "B partitioned", "RL online"},
 		}
-		res.AddRow(label, fmt.Sprintf("%.2fx", replB), fmt.Sprintf("%.2fx", partB), fmt.Sprintf("%.2fx", rl))
-		res.Notef("%s: RL chose %s", label, st)
+		for i, hw := range []advisor.HardwareProfile{base, base.WithSlowNetwork()} {
+			label := "10 Gbps"
+			if i == 1 {
+				label = "0.6 Gbps"
+			}
+			replB, partB, rl, st, err := fig8Deployment(cfg, hw, cfg.Seed+61+int64(i))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", label, err)
+			}
+			res.AddRow(label, fmt.Sprintf("%.2fx", replB), fmt.Sprintf("%.2fx", partB), fmt.Sprintf("%.2fx", rl))
+			res.Notef("%s: RL chose %s", label, st)
+		}
+		return res, nil
 	}
-	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 	"partadvisor/internal/partition"
 )
 
-// Ablations compares the design choices DESIGN.md calls out, on the
+// ablations compares the design choices DESIGN.md calls out, on the
 // microbenchmark (where ground truth is well understood):
 //
 //   - multi-head Q(s) -> R^|A| vs the paper-faithful scalar Q(s,a) head,
@@ -19,7 +19,7 @@ import (
 // Each variant trains offline with identical budgets; the table reports the
 // measured workload runtime of the suggested design (quality) and the wall
 // time spent training (cost).
-func Ablations(cfg Config) (*Result, error) {
+func ablations(cfg Config) (*Result, error) {
 	d := advisor.NewDeployment(advisor.Micro(), advisor.MemoryCluster(), cfg.Scale, cfg.Seed)
 	b := d.Bench
 
@@ -37,7 +37,6 @@ func Ablations(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:     "ablations",
 		Title:  "Design-choice ablations (microbenchmark, offline training)",
 		Header: []string{"Variant", "Workload runtime (sim s)", "Training wall time", "Steps"},
 	}

@@ -58,14 +58,14 @@ func measureAvailability(d *advisor.Deployment, st *partition.State, inj *faults
 	return res
 }
 
-// Availability is the robustness experiment this reproduction adds on top
+// availability is the robustness experiment this reproduction adds on top
 // of the paper: under a periodic single-node crash regime, does the online
 // agent — which experiences the failures through measured costs — shift
 // toward replication, while the fault-blind heuristics and the
 // Minimum-Optimizer keep fragile partitioned designs? Replicated tables
 // keep answering through replica failover; a lost shard of a partitioned
 // table surfaces as a retried-then-failed query.
-func Availability(cfg Config) (*Result, error) {
+func availability(cfg Config) (*Result, error) {
 	d := advisor.NewDeployment(advisor.Micro(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
 	wl := d.Bench.Workload
 	freq := wl.UniformFreq()
@@ -171,15 +171,13 @@ func Availability(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:     "availability",
 		Title:  "Availability under a periodic node crash — microbenchmark (disk)",
 		Header: []string{"Approach", "Queries answered", "Runtime of answered (sim s)"},
 	}
 	const rounds = 8
-	addRow := func(name string, st *partition.State) availabilityResult {
+	addRow := func(name string, st *partition.State) {
 		a := measureAvailability(d, st, evalInj, period, rounds)
 		res.AddRow(name, fmt.Sprintf("%.0f%%", 100*a.OKFraction), a.Runtime)
-		return a
 	}
 	addRow("Heuristic (a)", ha)
 	addRow("Heuristic (b)", hb)
@@ -187,16 +185,14 @@ func Availability(cfg Config) (*Result, error) {
 		addRow("Minimum Optimizer", mo)
 	}
 	addRow("RL offline", offSt)
-	online := addRow("RL online (faults seen)", onSt)
-	ref := addRow("Replicate-all (reference)", replAll)
+	addRow("RL online (faults seen)", onSt)
+	addRow("Replicate-all (reference)", replAll)
 
 	res.Notef("crash regime: node 1 down for the middle half of every %.3gs period", period)
 	res.Notef("online training: %d retries, %d failed measurements, %.3gs degraded",
 		oc.Stats.Retries, oc.Stats.FailedQueries, oc.Stats.DegradedSeconds)
 	res.Notef("RL online partitioning: %s (%d of %d tables replicated; offline design had %d)",
 		onSt, replicatedCount(onSt), len(d.Space.Tables), replicatedCount(offSt))
-	_ = online
-	_ = ref
 	return res, nil
 }
 

@@ -77,12 +77,12 @@ func runGuardVariant(d *advisor.Deployment, cfg Config, guarded bool) (*guardVar
 	}, nil
 }
 
-// GuardedOnline compares guarded and unguarded online refinement under an
+// guardedOnline compares guarded and unguarded online refinement under an
 // identical crash schedule and seed. The claim under test: the guard's
 // canary aborts and rollbacks keep the cluster out of regressed layouts
 // (fewer simulated seconds spent past 2x the best-known cost) without
 // costing final design quality.
-func GuardedOnline(cfg Config) (*Result, error) {
+func guardedOnline(cfg Config) (*Result, error) {
 	d := advisor.NewDeployment(advisor.Micro(), advisor.DiskCluster(), cfg.Scale, cfg.Seed)
 	plain, err := runGuardVariant(d, cfg, false)
 	if err != nil {
@@ -94,7 +94,6 @@ func GuardedOnline(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:    "guard",
 		Title: "Guarded vs unguarded online refinement under a periodic node crash — microbenchmark (disk)",
 		Header: []string{"Variant", "Final design runtime (sim s)", "Regressed (sim s)",
 			"Online total (sim s)", "Rollbacks", "Vetoes", "Canary aborts"},

@@ -13,7 +13,7 @@ import (
 	"partadvisor/internal/partition"
 )
 
-// Hotshard is the hot-shard resilience experiment: the celebrity benchmark's
+// hotshard is the hot-shard resilience experiment: the celebrity benchmark's
 // seeded Zipf + flash-crowd trace replayed window by window against three
 // layout policies. A static hash on the customer FK has perfect join
 // locality but melts one shard under the celebrity's feed traffic; a static
@@ -22,9 +22,8 @@ import (
 // the mitigating agent starts from the melting FK layout and must contain
 // the damage with the hot-shard detector plus the key-salting / hot-key
 // split mitigation actions.
-func Hotshard(cfg Config) (*Result, error) {
+func hotshard(cfg Config) (*Result, error) {
 	res := &Result{
-		ID:     "hotshard",
 		Title:  "Hot-shard resilience under a celebrity flash crowd",
 		Header: []string{"policy", "mean window (s)", "p95 window (s)", "final heat imbalance", "mitigations", "final layout"},
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
-	r := Table1()
+	r := table1()
 	want := map[string]string{
 		"Learning Rate":                    "0.0005",
 		"tau (Target network update)":      "0.001",
@@ -49,18 +50,55 @@ func TestRenderFormatsTable(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("nope", TestConfig()); err == nil {
-		t.Fatalf("unknown id accepted")
+	// "fig3" is not an id: Fig. 3's panels are fig3a..fig3f.
+	for _, id := range []string{"nope", "fig3", ""} {
+		if _, err := Run(id, TestConfig()); err == nil {
+			t.Fatalf("unknown id %q accepted", id)
+		}
 	}
 }
 
+// TestIDsCovered checks the registry without running anything: ids are
+// unique, Run resolves every one of them, and RunAll runs all but
+// ablations (whose wall-time column no digest could pin), in order.
 func TestIDsCovered(t *testing.T) {
-	// Every listed ID must be runnable (structure check at tiny scale for
-	// the cheap ones; the expensive ones are covered by dedicated tests and
-	// the bench harness).
 	ids := IDs()
-	if len(ids) != 20 {
-		t.Fatalf("IDs = %v", ids)
+	seen := map[string]bool{}
+	var full []string
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("id %q listed twice: %v", id, ids)
+		}
+		seen[id] = true
+		if id != "ablations" {
+			full = append(full, id)
+		}
+	}
+	var inRunAll []string
+	for i, e := range registry {
+		if e.id != ids[i] || e.run == nil {
+			t.Fatalf("registry[%d] = %q (run set: %v), IDs()[%d] = %q", i, e.id, e.run != nil, i, ids[i])
+		}
+		if !e.timed {
+			inRunAll = append(inRunAll, e.id)
+		}
+	}
+	if !slices.Equal(inRunAll, full) {
+		t.Fatalf("RunAll runs %v, want %v", inRunAll, full)
+	}
+}
+
+// TestRunAllStopsBetweenExperiments: a Stop that is true from the start
+// lets the first experiment finish and skips the rest, without error.
+func TestRunAllStopsBetweenExperiments(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Stop = func() bool { return true }
+	rs, err := RunAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].ID != "table1" {
+		t.Fatalf("RunAll with Stop set ran %d experiments, want [table1]", len(rs))
 	}
 }
 
@@ -78,7 +116,7 @@ func TestFig3SSBBothFlavors(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Scale = 0.2
 	for _, id := range []string{"fig3a", "fig3b"} {
-		rs, err := Fig3(cfg, id)
+		rs, err := Run(id, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -107,15 +145,15 @@ func TestFig3SSBBothFlavors(t *testing.T) {
 }
 
 func TestFig4aAndFig4bStructure(t *testing.T) {
-	cfg := TestConfig()
-	r4a, run, err := Fig4a(cfg)
+	sh := &shared{cfg: TestConfig()}
+	r4a, err := fig4a(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r4a.Rows) != 5 {
 		t.Fatalf("fig4a rows = %v", r4a.Rows)
 	}
-	r4b, err := Fig4b(cfg, run)
+	r4b, err := fig4b(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +175,7 @@ func TestFig4aAndFig4bStructure(t *testing.T) {
 
 func TestTable2SpeedupsPositive(t *testing.T) {
 	cfg := TestConfig()
-	r, err := Table2(cfg)
+	r, err := table2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +199,12 @@ func TestTable2SpeedupsPositive(t *testing.T) {
 }
 
 func TestFig5AccuraciesInRange(t *testing.T) {
-	cfg := TestConfig()
-	r, committee, err := Fig5(cfg, nil)
+	sh := &shared{cfg: TestConfig()}
+	r, err := fig5(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if committee == nil || len(committee.Refs) == 0 {
+	if committee := sh.experts; committee == nil || len(committee.Refs) == 0 {
 		t.Fatalf("no committee built")
 	}
 	if len(r.Rows) != 4 {
@@ -184,7 +222,7 @@ func TestFig5AccuraciesInRange(t *testing.T) {
 
 func TestFig6Structure(t *testing.T) {
 	cfg := TestConfig()
-	r, err := Fig6(cfg, []int{2, 4}, 1)
+	r, err := fig6(cfg, []int{2, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +243,7 @@ func TestFig6Structure(t *testing.T) {
 func TestFig8Structure(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Scale = 0.5
-	r, err := Fig8(cfg, false)
+	r, err := fig8(false)(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +294,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// The entire pipeline — data generation, training, measurement — is
 	// seeded: the same config must reproduce identical result rows.
 	cfg := TestConfig()
-	r1, err := Fig8(cfg, false)
+	r1, err := fig8(false)(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fig8(cfg, false)
+	r2, err := fig8(false)(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +332,8 @@ func TestAblationsExperiment(t *testing.T) {
 }
 
 func TestFig7Structure(t *testing.T) {
-	cfg := TestConfig()
-	r7a, exploit, explore, err := Fig7a(cfg, nil)
+	sh := &shared{cfg: TestConfig()}
+	r7a, err := fig7a(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +345,7 @@ func TestFig7Structure(t *testing.T) {
 			t.Fatalf("%s runtime %v", row[0], v)
 		}
 	}
-	r7b, err := Fig7b(cfg, nil, nil, exploit, explore)
+	r7b, err := fig7b(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +366,11 @@ func TestReproAndPaperConfigsSane(t *testing.T) {
 }
 
 func TestAvailabilityExperiment(t *testing.T) {
-	r, err := Availability(TestConfig())
+	rs, err := Run("availability", TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.ID != "availability" || len(r.Rows) != 6 {
 		t.Fatalf("availability result = %+v", r)
 	}
@@ -376,10 +415,11 @@ func TestAvailabilityExperiment(t *testing.T) {
 }
 
 func TestGuardedOnlineExperiment(t *testing.T) {
-	r, err := GuardedOnline(TestConfig())
+	rs, err := Run("guard", TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.ID != "guard" || len(r.Rows) != 2 {
 		t.Fatalf("guard result = %+v", r)
 	}
@@ -411,10 +451,11 @@ func TestGuardedOnlineExperiment(t *testing.T) {
 }
 
 func TestHotshardAgentContainsMelt(t *testing.T) {
-	r, err := Hotshard(ReproConfig())
+	rs, err := Run("hotshard", ReproConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.ID != "hotshard" || len(r.Rows) != 3 {
 		t.Fatalf("hotshard result = %+v", r)
 	}

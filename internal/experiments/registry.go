@@ -3,172 +3,160 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"partadvisor/advisor"
+	"partadvisor/internal/baselines"
+	"partadvisor/internal/core"
 )
+
+// entry is one experiment: its id and how to build its table. run leaves
+// Result.ID empty; Run and RunAll stamp it with id.
+type entry struct {
+	id  string
+	run func(*shared) (*Result, error)
+	// timed marks a table that reports wall time, which no digest of the
+	// full run could pin: RunAll leaves it out (Run still runs it).
+	timed bool
+}
+
+// registry lists every experiment in presentation order. IDs, Run and
+// RunAll all read it.
+var registry = []entry{
+	{id: "table1", run: func(*shared) (*Result, error) { return table1(), nil }},
+	{id: "fig3a", run: cfgOnly(fig3(advisor.SSB, advisor.DiskCluster()))},
+	{id: "fig3b", run: cfgOnly(fig3(advisor.SSB, advisor.MemoryCluster()))},
+	{id: "fig3c", run: cfgOnly(fig3(advisor.TPCDS, advisor.DiskCluster()))},
+	{id: "fig3d", run: cfgOnly(fig3(advisor.TPCDS, advisor.MemoryCluster()))},
+	{id: "fig3e", run: cfgOnly(fig3(advisor.TPCCH, advisor.DiskCluster()))},
+	{id: "fig3f", run: cfgOnly(fig3(advisor.TPCCH, advisor.MemoryCluster()))},
+	{id: "fig4a", run: fig4a},
+	{id: "fig4b", run: fig4b},
+	{id: "table2", run: cfgOnly(table2)},
+	{id: "fig5", run: fig5},
+	{id: "fig6", run: cfgOnly(func(cfg Config) (*Result, error) {
+		return fig6(cfg, []int{2, 4, 6, 8, 10, 12, 14, 16}, 3)
+	})},
+	{id: "fig7a", run: fig7a},
+	{id: "fig7b", run: fig7b},
+	{id: "fig8a", run: cfgOnly(fig8(false))},
+	{id: "fig8b", run: cfgOnly(fig8(true))},
+	{id: "availability", run: cfgOnly(availability)},
+	{id: "ablations", run: cfgOnly(ablations), timed: true},
+	{id: "guard", run: cfgOnly(guardedOnline)},
+	{id: "hotshard", run: cfgOnly(hotshard)},
+}
+
+// cfgOnly adapts an experiment that shares nothing with the others.
+func cfgOnly(run func(Config) (*Result, error)) func(*shared) (*Result, error) {
+	return func(sh *shared) (*Result, error) { return run(sh.cfg) }
+}
+
+// exec runs the entry and stamps its table with the id.
+func (e entry) exec(sh *shared) (*Result, error) {
+	r, err := e.run(sh)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", e.id, err)
+	}
+	r.ID = e.id
+	return r, nil
+}
 
 // IDs returns the known experiment identifiers in presentation order.
 func IDs() []string {
-	return []string{
-		"table1",
-		"fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
-		"fig4a", "fig4b",
-		"table2",
-		"fig5", "fig6",
-		"fig7a", "fig7b",
-		"fig8a", "fig8b",
-		"availability",
-		"ablations",
-		"guard",
-		"hotshard",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Run executes one experiment by ID.
 func Run(id string, cfg Config) ([]*Result, error) {
-	switch id {
-	case "table1":
-		return []*Result{Table1()}, nil
-	case "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f":
-		return Fig3(cfg, id)
-	case "fig3":
-		return Fig3(cfg, "")
-	case "fig4a":
-		r, _, err := Fig4a(cfg)
-		return []*Result{r}, err
-	case "fig4b":
-		r, err := Fig4b(cfg, nil)
-		return []*Result{r}, err
-	case "table2":
-		r, err := Table2(cfg)
-		return []*Result{r}, err
-	case "fig5":
-		r, _, err := Fig5(cfg, nil)
-		return []*Result{r}, err
-	case "fig6":
-		r, err := Fig6(cfg, nil, 0)
-		return []*Result{r}, err
-	case "fig7a":
-		r, _, _, err := Fig7a(cfg, nil)
-		return []*Result{r}, err
-	case "fig7b":
-		r, err := Fig7b(cfg, nil, nil, nil, nil)
-		return []*Result{r}, err
-	case "fig8a":
-		r, err := Fig8(cfg, false)
-		return []*Result{r}, err
-	case "fig8b":
-		r, err := Fig8(cfg, true)
-		return []*Result{r}, err
-	case "availability":
-		r, err := Availability(cfg)
-		return []*Result{r}, err
-	case "ablations":
-		r, err := Ablations(cfg)
-		return []*Result{r}, err
-	case "guard":
-		r, err := GuardedOnline(cfg)
-		return []*Result{r}, err
-	case "hotshard":
-		r, err := Hotshard(cfg)
-		return []*Result{r}, err
+	for _, e := range registry {
+		if e.id == id {
+			r, err := e.exec(&shared{cfg: cfg})
+			if err != nil {
+				return nil, err
+			}
+			return []*Result{r}, nil
+		}
 	}
 	known := IDs()
 	sort.Strings(known)
 	return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 }
 
-// RunAll executes every experiment, sharing the expensive TPC-CH online run
-// across fig4a/fig4b/table2/fig5/fig7.
+// RunAll executes every experiment but the timed ones, in presentation
+// order, building each shared artifact once. cfg.Stop is polled between
+// experiments.
 func RunAll(cfg Config) ([]*Result, error) {
+	sh := &shared{cfg: cfg}
 	var out []*Result
-	stopped := func() bool { return cfg.Stop != nil && cfg.Stop() }
-	add := func(rs []*Result, err error) error {
-		if err != nil {
-			return err
+	for _, e := range registry {
+		if e.timed {
+			continue
 		}
-		out = append(out, rs...)
-		return nil
+		r, err := e.exec(sh)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+		if cfg.Stop != nil && cfg.Stop() {
+			break
+		}
 	}
-	if err := add(Run("table1", cfg)); err != nil || stopped() {
-		return out, err
-	}
-	if err := add(Fig3(cfg, "")); err != nil || stopped() {
-		return out, err
-	}
-	r4a, run, err := Fig4a(cfg)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r4a)
-	if stopped() {
-		return out, nil
-	}
-	rT2, err := Table2(cfg)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, rT2)
-	if stopped() {
-		return out, nil
-	}
-	r5, committee, err := Fig5(cfg, run)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r5)
-	if stopped() {
-		return out, nil
-	}
-	r6, err := Fig6(cfg, nil, 0)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r6)
-	if stopped() {
-		return out, nil
-	}
-	r7a, exploit, explore, err := Fig7a(cfg, run)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r7a)
-	if stopped() {
-		return out, nil
-	}
-	r7b, err := Fig7b(cfg, run, committee, exploit, explore)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r7b)
-	if stopped() {
-		return out, nil
-	}
-	// Fig. 4b bulk-loads into the shared TPC-CH engine, so it must run
-	// after every other consumer of the shared online run.
-	r4b, err := Fig4b(cfg, run)
-	if err != nil {
-		return out, err
-	}
-	out = append(out, r4b)
-	if err := add(Run("fig8a", cfg)); err != nil || stopped() {
-		return out, err
-	}
-	if err := add(Run("fig8b", cfg)); err != nil || stopped() {
-		return out, err
-	}
-	if err := add(Run("availability", cfg)); err != nil || stopped() {
-		return out, err
-	}
-	if err := add(Run("guard", cfg)); err != nil || stopped() {
-		return out, err
-	}
-	if err := add(Run("hotshard", cfg)); err != nil {
-		return out, err
-	}
-	// Restore presentation order.
-	order := make(map[string]int, len(IDs()))
-	for i, id := range IDs() {
-		order[id] = i
-	}
-	sort.SliceStable(out, func(i, j int) bool { return order[out[i].ID] < order[out[j].ID] })
 	return out, nil
+}
+
+// shared holds what several experiments of one Run or RunAll call read,
+// each built on first use: the TPC-CH offline+online training (Fig. 4a,
+// 4b, 5, 7a, 7b), the committee of subspace experts (Fig. 5, 7b) and the
+// learned-cost-model pair (Fig. 7a, 7b). Building the committee measures
+// designs through the run's online cost, whose stats set the cost models'
+// budget, so where an experiment needs both it asks for the committee
+// first.
+type shared struct {
+	cfg              Config
+	run              *onlineRun
+	experts          *core.Committee
+	exploit, explore *baselines.LearnedCostModel
+}
+
+func (sh *shared) onlineRun() (*onlineRun, error) {
+	if sh.run == nil {
+		run, err := runOnlineTPCCH(sh.cfg, true)
+		if err != nil {
+			return nil, err
+		}
+		sh.run = run
+	}
+	return sh.run, nil
+}
+
+func (sh *shared) committee() (*core.Committee, error) {
+	if sh.experts == nil {
+		run, err := sh.onlineRun()
+		if err != nil {
+			return nil, err
+		}
+		ccfg := core.DefaultCommitteeConfig(run.Advisor)
+		ccfg.Seed = sh.cfg.Seed + 41
+		experts, err := core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, ccfg)
+		if err != nil {
+			return nil, err
+		}
+		sh.experts = experts
+	}
+	return sh.experts, nil
+}
+
+func (sh *shared) learnedCosts() (exploit, explore *baselines.LearnedCostModel, err error) {
+	if sh.exploit == nil {
+		run, err := sh.onlineRun()
+		if err != nil {
+			return nil, nil, err
+		}
+		sh.exploit, sh.explore = learnedCostPair(sh.cfg, run)
+	}
+	return sh.exploit, sh.explore, nil
 }

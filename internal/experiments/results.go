@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7). Each experiment returns structured Results that render
 // as aligned text tables printing the same rows/series the paper reports;
-// cmd/expdriver is the CLI front end and bench_test.go exercises the same
-// code paths under testing.B.
+// one registry (registry.go) lists them, and cmd/expdriver is the CLI
+// front end.
 package experiments
 
 import (
@@ -12,7 +12,8 @@ import (
 
 // Result is one rendered table or figure series.
 type Result struct {
-	// ID matches the per-experiment index of DESIGN.md (e.g. "fig3a").
+	// ID is the experiment's registry id, which DESIGN.md's experiment
+	// index lists (e.g. "fig3a"); Run and RunAll set it.
 	ID string
 	// Title describes the paper artifact.
 	Title string
