@@ -12,27 +12,26 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"partadvisor/internal/durable"
-	"partadvisor/internal/serve"
 )
 
-// Process-level crash-restart soak for advisord (DESIGN.md §10).
+// Process-level crash-restart soak for advisord (DESIGN.md §10.4).
 //
 // Unlike Run (soak.go) — which injects faults inside one advisor — this
-// harness exercises the durability subsystem the only way it can honestly
-// be exercised: it runs the real advisord binary with -state-dir, SIGKILLs
-// it at seeded random points under live batch traffic (including
-// mid-checkpoint-write), restarts it, and asserts the recovery invariants
-// end to end:
+// harness checks what only a real process shows: it runs the advisord
+// binary with -state-dir, SIGKILLs it at seeded instants under live batch
+// traffic, restarts it, and asserts end to end:
 //
-//   - every tenant recorded in the manifest comes back after each kill,
-//   - recovered checkpoints always verify or fall back a generation —
-//     a deliberately truncated newest generation must be skipped for the
-//     previous one, never decoded,
-//   - checkpoint generation numbers are monotonic across restarts,
+//   - every preloaded tenant comes back after each kill, with no
+//     recovery error,
+//   - no tenant's restored generation goes backwards across restarts,
 //   - after /readyz reports 200 the service answers traffic without a
-//     single 5xx, and the readiness gap itself is bounded.
+//     single 5xx, and the readiness gap itself is bounded,
+//   - a loadgen run bridging the first kill window absorbs it with
+//     retries.
+//
+// Every crash point of the state-directory writes, torn writes and
+// unsynced data included, is enumerated in-process by internal/serve's
+// TestCrashPoints; a SIGKILL cannot show a missing fsync.
 
 // The soak's fixed shape: two preloaded tenants, a seeded 2-4 s uptime
 // before each kill, and a 60 s bound on a restart answering /readyz 200
@@ -42,12 +41,6 @@ const (
 	crashMinUp        = 2 * time.Second
 	crashMaxUp        = 4 * time.Second
 	crashReadyTimeout = 60 * time.Second
-	// faultCycle's kill tries to land mid-checkpoint-write by watching for
-	// checkpoint temp files (if no write is caught in the watch window the
-	// kill proceeds and the torn-write debris is planted, reported as such);
-	// after it the newest checkpoint generation of t1 is truncated, forcing
-	// the next recovery onto the fallback ladder.
-	faultCycle = 1
 )
 
 // CrashConfig parameterizes a crash-restart soak.
@@ -100,14 +93,7 @@ type CrashCycleReport struct {
 	Restored       map[string]int64 `json:"restored,omitempty"`
 	CorruptSkipped int              `json:"corrupt_skipped"`
 	FreshBootstrap int              `json:"fresh_bootstraps"`
-	// MidWriteKill is set when the SIGKILL landed while a checkpoint
-	// temp file existed — a genuine mid-write kill. MidWriteSynthesized
-	// marks the fallback where the torn-write debris was planted after a
-	// timed kill instead.
-	MidWriteKill        bool `json:"mid_write_kill"`
-	MidWriteSynthesized bool `json:"mid_write_synthesized"`
-	CorruptInjected     bool `json:"corrupt_injected"`
-	Killed              bool `json:"killed"`
+	Killed         bool             `json:"killed"`
 }
 
 // CrashReport is the soak outcome. Violations empty = all invariants held.
@@ -117,40 +103,17 @@ type CrashReport struct {
 	Loadgen    map[string]any     `json:"loadgen,omitempty"`
 }
 
-// readyPayload mirrors /readyz's 200 body.
+// readyPayload is the part of /readyz's 200 body the soak reads.
 type readyPayload struct {
-	Status   string `json:"status"`
 	Recovery *struct {
 		Tenants []struct {
 			ID             string `json:"id"`
-			Generations    int    `json:"generations_found"`
 			CorruptSkipped int    `json:"corrupt_skipped"`
 			RestoredGen    int64  `json:"restored_generation"`
 			FreshBootstrap bool   `json:"fresh_bootstrap"`
 			Err            string `json:"error"`
 		} `json:"tenants"`
-		DurationSec float64 `json:"duration_sec"`
 	} `json:"recovery"`
-}
-
-// tenantGens lists a tenant's checkpoint generations newest-first, read
-// through the same parser recovery uses.
-func tenantGens(stateDir, tenant string) []serve.GenerationFile {
-	gens, _ := serve.ListGenerations(serve.GenerationDir(stateDir, tenant))
-	return gens
-}
-
-// anyCkptTempFile reports whether any tenant's checkpoint directory holds
-// a durable.Replace temp file right now — i.e. a checkpoint write is in
-// flight.
-func anyCkptTempFile(stateDir string) bool {
-	paths, _ := filepath.Glob(filepath.Join(serve.GenerationDir(stateDir, "*"), "*"))
-	for _, path := range paths {
-		if durable.IsTemp(filepath.Base(path)) {
-			return true
-		}
-	}
-	return false
 }
 
 // RunCrashSoak executes the seeded kill/restart soak and returns the
@@ -177,9 +140,7 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 	}
 
 	prevRestored := map[string]int64{}
-	prevNewest := map[string]uint64{}
-	var corruptExpect int64 = -1 // fallback generation the next recovery must land on
-	var loadgenCmd *osexec.Cmd   // set on cycle 0, waited for on the final one
+	var loadgenCmd *osexec.Cmd // set on cycle 0, waited for on the final one
 	defer func() {
 		if loadgenCmd != nil { // a harness error ended the soak early
 			loadgenCmd.Process.Kill()
@@ -281,21 +242,6 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 					violate("cycle %d: recovery report covers %d tenants, want %d",
 						cycle, len(ready.Recovery.Tenants), crashTenants)
 				}
-				if corruptExpect >= 0 {
-					got, ok := cr.Restored["t1"]
-					switch {
-					case !ok:
-						violate("cycle %d: corruption injected but t1 absent from recovery report", cycle)
-					case cr.CorruptSkipped < 1:
-						violate("cycle %d: truncated newest generation was not reported corrupt", cycle)
-					case got != corruptExpect:
-						violate("cycle %d: corrupt newest generation: restored %d, want fallback %d",
-							cycle, got, corruptExpect)
-					default:
-						cfg.Logf("cycle %d: corrupt newest generation fell back to %d as required", cycle, got)
-					}
-					corruptExpect = -1
-				}
 			}
 		}
 
@@ -338,71 +284,13 @@ func RunCrashSoak(cfg CrashConfig) (*CrashReport, error) {
 			break
 		}
 
-		// Seeded uptime, then SIGKILL — on the fault cycle, try to land the
-		// kill while a checkpoint temp file exists.
+		// Seeded uptime, then SIGKILL.
 		up := crashMinUp + time.Duration(rng.Int63n(int64(crashMaxUp-crashMinUp)+1))
 		time.Sleep(up)
 		cr.UptimeSec = time.Since(began).Seconds()
-		if cycle == faultCycle {
-			watchUntil := time.Now().Add(3 * time.Second)
-			for time.Now().Before(watchUntil) {
-				if anyCkptTempFile(cfg.StateDir) {
-					cr.MidWriteKill = true
-					break
-				}
-			}
-		}
-		cfg.Logf("cycle %d: SIGKILL after %.2fs up (mid-write=%v)", cycle, up.Seconds(), cr.MidWriteKill)
+		cfg.Logf("cycle %d: SIGKILL after %.2fs up", cycle, up.Seconds())
 		cr.Killed = true
 		kill()
-
-		if cycle == faultCycle && !cr.MidWriteKill {
-			// The watch missed every write window: plant the same torn-write
-			// debris a mid-write kill leaves (a partly written temp file
-			// beside t1's newest generation), so the recovery path is
-			// exercised regardless, and say so in the report.
-			if gens := tenantGens(cfg.StateDir, "t1"); len(gens) > 0 {
-				f, err := os.CreateTemp(filepath.Dir(gens[0].Path), durable.TempPattern(gens[0].Path))
-				if err == nil {
-					_, err = f.WriteString("torn checkpoint write")
-					f.Close()
-				}
-				cr.MidWriteSynthesized = err == nil
-			}
-		}
-
-		// Invariant: on-disk generation numbers are monotonic.
-		for i := 1; i <= crashTenants; i++ {
-			id := fmt.Sprintf("t%d", i)
-			gens := tenantGens(cfg.StateDir, id)
-			if len(gens) == 0 {
-				violate("cycle %d: tenant %s has no checkpoint generations after kill", cycle, id)
-				continue
-			}
-			if gens[0].Gen < prevNewest[id] {
-				violate("cycle %d: tenant %s newest generation regressed: %d < %d",
-					cycle, id, gens[0].Gen, prevNewest[id])
-			}
-			prevNewest[id] = gens[0].Gen
-		}
-
-		if cycle == faultCycle {
-			gens := tenantGens(cfg.StateDir, "t1")
-			if len(gens) >= 2 {
-				fi, err := os.Stat(gens[0].Path)
-				if err == nil {
-					if err := os.Truncate(gens[0].Path, fi.Size()/2); err == nil {
-						cr.CorruptInjected = true
-						corruptExpect = int64(gens[1].Gen)
-						cfg.Logf("cycle %d: truncated newest generation %d; next recovery must fall back to %d",
-							cycle, gens[0].Gen, gens[1].Gen)
-					}
-				}
-			}
-			if !cr.CorruptInjected {
-				violate("cycle %d: could not inject corruption (%d generations on disk)", cycle, len(gens))
-			}
-		}
 
 		rep.Cycles = append(rep.Cycles, cr)
 	}

@@ -53,29 +53,14 @@ func TestCrashRestartSoak(t *testing.T) {
 		t.Fatalf("crash soak invariants violated: %v", verr)
 	}
 
-	// The soak must have delivered the advertised faults, not skated by:
-	// every non-final cycle killed, corruption injected once, and the
-	// mid-write cycle either caught a live checkpoint write or planted
-	// torn-write debris for recovery to sweep.
-	kills, corrupt, midWrite := 0, 0, false
+	// Every non-final cycle must have delivered its SIGKILL, not skated by.
+	kills := 0
 	for _, c := range rep.Cycles {
 		if c.Killed {
 			kills++
 		}
-		if c.CorruptInjected {
-			corrupt++
-		}
-		if c.MidWriteKill || c.MidWriteSynthesized {
-			midWrite = true
-		}
 	}
 	if kills < *crashCycles {
 		t.Fatalf("only %d SIGKILLs delivered, want %d", kills, *crashCycles)
-	}
-	if *crashCycles > 1 && corrupt != 1 {
-		t.Fatalf("corruption injected %d times, want exactly 1", corrupt)
-	}
-	if *crashCycles > 1 && !midWrite {
-		t.Fatalf("no mid-checkpoint-write kill (real or synthesized) in the soak")
 	}
 }

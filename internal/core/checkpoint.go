@@ -154,8 +154,8 @@ const (
 	ckptMinFileSize = ckptHeaderLen + ckptFooterLen
 )
 
-// encodeCheckpointFile serializes ck into the framed on-disk format.
-func encodeCheckpointFile(ck *Checkpoint) ([]byte, error) {
+// EncodeCheckpoint serializes ck into the framed on-disk format.
+func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
@@ -174,10 +174,10 @@ func frameCheckpoint(payload []byte) []byte {
 	return append(buf, sum[:]...)
 }
 
-// decodeCheckpointFile verifies the framing and checksum of a snapshot
-// and decodes its payload. Every verification failure wraps
+// DecodeCheckpoint verifies the framing and checksum of a snapshot and
+// decodes its payload. Every verification failure wraps
 // ErrCorruptCheckpoint.
-func decodeCheckpointFile(data []byte) (*Checkpoint, error) {
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < ckptMinFileSize {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrCorruptCheckpoint, len(data), ckptMinFileSize)
 	}
@@ -236,11 +236,11 @@ func (a *Advisor) SaveCheckpoint(path string) error {
 // instant leaves either the old or the new snapshot intact, never a torn
 // file.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	data, err := encodeCheckpointFile(ck)
+	data, err := EncodeCheckpoint(ck)
 	if err != nil {
 		return err
 	}
-	if err := durable.Replace(path, data); err != nil {
+	if err := durable.Replace(durable.OS, path, data); err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
@@ -256,7 +256,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := decodeCheckpointFile(data)
+	ck, err := DecodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
 	}

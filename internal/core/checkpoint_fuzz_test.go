@@ -33,7 +33,7 @@ func fuzzSeedCheckpoint() *Checkpoint {
 //   - anything accepted re-encodes and re-decodes to the same training
 //     position (no silently half-decoded state).
 func FuzzLoadCheckpoint(f *testing.F) {
-	valid, err := encodeCheckpointFile(fuzzSeedCheckpoint())
+	valid, err := EncodeCheckpoint(fuzzSeedCheckpoint())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,18 +48,18 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpointFile(data)
+		ck, err := DecodeCheckpoint(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Fatalf("decode error does not wrap ErrCorruptCheckpoint: %v", err)
 			}
 			return
 		}
-		re, err := encodeCheckpointFile(ck)
+		re, err := EncodeCheckpoint(ck)
 		if err != nil {
 			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
 		}
-		ck2, err := decodeCheckpointFile(re)
+		ck2, err := DecodeCheckpoint(re)
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 		}
@@ -78,7 +78,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // file keeps loading.
 func TestLoadCheckpointCorruptionMatrix(t *testing.T) {
 	dir := t.TempDir()
-	valid, err := encodeCheckpointFile(fuzzSeedCheckpoint())
+	valid, err := EncodeCheckpoint(fuzzSeedCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
-// Package durable is the one place a file is written durably. Replace is
-// the atomic-replace protocol every piece of persistent state goes
-// through (the advisor's checkpoint files and advisord's tenant manifest),
-// and SweepTemp removes the temp files a crash can leave behind it.
+// Package durable is the one place advisord's state directory is written.
+// FS is the seam every mutating filesystem operation on it goes through,
+// and OS its one implementation; reads stay on package os. Replace is the
+// atomic-replace protocol every piece of persistent state goes through
+// (checkpoint generations and the tenant manifest), MakeDir creates a
+// directory whose entry survives a power loss, and SweepTemp removes the
+// temp files a crash can leave behind Replace.
 package durable
 
 import (
@@ -11,17 +14,59 @@ import (
 	"strings"
 )
 
+// FS is the set of mutating filesystem operations. SyncDir is best-effort:
+// some platforms cannot fsync a directory, and a rename is atomic without
+// it.
+type FS interface {
+	CreateTemp(dir, pattern string) (File, error)
+	Rename(oldpath, newpath string) error
+	SyncDir(dir string)
+	MkdirAll(path string) error
+	Remove(path string) error
+	RemoveAll(path string) error
+}
+
+// File is a file CreateTemp opened for writing.
+type File interface {
+	Name() string
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// OS is the real filesystem.
+var OS FS = osFS{}
+
+type osFS struct{}
+
+func (osFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) MkdirAll(path string) error           { return os.MkdirAll(path, 0o755) }
+func (osFS) Remove(path string) error             { return os.Remove(path) }
+func (osFS) RemoveAll(path string) error          { return os.RemoveAll(path) }
+
+func (osFS) SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
 // tempInfix separates a target's base name from the random digits
-// os.CreateTemp appends: Replace writes path's new content to
+// CreateTemp appends: Replace writes path's new content to
 // "<base>.tmp<digits>" beside it.
 const tempInfix = ".tmp"
 
-// TempPattern is the os.CreateTemp pattern of path's temp file.
-func TempPattern(path string) string { return filepath.Base(path) + tempInfix + "*" }
-
-// IsTemp reports whether name is a temp file Replace creates: a non-empty
+// isTemp reports whether name is a temp file Replace creates: a non-empty
 // base name, then ".tmp", then only digits.
-func IsTemp(name string) bool {
+func isTemp(name string) bool {
 	stem := strings.TrimRight(name, "0123456789")
 	return stem != name && len(stem) > len(tempInfix) && strings.HasSuffix(stem, tempInfix)
 }
@@ -32,9 +77,9 @@ func IsTemp(name string) bool {
 // fsynced so the rename itself survives a power loss. A crash at any
 // instant leaves either the old or the new content at path, never a torn
 // file; a failure removes the temp file and leaves path as it was.
-func Replace(path string, data []byte) error {
+func Replace(fs FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, TempPattern(path))
+	f, err := fs.CreateTemp(dir, filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("durable: temp file for %s: %w", path, err)
 	}
@@ -47,38 +92,40 @@ func Replace(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fs.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("durable: replace %s: %w", path, err)
 	}
-	syncDir(dir)
+	fs.SyncDir(dir)
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// platforms cannot fsync directories; the rename is already atomic, so
-// durability is best-effort there.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// MakeDir creates path and any missing parents, then fsyncs path's parent
+// so the new entry survives a power loss: without that a crash can drop
+// the directory, and every file made durable inside it with it. An
+// existing directory is not an error.
+func MakeDir(fs FS, path string) error {
+	if err := fs.MkdirAll(path); err != nil {
+		return fmt.Errorf("durable: mkdir %s: %w", path, err)
 	}
+	fs.SyncDir(filepath.Dir(path))
+	return nil
 }
 
 // SweepTemp removes the temp files a crash left in dir between Replace's
 // create and its rename. Such a file is never committed state: the
 // target still holds the previous content. Every other name is left
 // alone. A missing directory sweeps nothing.
-func SweepTemp(dir string) {
+func SweepTemp(fs FS, dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if IsTemp(e.Name()) {
-			os.Remove(filepath.Join(dir, e.Name()))
+		if isTemp(e.Name()) {
+			fs.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

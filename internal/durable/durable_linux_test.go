@@ -16,7 +16,7 @@ func TestReplaceWriteFailureKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
 	prev := []byte("previous manifest")
-	if err := Replace(path, prev); err != nil {
+	if err := Replace(OS, path, prev); err != nil {
 		t.Fatal(err)
 	}
 
@@ -29,7 +29,7 @@ func TestReplaceWriteFailureKeepsPrevious(t *testing.T) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &small); err != nil {
 		t.Skipf("setrlimit: %v", err)
 	}
-	err := Replace(path, make([]byte, 4096))
+	err := Replace(OS, path, make([]byte, 4096))
 	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); rerr != nil {
 		t.Fatalf("restore the file-size limit: %v", rerr)
 	}

@@ -28,7 +28,7 @@ func TestReplace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
 	for _, data := range [][]byte{[]byte("first"), []byte("second, longer")} {
-		if err := Replace(path, data); err != nil {
+		if err := Replace(OS, path, data); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(path)
@@ -51,7 +51,7 @@ func TestReplaceRenameFailureKeepsPrevious(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(path, "inside"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := Replace(path, []byte("new generation")); err == nil {
+	if err := Replace(OS, path, []byte("new generation")); err == nil {
 		t.Fatal("Replace over a directory succeeded")
 	}
 	if _, err := os.Stat(filepath.Join(path, "inside")); err != nil {
@@ -73,20 +73,34 @@ func TestSweepTemp(t *testing.T) {
 		}
 	}
 	// A temp file made exactly as Replace makes one is swept too.
-	f, err := os.CreateTemp(dir, TempPattern(filepath.Join(dir, "gen-00000003.ckpt")))
+	f, err := OS.CreateTemp(dir, "gen-00000003.ckpt"+tempInfix+"*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if !IsTemp(filepath.Base(f.Name())) {
-		t.Fatalf("IsTemp(%q) = false for a file made from TempPattern", filepath.Base(f.Name()))
+	if !isTemp(filepath.Base(f.Name())) {
+		t.Fatalf("isTemp(%q) = false for a file made as Replace makes one", filepath.Base(f.Name()))
 	}
 
-	SweepTemp(dir)
+	SweepTemp(OS, dir)
 	got := names(t, dir)
 	slices.Sort(keep)
 	if !slices.Equal(got, keep) {
 		t.Fatalf("after SweepTemp: %v, want %v", got, keep)
 	}
-	SweepTemp(filepath.Join(dir, "missing")) // a missing directory is not an error
+	SweepTemp(OS, filepath.Join(dir, "missing")) // a missing directory is not an error
+}
+
+// TestMakeDir: MakeDir creates a nested directory and accepts one that
+// already exists.
+func TestMakeDir(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt", "t1")
+	for range 2 {
+		if err := MakeDir(OS, path); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+			t.Fatalf("after MakeDir: %v", err)
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"partadvisor/internal/core"
+	"partadvisor/internal/durable"
 )
 
 // newTenantPins are the bootstrapped tenants of the benchmark's fleets
@@ -113,7 +114,9 @@ func TestNewTenantDigestPinned(t *testing.T) {
 	skipUnlessAMD64(t)
 	for _, tc := range newTenantPins {
 		t.Run(tc.bench, func(t *testing.T) {
-			tn, err := newTenant(TenantSpec{ID: "t1", Bench: tc.bench, Scale: 0.3, Seed: tc.seed}, DefaultConfig())
+			cfg := DefaultConfig()
+			cfg.StateDir = t.TempDir()
+			tn, err := newTenant(TenantSpec{ID: "t1", Bench: tc.bench, Scale: 0.3, Seed: tc.seed}, cfg, durable.OS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +173,7 @@ func TestRecoveredTenantDigestPinned(t *testing.T) {
 			cfg.StateDir = dir
 			spec := idleSpec(tc.bench, tc.seed)
 			putSpec(t, dir, spec)
-			tn, err := newTenant(spec, cfg)
+			tn, err := newTenant(spec, cfg, durable.OS)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"partadvisor/internal/core"
+	"partadvisor/internal/durable"
 )
 
 // stateConfig is testConfig plus a durable state dir with a fast
@@ -41,11 +42,11 @@ func newStateServer(t *testing.T, dir string) *Server {
 
 // waitGenerations polls a tenant's checkpoint directory until at least n
 // generations exist.
-func waitGenerations(t *testing.T, dir string, n int) []GenerationFile {
+func waitGenerations(t *testing.T, dir string, n int) []generationFile {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		gens, err := ListGenerations(dir)
+		gens, err := listGenerations(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestRegistryPersistsAcrossCrash(t *testing.T) {
 	submitOne(t, s, t1)
 	waitGenerations(t, t1.ckptDir, 2)
 	wantEpisodes := 0
-	if gens, err := ListGenerations(t1.ckptDir); err == nil {
+	if gens, err := listGenerations(t1.ckptDir); err == nil {
 		if ck, err := core.LoadCheckpoint(gens[0].Path); err == nil {
 			wantEpisodes = ck.EpisodesTrained
 		}
@@ -147,7 +148,7 @@ func TestRecoveryCorruptionFallback(t *testing.T) {
 	gens := waitGenerations(t, t1.ckptDir, 2)
 	s.Halt()
 
-	gens, err := ListGenerations(t1.ckptDir)
+	gens, err := listGenerations(t1.ckptDir)
 	if err != nil || len(gens) < 2 {
 		t.Fatalf("need >= 2 generations after halt, have %d (%v)", len(gens), err)
 	}
@@ -202,7 +203,7 @@ func TestRecoveryAllCorruptFreshBootstrap(t *testing.T) {
 	waitGenerations(t, t1.ckptDir, 1)
 	s.Halt()
 
-	gens, _ := ListGenerations(t1.ckptDir)
+	gens, _ := listGenerations(t1.ckptDir)
 	for _, g := range gens {
 		if err := os.WriteFile(g.Path, []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
@@ -498,7 +499,7 @@ func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
 	}
 	s.Halt()
 	// Each advising loop wrote generation 0 before Halt stopped it.
-	gens, err := ListGenerations(filepath.Join(dir, ckptSubdir, "t2"))
+	gens, err := listGenerations(filepath.Join(dir, ckptSubdir, "t2"))
 	if err != nil || len(gens) != 1 {
 		t.Fatalf("t2 generations after halt: %d (%v), want 1", len(gens), err)
 	}
@@ -520,7 +521,7 @@ func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
 	rt2, _ := s2.Tenant("t2")
 	waitGenerations(t, rt2.ckptDir, 2)
 	time.Sleep(100 * time.Millisecond) // ten advising ticks
-	if gens, _ := ListGenerations(rt1.ckptDir); len(gens) != 1 || rt1.ckptWrites.Load() != 0 {
+	if gens, _ := listGenerations(rt1.ckptDir); len(gens) != 1 || rt1.ckptWrites.Load() != 0 {
 		t.Fatalf("restored t1 rewrote its generation within the interval: %d on disk, %d written",
 			len(gens), rt1.ckptWrites.Load())
 	}
@@ -530,7 +531,7 @@ func TestRecoveredTenantKeepsCheckpointCadence(t *testing.T) {
 // tenant ever built from it.
 func putSpec(t *testing.T, dir string, spec TenantSpec) {
 	t.Helper()
-	reg, err := openRegistry(dir)
+	reg, err := openRegistry(durable.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +594,7 @@ func TestRecoveryFallbackBootstrapPinned(t *testing.T) {
 				// Long enough a bootstrap that the optimizer has stepped, so
 				// the state Restore loads before it fails is not empty.
 				spec := TenantSpec{ID: "ssb", Bench: "ssb", Scale: 0.05, Seed: pin.seed}
-				ft, err := newTenant(spec, testConfig())
+				ft, err := newTenant(spec, stateConfig(t.TempDir()), durable.OS)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -645,7 +646,7 @@ func TestRecoveryFailedRestoreStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	putSpec(t, dir, spec)
-	good, err := newTenant(spec, cfg)
+	good, err := newTenant(spec, cfg, durable.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +665,7 @@ func TestRecoveryFailedRestoreStartsFresh(t *testing.T) {
 	otherBench.Bench, otherBench.OfflineEpisodes = "ssb", 30
 	otherSeed.Seed = 2
 	for gen, foreign := range map[uint64]TenantSpec{1: otherBench, 2: otherSeed} {
-		ft, err := newTenant(foreign, testConfig())
+		ft, err := newTenant(foreign, stateConfig(t.TempDir()), durable.OS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -763,7 +764,7 @@ func TestRecoveredTenantKeepsTraining(t *testing.T) {
 	cfg.StateDir = dir
 	spec := idleSpec("micro", 1)
 	putSpec(t, dir, spec)
-	tn, err := newTenant(spec, cfg)
+	tn, err := newTenant(spec, cfg, durable.OS)
 	if err != nil {
 		t.Fatal(err)
 	}

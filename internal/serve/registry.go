@@ -52,6 +52,7 @@ type manifestBody struct {
 // registry is the durable tenant manifest: an in-memory spec map mirrored
 // to an fsync'd, atomically-replaced file on every mutation.
 type registry struct {
+	fs  durable.FS
 	dir string
 
 	mu    sync.Mutex
@@ -59,17 +60,21 @@ type registry struct {
 }
 
 // openRegistry prepares the state directory (creating it and the
-// checkpoint subtree), sweeps temp files left by a rename that never
-// happened, and loads the manifest if one exists. A crash between
+// checkpoint subtree durably), sweeps temp files left by a rename that
+// never happened, and loads the manifest if one exists. A crash between
 // writing the manifest's temp file and the rename leaves the previous
 // manifest as the newest committed state — exactly what loading ignores
 // the temp debris in favor of.
-func openRegistry(dir string) (*registry, error) {
-	if err := os.MkdirAll(filepath.Join(dir, ckptSubdir), 0o755); err != nil {
+func openRegistry(fs durable.FS, dir string) (*registry, error) {
+	err := durable.MakeDir(fs, dir)
+	if err == nil {
+		err = durable.MakeDir(fs, filepath.Join(dir, ckptSubdir))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("serve: state dir: %w", err)
 	}
-	durable.SweepTemp(dir)
-	r := &registry{dir: dir, specs: make(map[string]TenantSpec)}
+	durable.SweepTemp(fs, dir)
+	r := &registry{fs: fs, dir: dir, specs: make(map[string]TenantSpec)}
 	data, err := os.ReadFile(r.path())
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -89,9 +94,9 @@ func openRegistry(dir string) (*registry, error) {
 
 func (r *registry) path() string { return filepath.Join(r.dir, manifestName) }
 
-// GenerationDir is the directory holding one tenant's checkpoint
+// generationDir is the directory holding one tenant's checkpoint
 // generations under a state directory.
-func GenerationDir(stateDir, id string) string {
+func generationDir(stateDir, id string) string {
 	return filepath.Join(stateDir, ckptSubdir, id)
 }
 
@@ -163,26 +168,35 @@ func (r *registry) delete(id string) error {
 // persistLocked writes the manifest through durable.Replace. Caller
 // holds r.mu.
 func (r *registry) persistLocked() error {
-	body := manifestBody{Tenants: make([]TenantSpec, 0, len(r.specs))}
+	specs := make([]TenantSpec, 0, len(r.specs))
 	for _, spec := range r.specs {
-		body.Tenants = append(body.Tenants, spec)
+		specs = append(specs, spec)
 	}
-	sort.Slice(body.Tenants, func(i, j int) bool { return body.Tenants[i].ID < body.Tenants[j].ID })
-	payload, err := json.MarshalIndent(body, "", "  ")
+	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
+	data, err := encodeManifest(specs)
 	if err != nil {
-		return fmt.Errorf("serve: encode manifest: %w", err)
+		return err
 	}
-	payload = append(payload, '\n')
-	sum := sha256.Sum256(payload)
-	data := append([]byte(manifestHeader+hex.EncodeToString(sum[:])+"\n"), payload...)
-	if err := durable.Replace(r.path(), data); err != nil {
+	if err := durable.Replace(r.fs, r.path(), data); err != nil {
 		return fmt.Errorf("serve: write manifest: %w", err)
 	}
 	return nil
 }
 
-// GenerationFile is one checkpoint generation on disk.
-type GenerationFile struct {
+// encodeManifest frames specs, in the order given, as verifyManifest reads
+// them: the header line carrying the body's SHA-256, then the JSON body.
+func encodeManifest(specs []TenantSpec) ([]byte, error) {
+	payload, err := json.MarshalIndent(manifestBody{Tenants: specs}, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode manifest: %w", err)
+	}
+	payload = append(payload, '\n')
+	sum := sha256.Sum256(payload)
+	return append([]byte(manifestHeader+hex.EncodeToString(sum[:])+"\n"), payload...), nil
+}
+
+// generationFile is one checkpoint generation on disk.
+type generationFile struct {
 	Gen  uint64
 	Path string
 }
@@ -194,27 +208,23 @@ func generationPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("gen-%08d.ckpt", gen))
 }
 
-// ListGenerations returns the checkpoint generations in a tenant's
-// GenerationDir sorted newest-first: only names generationPath writes
+// listGenerations returns the checkpoint generations in a tenant's
+// generationDir sorted newest-first: only names generationPath writes
 // count, so temp files and foreign names are ignored. A missing directory
-// is an empty list, not an error. Recovery and the crash soak read the
-// layout through it.
-func ListGenerations(dir string) ([]GenerationFile, error) {
+// is an error wrapping os.ErrNotExist.
+func listGenerations(dir string) ([]generationFile, error) {
 	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}
-	var out []GenerationFile
+	var out []generationFile
 	for _, e := range entries {
 		var gen uint64
 		_, err := fmt.Sscanf(e.Name(), "gen-%d.ckpt", &gen)
 		if err != nil || e.Name() != filepath.Base(generationPath(dir, gen)) {
 			continue
 		}
-		out = append(out, GenerationFile{Gen: gen, Path: filepath.Join(dir, e.Name())})
+		out = append(out, generationFile{Gen: gen, Path: filepath.Join(dir, e.Name())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Gen > out[j].Gen })
 	return out, nil

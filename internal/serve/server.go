@@ -21,6 +21,7 @@ import (
 // over HTTP, Recover and MarkReady; shut down with BeginDrain + Shutdown.
 type Server struct {
 	cfg   Config
+	fs    durable.FS
 	sched *scheduler
 	ov    *overload
 
@@ -31,8 +32,12 @@ type Server struct {
 	ready    atomic.Bool
 	recovery atomic.Pointer[RecoveryReport]
 
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
+	// deleting holds the ids whose DeleteTenant has not returned: a create
+	// of one is refused, or the delete's directory removal could take the
+	// new tenant's checkpoint directory with it.
+	mu       sync.RWMutex
+	tenants  map[string]*Tenant
+	deleting map[string]bool
 
 	draining atomic.Bool
 	start    time.Time
@@ -52,21 +57,27 @@ type Server struct {
 // tenant manifest under StateDir — a corrupt manifest fails construction
 // with ErrCorruptManifest — and builds an idle server that starts
 // not-ready: call Recover, then MarkReady.
-func NewServer(cfg Config) (*Server, error) {
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, durable.OS) }
+
+// newServer is NewServer with every write under the state directory going
+// through fs.
+func newServer(cfg Config, fs durable.FS) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	reg, err := openRegistry(cfg.StateDir)
+	reg, err := openRegistry(fs, cfg.StateDir)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
-		cfg:     cfg,
-		sched:   newScheduler(cfg),
-		ov:      newOverload(cfg),
-		reg:     reg,
-		tenants: make(map[string]*Tenant),
-		start:   time.Now(),
+		cfg:      cfg,
+		fs:       fs,
+		sched:    newScheduler(cfg),
+		ov:       newOverload(cfg),
+		reg:      reg,
+		tenants:  make(map[string]*Tenant),
+		deleting: make(map[string]bool),
+		start:    time.Now(),
 	}, nil
 }
 
@@ -116,11 +127,12 @@ func (s *Server) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	}
 	s.mu.RLock()
 	_, exists := s.tenants[spec.ID]
+	exists = exists || s.deleting[spec.ID]
 	s.mu.RUnlock()
 	if exists {
 		return nil, fmt.Errorf("serve: tenant %q already exists", spec.ID)
 	}
-	t, err := newTenant(spec, s.cfg)
+	t, err := newTenant(spec, s.cfg, s.fs)
 	if err != nil {
 		return nil, err
 	}
@@ -164,10 +176,18 @@ func (s *Server) DeleteTenant(id string) error {
 	s.mu.Lock()
 	t := s.tenants[id]
 	delete(s.tenants, id)
+	if t != nil {
+		s.deleting[id] = true
+	}
 	s.mu.Unlock()
 	if t == nil {
 		return ErrUnknownTenant
 	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.deleting, id)
+		s.mu.Unlock()
+	}()
 	s.sched.removeTenant(id)
 	t.stopAdvising()
 	// Manifest first, then the checkpoint files: a crash in between leaves
@@ -176,7 +196,7 @@ func (s *Server) DeleteTenant(id string) error {
 	if err := s.reg.delete(id); err != nil {
 		return err
 	}
-	os.RemoveAll(t.ckptDir)
+	s.fs.RemoveAll(t.ckptDir)
 	return nil
 }
 
@@ -252,7 +272,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	if entries, err := os.ReadDir(filepath.Join(s.reg.dir, ckptSubdir)); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && !known[e.Name()] {
-				os.RemoveAll(GenerationDir(s.reg.dir, e.Name()))
+				s.fs.RemoveAll(generationDir(s.reg.dir, e.Name()))
 			}
 		}
 	}
@@ -272,13 +292,18 @@ func (s *Server) recoverTenant(spec TenantSpec) (tr TenantRecovery) {
 	began := time.Now()
 	tr = TenantRecovery{ID: spec.ID, RestoredGen: -1}
 	defer func() { tr.DurationSec = time.Since(began).Seconds() }()
-	t, err := buildTenant(spec, s.cfg)
+	t, err := buildTenant(spec, s.cfg, s.fs)
 	if err != nil {
 		tr.Err = err.Error()
 		return tr
 	}
-	durable.SweepTemp(t.ckptDir)
-	gens, err := ListGenerations(t.ckptDir)
+	durable.SweepTemp(s.fs, t.ckptDir)
+	gens, err := listGenerations(t.ckptDir)
+	if errors.Is(err, os.ErrNotExist) {
+		// CreateTenant makes the directory before the manifest names the
+		// tenant; a state directory written before it did can lack one.
+		err = durable.MakeDir(s.fs, t.ckptDir)
+	}
 	if err != nil {
 		tr.Err = err.Error()
 		t.discard()
@@ -291,7 +316,11 @@ func (s *Server) recoverTenant(spec TenantSpec) (tr TenantRecovery) {
 		t.nextGen.Store(gens[0].Gen + 1)
 	}
 	for _, g := range gens {
-		ck, err := core.LoadCheckpoint(g.Path)
+		data, err := os.ReadFile(g.Path)
+		var ck *core.Checkpoint
+		if err == nil {
+			ck, err = core.DecodeCheckpoint(data)
+		}
 		if err != nil {
 			tr.CorruptSkipped++
 			continue

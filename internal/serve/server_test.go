@@ -18,6 +18,7 @@ import (
 
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
+	"partadvisor/internal/durable"
 )
 
 // fastSpec is a tenant sized for -race tests: the smallest benchmark at a
@@ -401,6 +402,48 @@ func TestDeleteTenantUnblocksQueuedWaiters(t *testing.T) {
 	defer cancel()
 	if _, err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// gateFS is durable.OS whose RemoveAll announces itself on entered and
+// then waits for release.
+type gateFS struct {
+	durable.FS
+	entered, release chan struct{}
+}
+
+func (g gateFS) RemoveAll(path string) error {
+	close(g.entered)
+	<-g.release
+	return g.FS.RemoveAll(path)
+}
+
+// TestCreateRefusedWhileDeleting: while DeleteTenant is removing a
+// tenant's checkpoint directory, a create of the same id is refused — it
+// would make its directory only for the delete to remove it. Once the
+// delete returns, the id is created again and its generation 0 lands.
+func TestCreateRefusedWhileDeleting(t *testing.T) {
+	gate := gateFS{FS: durable.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := newServer(crashConfig(t.TempDir()), gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Halt()
+	createWaitGen0(t, s, "t1")
+	deleted := make(chan error)
+	go func() { deleted <- s.DeleteTenant("t1") }()
+	<-gate.entered
+	if _, err := s.CreateTenant(fastSpec("t1")); err == nil {
+		t.Fatal("create succeeded while the same id was being deleted")
+	}
+	close(gate.release)
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	tn := createWaitGen0(t, s, "t1")
+	if gens, err := listGenerations(tn.ckptDir); err != nil || len(gens) != 1 {
+		t.Fatalf("recreated tenant's generations: %v (%v)", gens, err)
 	}
 }
 

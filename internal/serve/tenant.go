@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/datagen"
+	"partadvisor/internal/durable"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/hardware"
 	"partadvisor/internal/workload"
@@ -200,12 +200,13 @@ type Tenant struct {
 	advCancel context.CancelFunc
 	advDone   chan struct{}
 
-	// Generational checkpointing. ckptDir and ckptEvery are set once at
-	// construction; lastCkpt is set by a restore and then owned by the
+	// Generational checkpointing. fs, ckptDir and ckptEvery are set once
+	// at construction; lastCkpt is set by a restore and then owned by the
 	// advising goroutine (zero means write at the first tick). nextGen is
 	// the next generation number to write — recovery seeds it past the
 	// newest file found on disk (even a corrupt one) so generation numbers
 	// are monotonic across restarts.
+	fs        durable.FS
 	ckptDir   string
 	ckptEvery time.Duration
 	lastCkpt  time.Time
@@ -227,19 +228,24 @@ type Tenant struct {
 	snap atomic.Pointer[advisorSnap]
 }
 
-// newTenant builds the tenant and bootstraps its advisor: what CreateTenant
-// stands up, and what recovery falls back to when no checkpoint generation
-// restores. It does not start the advising loop. Both steps are
-// deterministic in the spec, so the same spec always bootstraps the same
-// advisor and deploys the same design.
-func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
-	t, err := buildTenant(spec, cfg)
+// newTenant builds the tenant, bootstraps its advisor and creates its
+// checkpoint directory: what CreateTenant stands up. Recovery falls back
+// to the same bootstrap when no checkpoint generation restores. It does
+// not start the advising loop. Build and bootstrap are deterministic in
+// the spec, so the same spec always bootstraps the same advisor and
+// deploys the same design.
+func newTenant(spec TenantSpec, cfg Config, fs durable.FS) (*Tenant, error) {
+	t, err := buildTenant(spec, cfg, fs)
 	if err != nil {
 		return nil, err
 	}
 	if err := t.bootstrap(); err != nil {
 		t.discard()
 		return nil, err
+	}
+	if err := durable.MakeDir(fs, t.ckptDir); err != nil {
+		t.discard()
+		return nil, fmt.Errorf("serve: tenant %s: %w", spec.ID, err)
 	}
 	return t, nil
 }
@@ -248,10 +254,9 @@ func newTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 // learned: the deployment (data generation and engine build, deterministic
 // from the spec), an untrained advisor inferring on the deployment's
 // offline cost, the guarded online cost over the engine and the tenant's
-// context. It touches no file: the checkpoint directory is created by the
-// first generation written into it. The engine keeps the layout it was
+// context. It touches no file. The engine keeps the layout it was
 // loaded with until bootstrap or restoreCheckpoint deploys a design.
-func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
+func buildTenant(spec TenantSpec, cfg Config, fs durable.FS) (*Tenant, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
@@ -291,7 +296,8 @@ func buildTenant(spec TenantSpec, cfg Config) (*Tenant, error) {
 		advCtx:    ctx,
 		advCancel: cancel,
 		advDone:   make(chan struct{}),
-		ckptDir:   GenerationDir(cfg.StateDir, spec.ID),
+		fs:        fs,
+		ckptDir:   generationDir(cfg.StateDir, spec.ID),
 		ckptEvery: cfg.CheckpointEvery,
 	}
 	adv, err := t.freshAdvisor()
@@ -399,15 +405,20 @@ func (t *Tenant) maybeCheckpoint() {
 	t.lastCkpt = time.Now()
 }
 
-// saveGeneration writes the next checkpoint generation atomically and
-// prunes old ones. Single-owner: callers are the advising goroutine (at
-// an episode boundary) or the server after stopAdvising.
+// saveGeneration writes the next checkpoint generation atomically into
+// the tenant's directory, which exists from creation on, and prunes old
+// ones. Single-owner: callers are the advising goroutine (at an episode
+// boundary) or the server after stopAdvising.
 func (t *Tenant) saveGeneration() (string, error) {
 	gen := t.nextGen.Add(1) - 1
 	path := generationPath(t.ckptDir, gen)
-	err := os.MkdirAll(t.ckptDir, 0o755)
+	ck, err := t.adv.Checkpoint()
+	var data []byte
 	if err == nil {
-		err = t.adv.SaveCheckpoint(path)
+		data, err = core.EncodeCheckpoint(ck)
+	}
+	if err == nil {
+		err = durable.Replace(t.fs, path, data)
 	}
 	if err != nil {
 		t.ckptErrs.Add(1)
@@ -420,12 +431,12 @@ func (t *Tenant) saveGeneration() (string, error) {
 
 // pruneGenerations removes all but the newest checkpointKeep generations.
 func (t *Tenant) pruneGenerations() {
-	gens, err := ListGenerations(t.ckptDir)
+	gens, err := listGenerations(t.ckptDir)
 	if err != nil || len(gens) <= checkpointKeep {
 		return
 	}
 	for _, g := range gens[checkpointKeep:] {
-		os.Remove(g.Path)
+		t.fs.Remove(g.Path)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"partadvisor/internal/durable"
 )
 
 // tree records every path under root: file contents, or "dir".
@@ -116,7 +118,7 @@ func TestCreateTenantRejectsUnsafeID(t *testing.T) {
 func TestRecoveryRejectsUnsafeID(t *testing.T) {
 	root := t.TempDir()
 	state := filepath.Join(root, "state")
-	reg, err := openRegistry(state)
+	reg, err := openRegistry(durable.OS, state)
 	if err != nil {
 		t.Fatal(err)
 	}
