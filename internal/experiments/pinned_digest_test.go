@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -40,5 +42,40 @@ func TestRunAllDigestPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("rendered tables of RunAll(TestConfig()), %d results\n  got  %s\n  want %s", len(results), got, want)
+	}
+}
+
+// TestCommitteeDigestPinned pins the §5 committee Fig. 5 and 7b read: the
+// SHA-256 over every expert's SaveModel bytes, in Refs order, followed by
+// the float64 bits of the online cost's total simulated seconds after the
+// experts trained (they train against the stateful OnlineCost, whose §4.2
+// per-mix best cost sets the timeout limits, so the order of its calls is
+// part of the result). Built by shared.committee() at TestConfig(), the way
+// Fig. 5 builds it. amd64 only, like TestRunAllDigestPinned; under -race the
+// training is the same, only slower, so it runs there too.
+func TestCommitteeDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest was recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	const want = "699a4e025b5414b4bb0513bf2d43ada5545448b59c3b8cb4383db7fc0978be6f"
+	sh := &shared{cfg: TestConfig()}
+	committee, err := sh.committee()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := committee.SaveModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, b := range blobs {
+		h.Write(b)
+	}
+	var total [8]byte
+	binary.LittleEndian.PutUint64(total[:], math.Float64bits(sh.run.onlineCost.Stats.TotalSeconds()))
+	h.Write(total[:])
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("committee of shared.committee() at TestConfig(), %d experts, online total %v sim s\n  got  %s\n  want %s",
+			len(blobs), sh.run.onlineCost.Stats.TotalSeconds(), got, want)
 	}
 }
