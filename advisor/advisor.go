@@ -339,7 +339,5 @@ func (s *Session) BuildCommittee(oc *OnlineCost) (*Committee, error) {
 	if oc == nil {
 		return nil, fmt.Errorf("advisor: committee needs the online cost (run TrainOnline first)")
 	}
-	cfg := core.DefaultCommitteeConfig(s.Advisor)
-	cfg.Seed = s.Advisor.Seed() + 97
-	return core.BuildCommittee(s.Advisor, oc.WorkloadCost, cfg)
+	return core.BuildCommittee(s.Advisor, oc.WorkloadCost, s.Advisor.Seed()+97)
 }

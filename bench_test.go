@@ -18,7 +18,6 @@ import (
 	"partadvisor/internal/env"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/hardware"
-	"partadvisor/internal/nn"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
 )
@@ -153,15 +152,12 @@ func BenchmarkDeployRevisitUncached(b *testing.B) { benchDeployRevisit(b, 0) }
 // --- Parallelism benches -----------------------------------------------------
 
 // benchTrainOfflineSSB trains the SSB advisor with the paper's 128-64 hidden
-// layers and the given nn worker count, behind the bounded cost cache. The
-// trained networks are bitwise identical across worker counts
-// (TestKernelsBitIdenticalAcrossWorkers in internal/nn,
-// TestCommitteeParallelMatchesSequential in internal/core).
+// layers at the given GOMAXPROCS (the nn pool width), behind the bounded
+// cost cache. The trained networks are bitwise identical across pool widths
+// (TestKernelsBitIdenticalAcrossWorkers in internal/nn).
 func benchTrainOfflineSSB(b *testing.B, workers int) {
 	b.Helper()
-	prev := nn.MaxWorkers()
-	nn.SetMaxWorkers(workers)
-	defer nn.SetMaxWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	bench := benchmarks.SSB()
 	data := bench.Generate(0.05, 1)
 	cat := exec.BuildCatalog(bench.Schema, data)
@@ -194,10 +190,9 @@ func BenchmarkTrainOfflineSSBParallel(b *testing.B) {
 	benchTrainOfflineSSB(b, runtime.GOMAXPROCS(0))
 }
 
-// benchCommitteeBuild builds the §5 committee sequentially or with
-// goroutine-per-expert training.
-func benchCommitteeBuild(b *testing.B, sequential bool) {
-	b.Helper()
+// BenchmarkCommitteeBuild trains a naive micro advisor and builds the §5
+// committee on it: fifteen episodes per expert, half the naive advisor's.
+func BenchmarkCommitteeBuild(b *testing.B) {
 	bench := benchmarks.Micro()
 	data := bench.Generate(0.2, 1)
 	cat := exec.BuildCatalog(bench.Schema, data)
@@ -217,17 +212,11 @@ func benchCommitteeBuild(b *testing.B, sequential bool) {
 		if err := naive.TrainOffline(cost, nil); err != nil {
 			b.Fatal(err)
 		}
-		cfg := core.DefaultCommitteeConfig(naive)
-		cfg.ExpertEpisodes = 10
-		cfg.Sequential = sequential
-		if _, err := core.BuildCommittee(naive, cost, cfg); err != nil {
+		if _, err := core.BuildCommittee(naive, cost, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkCommitteeBuildSequential(b *testing.B) { benchCommitteeBuild(b, true) }
-func BenchmarkCommitteeBuildParallel(b *testing.B)   { benchCommitteeBuild(b, false) }
 
 // BenchmarkCostCache measures the memoization win on the offline cost hot
 // path: repeated (state, mix) evaluations against TPC-CH's 7-way-join query.

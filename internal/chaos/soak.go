@@ -443,7 +443,7 @@ func runSkew(scale float64, seed int64, faulty bool) (Outcome, []string, error) 
 	window := exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}
 
 	oc := core.NewOnlineCost(e, wl, nil)
-	det := core.NewHotShardDetector(core.HotShardConfig{})
+	det := core.NewHotShardDetector()
 	size := len(wl.UniformFreq())
 	lastMitigation := -1
 	armed := false

@@ -101,9 +101,9 @@ func TestOnlineCostParallelMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentBatchesAndCommitteeTraining shares one engine between
-// parallel committee expert training (measured cost, synchronized through
-// the engine mutex) and a foreground loop hammering Exec — the -race
-// proof that batch fan-out composes with every other engine user.
+// committee expert training (measured cost, synchronized through the engine
+// mutex) and a background loop hammering Exec — the -race proof that batch
+// fan-out composes with every other engine user.
 func TestConcurrentBatchesAndCommitteeTraining(t *testing.T) {
 	b := benchmarks.Micro()
 	sp := b.Space()
@@ -129,9 +129,7 @@ func TestConcurrentBatchesAndCommitteeTraining(t *testing.T) {
 		}
 	}()
 
-	cfg := DefaultCommitteeConfig(naive)
-	cfg.ExpertEpisodes = 2
-	if _, err := BuildCommittee(naive, oc.WorkloadCost, cfg); err != nil {
+	if _, err := BuildCommittee(naive, oc.WorkloadCost, 7); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

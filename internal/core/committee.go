@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"partadvisor/internal/env"
 	"partadvisor/internal/partition"
@@ -29,48 +28,24 @@ type Committee struct {
 	cost env.CostFunc
 }
 
-// CommitteeConfig parameterizes committee construction.
-type CommitteeConfig struct {
-	// Low and High are the frequencies of the §5 extreme mixes (f_j = Low
-	// for all but one query with f_i = High).
-	Low, High float64
-	// ExpertHP configures each expert's training; ExpertEpisodes overrides
-	// hp.Episodes for experts (experts specialize, so they need fewer).
-	ExpertHP       Hyperparams
-	ExpertEpisodes int
-	// SamplerAttempts caps rejection sampling per subspace draw.
-	SamplerAttempts int
-	Seed            int64
-	// Sequential disables the parallel expert trainers (one goroutine per
-	// subspace expert). Each expert always owns an independently seeded
-	// rand.Rand, so for a deterministic cost function the parallel and
-	// sequential paths produce bitwise-identical experts; with a measured,
-	// stateful cost (OnlineCost) calls are serialized through a mutex and
-	// remain correct, but timeout bookkeeping can interleave differently
-	// across runs. Flip this for strict run-to-run reproducibility on
-	// measured costs, or for the sequential baseline in benchmarks.
-	Sequential bool
-}
-
-// DefaultCommitteeConfig derives expert settings from the naive advisor's
-// hyperparameters.
-func DefaultCommitteeConfig(naive *Advisor) CommitteeConfig {
-	hp := naive.HP
-	return CommitteeConfig{
-		Low:             0.1,
-		High:            1.0,
-		ExpertHP:        hp,
-		ExpertEpisodes:  hp.Episodes / 2,
-		SamplerAttempts: 64,
-		Seed:            7,
-	}
-}
+// The §5 committee's settings: the frequencies of the extreme mixes (f_j =
+// committeeLow for all but one query with f_i = committeeHigh), and how many
+// uniform draws one subspace sample may reject before it falls back.
+const (
+	committeeLow, committeeHigh = 0.1, 1.0
+	committeeSamplerAttempts    = 64
+)
 
 // BuildCommittee discovers reference partitionings with the naive advisor
 // and trains one expert per subspace against cost (the cached online cost
 // in the paper: "the training of these subspace expert models does
-// typically not require any actual execution").
-func BuildCommittee(naive *Advisor, cost env.CostFunc, cfg CommitteeConfig) (*Committee, error) {
+// typically not require any actual execution"). Experts share the naive
+// advisor's hyperparameters and train for half its episodes (they
+// specialize), one after another on the caller's goroutine: the cost is
+// typically the stateful OnlineCost, whose per-mix best cost sets the §4.2
+// timeout limits, so the committee is a function of the seed only because
+// its calls come in one order.
+func BuildCommittee(naive *Advisor, cost env.CostFunc, seed int64) (*Committee, error) {
 	if cost == nil {
 		return nil, fmt.Errorf("core: committee needs a cost function")
 	}
@@ -82,7 +57,7 @@ func BuildCommittee(naive *Advisor, cost env.CostFunc, cfg CommitteeConfig) (*Co
 	// one Suggest per mix would find, in a fraction of the passes.
 	freqs := make([]workload.FreqVector, len(naive.WL.Queries))
 	for i := range naive.WL.Queries {
-		freqs[i] = naive.WL.ExtremeFreq(i, cfg.Low, cfg.High)
+		freqs[i] = naive.WL.ExtremeFreq(i, committeeLow, committeeHigh)
 	}
 	refs, _, err := naive.SuggestBatch(freqs)
 	if err != nil {
@@ -96,26 +71,17 @@ func BuildCommittee(naive *Advisor, cost env.CostFunc, cfg CommitteeConfig) (*Co
 		}
 	}
 
-	// One expert per subspace, trained on mixes assigned to it. Experts are
-	// constructed sequentially (cheap, and keeps the seeding order obvious)
-	// and trained in parallel: each expert owns its networks and its
-	// independently seeded rand.Rand, so the only shared state is the cost
-	// function, which is serialized through a mutex. For a deterministic
-	// cost the result is bitwise identical to sequential training.
-	hp := cfg.ExpertHP
-	if cfg.ExpertEpisodes > 0 {
-		hp.Episodes = cfg.ExpertEpisodes
+	// One expert per subspace, trained on mixes assigned to it.
+	hp := naive.HP
+	if hp.Episodes/2 > 0 {
+		hp.Episodes /= 2
 	}
 	naiveWeights, err := naive.SaveModel()
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Sequential && len(c.Refs) > 1 {
-		c.cost = env.SynchronizedCost(cost)
-	}
-	samplers := make([]FreqSampler, len(c.Refs))
 	for j := range c.Refs {
-		expert, err := New(naive.Space, naive.WL, hp, cfg.Seed+int64(j)*101)
+		expert, err := New(naive.Space, naive.WL, hp, seed+int64(j)*101)
 		if err != nil {
 			return nil, err
 		}
@@ -128,41 +94,20 @@ func BuildCommittee(naive *Advisor, cost env.CostFunc, cfg CommitteeConfig) (*Co
 		}
 		expert.Agent.Epsilon = hp.DQN.EpsilonAfter(hp.OnlineEpsilonFromEpisode)
 		subspace := j
-		samplers[j] = func(rng *rand.Rand) workload.FreqVector {
-			for attempt := 0; attempt < cfg.SamplerAttempts; attempt++ {
+		sampler := func(rng *rand.Rand) workload.FreqVector {
+			for attempt := 0; attempt < committeeSamplerAttempts; attempt++ {
 				f := naive.WL.SampleUniform(rng)
 				if c.Assign(f) == subspace {
 					return f
 				}
 			}
-			// Rare subspace: fall back to the extreme mix closest to it.
+			// Rare subspace: fall back to a uniform mix of any subspace.
 			return naive.WL.SampleUniform(rng)
 		}
-		c.Experts = append(c.Experts, expert)
-	}
-	if cfg.Sequential || len(c.Refs) <= 1 {
-		for j, expert := range c.Experts {
-			if err := expert.TrainOffline(c.cost, samplers[j]); err != nil {
-				return nil, fmt.Errorf("core: committee expert %d: %w", j, err)
-			}
-		}
-		return c, nil
-	}
-	errs := make([]error, len(c.Experts))
-	var wg sync.WaitGroup
-	for j, expert := range c.Experts {
-		j, expert := j, expert
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[j] = expert.TrainOffline(c.cost, samplers[j])
-		}()
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
+		if err := expert.TrainOffline(cost, sampler); err != nil {
 			return nil, fmt.Errorf("core: committee expert %d: %w", j, err)
 		}
+		c.Experts = append(c.Experts, expert)
 	}
 	return c, nil
 }

@@ -1,22 +1,19 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-
-	"partadvisor/internal/nn"
 )
 
 // TestCommitteeTrainingConcurrentWithQueries exercises the thread-safety
-// contract under -race: the parallel committee trains its experts against a
-// measured OnlineCost on a shared engine while another goroutine keeps
-// executing workload queries and reading the engine's accounting counters on
-// the same engine. The engine mutex must keep every operation and counter
-// update coherent.
+// contract under -race: the committee trains its experts against a measured
+// OnlineCost on a shared engine while another goroutine keeps executing
+// workload queries and reading the engine's accounting counters on the same
+// engine, at a pool width of four. The engine mutex must keep every
+// operation and counter update coherent.
 func TestCommitteeTrainingConcurrentWithQueries(t *testing.T) {
-	prev := nn.MaxWorkers()
-	nn.SetMaxWorkers(4)
-	defer nn.SetMaxWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	b, sp, e := onlineFixture(t)
 	hp := Test()
@@ -53,9 +50,8 @@ func TestCommitteeTrainingConcurrentWithQueries(t *testing.T) {
 		}
 	}()
 
-	cfg := DefaultCommitteeConfig(naive)
-	cfg.ExpertEpisodes = 10
-	c, err := BuildCommittee(naive, oc.WorkloadCost, cfg)
+	naive.HP.Episodes = 20 // experts train for half the naive advisor's episodes
+	c, err := BuildCommittee(naive, oc.WorkloadCost, 7)
 	close(stop)
 	wg.Wait()
 	if err != nil {

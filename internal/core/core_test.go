@@ -332,9 +332,8 @@ func TestCommittee(t *testing.T) {
 	if err := naive.TrainOffline(cost, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultCommitteeConfig(naive)
-	cfg.ExpertEpisodes = 20
-	c, err := BuildCommittee(naive, cost, cfg)
+	naive.HP.Episodes = 40 // experts train for half the naive advisor's episodes
+	c, err := BuildCommittee(naive, cost, 7)
 	if err != nil {
 		t.Fatalf("BuildCommittee: %v", err)
 	}
@@ -361,7 +360,7 @@ func TestCommittee(t *testing.T) {
 func TestCommitteeRequiresCost(t *testing.T) {
 	b, sp, _ := microFixture(t)
 	naive, _ := New(sp, b.Workload, Test(), 1)
-	if _, err := BuildCommittee(naive, nil, DefaultCommitteeConfig(naive)); err == nil {
+	if _, err := BuildCommittee(naive, nil, 7); err == nil {
 		t.Fatalf("nil cost accepted")
 	}
 }
@@ -438,9 +437,8 @@ func TestCommitteeModelPersistence(t *testing.T) {
 	if err := naive.TrainOffline(cost, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultCommitteeConfig(naive)
-	cfg.ExpertEpisodes = 10
-	c, err := BuildCommittee(naive, cost, cfg)
+	naive.HP.Episodes = 20 // experts train for half the naive advisor's episodes
+	c, err := BuildCommittee(naive, cost, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +462,8 @@ func TestCommitteeModelPersistence(t *testing.T) {
 }
 
 func TestCommitteeExpertsBootstrappedFromNaive(t *testing.T) {
-	// Experts must start from the naive agent's weights: with zero expert
-	// episodes their suggestions coincide with the naive agent's.
+	// Experts must start from the naive agent's weights and resume its
+	// bootstrapped ε schedule.
 	b, sp, cm := microFixture(t)
 	hp := Test()
 	hp.Episodes = 30
@@ -474,9 +472,8 @@ func TestCommitteeExpertsBootstrappedFromNaive(t *testing.T) {
 	if err := naive.TrainOffline(cost, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultCommitteeConfig(naive)
-	cfg.ExpertEpisodes = 1 // minimal specialization
-	c, err := BuildCommittee(naive, cost, cfg)
+	naive.HP.Episodes = 2 // one expert episode: minimal specialization
+	c, err := BuildCommittee(naive, cost, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,31 +16,18 @@ import (
 // analysis against the predicted mix so the advisor can move ahead of a
 // flash crowd instead of behind it.
 
-// HotShardConfig tunes the detector.
-type HotShardConfig struct {
-	// Threshold is the max/mean heat ratio over one observation window above
-	// which a table counts as hot (default 2; 1 means perfectly balanced).
-	Threshold float64
-	// Patience is how many consecutive hot windows trigger a report
-	// (default 2 — one bursty window is not a regime).
-	Patience int
-	// MinRows is the noise floor: windows in which a table accumulated fewer
-	// delta rows are ignored entirely (default 1).
-	MinRows int64
-}
-
-func (c HotShardConfig) withDefaults() HotShardConfig {
-	if c.Threshold <= 1 {
-		c.Threshold = 2
-	}
-	if c.Patience <= 0 {
-		c.Patience = 2
-	}
-	if c.MinRows <= 0 {
-		c.MinRows = 1
-	}
-	return c
-}
+// The detector's settings.
+const (
+	// hotThreshold is the max/mean heat ratio over one observation window
+	// above which a table counts as hot (1 means perfectly balanced).
+	hotThreshold = 2
+	// hotPatience is how many consecutive hot windows trigger a report
+	// (one bursty window is not a regime).
+	hotPatience = 2
+	// hotMinRows is the noise floor: windows in which a table accumulated
+	// fewer delta rows are ignored entirely.
+	hotMinRows = 1
+)
 
 // HotReport describes a detected hot shard.
 type HotReport struct {
@@ -64,22 +51,20 @@ func (r HotReport) String() string {
 // accumulated under long-replaced layouts. Deterministic: state is a pure
 // function of the observation sequence.
 type HotShardDetector struct {
-	cfg    HotShardConfig
 	prev   exec.ShardHeat
 	streak map[string]int
 }
 
-// NewHotShardDetector builds a detector (zero-value config fields take the
-// documented defaults).
-func NewHotShardDetector(cfg HotShardConfig) *HotShardDetector {
-	return &HotShardDetector{cfg: cfg.withDefaults(), streak: make(map[string]int)}
+// NewHotShardDetector builds a detector.
+func NewHotShardDetector() *HotShardDetector {
+	return &HotShardDetector{streak: make(map[string]int)}
 }
 
 // Observe feeds one cumulative heat snapshot and reports the hottest table
 // whose streak just reached the patience threshold. Tables are scanned in
 // the snapshot's (schema) order and the report picks the highest triggering
 // imbalance, ties to the earlier table — fully deterministic. A reported
-// table's streak resets so mitigation gets Patience windows to take effect
+// table's streak resets so mitigation gets hotPatience windows to take effect
 // before the detector re-alarms.
 func (d *HotShardDetector) Observe(h exec.ShardHeat) (HotReport, bool) {
 	delta := h.Sub(d.prev)
@@ -92,18 +77,18 @@ func (d *HotShardDetector) Observe(h exec.ShardHeat) (HotReport, bool) {
 		for _, v := range delta.TableRows(table) {
 			rows += v
 		}
-		if rows < d.cfg.MinRows {
+		if rows < hotMinRows {
 			// Too quiet to judge: the streak neither grows nor resets — a
 			// celebrity key is still a celebrity during a lull.
 			continue
 		}
 		im := delta.Imbalance(table)
-		if im < d.cfg.Threshold {
+		if im < hotThreshold {
 			d.streak[table] = 0
 			continue
 		}
 		d.streak[table]++
-		if d.streak[table] >= d.cfg.Patience && im > best.Imbalance {
+		if d.streak[table] >= hotPatience && im > best.Imbalance {
 			node, hottest := 0, int64(-1)
 			for n, v := range delta.TableRows(table) {
 				if v > hottest {

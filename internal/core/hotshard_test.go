@@ -27,7 +27,7 @@ func addHeat(prev exec.ShardHeat, delta ...int64) exec.ShardHeat {
 }
 
 func TestHotShardDetectorWindows(t *testing.T) {
-	d := NewHotShardDetector(HotShardConfig{Threshold: 2, Patience: 2})
+	d := NewHotShardDetector()
 
 	h := heatSnap(10, 10, 10, 10)
 	if _, hot := d.Observe(h); hot {
@@ -64,16 +64,16 @@ func TestHotShardDetectorWindows(t *testing.T) {
 }
 
 func TestHotShardDetectorQuietLull(t *testing.T) {
-	d := NewHotShardDetector(HotShardConfig{Threshold: 2, Patience: 2, MinRows: 50})
+	d := NewHotShardDetector()
 	h := heatSnap(0, 0, 0, 0)
 	d.Observe(h)
 	h = addHeat(h, 100, 1, 1, 1)
 	if _, hot := d.Observe(h); hot {
 		t.Fatalf("reported at streak 1")
 	}
-	// A near-idle window (below MinRows) must neither grow nor reset the
+	// An idle window (below hotMinRows) must neither grow nor reset the
 	// streak: the celebrity is still a celebrity during a lull.
-	h = addHeat(h, 10, 0, 0, 0)
+	h = addHeat(h, 0, 0, 0, 0)
 	if _, hot := d.Observe(h); hot {
 		t.Fatalf("quiet window reported hot")
 	}
@@ -148,7 +148,7 @@ func TestMitigateHotShardEndToEnd(t *testing.T) {
 	hotCost := oc.WorkloadCost(hot, freq)
 
 	// Drive query windows until the detector alarms on sustained skew.
-	det := NewHotShardDetector(HotShardConfig{Threshold: 2, Patience: 2})
+	det := NewHotShardDetector()
 	g := wl.Queries[0].Graph
 	var rep HotReport
 	found := false

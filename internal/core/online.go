@@ -121,8 +121,9 @@ type OnlineCost struct {
 
 	// Guard, when non-nil, arms the safety envelope of DESIGN.md §8 around
 	// every measurement (see GuardConfig). Its state lives in this
-	// OnlineCost, so wrap concurrent use in env.SynchronizedCost exactly as
-	// for an unguarded one.
+	// OnlineCost, which, guarded or not, is called from one goroutine at a
+	// time: the order of the calls sets the per-mix best cost, and with it
+	// the timeout limits.
 	Guard *GuardConfig
 
 	Stats OnlineStats

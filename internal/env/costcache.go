@@ -125,16 +125,3 @@ func (c *CostCache) Invalidate() {
 	c.hot = make(map[string]float64)
 	c.cold = nil
 }
-
-// SynchronizedCost serializes calls to a stateful CostFunc with a mutex so
-// it can be shared across goroutines (the parallel committee wraps the
-// caller's cost with this: measured OnlineCost functions mutate caches,
-// accounting state and the engine's deployed layout on every call).
-func SynchronizedCost(base CostFunc) CostFunc {
-	var mu sync.Mutex
-	return func(st *partition.State, freq workload.FreqVector) float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return base(st, freq)
-	}
-}

@@ -93,7 +93,7 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 	window := exec.Request{Queries: exec.Queries(wl.Graphs(), 0)}
 
 	oc := core.NewOnlineCost(e, wl, nil)
-	det := core.NewHotShardDetector(core.HotShardConfig{})
+	det := core.NewHotShardDetector()
 	size := len(wl.UniformFreq())
 	for w := 0; w < benchmarks.CelebrityWindows; w++ {
 		freq := tr.Mix(w, size)

@@ -139,9 +139,7 @@ func (sh *shared) committee() (*core.Committee, error) {
 		if err != nil {
 			return nil, err
 		}
-		ccfg := core.DefaultCommitteeConfig(run.Advisor)
-		ccfg.Seed = sh.cfg.Seed + 41
-		experts, err := core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, ccfg)
+		experts, err := core.BuildCommittee(run.Advisor, run.onlineCost.WorkloadCost, sh.cfg.Seed+41)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -102,11 +103,9 @@ func TestKernelsKeepReferenceOrder(t *testing.T) {
 // result, bit for bit, with the sequential one. Run with -race: the blocks
 // write disjoint rows of shared matrices.
 func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
-	prev := MaxWorkers()
-	defer SetMaxWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	const rows, inner, cols = 96, 160, 96
-	SetMaxWorkers(4)
 	for _, k := range []struct {
 		name     string
 		n, flops int
@@ -129,7 +128,7 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	layer := NewDense(inner, cols, ReLU, rng)
 
 	run := func(width int) map[string][]float64 {
-		SetMaxWorkers(width)
+		runtime.GOMAXPROCS(width)
 		res := map[string][]float64{}
 		keep := func(name string, m *Matrix) { res[name] = append([]float64(nil), m.Data...) }
 		dst := NewMatrix(rows, cols)
@@ -295,9 +294,7 @@ func TestTrainActionsMatchesMaskedTrainBatch(t *testing.T) {
 }
 
 func TestTrainActionsAllocatesNothing(t *testing.T) {
-	prev := MaxWorkers()
-	defer SetMaxWorkers(prev)
-	SetMaxWorkers(4) // the training shapes must stay off the pool at any width
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the training shapes must stay off the pool at any width
 
 	rng := rand.New(rand.NewSource(15))
 	net := NewNetwork([]int{83, 128, 64, 70}, rng)

@@ -7,7 +7,7 @@ import (
 )
 
 // The package shares one worker pool across all networks and matrices, sized
-// to GOMAXPROCS by default. Parallel kernels split their output rows into
+// to GOMAXPROCS. Parallel kernels split their output rows into
 // contiguous blocks, one block per worker; every element is still computed by
 // exactly the code (and floating-point accumulation order) of the sequential
 // path, so parallel results are bitwise identical to sequential ones.
@@ -30,32 +30,12 @@ const (
 )
 
 var (
-	// width is the configured sharding width (0 = GOMAXPROCS).
-	width atomic.Int32
 	// poolWorkers counts started workers; the pool only ever grows (idle
 	// workers park on the task channel and cost nothing).
 	poolWorkers atomic.Int32
 	poolTasks   atomic.Pointer[chan func()]
 	poolMu      sync.Mutex
 )
-
-// MaxWorkers returns the current worker-pool width.
-func MaxWorkers() int {
-	if w := width.Load(); w > 0 {
-		return int(w)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetMaxWorkers sets the worker-pool width. n <= 1 disables parallel kernels
-// (the sequential path produces bitwise-identical results anyway). n == 0
-// restores the GOMAXPROCS default.
-func SetMaxWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	width.Store(int32(n))
-}
 
 // submit enqueues fn on the shared pool, or reports false when the queue is
 // full (the caller then runs fn inline — work placement never changes
@@ -102,7 +82,7 @@ func ensurePool(n int) {
 // parallelFor takes, so the sequential path — every training-step kernel at
 // batch 32 — allocates nothing.
 func rowBlocks(n, flops int) int {
-	workers := MaxWorkers()
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || n < minParRows || flops < minParFlops {
 		return 1
 	}

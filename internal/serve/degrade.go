@@ -31,11 +31,10 @@ func (t Tier) String() string {
 }
 
 // overload is the hysteresis tier controller. Observe is driven by the
-// server's tick loop (one call per TickEvery) with the global queue
+// server's tick loop (one call per tickEvery) with the global queue
 // occupancy; tests drive it directly. The current tier is read lock-free
 // from every request path.
 type overload struct {
-	cfg  Config
 	tier atomic.Int32
 	// up/down are consecutive-tick streak counters (only touched by the
 	// single Observe caller).
@@ -46,15 +45,13 @@ type overload struct {
 	recoveries  atomic.Int64
 }
 
-func newOverload(cfg Config) *overload { return &overload{cfg: cfg} }
-
 // Tier returns the current degradation tier.
 func (o *overload) Tier() Tier { return Tier(o.tier.Load()) }
 
 // Observe feeds one occupancy sample ([0,1]) and returns the (possibly
-// changed) tier. Escalation requires TierUpTicks consecutive samples at or
+// changed) tier. Escalation requires tierUpTicks consecutive samples at or
 // above the target tier's threshold and jumps straight to the demanded
-// tier; recovery requires TierDownTicks consecutive samples below the
+// tier; recovery requires tierDownTicks consecutive samples below the
 // current tier's threshold and steps down one tier at a time.
 func (o *overload) Observe(occupancy float64) Tier {
 	target := TierNormal
@@ -69,7 +66,7 @@ func (o *overload) Observe(occupancy float64) Tier {
 	case target > cur:
 		o.up++
 		o.down = 0
-		if o.up >= o.cfg.TierUpTicks {
+		if o.up >= tierUpTicks {
 			o.tier.Store(int32(target))
 			o.escalations.Add(1)
 			o.up, o.down = 0, 0
@@ -77,7 +74,7 @@ func (o *overload) Observe(occupancy float64) Tier {
 	case target < cur:
 		o.down++
 		o.up = 0
-		if o.down >= o.cfg.TierDownTicks {
+		if o.down >= tierDownTicks {
 			next := cur - 1
 			o.tier.Store(int32(next))
 			if next == TierNormal {

@@ -2,49 +2,43 @@ package serve
 
 import "testing"
 
-func overloadConfig() Config {
-	cfg := DefaultConfig()
-	cfg.TierUpTicks = 3
-	cfg.TierDownTicks = 4
-	return cfg
-}
-
 // TestTierHysteresis walks the full ladder: escalation only after
-// TierUpTicks sustained samples, direct jump to the demanded tier,
-// one-step recovery after TierDownTicks, and streak resets on mixed
+// tierUpTicks sustained samples, direct jump to the demanded tier,
+// one-step recovery after tierDownTicks, and streak resets on mixed
 // signals.
 func TestTierHysteresis(t *testing.T) {
-	o := newOverload(overloadConfig())
+	o := &overload{}
 
-	// Two hot ticks are not enough; a cool tick resets the streak.
-	o.Observe(0.6)
-	o.Observe(0.6)
+	// One hot tick short of the streak is not enough; a cool tick resets it.
+	for i := 0; i < tierUpTicks-1; i++ {
+		o.Observe(0.6)
+	}
 	o.Observe(0.1)
 	if got := o.Tier(); got != TierNormal {
 		t.Fatalf("after broken streak: tier %v, want normal", got)
 	}
 
-	// Three sustained tier-1 samples escalate.
-	for i := 0; i < 3; i++ {
+	// A sustained streak of tier-1 samples escalates.
+	for i := 0; i < tierUpTicks; i++ {
 		o.Observe(0.6)
 	}
 	if got := o.Tier(); got != TierPauseAdvising {
-		t.Fatalf("after 3 hot ticks: tier %v, want pause-advising", got)
+		t.Fatalf("after %d hot ticks: tier %v, want pause-advising", tierUpTicks, got)
 	}
 	if got := o.escalations.Load(); got != 1 {
 		t.Fatalf("escalations = %d, want 1", got)
 	}
 
 	// Sustained tier-2 occupancy jumps straight to shedding.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tierUpTicks; i++ {
 		o.Observe(0.95)
 	}
 	if got := o.Tier(); got != TierShedLowPriority {
-		t.Fatalf("after 3 overload ticks: tier %v, want shed-low-priority", got)
+		t.Fatalf("after %d overload ticks: tier %v, want shed-low-priority", tierUpTicks, got)
 	}
 
-	// Recovery steps down one tier at a time, each after TierDownTicks.
-	for i := 0; i < 4; i++ {
+	// Recovery steps down one tier at a time, each after tierDownTicks.
+	for i := 0; i < tierDownTicks; i++ {
 		o.Observe(0.1)
 	}
 	if got := o.Tier(); got != TierPauseAdvising {
@@ -53,7 +47,7 @@ func TestTierHysteresis(t *testing.T) {
 	if got := o.recoveries.Load(); got != 0 {
 		t.Fatalf("recoveries = %d before reaching normal, want 0", got)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < tierDownTicks; i++ {
 		o.Observe(0.1)
 	}
 	if got := o.Tier(); got != TierNormal {
@@ -67,14 +61,15 @@ func TestTierHysteresis(t *testing.T) {
 // TestTierHoldsUnderMatchingLoad: samples matching the current tier reset
 // both streaks — no drift in either direction.
 func TestTierHoldsUnderMatchingLoad(t *testing.T) {
-	o := newOverload(overloadConfig())
-	for i := 0; i < 3; i++ {
+	o := &overload{}
+	for i := 0; i < tierUpTicks; i++ {
 		o.Observe(0.6)
 	}
 	if o.Tier() != TierPauseAdvising {
 		t.Fatal("setup: expected tier 1")
 	}
-	// Alternate cool and tier-1 samples: recovery needs 4 consecutive.
+	// Alternate cool and tier-1 samples: recovery needs tierDownTicks
+	// consecutive.
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
 			o.Observe(0.1)

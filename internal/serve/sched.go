@@ -212,7 +212,7 @@ func (s *scheduler) next() *task {
 				tq.q = tq.q[1:]
 				s.queued--
 			}
-			if len(tq.q) == 0 || tq.inflight >= s.cfg.MaxTenantInflight {
+			if len(tq.q) == 0 || tq.inflight >= maxTenantInflight {
 				continue
 			}
 			if pick == nil || tq.vtime < pick.vtime ||

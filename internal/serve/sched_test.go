@@ -10,7 +10,6 @@ import (
 func schedConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 2
-	cfg.MaxTenantInflight = 1000 // dispatch order tests: never bind on inflight
 	cfg.MaxTenantQueue = 4
 	cfg.MaxGlobalQueue = 6
 	return cfg
@@ -233,7 +232,6 @@ func TestSubmitAfterRemoveTenant(t *testing.T) {
 func TestDrainStopsWorkers(t *testing.T) {
 	cfg := schedConfig()
 	cfg.MaxConcurrent = 3
-	cfg.MaxTenantInflight = 3
 	s := newScheduler(cfg)
 	a := s.addTenant("a", 1)
 	s.start()

@@ -85,12 +85,21 @@ func IsShed(err error) bool {
 
 // The fixed parts of the service envelope. The tier ladder arms tier 1
 // (pause background advising) at half the global queue and tier 2 (also
-// shed priority-0 traffic) at nine tenths; each tenant keeps its newest
-// three checkpoint generations.
+// shed priority-0 traffic) at nine tenths; the overload controller samples
+// the occupancy every tickEvery, escalates after tierUpTicks consecutive
+// samples over a threshold and steps one tier back down after
+// tierDownTicks under it (hysteresis keeps it from flapping). One tenant
+// occupies at most maxTenantInflight workers (engine batches serialize on
+// the tenant's engine mutex anyway, so more only buys queue overlap), and
+// each tenant keeps its newest three checkpoint generations.
 const (
-	tier1Occupancy = 0.5
-	tier2Occupancy = 0.9
-	checkpointKeep = 3
+	tier1Occupancy    = 0.5
+	tier2Occupancy    = 0.9
+	tickEvery         = 100 * time.Millisecond
+	tierUpTicks       = 3
+	tierDownTicks     = 8
+	maxTenantInflight = 2
+	checkpointKeep    = 3
 )
 
 // Config holds the service knobs. The zero value is unusable; start from
@@ -99,24 +108,12 @@ type Config struct {
 	// MaxConcurrent is the worker-pool size — the global execution
 	// semaphore. At most this many batches execute at once.
 	MaxConcurrent int
-	// MaxTenantInflight caps how many workers one tenant may occupy
-	// simultaneously (engine batches serialize on the tenant's engine
-	// mutex anyway, so values past ~2 only buy queue overlap).
-	MaxTenantInflight int
 	// MaxTenantQueue bounds each tenant's wait queue; submissions past it
 	// are shed with ErrTenantQueueFull.
 	MaxTenantQueue int
 	// MaxGlobalQueue bounds the sum of all queued requests; submissions
 	// past it are shed with ErrGlobalQueueFull.
 	MaxGlobalQueue int
-
-	// TierUpTicks is how many consecutive over-threshold ticks escalate a
-	// tier; TierDownTicks how many under-threshold ticks step one back
-	// down. Hysteresis keeps the controller from flapping.
-	TierUpTicks   int
-	TierDownTicks int
-	// TickEvery is the overload-controller sampling period.
-	TickEvery time.Duration
 
 	// AdviseEvery is the default per-tenant background advising period, at
 	// most MaxAdviseEveryMS milliseconds.
@@ -139,15 +136,11 @@ type Config struct {
 // has no StateDir; the caller names one.
 func DefaultConfig() Config {
 	return Config{
-		MaxConcurrent:     max(2, runtime.GOMAXPROCS(0)),
-		MaxTenantInflight: 2,
-		MaxTenantQueue:    16,
-		MaxGlobalQueue:    64,
-		TierUpTicks:       3,
-		TierDownTicks:     8,
-		TickEvery:         100 * time.Millisecond,
-		AdviseEvery:       500 * time.Millisecond,
-		CheckpointEvery:   5 * time.Second,
+		MaxConcurrent:   max(2, runtime.GOMAXPROCS(0)),
+		MaxTenantQueue:  16,
+		MaxGlobalQueue:  64,
+		AdviseEvery:     500 * time.Millisecond,
+		CheckpointEvery: 5 * time.Second,
 	}
 }
 
@@ -156,16 +149,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.MaxConcurrent < 1:
 		return fmt.Errorf("serve: MaxConcurrent %d < 1", c.MaxConcurrent)
-	case c.MaxTenantInflight < 1:
-		return fmt.Errorf("serve: MaxTenantInflight %d < 1", c.MaxTenantInflight)
 	case c.MaxTenantQueue < 1:
 		return fmt.Errorf("serve: MaxTenantQueue %d < 1", c.MaxTenantQueue)
 	case c.MaxGlobalQueue < 1:
 		return fmt.Errorf("serve: MaxGlobalQueue %d < 1", c.MaxGlobalQueue)
-	case c.TierUpTicks < 1 || c.TierDownTicks < 1:
-		return fmt.Errorf("serve: tier hysteresis ticks must be >= 1 (up %d, down %d)", c.TierUpTicks, c.TierDownTicks)
-	case c.TickEvery <= 0:
-		return fmt.Errorf("serve: TickEvery %v <= 0", c.TickEvery)
 	case c.AdviseEvery <= 0 || c.AdviseEvery > MaxAdviseEveryMS*time.Millisecond:
 		return fmt.Errorf("serve: AdviseEvery %v outside (0, %v]", c.AdviseEvery, MaxAdviseEveryMS*time.Millisecond)
 	case c.StateDir == "":

@@ -73,7 +73,7 @@ func newServer(cfg Config, fs durable.FS) (*Server, error) {
 		cfg:      cfg,
 		fs:       fs,
 		sched:    newScheduler(cfg),
-		ov:       newOverload(cfg),
+		ov:       &overload{},
 		reg:      reg,
 		tenants:  make(map[string]*Tenant),
 		deleting: make(map[string]bool),
@@ -96,7 +96,7 @@ func (s *Server) Start() {
 	s.tickDone = make(chan struct{})
 	go func() {
 		defer close(s.tickDone)
-		tick := time.NewTicker(s.cfg.TickEvery)
+		tick := time.NewTicker(tickEvery)
 		defer tick.Stop()
 		for {
 			select {

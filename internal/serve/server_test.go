@@ -37,10 +37,8 @@ func fastSpec(id string) TenantSpec {
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 2
-	cfg.MaxTenantInflight = 2
 	cfg.MaxTenantQueue = 2
 	cfg.MaxGlobalQueue = 4
-	cfg.TickEvery = 10 * time.Millisecond
 	cfg.AdviseEvery = 25 * time.Millisecond
 	return cfg
 }
@@ -290,7 +288,6 @@ func TestHTTPShedDeterministic(t *testing.T) {
 func TestQueuedDeadlineCancel(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxConcurrent = 1
-	cfg.MaxTenantInflight = 1
 	s := newTestServer(t, cfg)
 	s.Start()
 	defer mustShutdown(t, s)
@@ -489,19 +486,15 @@ func TestDrainDeadlineAnswersQueuedWaiters(t *testing.T) {
 // directly: tier 2 sheds priority-0 work at admission while priority-1
 // work still runs, advising is paused, and recovery resumes it.
 func TestPrioritySheddingAndPauseResume(t *testing.T) {
-	cfg := testConfig()
-	cfg.TickEvery = time.Hour // keep the tick loop off Observe; the test drives it
-	cfg.TierUpTicks = 2
-	cfg.TierDownTicks = 2
-	s := newTestServer(t, cfg)
-	s.Start()
+	s := newTestServer(t, testConfig())
+	s.sched.start() // the workers without the tick loop: the test drives Observe
 	defer mustShutdown(t, s)
 	tn, err := s.CreateTenant(fastSpec("t1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < cfg.TierUpTicks; i++ {
+	for i := 0; i < tierUpTicks; i++ {
 		s.ov.Observe(1.0)
 	}
 	if got := s.Tier(); got != TierShedLowPriority {
@@ -526,7 +519,7 @@ func TestPrioritySheddingAndPauseResume(t *testing.T) {
 	}
 
 	// Recovery: tier steps down 2 → 1 → 0 and advising unpauses.
-	for i := 0; i < 2*cfg.TierDownTicks; i++ {
+	for i := 0; i < 2*tierDownTicks; i++ {
 		s.ov.Observe(0.0)
 	}
 	if got := s.Tier(); got != TierNormal {
