@@ -49,8 +49,15 @@ func saveFull(online, target *nn.Network, opt nn.Optimizer) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// loadFull decodes both networks and restores the Adam state into opt.
-func loadFull(data []byte, opt nn.Optimizer) (online, target *nn.Network, err error) {
+// loadFull decodes both networks of a full snapshot for a head whose
+// constructed online network is head, and restores the snapshot's Adam
+// state into opt only once every shape checks out: the head's own
+// input/output check (checkDims, which words the error for its action
+// space) first, then every layer of both networks and every Adam moment
+// against head. The training kernels index weights, moments and the target
+// by the online network's shapes, so a snapshot that disagreed anywhere
+// would otherwise panic on the first Train or SoftUpdate.
+func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, checkDims func(online *nn.Network) error) (online, target *nn.Network, err error) {
 	adam, ok := opt.(*nn.Adam)
 	if !ok {
 		return nil, nil, fmt.Errorf("dqn: full snapshots require the Adam optimizer (have %T)", opt)
@@ -66,9 +73,17 @@ func loadFull(data []byte, opt nn.Optimizer) (online, target *nn.Network, err er
 	if err := target.UnmarshalBinary(g.Target); err != nil {
 		return nil, nil, err
 	}
-	if online.InDim() != target.InDim() || online.OutDim() != target.OutDim() {
-		return nil, nil, fmt.Errorf("dqn: snapshot online %dx%d and target %dx%d networks disagree",
-			online.InDim(), online.OutDim(), target.InDim(), target.OutDim())
+	if err := checkDims(online); err != nil {
+		return nil, nil, err
+	}
+	if err := sameLayers("online", online, head); err != nil {
+		return nil, nil, err
+	}
+	if err := sameLayers("target", target, head); err != nil {
+		return nil, nil, err
+	}
+	if err := momentsFit(g.Opt, head); err != nil {
+		return nil, nil, err
 	}
 	if err := adam.SetState(g.Opt); err != nil {
 		return nil, nil, err
@@ -76,18 +91,58 @@ func loadFull(data []byte, opt nn.Optimizer) (online, target *nn.Network, err er
 	return online, target, nil
 }
 
+// sameLayers reports the first way net's layers differ from head's: their
+// count, a weight or bias shape, or an activation.
+func sameLayers(which string, net, head *nn.Network) error {
+	if len(net.Layers) != len(head.Layers) {
+		return fmt.Errorf("dqn: snapshot %s network has %d layers, the head has %d", which, len(net.Layers), len(head.Layers))
+	}
+	for i, l := range net.Layers {
+		h := head.Layers[i]
+		if l.W.Rows != h.W.Rows || l.W.Cols != h.W.Cols || l.B.Cols != h.B.Cols || l.Act != h.Act {
+			return fmt.Errorf("dqn: snapshot %s layer %d is %dx%d+%d (activation %d), the head's is %dx%d+%d (activation %d)",
+				which, i, l.W.Rows, l.W.Cols, l.B.Cols, l.Act, h.W.Rows, h.W.Cols, h.B.Cols, h.Act)
+		}
+	}
+	return nil
+}
+
+// momentsFit reports whether Adam moments are absent (an optimizer that
+// has not stepped yet) or one per parameter of head, layer by layer.
+func momentsFit(s nn.AdamState, head *nn.Network) error {
+	if len(s.MW) == 0 && len(s.VW) == 0 && len(s.MB) == 0 && len(s.VB) == 0 {
+		return nil
+	}
+	n := len(head.Layers)
+	if len(s.MW) != n || len(s.VW) != n || len(s.MB) != n || len(s.VB) != n {
+		return fmt.Errorf("dqn: snapshot Adam moments cover %d/%d/%d/%d layers, the head has %d",
+			len(s.MW), len(s.VW), len(s.MB), len(s.VB), n)
+	}
+	for i, l := range head.Layers {
+		w, b := len(l.W.Data), len(l.B.Data)
+		if len(s.MW[i]) != w || len(s.VW[i]) != w || len(s.MB[i]) != b || len(s.VB[i]) != b {
+			return fmt.Errorf("dqn: snapshot Adam moments of layer %d have %d/%d weights and %d/%d biases, the layer %d and %d",
+				i, len(s.MW[i]), len(s.VW[i]), len(s.MB[i]), len(s.VB[i]), w, b)
+		}
+	}
+	return nil
+}
+
 // SaveFull implements FullStater.
 func (q *MultiHeadQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
 
-// LoadFull implements FullStater with the same shape validation as Load.
+// LoadFull implements FullStater with the same shape validation as Load,
+// and checks the hidden layers and Adam moments too.
 func (q *MultiHeadQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.opt)
+	online, target, err := loadFull(data, q.online, q.opt, func(online *nn.Network) error {
+		if online.InDim() != q.online.InDim() || online.OutDim() != q.n {
+			return fmt.Errorf("dqn: snapshot shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
+				online.InDim(), online.OutDim(), q.online.InDim(), q.n)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	if online.InDim() != q.online.InDim() || online.OutDim() != q.n {
-		return fmt.Errorf("dqn: snapshot shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
-			online.InDim(), online.OutDim(), q.online.InDim(), q.n)
 	}
 	q.online, q.target = online, target
 	return nil
@@ -96,15 +151,18 @@ func (q *MultiHeadQ) LoadFull(data []byte) error {
 // SaveFull implements FullStater.
 func (q *ScalarQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
 
-// LoadFull implements FullStater with the same shape validation as Load.
+// LoadFull implements FullStater with the same shape validation as Load,
+// and checks the hidden layers and Adam moments too.
 func (q *ScalarQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.opt)
+	online, target, err := loadFull(data, q.online, q.opt, func(online *nn.Network) error {
+		if online.InDim() != q.online.InDim() || online.OutDim() != 1 {
+			return fmt.Errorf("dqn: snapshot shape %dx%d does not match scalar Q %dx1 (state dim + %d action features) — was it saved for a different schema or action space?",
+				online.InDim(), online.OutDim(), q.online.InDim(), len(q.feats[0]))
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	if online.InDim() != q.online.InDim() || online.OutDim() != 1 {
-		return fmt.Errorf("dqn: snapshot shape %dx%d does not match scalar Q %dx1 (state dim + %d action features) — was it saved for a different schema or action space?",
-			online.InDim(), online.OutDim(), q.online.InDim(), len(q.feats[0]))
 	}
 	q.online, q.target = online, target
 	return nil

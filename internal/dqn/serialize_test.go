@@ -1,9 +1,13 @@
 package dqn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"partadvisor/internal/nn"
 )
 
 // trainedAgent builds a small agent, fills its buffer and runs a few train
@@ -202,4 +206,115 @@ func TestScalarQFullRoundTrip(t *testing.T) {
 	if la, lb := src.Train(batch, 0.99), dst.Train(batch, 0.99); la != lb {
 		t.Fatalf("post-restore scalar training loss %v, want %v", lb, la)
 	}
+}
+
+// craftedFull re-encodes a trained head's full snapshot after edit changes
+// its decoded form.
+func craftedFull(t testing.TB, q *MultiHeadQ, edit func(g *qFullGob)) []byte {
+	t.Helper()
+	blob, err := q.SaveFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g qFullGob
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	edit(&g)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// trainedHead is a 4-8-3 multi-head Q after a few updates, so its Adam
+// moments are allocated and non-zero.
+func trainedHead(seed int64) (*MultiHeadQ, []Transition) {
+	q := NewMultiHeadQ(4, []int{8}, 3, 5e-4, rand.New(rand.NewSource(seed)))
+	batch := []Transition{
+		{State: []float64{1, 0, 0.5, 0}, Action: 1, Reward: 1, Next: []float64{0, 1, 0, 0}, NextValid: []int{0, 2}},
+		{State: []float64{0, 1, 0, 1}, Action: 2, Reward: -1, Next: []float64{1, 1, 0, 0}, NextValid: []int{1}},
+	}
+	for i := 0; i < 3; i++ {
+		q.Train(batch, 0.9)
+		q.SoftUpdate(0.1)
+	}
+	return q, batch
+}
+
+// badFullSnapshots are full snapshots whose input and output widths match a
+// trainedHead but which the training kernels cannot take. Before LoadFull
+// checked every layer and moment, it accepted both, and the next
+// SoftUpdate or Train panicked.
+func badFullSnapshots(t testing.TB) map[string][]byte {
+	t.Helper()
+	q, _ := trainedHead(21)
+	return map[string][]byte{
+		"target with other hidden layers": craftedFull(t, q, func(g *qFullGob) {
+			other := nn.NewNetwork([]int{4, 8, 8, 3}, rand.New(rand.NewSource(22)))
+			b, err := other.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Target = b
+		}),
+		"one-element Adam moments": craftedFull(t, q, func(g *qFullGob) {
+			for _, ms := range [][][]float64{g.Opt.MW, g.Opt.VW, g.Opt.MB, g.Opt.VB} {
+				for i := range ms {
+					ms[i] = ms[i][:1]
+				}
+			}
+		}),
+	}
+}
+
+// TestLoadFullRejectsWhatTheKernelsCannotTake: each bad snapshot is an
+// error, not a panic later, and a rejected load leaves the head's networks
+// and optimizer as they were.
+func TestLoadFullRejectsWhatTheKernelsCannotTake(t *testing.T) {
+	for name, blob := range badFullSnapshots(t) {
+		t.Run(name, func(t *testing.T) {
+			q, batch := trainedHead(23)
+			before, err := q.SaveFull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.LoadFull(blob); err == nil {
+				t.Fatal("LoadFull accepted the snapshot")
+			}
+			after, err := q.SaveFull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("a rejected LoadFull changed the head's state")
+			}
+			q.Train(batch, 0.9)
+			q.SoftUpdate(0.1)
+		})
+	}
+}
+
+// FuzzLoadFull: no bytes make LoadFull panic, and a head that accepted a
+// snapshot trains and soft-updates without panicking.
+func FuzzLoadFull(f *testing.F) {
+	q, _ := trainedHead(24)
+	valid, err := q.SaveFull()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	for _, blob := range badFullSnapshots(f) {
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, batch := trainedHead(25)
+		if err := q.LoadFull(data); err != nil {
+			return
+		}
+		q.Train(batch, 0.9)
+		q.SoftUpdate(0.1)
+	})
 }

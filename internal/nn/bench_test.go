@@ -126,3 +126,43 @@ func BenchmarkNetworkTrainBatch(b *testing.B) {
 		net.TrainBatch(opt, in, target, mask)
 	}
 }
+
+// tpcchNet is the net `advise_tpcch` trains: 83 inputs, the paper's 128-64
+// hidden layers, 70 actions.
+func tpcchNet() *Network {
+	net, _ := benchNet([]int{83, 128, 64, 70})
+	return net
+}
+
+// BenchmarkAdamStep: one Adam update of every parameter of the TPC-CH net
+// (23 558 of them), gradients held fixed.
+func BenchmarkAdamStep(b *testing.B) {
+	net := tpcchNet()
+	rng := rand.New(rand.NewSource(2))
+	for _, l := range net.Layers {
+		for i := range l.gradW.Data {
+			l.gradW.Data[i] = rng.NormFloat64() * 1e-2
+		}
+		for i := range l.gradB.Data {
+			l.gradB.Data[i] = rng.NormFloat64() * 1e-2
+		}
+	}
+	opt := NewAdam(5e-4)
+	opt.Step(net) // allocates the moments
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(net)
+	}
+}
+
+// BenchmarkSoftUpdate: the target network's τ = 1e-3 blend at the TPC-CH
+// shape, once per DQN update.
+func BenchmarkSoftUpdate(b *testing.B) {
+	target, online := tpcchNet(), tpcchNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		target.SoftUpdateFrom(online, 1e-3)
+	}
+}

@@ -42,8 +42,11 @@ func wantSameBits(t *testing.T, what string, got, want []float64) {
 
 // TestKernelsKeepReferenceOrder pins the summation order of the blocked
 // kernels to the one-accumulator, ascending-index loops they replaced, on
-// shapes that straddle the kTile and four-row block boundaries.
-func TestKernelsKeepReferenceOrder(t *testing.T) {
+// shapes that straddle the kTile and four-row block boundaries, on both
+// kernel paths.
+func TestKernelsKeepReferenceOrder(t *testing.T) { onPath(t, kernelsKeepReferenceOrder) }
+
+func kernelsKeepReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, rows := range []int{1, 3, 32, kTile + 6} {
 		for _, inner := range []int{1, 5, kTile, kTile + 1, 2*kTile + 2} {

@@ -28,6 +28,8 @@ type Dense struct {
 	// inference (batch 1) passes don't reallocate on every call
 	in, preAct, out *Matrix
 	scratch         map[int]*denseScratch
+	// wT is Wᵀ, refreshed by every backward pass that computes dL/d(in)
+	wT *Matrix
 	// gradients
 	gradW, gradB *Matrix
 }
@@ -113,7 +115,12 @@ func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
 	sc := d.backwardScratch(gradOut.Rows)
 	delta := sc.delta
 	gradIn := sc.gradIn
-	if !wantGradIn {
+	if wantGradIn {
+		if d.wT == nil {
+			d.wT = NewMatrix(d.W.Cols, d.W.Rows)
+		}
+		transposeTo(d.wT, d.W)
+	} else {
 		gradIn = nil
 	}
 	// Rows are independent, so the activation derivative and the delta
@@ -139,7 +146,8 @@ func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
 }
 
 // deltaRows fills rows [lo, hi) of delta — gradOut with the activation
-// derivative applied — and, unless gradIn is nil, of gradIn = delta × Wᵀ.
+// derivative applied — and, unless gradIn is nil, of gradIn = delta × Wᵀ,
+// the product of delta and d.wT (which the caller refreshed).
 func (d *Dense) deltaRows(delta, gradIn, gradOut *Matrix, lo, hi int) {
 	dl := delta.Data[lo*delta.Cols : hi*delta.Cols]
 	copy(dl, gradOut.Data[lo*delta.Cols:hi*delta.Cols])
@@ -151,7 +159,7 @@ func (d *Dense) deltaRows(delta, gradIn, gradOut *Matrix, lo, hi int) {
 		}
 	}
 	if gradIn != nil {
-		matMulABTRows(gradIn, delta, d.W, lo, hi)
+		matMulRows(gradIn, delta, d.wT, lo, hi)
 	}
 }
 
@@ -431,13 +439,8 @@ func (n *Network) SoftUpdateFrom(src *Network, tau float64) {
 		panic("nn: SoftUpdateFrom layer count mismatch")
 	}
 	for li, l := range n.Layers {
-		s := src.Layers[li]
-		for i := range l.W.Data {
-			l.W.Data[i] = (1-tau)*l.W.Data[i] + tau*s.W.Data[i]
-		}
-		for i := range l.B.Data {
-			l.B.Data[i] = (1-tau)*l.B.Data[i] + tau*s.B.Data[i]
-		}
+		softUpdate(l.W.Data, src.Layers[li].W.Data, tau)
+		softUpdate(l.B.Data, src.Layers[li].B.Data, tau)
 	}
 }
 
@@ -474,22 +477,25 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return err
 	}
-	if len(g.Dims) < 2 || len(g.W) != len(g.Dims)-1 {
+	layers := len(g.Dims) - 1
+	if layers < 1 || len(g.W) != layers || len(g.B) != layers || len(g.Acts) != layers {
 		return fmt.Errorf("nn: corrupt network encoding")
 	}
 	n.Layers = nil
-	for i := 0; i < len(g.Dims)-1; i++ {
-		l := &Dense{
-			W:     &Matrix{Rows: g.Dims[i], Cols: g.Dims[i+1], Data: g.W[i]},
-			B:     &Matrix{Rows: 1, Cols: g.Dims[i+1], Data: g.B[i]},
-			Act:   g.Acts[i],
-			gradW: NewMatrix(g.Dims[i], g.Dims[i+1]),
-			gradB: NewMatrix(1, g.Dims[i+1]),
-		}
-		if len(l.W.Data) != l.W.Rows*l.W.Cols || len(l.B.Data) != l.B.Cols {
+	for i := 0; i < layers; i++ {
+		rows, cols := g.Dims[i], g.Dims[i+1]
+		// Data lengths are checked by division: rows·cols may overflow.
+		if rows <= 0 || cols <= 0 || len(g.W[i])%cols != 0 || len(g.W[i])/cols != rows ||
+			len(g.B[i]) != cols || (g.Acts[i] != ReLU && g.Acts[i] != Linear) {
 			return fmt.Errorf("nn: corrupt layer %d encoding", i)
 		}
-		n.Layers = append(n.Layers, l)
+		n.Layers = append(n.Layers, &Dense{
+			W:     &Matrix{Rows: rows, Cols: cols, Data: g.W[i]},
+			B:     &Matrix{Rows: 1, Cols: cols, Data: g.B[i]},
+			Act:   g.Acts[i],
+			gradW: NewMatrix(rows, cols),
+			gradB: NewMatrix(1, cols),
+		})
 	}
 	return nil
 }

@@ -61,21 +61,16 @@ func (o *Adam) Step(n *Network) {
 		}
 	}
 	o.t++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := adamConsts{
+		beta1: o.Beta1, oneMinusBeta1: 1 - o.Beta1,
+		beta2: o.Beta2, oneMinusBeta2: 1 - o.Beta2,
+		c1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		c2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr: o.LR, eps: o.Epsilon,
+	}
 	for li, l := range n.Layers {
-		update := func(param, grad, m, v []float64) {
-			for i := range param {
-				g := grad[i]
-				m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-				v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-				mHat := m[i] / c1
-				vHat := v[i] / c2
-				param[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
-			}
-		}
-		update(l.W.Data, l.gradW.Data, o.mW[li].Data, o.vW[li].Data)
-		update(l.B.Data, l.gradB.Data, o.mB[li].Data, o.vB[li].Data)
+		c.update(l.W.Data, l.gradW.Data, o.mW[li].Data, o.vW[li].Data)
+		c.update(l.B.Data, l.gradB.Data, o.mB[li].Data, o.vB[li].Data)
 	}
 }
 

@@ -22,8 +22,9 @@ const (
 	// wake and a wg.Wait (tens of µs, and 9 % of a profiled training run
 	// when the bar was 16 K), so the bar sits above every batch-32 kernel
 	// of the paper's 128-64 net — the largest, 32 × 83 inputs × 128 units,
-	// is 340 K multiply-adds, ~100 µs — and below the ~1 000-row batches
-	// of ScalarQ (≥ 10 M). Placement never changes a result bit.
+	// is 340 K multiply-adds, ~45 µs dense on the AVX kernel (~170 µs on
+	// the portable loop; 2-vCPU AVX2 Xeon) — and below the ~1 000-row
+	// batches of ScalarQ (≥ 10 M). Placement never changes a result bit.
 	minParFlops = 1 << 20
 	// minBlockRows is the smallest row block handed to one worker.
 	minBlockRows = 4
