@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"partadvisor/internal/baselines"
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/costmodel"
@@ -60,12 +61,18 @@ type (
 	Space = partition.Space
 	// Partitioning is one complete physical design.
 	Partitioning = partition.State
+	// Action is one step through the design space; Space.Apply takes it.
+	Action = partition.Action
 	// Relation is columnar table data.
 	Relation = relation.Relation
 	// Catalog holds table statistics.
 	Catalog = stats.Catalog
 	// Engine is the distributed execution engine.
 	Engine = exec.Engine
+	// Request is one batch of queries for Engine.Exec.
+	Request = exec.Request
+	// BatchQuery is one query of a Request.
+	BatchQuery = exec.BatchQuery
 	// HardwareProfile describes a cluster deployment.
 	HardwareProfile = hardware.Profile
 	// CostModel is the network-centric cost model of the offline phase.
@@ -103,6 +110,12 @@ type (
 	Checkpoint = core.Checkpoint
 )
 
+// The action kinds that build a design by hand.
+const (
+	ActPartition = partition.ActPartition
+	ActReplicate = partition.ActReplicate
+)
+
 // NewFaultInjector validates a fault schedule and builds its injector; arm
 // it with Engine.SetFaults.
 func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) { return faults.New(cfg) }
@@ -123,6 +136,30 @@ func NewForecaster(size int, alpha float64, trend bool) (*Forecaster, error) {
 
 // NewMonitor builds a workload monitor over a workload's query set.
 func NewMonitor(wl *Workload) *Monitor { return workload.NewMonitor(wl) }
+
+// EstimateMoveCost prices moving the engine from current to a target design
+// without deploying it: the move cost a RepartitionPlanner weighs.
+func EstimateMoveCost(e *Engine, current *Partitioning) func(*Partitioning) float64 {
+	return core.EstimateMoveCost(e, current)
+}
+
+// StarHeuristicA is the DBA heuristic that co-partitions each fact table
+// with its most frequently joined dimension and replicates the rest.
+func StarHeuristicA(sp *Space, wl *Workload, cat *Catalog) *Partitioning {
+	return baselines.StarHeuristicA(sp, wl, cat)
+}
+
+// StarHeuristicB co-partitions each fact table with the largest dimension it
+// joins and replicates the rest.
+func StarHeuristicB(sp *Space, wl *Workload, cat *Catalog) *Partitioning {
+	return baselines.StarHeuristicB(sp, wl, cat)
+}
+
+// MinOptimizer hill-climbs the design space on the engine's optimizer
+// estimates; ok is false when the engine exposes none.
+func MinOptimizer(sp *Space, wl *Workload, freq FreqVector, e *Engine, seeds []*Partitioning, maxSteps int) (*Partitioning, bool) {
+	return baselines.MinOptimizer(sp, wl, freq, e, seeds, maxSteps)
+}
 
 // Built-in benchmarks.
 func SSB() *Benchmark   { return benchmarks.SSB() }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"partadvisor/internal/costmodel"
 )
 
 // largestTable names the deployment's largest base table (first in schema
@@ -19,8 +21,8 @@ func largestTable(d *Deployment) string {
 	return best
 }
 
-// TestDeploymentCatalogConcurrentWithBulkLoad prices cold plans on the
-// deployment's cost model while the engine bulk-loads into its true
+// TestDeploymentCatalogConcurrentWithBulkLoad prices cold plans over the
+// deployment's model catalog while the engine bulk-loads into its true
 // catalog. The model reads a snapshot of the catalog, so the race detector
 // has nothing to report.
 func TestDeploymentCatalogConcurrentWithBulkLoad(t *testing.T) {
@@ -36,8 +38,8 @@ func TestDeploymentCatalogConcurrentWithBulkLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			d.Cost.ResetCache()
-			if c := d.Cost.WorkloadCost(st, wl, freq); !(c > 0) || math.IsInf(c, 0) {
+			cold := costmodel.New(d.Cost.Cat, d.Cost.HW)
+			if c := cold.WorkloadCost(st, wl, freq); !(c > 0) || math.IsInf(c, 0) {
 				t.Errorf("workload cost %v", c)
 				return
 			}
@@ -56,24 +58,36 @@ func TestDeploymentCatalogConcurrentWithBulkLoad(t *testing.T) {
 }
 
 // TestDeploymentCatalogSnapshotAfterBulkLoad checks that the offline model
-// prices the deployment it was built for: a bulk load changes the engine's
-// true statistics but not what a design costs.
+// prices the deployment it was built for: a bulk load followed by ANALYZE
+// changes the engine's statistics but not what a design costs, whether a
+// fresh model prices it cold over the deployment's catalog, the memoized
+// model answers, or the offline cost cache does. Neither memo needs a reset.
 func TestDeploymentCatalogSnapshotAfterBulkLoad(t *testing.T) {
 	d := NewDeployment(Micro(), MemoryCluster(), 0.2, 1)
 	wl := d.Bench.Workload
 	freq := wl.UniformFreq()
 	st := d.Space.InitialState()
-	before := d.Cost.WorkloadCost(st, wl, freq)
+	offline := d.OfflineCost()
+	before := offline(st, freq)
 	big := largestTable(d)
 	rowsBefore := d.Engine.TrueCatalog().Rows(big)
 	if err := d.Engine.BulkLoad(big, d.Data()[big]); err != nil {
 		t.Fatal(err)
 	}
+	d.Engine.Analyze()
 	if d.Engine.TrueCatalog().Rows(big) == rowsBefore {
 		t.Fatalf("bulk load left %s at %d rows; the test would pin nothing", big, rowsBefore)
 	}
-	d.Cost.ResetCache()
-	if after := d.Cost.WorkloadCost(st, wl, freq); math.Float64bits(after) != math.Float64bits(before) {
-		t.Fatalf("design cost moved after a bulk load: %v -> %v", before, after)
+	for _, c := range []struct {
+		name string
+		cost float64
+	}{
+		{"cold model", costmodel.New(d.Cost.Cat, d.Cost.HW).WorkloadCost(st, wl, freq)},
+		{"memoized model", d.Cost.WorkloadCost(st, wl, freq)},
+		{"offline cost cache", offline(st, freq)},
+	} {
+		if math.Float64bits(c.cost) != math.Float64bits(before) {
+			t.Errorf("%s: design cost moved after a bulk load and ANALYZE: %v -> %v", c.name, before, c.cost)
+		}
 	}
 }

@@ -65,7 +65,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		freqSpec   = flag.String("freq", "", "workload mix, e.g. q1=2,q2=0.5 (unnamed queries get 1)")
 		savePath   = flag.String("save", "", "save the trained Q-network to this file")
-		loadPath   = flag.String("load", "", "load a Q-network instead of offline training")
+		loadPath   = flag.String("load", "", "load a Q-network instead of offline training (under the -profile it was saved with: the hidden layers must match)")
 		ckptPath   = flag.String("checkpoint", "", "write crash-safe training checkpoints to this file")
 		ckptEvery  = flag.Int("checkpoint-every", 10, "offline episodes between checkpoints")
 		resume     = flag.Bool("resume", false, "resume training from the -checkpoint file")

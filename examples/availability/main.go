@@ -12,8 +12,6 @@ import (
 	"log"
 
 	"partadvisor/advisor"
-	"partadvisor/internal/exec"
-	"partadvisor/internal/partition"
 )
 
 func main() {
@@ -33,7 +31,7 @@ func main() {
 	// lose data.
 	replAll := sess.Space.InitialState()
 	for ti := range sess.Space.Tables {
-		replAll = sess.Space.Apply(replAll, partition.Action{Kind: partition.ActReplicate, Table: ti})
+		replAll = sess.Space.Apply(replAll, advisor.Action{Kind: advisor.ActReplicate, Table: ti})
 	}
 
 	// Crash schedule: node 1 is down for the middle half of every period.
@@ -68,7 +66,7 @@ func measure(sess *advisor.Session, name string, st *advisor.Partitioning, inj *
 			issued++
 			// One query per request, so each sees the clock the previous ones
 			// advanced and a round sweeps across the crash phases.
-			rep := e.Exec(context.Background(), exec.Request{Queries: []exec.BatchQuery{{Graph: q.Graph}}})
+			rep := e.Exec(context.Background(), advisor.Request{Queries: []advisor.BatchQuery{{Graph: q.Graph}}})
 			if rep.Errs[0] == nil {
 				ok++
 			}

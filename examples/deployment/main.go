@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"partadvisor/advisor"
-	"partadvisor/internal/partition"
 )
 
 func main() {
@@ -40,10 +39,10 @@ func main() {
 func design(sp *advisor.Space, replicateB bool) *advisor.Partitioning {
 	st := sp.InitialState()
 	aIdx := sp.TableIndex("a")
-	ki := sp.Tables[aIdx].KeyIndex(partition.Key{"a_c"})
-	st = sp.Apply(st, partition.Action{Kind: partition.ActPartition, Table: aIdx, Key: ki})
+	ki := sp.Tables[aIdx].KeyIndex([]string{"a_c"})
+	st = sp.Apply(st, advisor.Action{Kind: advisor.ActPartition, Table: aIdx, Key: ki})
 	if replicateB {
-		st = sp.Apply(st, partition.Action{Kind: partition.ActReplicate, Table: sp.TableIndex("b")})
+		st = sp.Apply(st, advisor.Action{Kind: advisor.ActReplicate, Table: sp.TableIndex("b")})
 	}
 	return st
 }

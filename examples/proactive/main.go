@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"partadvisor/advisor"
-	"partadvisor/internal/core"
 )
 
 func main() {
@@ -49,7 +48,7 @@ func main() {
 	cost := s.OfflineCost()
 	planner := advisor.RepartitionPlanner{Horizon: 500, Margin: 1.2}
 	decision, err := planner.Decide(s.Advisor, forecast, current, cost,
-		core.EstimateMoveCost(s.Engine, current))
+		advisor.EstimateMoveCost(s.Engine, current))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"partadvisor/advisor"
-	"partadvisor/internal/baselines"
 )
 
 func main() {
@@ -23,10 +22,10 @@ func main() {
 	}
 
 	cat := sess.Engine.TrueCatalog()
-	measure("Heuristic (a)", baselines.StarHeuristicA(space, wl, cat))
-	measure("Heuristic (b)", baselines.StarHeuristicB(space, wl, cat))
+	measure("Heuristic (a)", advisor.StarHeuristicA(space, wl, cat))
+	measure("Heuristic (b)", advisor.StarHeuristicB(space, wl, cat))
 
-	if mo, ok := baselines.MinOptimizer(space, wl, wl.UniformFreq(),
+	if mo, ok := advisor.MinOptimizer(space, wl, wl.UniformFreq(),
 		sess.Engine, nil, 2*len(space.Tables)); ok {
 		measure("Minimum Optimizer", mo)
 	}

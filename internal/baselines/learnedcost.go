@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"math"
 	"math/rand"
 
 	"partadvisor/internal/costmodel"
@@ -195,13 +194,4 @@ func (m *LearnedCostModel) TrainOnline(measure func(*partition.State, workload.F
 // inference: minimize the learned cost model).
 func (m *LearnedCostModel) Suggest(freq workload.FreqVector) *partition.State {
 	return m.Minimize(freq, 2*len(m.sp.Tables), false)
-}
-
-// SampleCount reports the accumulated training-set size (diagnostics).
-func (m *LearnedCostModel) SampleCount() int { return len(m.inputs) }
-
-// normalizedGap is a test helper: relative prediction error on a labeled
-// example.
-func normalizedGap(pred, label float64) float64 {
-	return math.Abs(pred-label) / math.Max(math.Abs(label), 1e-9)
 }

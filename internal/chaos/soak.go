@@ -528,36 +528,3 @@ func runSkew(scale float64, seed int64, faulty bool) (Outcome, []string, error) 
 	out.Design = cur.Signature()
 	return out, vio, nil
 }
-
-// PermanentLossAdaptation trains the same-seeded advisor twice — once on a
-// fault-free cluster, once under a schedule whose only fault is a node
-// lost forever early in the online phase — and returns both suggested
-// designs' signatures. Calling it twice with the same seed returns the
-// identical pair: the adaptation is reproducible, not luck.
-func PermanentLossAdaptation(seed int64, scale float64) (faultFree, faulted string, err error) {
-	if scale <= 0 {
-		scale = 0.2
-	}
-	suggest := func(lostNode int) (string, error) {
-		dep := advisor.NewDeployment(advisor.Micro(), advisor.MemoryCluster(), scale, seed)
-		if lostNode >= 0 {
-			inj := faults.MustNew(faults.Config{Crashes: []faults.NodeCrash{
-				{Node: lostNode, Window: faults.Window{Start: 1e-9, End: math.Inf(1)}},
-			}})
-			dep.Engine.SetFaults(inj)
-			dep.Engine.SetSelfHeal(true)
-		}
-		st, _, err := soakAdvisor(dep, seed, nil)
-		if err != nil {
-			return "", err
-		}
-		return st.Signature(), nil
-	}
-	if faultFree, err = suggest(-1); err != nil {
-		return "", "", err
-	}
-	if faulted, err = suggest(1); err != nil {
-		return "", "", err
-	}
-	return faultFree, faulted, nil
-}

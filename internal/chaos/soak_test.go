@@ -104,24 +104,3 @@ func TestUnknownRegimeIsAnError(t *testing.T) {
 		}
 	}
 }
-
-// TestPermanentLossChangesDesign: after a permanent node loss the online
-// agent must settle on a different design than the fault-free run — and
-// reproducibly so under a fixed seed.
-func TestPermanentLossChangesDesign(t *testing.T) {
-	free1, lost1, err := PermanentLossAdaptation(5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free1 == lost1 {
-		t.Fatalf("permanent node loss did not change the suggested design (%s)", lost1)
-	}
-	free2, lost2, err := PermanentLossAdaptation(5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free1 != free2 || lost1 != lost2 {
-		t.Fatalf("adaptation not reproducible under fixed seed:\n fault-free %s vs %s\n faulted %s vs %s",
-			free1, free2, lost1, lost2)
-	}
-}

@@ -8,7 +8,6 @@ package cluster
 import (
 	"container/list"
 	"fmt"
-	"sort"
 	"strings"
 
 	"partadvisor/internal/relation"
@@ -611,19 +610,6 @@ func (c *Cluster) RowsOn(name string, node int) int {
 	return t.shards[node].Rows()
 }
 
-// TablesWithDataOn returns the sorted names of tables with at least one
-// row stored on the node — the data at risk when that node goes down.
-func (c *Cluster) TablesWithDataOn(node int) []string {
-	var out []string
-	for name := range c.tables {
-		if c.RowsOn(name, node) > 0 {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Available reports whether the named table remains fully readable when
 // the given nodes are down: a replicated table needs any one live node,
 // while a partitioned table needs every node holding a non-empty shard.
@@ -643,21 +629,4 @@ func (c *Cluster) Available(name string, down func(node int) bool) bool {
 		}
 	}
 	return true
-}
-
-// ShardRows returns the per-node row counts of a table (full count repeated
-// when replicated) — useful for skew diagnostics and tests.
-func (c *Cluster) ShardRows(name string) []int {
-	t := c.mustTable(name)
-	out := make([]int, c.n)
-	if t.design.Replicated {
-		for i := range out {
-			out[i] = t.replica.Rows()
-		}
-		return out
-	}
-	for i, s := range t.shards {
-		out[i] = s.Rows()
-	}
-	return out
 }

@@ -132,29 +132,3 @@ func (c *Committee) Suggest(freq workload.FreqVector) (*partition.State, float64
 	}
 	return c.Experts[c.Assign(freq)].Suggest(freq)
 }
-
-// SaveModels serializes every expert's Q-network (index-aligned with Refs).
-func (c *Committee) SaveModels() ([][]byte, error) {
-	out := make([][]byte, len(c.Experts))
-	for i, e := range c.Experts {
-		blob, err := e.SaveModel()
-		if err != nil {
-			return nil, fmt.Errorf("core: committee expert %d: %w", i, err)
-		}
-		out[i] = blob
-	}
-	return out, nil
-}
-
-// LoadModels restores expert Q-networks previously saved with SaveModels.
-func (c *Committee) LoadModels(blobs [][]byte) error {
-	if len(blobs) != len(c.Experts) {
-		return fmt.Errorf("core: committee has %d experts, got %d models", len(c.Experts), len(blobs))
-	}
-	for i, blob := range blobs {
-		if err := c.Experts[i].LoadModel(blob); err != nil {
-			return fmt.Errorf("core: committee expert %d: %w", i, err)
-		}
-	}
-	return nil
-}

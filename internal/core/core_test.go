@@ -165,9 +165,6 @@ func TestOnlineCostCaching(t *testing.T) {
 	if oc.Stats.CacheHits == 0 {
 		t.Fatalf("no cache hits recorded")
 	}
-	if oc.CacheSize() == 0 {
-		t.Fatalf("cache empty")
-	}
 	// Zero-frequency queries cost nothing and are not executed.
 	oc2 := NewOnlineCost(e, b.Workload, nil)
 	zero := make(workload.FreqVector, b.Workload.Size())
@@ -425,39 +422,6 @@ func TestSaveLoadModel(t *testing.T) {
 	st2, _, _ := clone.Suggest(freq)
 	if st1.Signature() != st2.Signature() {
 		t.Fatalf("loaded model suggests differently: %s vs %s", st1, st2)
-	}
-}
-
-func TestCommitteeModelPersistence(t *testing.T) {
-	b, sp, cm := microFixture(t)
-	hp := Test()
-	hp.Episodes = 30
-	naive, _ := New(sp, b.Workload, hp, 19)
-	cost := offlineCost(cm, b.Workload)
-	if err := naive.TrainOffline(cost, nil); err != nil {
-		t.Fatal(err)
-	}
-	naive.HP.Episodes = 20 // experts train for half the naive advisor's episodes
-	c, err := BuildCommittee(naive, cost, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs, err := c.SaveModels()
-	if err != nil || len(blobs) != len(c.Experts) {
-		t.Fatalf("SaveModels: %v (%d blobs)", err, len(blobs))
-	}
-	freq := b.Workload.UniformFreq()
-	before, _, _ := c.Suggest(freq)
-	// Corrupt, then restore.
-	if err := c.LoadModels(blobs); err != nil {
-		t.Fatalf("LoadModels: %v", err)
-	}
-	after, _, _ := c.Suggest(freq)
-	if before.Signature() != after.Signature() {
-		t.Fatalf("round trip changed committee suggestion")
-	}
-	if err := c.LoadModels(blobs[:0]); err == nil {
-		t.Fatalf("LoadModels accepted wrong count")
 	}
 }
 

@@ -160,19 +160,3 @@ func MitigateHotShard(oc *OnlineCost, current *partition.State, freq workload.Fr
 	oc.Stats.RepartitionSeconds += oc.Engine.Deploy(best, nil)
 	return best, bestCost, improved
 }
-
-// DecideAhead is the proactive-repartitioning hook of §9: it runs the
-// cost–benefit analysis of Decide against the forecaster's predicted mix
-// `steps` monitoring windows ahead, so a layout move can complete before the
-// spike it serves arrives. Before the forecaster has seen any mix the
-// decision is a non-move (a zero forecast suggests nothing).
-func (p RepartitionPlanner) DecideAhead(a *Advisor, f *workload.Forecaster, steps int,
-	current *partition.State,
-	cost func(*partition.State, workload.FreqVector) float64,
-	moveCost func(target *partition.State) float64) (RepartitionDecision, error) {
-
-	if f.Observations() == 0 {
-		return RepartitionDecision{Target: current, BreakEven: 0}, nil
-	}
-	return p.Decide(a, f.Forecast(steps), current, cost, moveCost)
-}

@@ -224,49 +224,6 @@ func TestProposeMitigationsOrderAndValidity(t *testing.T) {
 	}
 }
 
-func TestDecideAheadUsesForecast(t *testing.T) {
-	a, sp, cost := plannerFixture(t)
-	current := sp.InitialState()
-	move := func(*partition.State) float64 { return 0.001 }
-	p := RepartitionPlanner{Horizon: 1e9, Margin: 1}
-
-	size := len(a.WL.UniformFreq())
-	f, err := workload.NewForecaster(size, 0.5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before any observation: explicit non-move, never a nil target.
-	d0, err := p.DecideAhead(a, f, 3, current, cost, move)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0.Apply || d0.Target != current {
-		t.Fatalf("unobserved forecaster decided to move: %+v", d0)
-	}
-
-	mix := make(workload.FreqVector, size)
-	for i := range mix {
-		mix[i] = 1
-	}
-	for w := 0; w < 3; w++ {
-		if err := f.Observe(mix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ahead, err := p.DecideAhead(a, f, 2, current, cost, move)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := p.Decide(a, f.Forecast(2), current, cost, move)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ahead.Apply != direct.Apply || ahead.CurrentCost != direct.CurrentCost ||
-		ahead.TargetCost != direct.TargetCost || !ahead.Target.Equal(direct.Target) {
-		t.Fatalf("DecideAhead %+v != Decide-on-forecast %+v", ahead, direct)
-	}
-}
-
 // Satellite coverage for DriftDetector edges: a single observation only
 // seeds the baseline, perfectly constant costs (including zero) never
 // trigger, and the baseline is frozen during a violation streak so a

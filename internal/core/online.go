@@ -213,15 +213,6 @@ func (oc *OnlineCost) scaleOf(i int) float64 {
 	return oc.Scale[i]
 }
 
-// CacheSize returns the number of cached (query, table-design) runtimes.
-func (oc *OnlineCost) CacheSize() int {
-	n := 0
-	for _, m := range oc.cache {
-		n += len(m)
-	}
-	return n
-}
-
 // regressedFactor classifies a measurement pass as "time spent in a
 // regressed layout" when its final cost exceeds this multiple of the
 // then-best-known cost of the mix (OnlineStats.RegressedSeconds).

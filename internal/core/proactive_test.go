@@ -188,9 +188,6 @@ func TestForecasterIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Observations() != 4 {
-		t.Fatalf("Observations = %d", f.Observations())
-	}
 	fc := f.Forecast(1)
 	if fc[1] <= fc[0] {
 		t.Fatalf("forecast did not extrapolate the shift: %v", fc)

@@ -29,10 +29,10 @@ import (
 //
 // Per query it keeps, under mu, a plan skeleton — everything about planning
 // the query that depends on the catalog and not on the design — and a memo
-// of the costs already priced. The skeleton caches numbers derived from
-// Cat, so the catalog must not change under a model without a ResetCache;
-// a model over statistics that keep changing (an engine's true catalog)
-// should be built over a Clone of them. Pricing a design is a pure function
+// of the costs already priced. Neither is ever dropped: the skeleton caches
+// numbers derived from Cat, so the catalog must not change under a model,
+// and a model over statistics that keep changing (an engine's true catalog)
+// is built over a Clone of them. Pricing a design is a pure function
 // of the skeleton, the design and the hardware profile: two goroutines
 // racing on the same uncached (design, query) compute the identical cost,
 // so which one's store wins is unobservable.
@@ -56,14 +56,6 @@ type queryMemo struct {
 // New returns a model over the given catalog and hardware profile.
 func New(cat *stats.Catalog, hw hardware.Profile) *Model {
 	return &Model{Cat: cat, HW: hw, cache: make(map[*sqlparse.Graph]*queryMemo)}
-}
-
-// ResetCache drops memoized costs and plan skeletons. Call after the
-// catalog changes, and not concurrently with pricing.
-func (m *Model) ResetCache() {
-	m.mu.Lock()
-	m.cache = make(map[*sqlparse.Graph]*queryMemo)
-	m.mu.Unlock()
 }
 
 // QueryCost estimates the runtime of one query under the partitioning

@@ -258,10 +258,9 @@ func TestQueryCostCaching(t *testing.T) {
 	if c3 := m.QueryCost(st2, g); c3 != c1 {
 		t.Fatalf("design of untouched table changed cost: %v vs %v", c3, c1)
 	}
-	// Catalog change + ResetCache changes the estimate.
+	// A model over the changed catalog changes the estimate.
 	m.Cat.Tables["fact"].Rows *= 10
-	m.ResetCache()
-	if c4 := m.QueryCost(st, g); c4 <= c1 {
+	if c4 := New(m.Cat, m.HW).QueryCost(st, g); c4 <= c1 {
 		t.Fatalf("10x rows should cost more: %v <= %v", c4, c1)
 	}
 }

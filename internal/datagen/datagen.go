@@ -36,15 +36,6 @@ func (g *Gen) Seq(n int) []int64 {
 	return out
 }
 
-// SeqFrom returns start, start+1, ..., start+n-1.
-func (g *Gen) SeqFrom(n int, start int64) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = start + int64(i)
-	}
-	return out
-}
-
 // Uniform returns n values uniform in [0, max).
 func (g *Gen) Uniform(n int, max int64) []int64 {
 	out := make([]int64, n)
@@ -68,35 +59,6 @@ func (g *Gen) FK(n int, refKeys []int64) []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = refKeys[g.rng.Intn(len(refKeys))]
-	}
-	return out
-}
-
-// FKZipf returns n foreign-key values drawn from refKeys with a Zipfian
-// (skewed) distribution of exponent s > 1. Two argument regimes would make
-// rand.NewZipf unusable and must be caught here: an empty refKeys underflows
-// uint64(len-1) to 2^64-1, and s <= 1 makes NewZipf return nil (its draw
-// would then panic with an opaque nil dereference deep in math/rand). Both
-// are caller bugs, so they panic with a message naming the bad argument.
-// A single ref key degenerates to a constant column without touching NewZipf
-// (imax = 0 is rejected by some Go versions' parameter checks).
-func (g *Gen) FKZipf(n int, refKeys []int64, s float64) []int64 {
-	if len(refKeys) == 0 {
-		panic("datagen: FKZipf with empty refKeys")
-	}
-	if s <= 1 {
-		panic("datagen: FKZipf exponent s must be > 1")
-	}
-	out := make([]int64, n)
-	if len(refKeys) == 1 {
-		for i := range out {
-			out[i] = refKeys[0]
-		}
-		return out
-	}
-	z := rand.NewZipf(g.rng, s, 1, uint64(len(refKeys)-1))
-	for i := range out {
-		out[i] = refKeys[z.Uint64()]
 	}
 	return out
 }

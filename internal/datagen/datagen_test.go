@@ -13,10 +13,6 @@ func TestSeqAndSeqFrom(t *testing.T) {
 	if len(s) != 5 || s[0] != 0 || s[4] != 4 {
 		t.Fatalf("Seq = %v", s)
 	}
-	s2 := g.SeqFrom(3, 10)
-	if s2[0] != 10 || s2[2] != 12 {
-		t.Fatalf("SeqFrom = %v", s2)
-	}
 }
 
 func TestUniformBounds(t *testing.T) {
@@ -45,94 +41,6 @@ func TestFKDrawsFromRefs(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("FK never drew all refs: %v", seen)
-	}
-}
-
-func TestFKZipfSkews(t *testing.T) {
-	g := New(4)
-	refs := make([]int64, 100)
-	for i := range refs {
-		refs[i] = int64(i)
-	}
-	counts := map[int64]int{}
-	for _, v := range g.FKZipf(10000, refs, 1.5) {
-		counts[v]++
-	}
-	if counts[0] < counts[50]*2 {
-		t.Fatalf("Zipf not skewed: head %d vs mid %d", counts[0], counts[50])
-	}
-}
-
-func TestFKZipfValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		refs    []int64
-		s       float64
-		wantErr string // substring of the expected panic, "" = no panic
-	}{
-		{"empty refs", nil, 1.5, "empty refKeys"},
-		{"empty non-nil refs", []int64{}, 1.5, "empty refKeys"},
-		{"s exactly 1", []int64{1, 2}, 1.0, "must be > 1"},
-		{"s below 1", []int64{1, 2}, 0.5, "must be > 1"},
-		{"s zero", []int64{1, 2}, 0, "must be > 1"},
-		{"s negative", []int64{1, 2}, -2, "must be > 1"},
-		{"single ref", []int64{42}, 1.5, ""},
-		{"valid", []int64{1, 2, 3}, 1.5, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := New(11)
-			defer func() {
-				r := recover()
-				if tc.wantErr == "" {
-					if r != nil {
-						t.Fatalf("unexpected panic: %v", r)
-					}
-					return
-				}
-				msg, ok := r.(string)
-				if !ok {
-					t.Fatalf("expected panic containing %q, got %v", tc.wantErr, r)
-				}
-				if !contains(msg, tc.wantErr) {
-					t.Fatalf("panic %q does not mention %q", msg, tc.wantErr)
-				}
-			}()
-			out := g.FKZipf(50, tc.refs, tc.s)
-			if len(out) != 50 {
-				t.Fatalf("len = %d", len(out))
-			}
-			for _, v := range out {
-				found := false
-				for _, ref := range tc.refs {
-					if v == ref {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("FKZipf drew %d, not a ref key", v)
-				}
-			}
-		})
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-func TestFKZipfSingleRefConstant(t *testing.T) {
-	g := New(12)
-	for _, v := range g.FKZipf(100, []int64{7}, 2.0) {
-		if v != 7 {
-			t.Fatalf("single-ref FKZipf drew %d", v)
-		}
 	}
 }
 

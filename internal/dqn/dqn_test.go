@@ -332,15 +332,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAssertSameDim(t *testing.T) {
-	if err := assertSameDim([][]float64{{1, 2}, {3, 4}}); err != nil {
-		t.Fatalf("uniform dims rejected: %v", err)
-	}
-	if err := assertSameDim([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatalf("ragged dims accepted")
-	}
-}
-
 func TestNewAgentRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Gamma = 2

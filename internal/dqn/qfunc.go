@@ -173,22 +173,32 @@ func (q *MultiHeadQ) SoftUpdate(tau float64) { q.target.SoftUpdateFrom(q.online,
 // Save implements QFunc.
 func (q *MultiHeadQ) Save() ([]byte, error) { return q.online.MarshalBinary() }
 
-// Load implements QFunc. The checkpoint's input/output widths must match the
-// constructed head: a checkpoint from a different schema encoding or action
-// space would otherwise load fine and then panic (or silently misbehave) on
-// the first Values call.
+// Load implements QFunc. The checkpoint must fit the constructed head: one
+// from a different schema encoding, action space or hidden-layer layout
+// would otherwise load fine and then panic (or silently misbehave) on the
+// first Values or Train call.
 func (q *MultiHeadQ) Load(data []byte) error {
 	var net nn.Network
 	if err := net.UnmarshalBinary(data); err != nil {
 		return err
 	}
-	if net.InDim() != q.online.InDim() || net.OutDim() != q.n {
-		return fmt.Errorf("dqn: checkpoint shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
-			net.InDim(), net.OutDim(), q.online.InDim(), q.n)
+	if err := q.fits("checkpoint", &net); err != nil {
+		return err
 	}
 	q.online = &net
 	q.target = q.online.Clone()
 	return nil
+}
+
+// fits reports the first way net cannot stand in for the head's online
+// network: its input and output widths, then any layer's shape or
+// activation.
+func (q *MultiHeadQ) fits(which string, net *nn.Network) error {
+	if net.InDim() != q.online.InDim() || net.OutDim() != q.n {
+		return fmt.Errorf("dqn: %s shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
+			which, net.InDim(), net.OutDim(), q.online.InDim(), q.n)
+	}
+	return sameLayers(which, net, q.online)
 }
 
 // Online exposes the online network (weight surgery in incremental
@@ -354,32 +364,32 @@ func (q *ScalarQ) SoftUpdate(tau float64) { q.target.SoftUpdateFrom(q.online, ta
 // Save implements QFunc.
 func (q *ScalarQ) Save() ([]byte, error) { return q.online.MarshalBinary() }
 
-// Load implements QFunc. The checkpoint must consume state ⊕ action-feature
-// rows of this head's width and emit a single Q-value; anything else comes
-// from a different schema or action encoding and is rejected.
+// Load implements QFunc. The checkpoint must fit the constructed head;
+// anything else comes from a different schema, action encoding or hidden
+// layout and is rejected.
 func (q *ScalarQ) Load(data []byte) error {
 	var net nn.Network
 	if err := net.UnmarshalBinary(data); err != nil {
 		return err
 	}
-	if net.InDim() != q.online.InDim() || net.OutDim() != 1 {
-		return fmt.Errorf("dqn: checkpoint shape %dx%d does not match scalar Q %dx1 (state dim + %d action features) — was it saved for a different schema or action space?",
-			net.InDim(), net.OutDim(), q.online.InDim(), len(q.feats[0]))
+	if err := q.fits("checkpoint", &net); err != nil {
+		return err
 	}
 	q.online = &net
 	q.target = q.online.Clone()
 	return nil
 }
 
+// fits reports the first way net cannot stand in for the head's online
+// network: it must consume state ⊕ action-feature rows of this head's width
+// and emit a single Q-value, with every layer shaped like the head's.
+func (q *ScalarQ) fits(which string, net *nn.Network) error {
+	if net.InDim() != q.online.InDim() || net.OutDim() != 1 {
+		return fmt.Errorf("dqn: %s shape %dx%d does not match scalar Q %dx1 (state dim + %d action features) — was it saved for a different schema or action space?",
+			which, net.InDim(), net.OutDim(), q.online.InDim(), len(q.feats[0]))
+	}
+	return sameLayers(which, net, q.online)
+}
+
 // Online exposes the online network.
 func (q *ScalarQ) Online() *nn.Network { return q.online }
-
-// assertSameDim guards feature-table consistency in tests.
-func assertSameDim(feats [][]float64) error {
-	for i := 1; i < len(feats); i++ {
-		if len(feats[i]) != len(feats[0]) {
-			return fmt.Errorf("dqn: action feature %d has dim %d, want %d", i, len(feats[i]), len(feats[0]))
-		}
-	}
-	return nil
-}

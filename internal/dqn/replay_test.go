@@ -105,7 +105,7 @@ func TestLoadRejectsShapeMismatch(t *testing.T) {
 
 	t.Run("same shape still loads", func(t *testing.T) {
 		a := NewMultiHeadQ(3, []int{6}, 4, 1e-3, rng)
-		b := NewMultiHeadQ(3, []int{8, 4}, 4, 1e-3, rng) // hidden layout may differ
+		b := NewMultiHeadQ(3, []int{6}, 4, 1e-3, rng) // other weights, same layout
 		blob, _ := a.Save()
 		if err := b.Load(blob); err != nil {
 			t.Fatalf("Load rejected a compatible checkpoint: %v", err)

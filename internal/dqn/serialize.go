@@ -51,13 +51,12 @@ func saveFull(online, target *nn.Network, opt nn.Optimizer) ([]byte, error) {
 
 // loadFull decodes both networks of a full snapshot for a head whose
 // constructed online network is head, and restores the snapshot's Adam
-// state into opt only once every shape checks out: the head's own
-// input/output check (checkDims, which words the error for its action
-// space) first, then every layer of both networks and every Adam moment
-// against head. The training kernels index weights, moments and the target
-// by the online network's shapes, so a snapshot that disagreed anywhere
-// would otherwise panic on the first Train or SoftUpdate.
-func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, checkDims func(online *nn.Network) error) (online, target *nn.Network, err error) {
+// state into opt only once every shape checks out: both networks against
+// the head's fits (the check Load applies), then every Adam moment against
+// head. The training kernels index weights, moments and the target by the
+// online network's shapes, so a snapshot that disagreed anywhere would
+// otherwise panic on the first Train or SoftUpdate.
+func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, fits func(which string, net *nn.Network) error) (online, target *nn.Network, err error) {
 	adam, ok := opt.(*nn.Adam)
 	if !ok {
 		return nil, nil, fmt.Errorf("dqn: full snapshots require the Adam optimizer (have %T)", opt)
@@ -73,13 +72,10 @@ func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, checkDims func(on
 	if err := target.UnmarshalBinary(g.Target); err != nil {
 		return nil, nil, err
 	}
-	if err := checkDims(online); err != nil {
+	if err := fits("snapshot online", online); err != nil {
 		return nil, nil, err
 	}
-	if err := sameLayers("online", online, head); err != nil {
-		return nil, nil, err
-	}
-	if err := sameLayers("target", target, head); err != nil {
+	if err := fits("snapshot target", target); err != nil {
 		return nil, nil, err
 	}
 	if err := momentsFit(g.Opt, head); err != nil {
@@ -95,12 +91,12 @@ func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, checkDims func(on
 // count, a weight or bias shape, or an activation.
 func sameLayers(which string, net, head *nn.Network) error {
 	if len(net.Layers) != len(head.Layers) {
-		return fmt.Errorf("dqn: snapshot %s network has %d layers, the head has %d", which, len(net.Layers), len(head.Layers))
+		return fmt.Errorf("dqn: %s network has %d layers, the head has %d — a model loads only into a head with the hidden layout it was saved with", which, len(net.Layers), len(head.Layers))
 	}
 	for i, l := range net.Layers {
 		h := head.Layers[i]
 		if l.W.Rows != h.W.Rows || l.W.Cols != h.W.Cols || l.B.Cols != h.B.Cols || l.Act != h.Act {
-			return fmt.Errorf("dqn: snapshot %s layer %d is %dx%d+%d (activation %d), the head's is %dx%d+%d (activation %d)",
+			return fmt.Errorf("dqn: %s layer %d is %dx%d+%d (activation %d), the head's is %dx%d+%d (activation %d) — a model loads only into a head with the hidden layout it was saved with",
 				which, i, l.W.Rows, l.W.Cols, l.B.Cols, l.Act, h.W.Rows, h.W.Cols, h.B.Cols, h.Act)
 		}
 	}
@@ -131,16 +127,10 @@ func momentsFit(s nn.AdamState, head *nn.Network) error {
 // SaveFull implements FullStater.
 func (q *MultiHeadQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
 
-// LoadFull implements FullStater with the same shape validation as Load,
-// and checks the hidden layers and Adam moments too.
+// LoadFull implements FullStater with the same shape validation as Load
+// for both networks, and checks the Adam moments too.
 func (q *MultiHeadQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.online, q.opt, func(online *nn.Network) error {
-		if online.InDim() != q.online.InDim() || online.OutDim() != q.n {
-			return fmt.Errorf("dqn: snapshot shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
-				online.InDim(), online.OutDim(), q.online.InDim(), q.n)
-		}
-		return nil
-	})
+	online, target, err := loadFull(data, q.online, q.opt, q.fits)
 	if err != nil {
 		return err
 	}
@@ -151,16 +141,10 @@ func (q *MultiHeadQ) LoadFull(data []byte) error {
 // SaveFull implements FullStater.
 func (q *ScalarQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
 
-// LoadFull implements FullStater with the same shape validation as Load,
-// and checks the hidden layers and Adam moments too.
+// LoadFull implements FullStater with the same shape validation as Load
+// for both networks, and checks the Adam moments too.
 func (q *ScalarQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.online, q.opt, func(online *nn.Network) error {
-		if online.InDim() != q.online.InDim() || online.OutDim() != 1 {
-			return fmt.Errorf("dqn: snapshot shape %dx%d does not match scalar Q %dx1 (state dim + %d action features) — was it saved for a different schema or action space?",
-				online.InDim(), online.OutDim(), q.online.InDim(), len(q.feats[0]))
-		}
-		return nil
-	})
+	online, target, err := loadFull(data, q.online, q.opt, q.fits)
 	if err != nil {
 		return err
 	}

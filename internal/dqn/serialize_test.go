@@ -296,25 +296,60 @@ func TestLoadFullRejectsWhatTheKernelsCannotTake(t *testing.T) {
 	}
 }
 
-// FuzzLoadFull: no bytes make LoadFull panic, and a head that accepted a
-// snapshot trains and soft-updates without panicking.
+// otherHiddenModel is a model whose input and output widths match a
+// trainedHead but whose hidden layer is 16 wide, not 8. Before Load checked
+// every layer it accepted the model, and the next Train panicked in Adam.
+func otherHiddenModel(t testing.TB) []byte {
+	t.Helper()
+	b, err := nn.NewNetwork([]int{4, 16, 3}, rand.New(rand.NewSource(26))).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLoadRejectsOtherHiddenLayers: Load refuses a model the training
+// kernels cannot take, and the head it refused still trains.
+func TestLoadRejectsOtherHiddenLayers(t *testing.T) {
+	q, batch := trainedHead(27)
+	err := q.Load(otherHiddenModel(t))
+	q.Train(batch, 0.9)
+	q.SoftUpdate(0.1)
+	if err == nil || !strings.Contains(err.Error(), "layer 0") {
+		t.Fatalf("Load of a 4-16-3 model into a 4-8-3 head: err = %v", err)
+	}
+}
+
+// FuzzLoadFull: no bytes make LoadFull or Load panic, and a head that
+// accepted a snapshot or model trains and soft-updates without panicking.
 func FuzzLoadFull(f *testing.F) {
 	q, _ := trainedHead(24)
 	valid, err := q.SaveFull()
 	if err != nil {
 		f.Fatal(err)
 	}
+	model, err := q.Save()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(model)
+	f.Add(otherHiddenModel(f))
 	for _, blob := range badFullSnapshots(f) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, batch := trainedHead(25)
-		if err := q.LoadFull(data); err != nil {
-			return
+		for _, load := range []func(*MultiHeadQ) error{
+			func(q *MultiHeadQ) error { return q.LoadFull(data) },
+			func(q *MultiHeadQ) error { return q.Load(data) },
+		} {
+			q, batch := trainedHead(25)
+			if err := load(q); err != nil {
+				continue
+			}
+			q.Train(batch, 0.9)
+			q.SoftUpdate(0.1)
 		}
-		q.Train(batch, 0.9)
-		q.SoftUpdate(0.1)
 	})
 }

@@ -30,11 +30,12 @@ const DefaultCostCacheBound = 1 << 16
 //
 // One mutex is held across lookup, base call and store. Goroutines that
 // miss the same key therefore cost one base call (the rest find the entry
-// when they get the lock), Invalidate cannot interleave with a fill, and a
-// CostCache stays safe to share when the underlying cost function keeps
-// state of its own, like a measured OnlineCost mutating accounting and the
-// engine's deployed layout on every call. The base must not call back into
-// the cache.
+// when they get the lock), and a CostCache stays safe to share when the
+// underlying cost function keeps state of its own, like a measured
+// OnlineCost mutating accounting and the engine's deployed layout on every
+// call. The base must not call back into the cache. Nothing invalidates an
+// entry: a deployment's offline cost prices a cloned catalog that no bulk
+// load or ANALYZE changes.
 type CostCache struct {
 	mu     sync.Mutex
 	base   CostFunc
@@ -108,20 +109,4 @@ func (c *CostCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Len returns the number of currently cached entries across generations.
-func (c *CostCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.hot) + len(c.cold)
-}
-
-// Invalidate drops every cached entry (call after the underlying catalog or
-// engine state changed in a way that alters costs).
-func (c *CostCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hot = make(map[string]float64)
-	c.cold = nil
 }

@@ -51,10 +51,6 @@ func New(sp *partition.Space, wl *workload.Workload, cost CostFunc, tmax int) (*
 	}, nil
 }
 
-// StateDim returns the observation length: partitioning encoding plus the
-// workload frequency slots.
-func (e *Env) StateDim() int { return e.Space.StateLen() + e.WL.Size() }
-
 // NumActions returns the size of the global action list.
 func (e *Env) NumActions() int { return e.Space.NumActions() }
 
@@ -76,9 +72,6 @@ func (e *Env) Reset(freq workload.FreqVector) []float64 {
 
 // State returns the current partitioning state.
 func (e *Env) State() *partition.State { return e.cur }
-
-// Freq returns the episode's workload mix.
-func (e *Env) Freq() workload.FreqVector { return e.freq }
 
 // Encoded returns the current observation (reusing an internal buffer; copy
 // before storing).

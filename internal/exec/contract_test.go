@@ -284,7 +284,7 @@ func TestRunBatchDeterministicUnderFaults(t *testing.T) {
 		base, baseHeat := run(1)
 		var sawTransient, sawDegraded bool
 		for i := range f.gs {
-			sawTransient = sawTransient || IsTransient(base.Errs[i])
+			sawTransient = sawTransient || isTransient(base.Errs[i])
 			sawDegraded = sawDegraded || base.Reports[i].DegradedSeconds > 0
 		}
 		if !sawTransient || !sawDegraded {
@@ -319,7 +319,7 @@ func TestRunBatchTransientDrawsPositional(t *testing.T) {
 			if got := rep.Errs[i] != nil; got != want {
 				t.Fatalf("batch %d position %d: failed=%v, positional verdict says %v", batch, i, got, want)
 			}
-			if rep.Errs[i] != nil && !IsTransient(rep.Errs[i]) {
+			if rep.Errs[i] != nil && !isTransient(rep.Errs[i]) {
 				t.Fatalf("batch %d position %d: error %v is not transient", batch, i, rep.Errs[i])
 			}
 		}

@@ -29,7 +29,8 @@ func TestEmptyTablesExecute(t *testing.T) {
 
 func TestSingleNodeCluster(t *testing.T) {
 	data := engData(20, 100, 200, 8)
-	hw := hardware.PostgresXLDisk().WithNodes(1)
+	hw := hardware.PostgresXLDisk()
+	hw.Nodes = 1
 	e := New(engSchema(), data, hw, Disk)
 	g := engGraph(t, `SELECT * FROM orderline ol, orders o, customer c
 		WHERE ol.ol_o_id = o.o_id AND o.o_c_id = c.c_id`)

@@ -143,9 +143,6 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 // TrueCatalog exposes the maintained true statistics.
 func (e *Engine) TrueCatalog() *stats.Catalog { return e.trueCat }
 
-// EstCatalog exposes the optimizer's (possibly stale) statistics.
-func (e *Engine) EstCatalog() *stats.Catalog { return e.estCat }
-
 // designOf converts a partitioning state's table design to the cluster form,
 // carrying the hot-shard mitigation fields (salt, hot-split) through to the
 // physical layout.

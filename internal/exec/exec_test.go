@@ -323,7 +323,7 @@ func TestEstimateCostFlavors(t *testing.T) {
 
 func TestBulkLoadStaleness(t *testing.T) {
 	e, _ := newEngine(t)
-	estBefore := e.EstCatalog().Rows("orders")
+	estBefore := e.estCat.Rows("orders")
 	add := relation.New("orders", []string{"o_id", "o_c_id", "o_amount"})
 	for i := int64(10000); i < 10200; i++ {
 		add.AppendRow(i, i%50, 1)
@@ -332,11 +332,11 @@ func TestBulkLoadStaleness(t *testing.T) {
 	if e.TrueCatalog().Rows("orders") != 600 {
 		t.Fatalf("true rows = %d, want 600", e.TrueCatalog().Rows("orders"))
 	}
-	if e.EstCatalog().Rows("orders") != estBefore {
+	if e.estCat.Rows("orders") != estBefore {
 		t.Fatalf("estimates refreshed without ANALYZE")
 	}
 	e.Analyze()
-	if e.EstCatalog().Rows("orders") != 600 {
+	if e.estCat.Rows("orders") != 600 {
 		t.Fatalf("ANALYZE did not refresh estimates")
 	}
 }

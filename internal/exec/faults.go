@@ -79,13 +79,6 @@ func (e *PartitionError) Error() string {
 // Unwrap marks the error retryable-after-heal via ErrPartitioned.
 func (e *PartitionError) Unwrap() error { return ErrPartitioned }
 
-// IsTransient reports whether an execution error is transient (worth an
-// immediate retry) as opposed to an availability loss.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
-
 // SetFaults arms (or, with nil, disarms) a fault schedule. The injector
 // is evaluated against the engine's simulated clock. Injectors are
 // immutable, so one may be shared by several engines.

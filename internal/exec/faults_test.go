@@ -8,6 +8,13 @@ import (
 	"partadvisor/internal/partition"
 )
 
+// isTransient reports whether an execution error is an injected transient
+// failure.
+func isTransient(err error) bool {
+	var te *TransientError
+	return errors.As(err, &te)
+}
+
 // crashNode returns an injector with the node down for [0, end).
 func crashNode(t *testing.T, node int, end float64) *faults.Injector {
 	t.Helper()
@@ -75,7 +82,7 @@ func TestLostShardFailsQuery(t *testing.T) {
 	if ue.Node != 1 || ue.Replicated {
 		t.Fatalf("UnavailableError = %+v", ue)
 	}
-	if IsTransient(err) {
+	if isTransient(err) {
 		t.Fatal("availability loss misclassified as transient")
 	}
 	if rep.Seconds <= 0 || rep.Seconds >= full {
@@ -105,7 +112,7 @@ func TestTransientFailuresDeterministic(t *testing.T) {
 		out := make([]bool, 40)
 		for i := range out {
 			_, err := run1(e, g, 0)
-			if err != nil && !IsTransient(err) {
+			if err != nil && !isTransient(err) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
 			out[i] = err != nil

@@ -48,7 +48,7 @@ func TestPartitionFailsCrossPartitionQuery(t *testing.T) {
 	if pe.Node != 2 && pe.Node != 3 {
 		t.Fatalf("unreachable node %d is on the coordinator side", pe.Node)
 	}
-	if IsTransient(err) {
+	if isTransient(err) {
 		t.Fatal("partition misclassified as transient")
 	}
 	if rep.Seconds <= 0 || rep.Seconds >= full {

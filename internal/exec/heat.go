@@ -80,27 +80,11 @@ func (h ShardHeat) TableRows(table string) []int64 {
 	return nil
 }
 
-// NodeTotals sums heat across tables per node.
-func (h ShardHeat) NodeTotals() []int64 {
-	totals := make([]int64, h.Nodes)
-	for _, row := range h.Rows {
-		for n, v := range row {
-			totals[n] += v
-		}
-	}
-	return totals
-}
-
 // Imbalance returns max/mean heat over the table's nodes: 1 for a
 // perfectly balanced table, N for all heat on one of N nodes, and 0 for a
 // table with no heat at all. This is the soak's heat-bound metric.
 func (h ShardHeat) Imbalance(table string) float64 {
 	return imbalance(h.TableRows(table))
-}
-
-// TotalImbalance is Imbalance over the per-node totals of all tables.
-func (h ShardHeat) TotalImbalance() float64 {
-	return imbalance(h.NodeTotals())
 }
 
 func imbalance(row []int64) float64 {

@@ -30,25 +30,36 @@ func skewData(nCust, nOrders int, hotFrac float64, seed int64) map[string]*relat
 	return map[string]*relation.Relation{"customer": cust, "orders": orders, "orderline": lines}
 }
 
+// totalHeat sums the heat of every table on every node.
+func totalHeat(h ShardHeat) int64 {
+	var sum int64
+	for _, row := range h.Rows {
+		for _, v := range row {
+			sum += v
+		}
+	}
+	return sum
+}
+
 // Full scans must heat each node by exactly its shard's row count, and a
 // filtered scan by the emitted (post-filter) rows only.
 func TestShardHeatCountsEmittedRows(t *testing.T) {
 	e, _ := newEngine(t)
 	e.Deploy(engSpace().InitialState(), nil) // hash on primary keys
 
-	if d := e.ShardHeat().Digest(); e.ShardHeat().TotalImbalance() != 0 {
+	if d := e.ShardHeat().Digest(); totalHeat(e.ShardHeat()) != 0 {
 		t.Fatalf("fresh engine has heat (digest %x)", d)
 	}
 
 	if _, err := run1(e, engGraph(t, "SELECT * FROM orders WHERE o_amount > -1"), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	h := e.ShardHeat()
-	shardRows := e.Cluster().ShardRows("orders")
-	for n, got := range h.TableRows("orders") {
-		if got != int64(shardRows[n]) {
-			t.Fatalf("node %d: heat %d != shard rows %d", n, got, shardRows[n])
+	var full int64
+	for n, got := range e.ShardHeat().TableRows("orders") {
+		if want := e.Cluster().RowsOn("orders", n); got != int64(want) {
+			t.Fatalf("node %d: heat %d != shard rows %d", n, got, want)
 		}
+		full += got
 	}
 
 	// A selective filter emits fewer rows than it scans.
@@ -57,12 +68,9 @@ func TestShardHeatCountsEmittedRows(t *testing.T) {
 	if _, err := run1(e2, engGraph(t, "SELECT * FROM orders WHERE o_amount > 900"), 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	var filtered, full int64
+	var filtered int64
 	for _, v := range e2.ShardHeat().TableRows("orders") {
 		filtered += v
-	}
-	for _, v := range shardRows {
-		full += int64(v)
 	}
 	if filtered == 0 || filtered >= full {
 		t.Fatalf("filtered heat %d not in (0, %d)", filtered, full)
@@ -185,7 +193,6 @@ func TestShardHeatAbortChargedPrefixOnly(t *testing.T) {
 	// The aborted prefix heats strictly less than the full batch.
 	full := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	full.Exec(context.Background(), Request{Queries: Queries(gs, 0)})
-	var fullTotal, cutTotal int64
 	e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	abort := &BatchAbort{}
 	e.Exec(context.Background(), Request{Queries: Queries(gs, 0), Workers: 4, Abort: abort,
@@ -194,12 +201,7 @@ func TestShardHeatAbortChargedPrefixOnly(t *testing.T) {
 				abort.Set()
 			}
 		}})
-	for _, v := range full.ShardHeat().NodeTotals() {
-		fullTotal += v
-	}
-	for _, v := range e.ShardHeat().NodeTotals() {
-		cutTotal += v
-	}
+	fullTotal, cutTotal := totalHeat(full.ShardHeat()), totalHeat(e.ShardHeat())
 	if cutTotal == 0 || cutTotal >= fullTotal {
 		t.Fatalf("aborted heat %d not in (0, %d)", cutTotal, fullTotal)
 	}

@@ -63,12 +63,12 @@ func TestCommitteeDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs, err := committee.SaveModels()
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
-	for _, b := range blobs {
+	for _, e := range committee.Experts {
+		b, err := e.SaveModel()
+		if err != nil {
+			t.Fatal(err)
+		}
 		h.Write(b)
 	}
 	var total [8]byte
@@ -76,6 +76,6 @@ func TestCommitteeDigestPinned(t *testing.T) {
 	h.Write(total[:])
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("committee of shared.committee() at TestConfig(), %d experts, online total %v sim s\n  got  %s\n  want %s",
-			len(blobs), sh.run.onlineCost.Stats.TotalSeconds(), got, want)
+			len(committee.Experts), sh.run.onlineCost.Stats.TotalSeconds(), got, want)
 	}
 }

@@ -364,50 +364,6 @@ func (in *Injector) PartitionActive(now float64) bool {
 	return false
 }
 
-// Reachable reports whether nodes a and b can exchange data at now: they
-// are always reachable while no partition is active, and must share a
-// group while one is.
-func (in *Injector) Reachable(a, b int, now float64) bool {
-	for _, p := range in.cfg.Partitions {
-		if p.Contains(now) {
-			return p.groupOf(a) == p.groupOf(b)
-		}
-	}
-	return true
-}
-
-// Degraded reports whether any fault (crash, straggler, degradation,
-// partition) is active at now. Runtimes measured while degraded must not
-// be cached as the design's steady-state cost.
-func (in *Injector) Degraded(now float64) bool {
-	for _, cr := range in.cfg.Crashes {
-		if cr.Contains(now) {
-			return true
-		}
-	}
-	for _, p := range in.cfg.PeriodicCrashes {
-		if p.down(now) {
-			return true
-		}
-	}
-	for _, s := range in.cfg.Stragglers {
-		if s.Contains(now) {
-			return true
-		}
-	}
-	for _, d := range in.cfg.Degradations {
-		if d.Contains(now) {
-			return true
-		}
-	}
-	for _, p := range in.cfg.Partitions {
-		if p.Contains(now) {
-			return true
-		}
-	}
-	return false
-}
-
 // DegradedOverlap returns the number of seconds in [t0, t1) during which
 // at least one fault is active — the exact measure of the union of all
 // fault windows clipped to the interval.

@@ -170,23 +170,6 @@ func TestTransientFailureZeroRateNoDraws(t *testing.T) {
 	}
 }
 
-func TestDegraded(t *testing.T) {
-	in := MustNew(Config{
-		Crashes:         []NodeCrash{{Node: 0, Window: Window{1, 2}}},
-		Stragglers:      []Straggler{{Node: 1, Factor: 2, Window: Window{3, 4}}},
-		Degradations:    []NetDegradation{{Factor: 0.5, Window: Window{5, 6}}},
-		PeriodicCrashes: []PeriodicCrash{{Node: 2, Period: 100, DownStart: 90, DownEnd: 100}},
-	})
-	for _, c := range []struct {
-		t    float64
-		want bool
-	}{{0.5, false}, {1.5, true}, {2.5, false}, {3.5, true}, {4.5, false}, {5.5, true}, {95, true}, {150, false}, {195, true}} {
-		if got := in.Degraded(c.t); got != c.want {
-			t.Errorf("Degraded(%g) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
-
 func TestDegradedOverlap(t *testing.T) {
 	in := MustNew(Config{
 		Crashes:      []NodeCrash{{Node: 0, Window: Window{1, 3}}},

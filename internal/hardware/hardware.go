@@ -99,9 +99,3 @@ func (p Profile) WithSlowCompute() Profile {
 	p.CPUTuplesPerSec /= 2
 	return p
 }
-
-// WithNodes returns the profile resized to n nodes.
-func (p Profile) WithNodes(n int) Profile {
-	p.Nodes = n
-	return p
-}

@@ -50,15 +50,9 @@ func TestWithSlowCompute(t *testing.T) {
 	}
 }
 
-func TestWithNodes(t *testing.T) {
-	if got := PostgresXLDisk().WithNodes(6).Nodes; got != 6 {
-		t.Fatalf("WithNodes = %d", got)
-	}
-}
-
 func TestModifiersCompose(t *testing.T) {
-	p := SystemXMemory().WithSlowCompute().WithSlowNetwork().WithNodes(5)
-	if p.Nodes != 5 || p.NetBytesPerSec != 0.6*1e9/8 || p.ScanBytesPerSec != SystemXMemory().ScanBytesPerSec/2 {
+	p := SystemXMemory().WithSlowCompute().WithSlowNetwork()
+	if p.NetBytesPerSec != 0.6*1e9/8 || p.ScanBytesPerSec != SystemXMemory().ScanBytesPerSec/2 {
 		t.Fatalf("composed profile = %+v", p)
 	}
 }

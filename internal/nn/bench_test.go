@@ -24,7 +24,7 @@ func benchMatMul(b *testing.B, m, k, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, w)
+		matMulRows(dst, a, w, 0, a.Rows)
 	}
 }
 
@@ -57,8 +57,10 @@ func BenchmarkMatMulBackward(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("ABT/%dx%d", s.in, s.out), func(b *testing.B) {
+			wT := NewMatrix(s.out, s.in)
 			for i := 0; i < b.N; i++ {
-				MatMulABT(gradIn, delta, w)
+				transposeTo(wT, w)
+				matMulRows(gradIn, delta, wT, 0, delta.Rows)
 			}
 		})
 	}

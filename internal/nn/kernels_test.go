@@ -55,7 +55,7 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 
 				a, b := sparseMat(rng, rows, inner, 0.5), sparseMat(rng, inner, cols, 0.1)
 				got, want := NewMatrix(rows, cols), NewMatrix(rows, cols)
-				MatMul(got, a, b)
+				matMulRows(got, a, b, 0, a.Rows)
 				for i := 0; i < rows; i++ {
 					for k := 0; k < inner; k++ {
 						if av := a.At(i, k); av != 0 {
@@ -65,7 +65,7 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 						}
 					}
 				}
-				wantSameBits(t, "MatMul "+name, got.Data, want.Data)
+				wantSameBits(t, "a·b "+name, got.Data, want.Data)
 
 				// aᵀ·b: rows is the summed dimension.
 				a, b = sparseMat(rng, rows, inner, 0.5), sparseMat(rng, rows, cols, 0.5)
@@ -82,10 +82,13 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 				}
 				wantSameBits(t, "MatMulATB "+name, got.Data, want.Data)
 
-				// a·bᵀ: the reference multiplies the zeros too.
+				// a·bᵀ as Dense.Backward forms it, through transposeTo; the
+				// reference multiplies the zeros too.
 				a, b = sparseMat(rng, rows, inner, 0.5), sparseMat(rng, cols, inner, 0.1)
 				got, want = NewMatrix(rows, cols), NewMatrix(rows, cols)
-				MatMulABT(got, a, b)
+				bT := NewMatrix(inner, cols)
+				transposeTo(bT, b)
+				matMulRows(got, a, bT, 0, a.Rows)
 				for i := 0; i < rows; i++ {
 					for j := 0; j < cols; j++ {
 						s := 0.0
@@ -95,7 +98,7 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 						want.Data[i*cols+j] = s
 					}
 				}
-				wantSameBits(t, "MatMulABT "+name, got.Data, want.Data)
+				wantSameBits(t, "a·bᵀ "+name, got.Data, want.Data)
 			}
 		}
 	}
@@ -113,9 +116,9 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		name     string
 		n, flops int
 	}{
-		{"MatMul / Dense.Forward", rows, rows * inner * cols},
+		{"Dense.Forward", rows, rows * inner * cols},
 		{"MatMulATB", inner, rows * inner * cols},
-		{"MatMulABT / Dense.Backward", rows, rows * cols * inner},
+		{"Dense.Backward", rows, rows * cols * inner},
 	} {
 		if rowBlocks(k.n, k.flops) < 2 {
 			t.Fatalf("%s at %d×%d×%d would not reach the pool; grow the test shape with the thresholds", k.name, rows, inner, cols)
@@ -124,9 +127,7 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(12))
 	a := sparseMat(rng, rows, inner, 0.5)
-	b := sparseMat(rng, inner, cols, 0)
 	bRows := sparseMat(rng, rows, cols, 0.5) // aᵀ·bRows
-	bT := sparseMat(rng, cols, inner, 0)     // a·bTᵀ
 	gradOut := sparseMat(rng, rows, cols, 0.3)
 	layer := NewDense(inner, cols, ReLU, rng)
 
@@ -134,15 +135,9 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		runtime.GOMAXPROCS(width)
 		res := map[string][]float64{}
 		keep := func(name string, m *Matrix) { res[name] = append([]float64(nil), m.Data...) }
-		dst := NewMatrix(rows, cols)
-		MatMul(dst, a, b)
-		keep("MatMul", dst)
-		dst = NewMatrix(inner, cols)
+		dst := NewMatrix(inner, cols)
 		MatMulATB(dst, a, bRows)
 		keep("MatMulATB", dst)
-		dst = NewMatrix(rows, cols)
-		MatMulABT(dst, a, bT)
-		keep("MatMulABT", dst)
 		d := &Dense{W: layer.W, B: layer.B, Act: ReLU, gradW: NewMatrix(inner, cols), gradB: NewMatrix(1, cols)}
 		keep("Dense.Forward", d.Forward(a))
 		keep("Dense.Backward gradIn", d.Backward(gradOut))

@@ -174,21 +174,6 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMul computes dst = a × b. dst must be pre-shaped (a.Rows × b.Cols) and
-// distinct from a and b. Large batches are split into row blocks across the
-// shared worker pool; results are bitwise identical to the sequential path.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMul shape mismatch: (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	if blocks := rowBlocks(a.Rows, a.Rows*a.Cols*b.Cols); blocks > 1 {
-		parallelFor(a.Rows, blocks, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
-	} else {
-		matMulRows(dst, a, b, 0, a.Rows)
-	}
-}
-
 // matMulATBRows computes dst rows [lo, hi) of aᵀ × b: row i is the sum over
 // a's rows r, ascending, of a[r][i] · b's row r.
 func matMulATBRows(dst, a, b *Matrix, lo, hi int) {
@@ -218,19 +203,6 @@ func MatMulATB(dst, a, b *Matrix) {
 	} else {
 		matMulATBRows(dst, a, b, 0, a.Cols)
 	}
-}
-
-// MatMulABT computes dst = a × bᵀ (used to backpropagate deltas) as the
-// MatMul of a and a transposed copy of b: dst[i][j] is the dot product of
-// a's row i and b's row j, accumulated in ascending-k order from +0.
-func MatMulABT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulABT shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	bT := NewMatrix(b.Cols, b.Rows)
-	transposeTo(bT, b)
-	MatMul(dst, a, bT)
 }
 
 // transposeTo writes mᵀ into dst (m.Cols × m.Rows), eight rows of m at a

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -498,27 +497,4 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 		})
 	}
 	return nil
-}
-
-// L2Distance returns the mean squared difference of parameters between two
-// identically shaped networks (used in tests and drift diagnostics).
-func (n *Network) L2Distance(o *Network) float64 {
-	sum, count := 0.0, 0.0
-	for li, l := range n.Layers {
-		ol := o.Layers[li]
-		for i := range l.W.Data {
-			d := l.W.Data[i] - ol.W.Data[i]
-			sum += d * d
-			count++
-		}
-		for i := range l.B.Data {
-			d := l.B.Data[i] - ol.B.Data[i]
-			sum += d * d
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / count)
 }

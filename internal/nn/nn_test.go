@@ -49,7 +49,7 @@ func TestMatMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	dst := NewMatrix(2, 2)
-	MatMul(dst, a, b)
+	matMulRows(dst, a, b, 0, a.Rows)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -61,8 +61,8 @@ func TestMatMul(t *testing.T) {
 }
 
 func TestMatMulVariantsAgree(t *testing.T) {
-	// Property: MatMulATB(dst, a, b) == aᵀ·b and MatMulABT == a·bᵀ,
-	// verified against explicit transposition through MatMul.
+	// Property: MatMulATB(dst, a, b) == aᵀ·b and transposeTo writes bᵀ,
+	// verified against explicit transposition through matMulRows.
 	rng := rand.New(rand.NewSource(1))
 	randMat := func(r, c int) *Matrix {
 		m := NewMatrix(r, c)
@@ -87,7 +87,7 @@ func TestMatMulVariantsAgree(t *testing.T) {
 		got := NewMatrix(k, c)
 		MatMulATB(got, a, b)
 		want := NewMatrix(k, c)
-		MatMul(want, transpose(a), b)
+		matMulRows(want, transpose(a), b, 0, a.Cols)
 		for i := range got.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
 				t.Fatalf("MatMulATB mismatch at %d", i)
@@ -95,13 +95,14 @@ func TestMatMulVariantsAgree(t *testing.T) {
 		}
 		a2 := randMat(r, k)
 		b2 := randMat(c, k)
-		got2 := NewMatrix(r, c)
-		MatMulABT(got2, a2, b2)
+		got2, b2T := NewMatrix(r, c), NewMatrix(k, c)
+		transposeTo(b2T, b2)
+		matMulRows(got2, a2, b2T, 0, a2.Rows)
 		want2 := NewMatrix(r, c)
-		MatMul(want2, a2, transpose(b2))
+		matMulRows(want2, a2, transpose(b2), 0, a2.Rows)
 		for i := range got2.Data {
 			if math.Abs(got2.Data[i]-want2.Data[i]) > 1e-12 {
-				t.Fatalf("MatMulABT mismatch at %d", i)
+				t.Fatalf("a·bᵀ mismatch at %d", i)
 			}
 		}
 	}
@@ -109,14 +110,14 @@ func TestMatMulVariantsAgree(t *testing.T) {
 
 func TestMatMulShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
-	b := NewMatrix(2, 3) // incompatible
-	dst := NewMatrix(2, 3)
+	b := NewMatrix(3, 3) // aᵀ·b needs as many rows as a
+	dst := NewMatrix(3, 3)
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("MatMul accepted bad shapes")
+			t.Fatalf("MatMulATB accepted bad shapes")
 		}
 	}()
-	MatMul(dst, a, b)
+	MatMulATB(dst, a, b)
 }
 
 func TestDenseForwardKnownValues(t *testing.T) {
@@ -261,16 +262,32 @@ func TestSGDReducesLoss(t *testing.T) {
 	}
 }
 
+// paramDistance is the largest absolute difference between the parameters
+// of two identically shaped networks.
+func paramDistance(a, b *Network) float64 {
+	d := 0.0
+	for li, l := range a.Layers {
+		ol := b.Layers[li]
+		for i := range l.W.Data {
+			d = math.Max(d, math.Abs(l.W.Data[i]-ol.W.Data[i]))
+		}
+		for i := range l.B.Data {
+			d = math.Max(d, math.Abs(l.B.Data[i]-ol.B.Data[i]))
+		}
+	}
+	return d
+}
+
 func TestCloneAndSoftUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := NewNetwork([]int{4, 6, 2}, rng)
 	c := n.Clone()
-	if d := n.L2Distance(c); d != 0 {
+	if d := paramDistance(n, c); d != 0 {
 		t.Fatalf("clone distance = %v", d)
 	}
 	// Mutate the original; clone must not follow.
 	n.Layers[0].W.Data[0] += 1
-	if d := n.L2Distance(c); d == 0 {
+	if d := paramDistance(n, c); d == 0 {
 		t.Fatalf("clone aliases weights")
 	}
 	// Soft update moves the clone toward the original by tau.
@@ -283,7 +300,7 @@ func TestCloneAndSoftUpdate(t *testing.T) {
 	}
 	// tau = 1 copies exactly.
 	c.SoftUpdateFrom(n, 1)
-	if d := n.L2Distance(c); d > 1e-12 {
+	if d := paramDistance(n, c); d > 1e-12 {
 		t.Fatalf("tau=1 distance = %v", d)
 	}
 }
@@ -299,7 +316,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := m.UnmarshalBinary(data); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if d := n.L2Distance(&m); d != 0 {
+	if d := paramDistance(n, &m); d != 0 {
 		t.Fatalf("round-trip distance = %v", d)
 	}
 	in := []float64{1, -1, 0.5, 0, 2}
@@ -317,7 +334,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 func TestDeterministicInit(t *testing.T) {
 	a := NewNetwork([]int{3, 4, 1}, rand.New(rand.NewSource(9)))
 	b := NewNetwork([]int{3, 4, 1}, rand.New(rand.NewSource(9)))
-	if d := a.L2Distance(b); d != 0 {
+	if d := paramDistance(a, b); d != 0 {
 		t.Fatalf("same-seed networks differ by %v", d)
 	}
 }

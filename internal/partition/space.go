@@ -8,7 +8,6 @@
 package partition
 
 import (
-	"fmt"
 	"strings"
 
 	"partadvisor/internal/schema"
@@ -226,21 +225,3 @@ func (sp *Space) StateLen() int { return sp.stateLen }
 // Mitigations reports whether the space includes the hot-shard mitigation
 // actions (Options.EnableMitigations).
 func (sp *Space) Mitigations() bool { return sp.mitigations }
-
-// Describe renders the design space for logging.
-func (sp *Space) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "design space over %s: %d tables, %d edges, %d actions, state length %d\n",
-		sp.Schema.Name, len(sp.Tables), len(sp.Edges), len(sp.actions), sp.stateLen)
-	for _, ts := range sp.Tables {
-		keys := make([]string, len(ts.Keys))
-		for i, k := range ts.Keys {
-			keys[i] = k.String()
-		}
-		fmt.Fprintf(&b, "  %s: keys [%s]\n", ts.Name, strings.Join(keys, ", "))
-	}
-	for i, e := range sp.Edges {
-		fmt.Fprintf(&b, "  e%d: %s\n", i, e)
-	}
-	return b.String()
-}

@@ -138,16 +138,6 @@ func (r *Relation) Grow(n int) {
 	}
 }
 
-// Project returns a relation view restricted to the given columns (storage
-// is shared with the receiver).
-func (r *Relation) Project(cols []string) *Relation {
-	p := New(r.Name, cols)
-	for i, c := range cols {
-		p.data[i] = r.Col(c)
-	}
-	return p
-}
-
 // Rename returns a relation with the same storage but renamed columns
 // (e.g. qualifying base columns with a query alias).
 func (r *Relation) Rename(newName string, rename func(col string) string) *Relation {

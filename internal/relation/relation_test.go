@@ -72,18 +72,6 @@ func TestAppendFromAndConcat(t *testing.T) {
 	}
 }
 
-func TestProjectSharesStorage(t *testing.T) {
-	r := sample()
-	p := r.Project([]string{"b"})
-	p.Col("b")[0] = 99
-	if r.Col("b")[0] != 99 {
-		t.Fatalf("Project copied storage")
-	}
-	if p.NumCols() != 1 {
-		t.Fatalf("Project cols = %d", p.NumCols())
-	}
-}
-
 func TestRename(t *testing.T) {
 	r := sample()
 	q := r.Rename("q", func(c string) string { return "x." + c })

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -379,16 +378,4 @@ func (s *scheduler) drain(ctx context.Context) error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return err
-}
-
-// tenantIDs returns the registered tenant ids, sorted.
-func (s *scheduler) tenantIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

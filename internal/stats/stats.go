@@ -283,36 +283,6 @@ func (cs ColumnStats) rangeFraction(lo, hi int64) float64 {
 	return clamp01(sum / float64(total))
 }
 
-// SkewFactor measures the imbalance of the column's histogram: the ratio of
-// the heaviest bucket to the average bucket (>= 1). Planners use it to model
-// straggler effects when a table is partitioned on a skewed or low-distinct
-// column.
-func (c *Catalog) SkewFactor(table, column string) float64 {
-	cs := c.Column(table, column)
-	if len(cs.Histogram) == 0 || cs.Distinct <= 1 {
-		return 1
-	}
-	total, maxB := int64(0), int64(0)
-	for _, b := range cs.Histogram {
-		total += b
-		if b > maxB {
-			maxB = b
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	avg := float64(total) / float64(len(cs.Histogram))
-	if avg == 0 {
-		return 1
-	}
-	f := float64(maxB) / avg
-	if f < 1 {
-		return 1
-	}
-	return f
-}
-
 // Scale multiplies all row counts (and histogram buckets) by factor,
 // emulating bulk data growth without re-deriving statistics. It is used to
 // model *true* statistics after updates; estimated statistics go stale by

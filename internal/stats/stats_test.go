@@ -237,21 +237,6 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSkewFactor(t *testing.T) {
-	c := testCatalog()
-	// o_amount: max bucket 700 vs avg 250 -> 2.8.
-	if got := c.SkewFactor("orders", "o_amount"); math.Abs(got-2.8) > 1e-9 {
-		t.Fatalf("SkewFactor = %v, want 2.8", got)
-	}
-	// No histogram -> 1.
-	if got := c.SkewFactor("orders", "o_id"); got != 1 {
-		t.Fatalf("SkewFactor(o_id) = %v, want 1", got)
-	}
-	if got := c.SkewFactor("missing", "x"); got != 1 {
-		t.Fatalf("SkewFactor(missing) = %v, want 1", got)
-	}
-}
-
 func TestScale(t *testing.T) {
 	c := testCatalog()
 	c.Scale(1.6)

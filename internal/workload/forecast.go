@@ -57,9 +57,6 @@ func (f *Forecaster) Observe(mix FreqVector) error {
 	return nil
 }
 
-// Observations returns the number of mixes observed so far.
-func (f *Forecaster) Observations() int { return f.n }
-
 // Forecast predicts the mix `steps` monitoring windows ahead (normalized,
 // clamped to non-negative frequencies). Before any observation it returns a
 // zero vector.

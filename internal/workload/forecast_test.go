@@ -124,7 +124,7 @@ func TestForecasterValidation(t *testing.T) {
 	if err := f.Observe(FreqVector{1}); err == nil {
 		t.Fatalf("size mismatch accepted")
 	}
-	if f.Observations() != 0 {
+	if f.n != 0 {
 		t.Fatalf("failed observation counted")
 	}
 }

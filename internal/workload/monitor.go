@@ -5,29 +5,16 @@ import "fmt"
 // Monitor turns an observed query stream into the frequency vectors the
 // advisor consumes — the "observed workload" box of the paper's Figure 1.
 // Production systems record which queries were submitted in a time window;
-// the monitor counts them per representative-query slot (routing template
-// parameterizations through selectivity buckets when registered) and emits
-// the normalized mix.
+// the monitor counts them per representative-query slot and emits the
+// normalized mix.
 type Monitor struct {
-	wl      *Workload
-	counts  FreqVector
-	buckets map[string]*SelectivityBuckets
+	wl     *Workload
+	counts FreqVector
 }
 
 // NewMonitor builds a monitor over the workload's current query set.
 func NewMonitor(wl *Workload) *Monitor {
-	return &Monitor{
-		wl:      wl,
-		counts:  make(FreqVector, wl.Size()),
-		buckets: make(map[string]*SelectivityBuckets),
-	}
-}
-
-// RegisterBuckets routes future observations of a query template through
-// selectivity buckets (paper §3.2): each parameterization lands in the slot
-// of its selectivity range.
-func (m *Monitor) RegisterBuckets(b *SelectivityBuckets) {
-	m.buckets[b.Template] = b
+	return &Monitor{wl: wl, counts: make(FreqVector, wl.Size())}
 }
 
 // Record counts n occurrences of a known query.
@@ -37,20 +24,10 @@ func (m *Monitor) Record(queryName string, n float64) error {
 	}
 	idx := m.wl.QueryIndex(queryName)
 	if idx < 0 {
-		return fmt.Errorf("workload: monitor saw unknown query %q (register it via AddQuery or buckets first)", queryName)
+		return fmt.Errorf("workload: monitor saw unknown query %q (register it via AddQuery first)", queryName)
 	}
 	m.counts[idx] += n
 	return nil
-}
-
-// RecordTemplate counts n occurrences of a registered template executed
-// with a parameterization of the given selectivity.
-func (m *Monitor) RecordTemplate(template string, selectivity, n float64) error {
-	b, ok := m.buckets[template]
-	if !ok {
-		return fmt.Errorf("workload: no selectivity buckets registered for template %q", template)
-	}
-	return b.Record(m.counts, selectivity, n)
 }
 
 // Observed returns the total number of recorded query executions in the

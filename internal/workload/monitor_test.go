@@ -36,31 +36,6 @@ func TestMonitorErrors(t *testing.T) {
 	if err := m.Record("q1", -1); err == nil {
 		t.Fatalf("negative count accepted")
 	}
-	if err := m.RecordTemplate("tpl", 0.5, 1); err == nil {
-		t.Fatalf("unregistered template accepted")
-	}
-}
-
-func TestMonitorTemplateBuckets(t *testing.T) {
-	w := testWorkload(t)
-	m := NewMonitor(w)
-	// Buckets routing template executions into the two reserved slots
-	// (indices 3 and 4 of the 5-slot vector).
-	b, err := NewSelectivityBuckets("tpl", []float64{0.05}, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RegisterBuckets(b)
-	if err := m.RecordTemplate("tpl", 0.01, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RecordTemplate("tpl", 0.5, 6); err != nil {
-		t.Fatal(err)
-	}
-	mix := m.Mix()
-	if mix[4] != 1 || math.Abs(mix[3]-0.5) > 1e-12 {
-		t.Fatalf("bucketized mix = %v", mix)
-	}
 }
 
 func TestMonitorRotate(t *testing.T) {

@@ -144,36 +144,6 @@ type Window struct {
 	Events []Event
 }
 
-// KeyCounts folds the window's events into a per-key histogram for one
-// tenant (tenant < 0 aggregates all tenants).
-func (w *Window) KeyCounts(tenant int) map[int64]int {
-	counts := make(map[int64]int)
-	for _, ev := range w.Events {
-		if tenant >= 0 && ev.Tenant != tenant {
-			continue
-		}
-		counts[ev.Key]++
-	}
-	return counts
-}
-
-// HotKey returns the window's modal key across all tenants and the fraction
-// of events that hit it (ties break to the smallest key so the answer is
-// deterministic). ok is false for an empty window.
-func (w *Window) HotKey() (key int64, frac float64, ok bool) {
-	if len(w.Events) == 0 {
-		return 0, 0, false
-	}
-	counts := w.KeyCounts(-1)
-	best, bestN := int64(0), -1
-	for k, n := range counts {
-		if n > bestN || (n == bestN && k < best) {
-			best, bestN = k, n
-		}
-	}
-	return best, float64(bestN) / float64(len(w.Events)), true
-}
-
 // Trace is a fully materialized, replayable trace.
 type Trace struct {
 	Config  Config
@@ -272,21 +242,6 @@ func (t *Trace) Mix(w, size int) workload.FreqVector {
 		}
 	}
 	return f.Normalize()
-}
-
-// TenantKeys returns every key accessed by the given tenant across the
-// whole trace, in event order — the stream a data generator replays to
-// build a skewed foreign-key column.
-func (t *Trace) TenantKeys(tenant int) []int64 {
-	var out []int64
-	for wi := range t.Windows {
-		for _, ev := range t.Windows[wi].Events {
-			if ev.Tenant == tenant {
-				out = append(out, ev.Key)
-			}
-		}
-	}
-	return out
 }
 
 const (

@@ -215,46 +215,3 @@ func TestMixBlendsTenants(t *testing.T) {
 		t.Fatalf("mix not normalized: %v", m)
 	}
 }
-
-func TestHotKey(t *testing.T) {
-	tr := Generate(Config{
-		Seed: 6, Windows: 2, Keys: 50, EventsPerWindow: 1000,
-		Tenants: []Tenant{{Name: "z", Weight: 1, ZipfS: 2.5}},
-	})
-	key, frac, ok := tr.Windows[0].HotKey()
-	if !ok {
-		t.Fatalf("no hot key in populated window")
-	}
-	if key != 0 {
-		t.Fatalf("hot key = %d, want 0 (Zipf mode)", key)
-	}
-	if frac < 0.2 {
-		t.Fatalf("hot key fraction too low: %v", frac)
-	}
-	empty := Window{}
-	if _, _, ok := empty.HotKey(); ok {
-		t.Fatalf("empty window reported a hot key")
-	}
-}
-
-func TestTenantKeysStream(t *testing.T) {
-	tr := Generate(celebrityConfig(9))
-	keys := tr.TenantKeys(0)
-	if len(keys) == 0 {
-		t.Fatalf("no keys for tenant 0")
-	}
-	n := 0
-	for wi := range tr.Windows {
-		for _, ev := range tr.Windows[wi].Events {
-			if ev.Tenant == 0 {
-				if keys[n] != ev.Key {
-					t.Fatalf("key stream out of order at %d", n)
-				}
-				n++
-			}
-		}
-	}
-	if n != len(keys) {
-		t.Fatalf("key stream length %d != %d events", len(keys), n)
-	}
-}

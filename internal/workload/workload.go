@@ -4,11 +4,10 @@
 // most frequent query has f = 1 (the paper's example encodes "q2 occurs
 // twice as often as q1" as (0.5, 1)).
 //
-// The package also implements the two workload-evolution mechanisms of the
-// paper: selectivity buckets (the same query template with different
-// parameters maps to a bucket slot) and reserved slots for completely new
-// queries, which enable incremental training without rebuilding the state
-// encoding.
+// Of the paper's two workload-evolution mechanisms the package implements
+// reserved slots for completely new queries, which enable incremental
+// training without rebuilding the state encoding. Selectivity buckets (one
+// template's parameterizations mapped to bucket slots) are not implemented.
 package workload
 
 import (
@@ -29,8 +28,7 @@ type Query struct {
 	// Graph is the flattened join graph + filters.
 	Graph *sqlparse.Graph
 	// Weight is an optional intrinsic weight multiplied into frequencies
-	// (defaults to 1); selectivity buckets of one template share a name but
-	// differ in Graph filters.
+	// (defaults to 1).
 	Weight float64
 }
 
@@ -169,22 +167,6 @@ func (w *Workload) JoinEdges(extra ...[]schema.JoinEdge) []schema.JoinEdge {
 	}
 	sets = append(sets, extra...)
 	return schema.MergeEdges(sets...)
-}
-
-// QueriesUsing returns the indices of queries referencing any of the given
-// tables. The online trainer uses it for query-scoped runtime caching and
-// lazy repartitioning (paper §4.2).
-func (w *Workload) QueriesUsing(tables map[string]bool) []int {
-	var out []int
-	for i, q := range w.Queries {
-		for _, t := range q.Tables() {
-			if tables[t] {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func sortStrings(s []string) {

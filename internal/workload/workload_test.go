@@ -85,20 +85,6 @@ func TestWorkloadTablesAndEdges(t *testing.T) {
 	}
 }
 
-func TestQueriesUsing(t *testing.T) {
-	w := testWorkload(t)
-	got := w.QueriesUsing(map[string]bool{"part": true})
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("QueriesUsing(part) = %v", got)
-	}
-	if got := w.QueriesUsing(map[string]bool{"fact": true}); len(got) != 3 {
-		t.Fatalf("QueriesUsing(fact) = %v", got)
-	}
-	if got := w.QueriesUsing(map[string]bool{}); len(got) != 0 {
-		t.Fatalf("QueriesUsing(empty) = %v", got)
-	}
-}
-
 func TestAddQueryUsesReservedSlots(t *testing.T) {
 	w := testWorkload(t)
 	g, err := sqlparse.ParseAndAnalyze("SELECT * FROM cust WHERE c_r = 1", wlSchema())
@@ -222,50 +208,6 @@ func TestSamplers(t *testing.T) {
 	}
 	if boostWins < trials*6/10 {
 		t.Fatalf("biased sampler boosted q3 only %d/%d times", boostWins, trials)
-	}
-}
-
-func TestSelectivityBuckets(t *testing.T) {
-	b, err := NewSelectivityBuckets("tpl", []float64{0.01, 0.1}, []int{4, 5, 6})
-	if err != nil {
-		t.Fatalf("NewSelectivityBuckets: %v", err)
-	}
-	cases := []struct {
-		sel  float64
-		want int
-	}{{0.001, 0}, {0.01, 0}, {0.05, 1}, {0.1, 1}, {0.5, 2}, {1, 2}}
-	for _, tc := range cases {
-		if got := b.Bucket(tc.sel); got != tc.want {
-			t.Errorf("Bucket(%v) = %d, want %d", tc.sel, got, tc.want)
-		}
-	}
-	if got := b.Slot(0.05); got != 5 {
-		t.Fatalf("Slot = %d, want 5", got)
-	}
-	f := make(FreqVector, 8)
-	if err := b.Record(f, 0.5, 2); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-	if f[6] != 2 {
-		t.Fatalf("Record put frequency in wrong slot: %v", f)
-	}
-	if err := b.Record(make(FreqVector, 3), 0.5, 1); err == nil {
-		t.Fatalf("Record accepted out-of-range slot")
-	}
-}
-
-func TestSelectivityBucketsValidation(t *testing.T) {
-	if _, err := NewSelectivityBuckets("t", []float64{0.1}, []int{0}); err == nil {
-		t.Fatalf("accepted wrong slot count")
-	}
-	if _, err := NewSelectivityBuckets("t", []float64{0.5, 0.1}, []int{0, 1, 2}); err == nil {
-		t.Fatalf("accepted descending bounds")
-	}
-	if _, err := NewSelectivityBuckets("t", []float64{0}, []int{0, 1}); err == nil {
-		t.Fatalf("accepted bound 0")
-	}
-	if _, err := NewSelectivityBuckets("t", []float64{0.2, 0.2}, []int{0, 1, 2}); err == nil {
-		t.Fatalf("accepted duplicate bound")
 	}
 }
 
