@@ -22,7 +22,7 @@ type LearnedCostModel struct {
 	wl *workload.Workload
 
 	net *nn.Network
-	opt nn.Optimizer
+	opt *nn.Adam
 	rng *rand.Rand
 
 	// Replayed training set.

@@ -243,23 +243,11 @@ func (c *Cluster) invalidateTable(name string) {
 	c.tables[name].moved = nil
 }
 
-// Nodes returns the cluster size.
-func (c *Cluster) Nodes() int { return c.n }
-
 // Revision returns the layout revision: it advances on every mutation of
 // what is physically placed where (Load, a design-changing Deploy, Append,
 // ExecuteRepair). Two calls returning the same value bracket a window in
 // which every table's shard set, replica and design were untouched.
 func (c *Cluster) Revision() uint64 { return c.rev }
-
-// Tables returns the names of loaded tables.
-func (c *Cluster) Tables() []string {
-	out := make([]string, 0, len(c.tables))
-	for name := range c.tables {
-		out = append(out, name)
-	}
-	return out
-}
 
 // Load registers a table's data, initially round-robin distributed. rowWidth
 // is the stored row width in bytes (from the schema) used for network

@@ -105,13 +105,6 @@ func (d *HotShardDetector) Observe(h exec.ShardHeat) (HotReport, bool) {
 	return best, found
 }
 
-// Reset drops the baseline snapshot and all streaks (e.g. after a bulk
-// redeploy that rewrites every shard).
-func (d *HotShardDetector) Reset() {
-	d.prev = exec.ShardHeat{}
-	d.streak = make(map[string]int)
-}
-
 // MitigationPlan pairs a mitigation action with its successor state.
 type MitigationPlan struct {
 	Action partition.Action

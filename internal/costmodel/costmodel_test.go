@@ -376,21 +376,6 @@ func TestNoisyModelDeterministicAndGrowsWithJoins(t *testing.T) {
 	}
 }
 
-func TestNoisyWorkloadCost(t *testing.T) {
-	m := cmModel()
-	sp := cmSpace()
-	wl := workload.MustParse("w", cmSchema(), map[string]string{
-		"q1": "SELECT * FROM fact f, dsmall s WHERE f.f_small = s.s_id",
-	}, []string{"q1"}, 0)
-	nm := &NoisyModel{Base: m, SigmaPerJoin: 0.5}
-	st := sp.InitialState()
-	got := nm.WorkloadCost(st, wl, workload.FreqVector{1})
-	want := nm.QueryCost(st, wl.Queries[0].Graph)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WorkloadCost = %v, want %v", got, want)
-	}
-}
-
 func TestGaussHashRoughlyStandardNormal(t *testing.T) {
 	n := 2000
 	sum, sumSq := 0.0, 0.0

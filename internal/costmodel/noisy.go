@@ -8,7 +8,6 @@ import (
 
 	"partadvisor/internal/partition"
 	"partadvisor/internal/sqlparse"
-	"partadvisor/internal/workload"
 )
 
 // NoisyModel wraps a Model with deterministic multiplicative estimation
@@ -41,18 +40,6 @@ func (nm *NoisyModel) QueryCost(st *partition.State, g *sqlparse.Graph) float64 
 	}
 	z := gaussHash(graphSignature(g), st.TableSignature(g.BaseTables()), nm.Salt)
 	return c * math.Exp(nm.SigmaPerJoin*math.Sqrt(float64(j))*z)
-}
-
-// WorkloadCost returns the noisy estimate of the workload mix.
-func (nm *NoisyModel) WorkloadCost(st *partition.State, wl *workload.Workload, freq workload.FreqVector) float64 {
-	total := 0.0
-	for i, q := range wl.Queries {
-		if i >= len(freq) || freq[i] == 0 {
-			continue
-		}
-		total += freq[i] * q.Weight * nm.QueryCost(st, q.Graph)
-	}
-	return total
 }
 
 // graphSignature canonicalizes a query's structure for hashing.

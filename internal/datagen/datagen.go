@@ -73,16 +73,6 @@ func (g *Gen) Mod(n int, m int64) []int64 {
 	return out
 }
 
-// Strings returns n dictionary-encoded values drawn uniformly from the
-// given string vocabulary.
-func (g *Gen) Strings(n int, vocab []string) []int64 {
-	enc := make([]int64, len(vocab))
-	for i, s := range vocab {
-		enc[i] = valenc.EncodeString(s)
-	}
-	return g.FK(n, enc)
-}
-
 // Dates returns n yyyymmdd values uniform over the year range [loYear,
 // hiYear] (using 28-day months to stay valid).
 func (g *Gen) Dates(n int, loYear, hiYear int) []int64 {

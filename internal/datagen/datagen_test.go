@@ -3,8 +3,6 @@ package datagen
 import (
 	"math"
 	"testing"
-
-	"partadvisor/internal/valenc"
 )
 
 func TestSeqAndSeqFrom(t *testing.T) {
@@ -49,13 +47,6 @@ func TestModAndStrings(t *testing.T) {
 	m := g.Mod(10, 3)
 	if m[0] != 0 || m[1] != 1 || m[3] != 0 {
 		t.Fatalf("Mod = %v", m)
-	}
-	vals := g.Strings(100, []string{"A", "B"})
-	encA, encB := valenc.EncodeString("A"), valenc.EncodeString("B")
-	for _, v := range vals {
-		if v != encA && v != encB {
-			t.Fatalf("Strings drew unknown encoding %d", v)
-		}
 	}
 }
 

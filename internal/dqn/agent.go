@@ -87,9 +87,6 @@ func NewAgent(q QFunc, cfg Config, rng *rand.Rand) (*Agent, error) {
 	}, nil
 }
 
-// Config returns the agent's hyperparameters.
-func (a *Agent) Config() Config { return a.cfg }
-
 // SelectAction picks an action ε-greedily among the valid indices.
 func (a *Agent) SelectAction(state []float64, valid []int) int {
 	if len(valid) == 0 {

@@ -39,7 +39,7 @@ type QFunc interface {
 type MultiHeadQ struct {
 	online *nn.Network
 	target *nn.Network
-	opt    nn.Optimizer
+	opt    *nn.Adam
 	n      int // number of actions
 	// Double selects Double-DQN targets: the online network picks the next
 	// action, the target network evaluates it.
@@ -210,7 +210,7 @@ func (q *MultiHeadQ) Online() *nn.Network { return q.online }
 type ScalarQ struct {
 	online *nn.Network
 	target *nn.Network
-	opt    nn.Optimizer
+	opt    *nn.Adam
 	feats  [][]float64
 
 	inferIn      *nn.Matrix // reused Values input batch
@@ -390,6 +390,3 @@ func (q *ScalarQ) fits(which string, net *nn.Network) error {
 	}
 	return sameLayers(which, net, q.online)
 }
-
-// Online exposes the online network.
-func (q *ScalarQ) Online() *nn.Network { return q.online }

@@ -29,11 +29,7 @@ type qFullGob struct {
 }
 
 // saveFull snapshots both networks and the Adam state.
-func saveFull(online, target *nn.Network, opt nn.Optimizer) ([]byte, error) {
-	adam, ok := opt.(*nn.Adam)
-	if !ok {
-		return nil, fmt.Errorf("dqn: full snapshots require the Adam optimizer (have %T)", opt)
-	}
+func saveFull(online, target *nn.Network, opt *nn.Adam) ([]byte, error) {
 	ob, err := online.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -43,7 +39,7 @@ func saveFull(online, target *nn.Network, opt nn.Optimizer) ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(qFullGob{Online: ob, Target: tb, Opt: adam.State()}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(qFullGob{Online: ob, Target: tb, Opt: opt.State()}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -56,11 +52,7 @@ func saveFull(online, target *nn.Network, opt nn.Optimizer) ([]byte, error) {
 // head. The training kernels index weights, moments and the target by the
 // online network's shapes, so a snapshot that disagreed anywhere would
 // otherwise panic on the first Train or SoftUpdate.
-func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, fits func(which string, net *nn.Network) error) (online, target *nn.Network, err error) {
-	adam, ok := opt.(*nn.Adam)
-	if !ok {
-		return nil, nil, fmt.Errorf("dqn: full snapshots require the Adam optimizer (have %T)", opt)
-	}
+func loadFull(data []byte, head *nn.Network, opt *nn.Adam, fits func(which string, net *nn.Network) error) (online, target *nn.Network, err error) {
 	var g qFullGob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return nil, nil, err
@@ -81,7 +73,7 @@ func loadFull(data []byte, head *nn.Network, opt nn.Optimizer, fits func(which s
 	if err := momentsFit(g.Opt, head); err != nil {
 		return nil, nil, err
 	}
-	if err := adam.SetState(g.Opt); err != nil {
+	if err := opt.SetState(g.Opt); err != nil {
 		return nil, nil, err
 	}
 	return online, target, nil

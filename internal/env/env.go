@@ -51,9 +51,6 @@ func New(sp *partition.Space, wl *workload.Workload, cost CostFunc, tmax int) (*
 	}, nil
 }
 
-// NumActions returns the size of the global action list.
-func (e *Env) NumActions() int { return e.Space.NumActions() }
-
 // Reset starts an episode for the given workload mix at s0 and returns the
 // encoded observation.
 func (e *Env) Reset(freq workload.FreqVector) []float64 {

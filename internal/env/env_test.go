@@ -60,9 +60,6 @@ func TestResetAndDims(t *testing.T) {
 	if len(obs) != sp.StateLen()+wl.Size() {
 		t.Fatalf("obs len %d, want %d", len(obs), sp.StateLen()+wl.Size())
 	}
-	if e.NumActions() != sp.NumActions() {
-		t.Fatalf("NumActions = %d", e.NumActions())
-	}
 	// Frequency appears at the tail of the observation.
 	if obs[sp.StateLen()] != 1 || obs[sp.StateLen()+1] != 0 {
 		t.Fatalf("frequency tail = %v", obs[sp.StateLen():])

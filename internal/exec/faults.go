@@ -93,12 +93,6 @@ func (e *Engine) SetFaults(in *faults.Injector) {
 	e.pending = nil
 }
 
-// Faults returns the armed injector (nil when faults are disabled),
-// lock-free from the published view.
-func (e *Engine) Faults() *faults.Injector {
-	return e.loadView().faults
-}
-
 // SimNow returns the engine's simulated clock: total simulated seconds
 // consumed by Exec/Deploy calls (and explicit AdvanceClock) since
 // construction or the last ResetClock. Fault windows are defined over

@@ -253,10 +253,6 @@ func MustNew(cfg Config) *Injector {
 	return in
 }
 
-// Config returns the armed schedule (to arm a fresh injector with the
-// same regime, e.g. for a second deterministic evaluation pass).
-func (in *Injector) Config() Config { return in.cfg }
-
 // NodeDown reports whether the node is crashed at simulated time now.
 func (in *Injector) NodeDown(node int, now float64) bool {
 	for _, cr := range in.cfg.Crashes {

@@ -24,7 +24,7 @@ func benchMatMul(b *testing.B, m, k, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulRows(dst, a, w, 0, a.Rows)
+		matMul(dst, a, w)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkMatMulBackward(b *testing.B) {
 			wT := NewMatrix(s.out, s.in)
 			for i := 0; i < b.N; i++ {
 				transposeTo(wT, w)
-				matMulRows(gradIn, delta, wT, 0, delta.Rows)
+				matMul(gradIn, delta, wT)
 			}
 		})
 	}

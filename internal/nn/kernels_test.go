@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 
 				a, b := sparseMat(rng, rows, inner, 0.5), sparseMat(rng, inner, cols, 0.1)
 				got, want := NewMatrix(rows, cols), NewMatrix(rows, cols)
-				matMulRows(got, a, b, 0, a.Rows)
+				matMul(got, a, b)
 				for i := 0; i < rows; i++ {
 					for k := 0; k < inner; k++ {
 						if av := a.At(i, k); av != 0 {
@@ -82,13 +83,13 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 				}
 				wantSameBits(t, "MatMulATB "+name, got.Data, want.Data)
 
-				// a·bᵀ as Dense.Backward forms it, through transposeTo; the
+				// a·bᵀ as Dense.backward forms it, through transposeTo; the
 				// reference multiplies the zeros too.
 				a, b = sparseMat(rng, rows, inner, 0.5), sparseMat(rng, cols, inner, 0.1)
 				got, want = NewMatrix(rows, cols), NewMatrix(rows, cols)
 				bT := NewMatrix(inner, cols)
 				transposeTo(bT, b)
-				matMulRows(got, a, bT, 0, a.Rows)
+				matMul(got, a, bT)
 				for i := 0; i < rows; i++ {
 					for j := 0; j < cols; j++ {
 						s := 0.0
@@ -104,57 +105,8 @@ func kernelsKeepReferenceOrder(t *testing.T) {
 	}
 }
 
-// TestKernelsBitIdenticalAcrossWorkers runs every pooled kernel at a shape
-// above the dispatch thresholds under several pool widths and compares each
-// result, bit for bit, with the sequential one. Run with -race: the blocks
-// write disjoint rows of shared matrices.
-func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	const rows, inner, cols = 96, 160, 96
-	for _, k := range []struct {
-		name     string
-		n, flops int
-	}{
-		{"Dense.Forward", rows, rows * inner * cols},
-		{"MatMulATB", inner, rows * inner * cols},
-		{"Dense.Backward", rows, rows * cols * inner},
-	} {
-		if rowBlocks(k.n, k.flops) < 2 {
-			t.Fatalf("%s at %d×%d×%d would not reach the pool; grow the test shape with the thresholds", k.name, rows, inner, cols)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(12))
-	a := sparseMat(rng, rows, inner, 0.5)
-	bRows := sparseMat(rng, rows, cols, 0.5) // aᵀ·bRows
-	gradOut := sparseMat(rng, rows, cols, 0.3)
-	layer := NewDense(inner, cols, ReLU, rng)
-
-	run := func(width int) map[string][]float64 {
-		runtime.GOMAXPROCS(width)
-		res := map[string][]float64{}
-		keep := func(name string, m *Matrix) { res[name] = append([]float64(nil), m.Data...) }
-		dst := NewMatrix(inner, cols)
-		MatMulATB(dst, a, bRows)
-		keep("MatMulATB", dst)
-		d := &Dense{W: layer.W, B: layer.B, Act: ReLU, gradW: NewMatrix(inner, cols), gradB: NewMatrix(1, cols)}
-		keep("Dense.Forward", d.Forward(a))
-		keep("Dense.Backward gradIn", d.Backward(gradOut))
-		keep("Dense.Backward gradW", d.gradW)
-		keep("Dense.Backward gradB", d.gradB)
-		return res
-	}
-	want := run(1)
-	for _, width := range []int{2, 4, 7} {
-		for name, got := range run(width) {
-			wantSameBits(t, fmt.Sprintf("%s at %d workers", name, width), got, want[name])
-		}
-	}
-}
-
 // TestBackwardAtMatchesDenseBackward compares the one-non-zero-per-row
-// output-layer backward with Dense.Backward on the scattered gradient,
+// output-layer backward with the dense backward on the scattered gradient,
 // including rows whose gradient is +0 and −0 and columns hit twice.
 func TestBackwardAtMatchesDenseBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -174,7 +126,7 @@ func TestBackwardAtMatchesDenseBackward(t *testing.T) {
 		gradOut.Set(i, c, g[i])
 	}
 	dense.Forward(in)
-	wantIn := dense.Backward(gradOut)
+	wantIn := dense.backward(gradOut, true)
 	gotIn := sparse.backwardAt(in, cols, g)
 	wantSameBits(t, "gradIn", gotIn.Data, wantIn.Data)
 	wantSameBits(t, "gradW", sparse.gradW.Data, dense.gradW.Data)
@@ -292,8 +244,6 @@ func TestTrainActionsMatchesMaskedTrainBatch(t *testing.T) {
 }
 
 func TestTrainActionsAllocatesNothing(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the training shapes must stay off the pool at any width
-
 	rng := rand.New(rand.NewSource(15))
 	net := NewNetwork([]int{83, 128, 64, 70}, rng)
 	opt := NewAdam(1e-3)
@@ -311,9 +261,9 @@ func TestTrainActionsRejectsBadArguments(t *testing.T) {
 	net := NewNetwork([]int{3, 4, 2}, rng)
 	in := NewMatrix(2, 3)
 	for name, call := range map[string]func(){
-		"action out of range": func() { net.TrainActions(&SGD{LR: 0.1}, in, []int{0, 2}, []float64{0, 0}) },
-		"negative action":     func() { net.TrainActions(&SGD{LR: 0.1}, in, []int{-1, 0}, []float64{0, 0}) },
-		"short targets":       func() { net.TrainActions(&SGD{LR: 0.1}, in, []int{0, 1}, []float64{0}) },
+		"action out of range": func() { net.TrainActions(NewAdam(0.1), in, []int{0, 2}, []float64{0, 0}) },
+		"negative action":     func() { net.TrainActions(NewAdam(0.1), in, []int{-1, 0}, []float64{0, 0}) },
+		"short targets":       func() { net.TrainActions(NewAdam(0.1), in, []int{0, 1}, []float64{0}) },
 	} {
 		func() {
 			defer func() {
@@ -323,5 +273,26 @@ func TestTrainActionsRejectsBadArguments(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestTrainingStartsNoGoroutine trains one batch whose first-layer forward
+// is 256 × 64 × 128 = 2²¹ multiply-adds at GOMAXPROCS 4 and then requires
+// that no goroutine but this test's own has a frame in package nn: every
+// kernel runs on the caller's goroutine. It must not call t.Parallel, or
+// another nn test could be on a stack beside it.
+func TestTrainingStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(17))
+	net := NewNetwork([]int{64, 128, 64, 8}, rng)
+	in, target := sparseMat(rng, 256, 64, 0.5), sparseMat(rng, 256, 8, 0)
+	net.TrainBatch(NewAdam(1e-3), in, target, nil)
+
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] { // the first is this test's
+		if strings.Contains(g, "\npartadvisor/internal/nn.") {
+			t.Errorf("a goroutine other than the test's has a frame in nn:\n%s", g)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package nn is a small, dependency-free neural-network library: dense
 // matrices, fully connected layers with ReLU/linear activations, mean
-// squared error, SGD and Adam optimizers, and gob serialization. It exists
+// squared error, the Adam optimizer, and gob serialization. It exists
 // because the paper's advisor is built on Keras, which has no Go
 // counterpart; the package implements exactly the subset the paper needs
 // (feed-forward nets, 2 hidden layers, ReLU, linear output, Adam, MSE).
-// On amd64 CPUs with AVX its three hottest elementwise loops run as
-// four-lane assembly kernels that produce the portable Go loops' bits
+// Every kernel runs on the caller's goroutine: the paper's batch-32 steps
+// are too small to gain from splitting, and the package starts no
+// goroutine. On amd64 CPUs with AVX its three hottest elementwise loops run
+// as four-lane assembly kernels that produce the portable Go loops' bits
 // (lanes.go).
 package nn
 
@@ -86,10 +88,10 @@ func (m *Matrix) Zero() {
 
 // kTile is the tile of the summed dimension in every kernel below: the
 // multipliers of one tile are compacted into a nonZeros and applied before
-// the next tile's, ascending. In matMulRows one tile of b (kTile rows ×
-// b.Cols) is streamed against every output row in the block before moving
-// to the next tile, so for multi-row batches the tile stays in L1/L2 across
-// rows instead of b being re-fetched per row. 64 rows × 512 columns × 8
+// the next tile's, ascending. In matMul one tile of b (kTile rows ×
+// b.Cols) is streamed against every output row before moving to the next
+// tile, so for multi-row batches the tile stays in L1/L2 across rows
+// instead of b being re-fetched per row. 64 rows × 512 columns × 8
 // bytes caps a tile at 256 KB even for the widest layer in the repo; typical
 // hidden layers (≤128 cols) keep it under 64 KB.
 const kTile = 64
@@ -150,58 +152,40 @@ func (z *nonZeros) addRowsTo(dr, src []float64) {
 	}
 }
 
-// zeroRows clears rows [lo, hi) of m.
-func zeroRows(m *Matrix, lo, hi int) {
-	clear(m.Data[lo*m.Cols : hi*m.Cols])
-}
-
-// matMulRows computes dst rows [lo, hi) of a × b, cache-blocked on the k
-// (inner) dimension. Within each output element the products are still
-// accumulated in ascending-k order into a single accumulator — tiles are
-// visited in ascending order and each tile scans k ascending — so the
-// result is bitwise identical to the untiled ikj loop (and to the k-at-a-
-// time sequential definition). Each output row depends only on the matching
-// input row, so disjoint row ranges can run on different workers.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	zeroRows(dst, lo, hi)
+// matMul computes dst = a × b, cache-blocked on the k (inner) dimension.
+// Within each output element the products are still accumulated in
+// ascending-k order into a single accumulator — tiles are visited in
+// ascending order and each tile scans k ascending — so the result is bitwise
+// identical to the untiled ikj loop (and to the k-at-a-time sequential
+// definition).
+func matMul(dst, a, b *Matrix) {
+	clear(dst.Data)
 	var z nonZeros
 	for k0 := 0; k0 < a.Cols; k0 += kTile {
 		k1 := min(k0+kTile, a.Cols)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Rows; i++ {
 			z.gather(a.Data[i*a.Cols+k0:i*a.Cols+k1], 1, k0)
 			z.addRowsTo(dst.Row(i), b.Data)
 		}
 	}
 }
 
-// matMulATBRows computes dst rows [lo, hi) of aᵀ × b: row i is the sum over
-// a's rows r, ascending, of a[r][i] · b's row r.
-func matMulATBRows(dst, a, b *Matrix, lo, hi int) {
-	zeroRows(dst, lo, hi)
+// MatMulATB computes dst = aᵀ × b (used for weight gradients): row i of dst
+// is the sum over a's rows r, ascending, of a[r][i] · b's row r.
+func MatMulATB(dst, a, b *Matrix) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("nn: MatMulATB shape mismatch: (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	clear(dst.Data)
 	var z nonZeros
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Cols; i++ {
 		dr := dst.Row(i)
 		for r0 := 0; r0 < a.Rows; r0 += kTile {
 			r1 := min(r0+kTile, a.Rows)
 			z.gather(a.Data[r0*a.Cols+i:(r1-1)*a.Cols+i+1], a.Cols, r0)
 			z.addRowsTo(dr, b.Data)
 		}
-	}
-}
-
-// MatMulATB computes dst = aᵀ × b (used for weight gradients). Row blocks of
-// dst (columns of a) are independent, so the pool splits on them; for each
-// output element the accumulation still runs over a's rows in ascending
-// order, keeping parallel results bitwise identical to sequential ones.
-func MatMulATB(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulATB shape mismatch: (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	if blocks := rowBlocks(a.Cols, a.Rows*a.Cols*b.Cols); blocks > 1 {
-		parallelFor(a.Cols, blocks, func(lo, hi int) { matMulATBRows(dst, a, b, lo, hi) })
-	} else {
-		matMulATBRows(dst, a, b, 0, a.Cols)
 	}
 }
 

@@ -56,32 +56,21 @@ func NewDense(inDim, outDim int, act Activation, rng *rand.Rand) *Dense {
 }
 
 // Forward computes the layer output for a batch, caching activations for
-// Backward. Row blocks (matmul, bias, activation fused per block) run on the
-// shared worker pool for large batches.
+// backward.
 func (d *Dense) Forward(in *Matrix) *Matrix {
 	sc := d.scratchFor(in.Rows)
 	if sc.preAct == nil {
 		sc.preAct, sc.out = NewMatrix(in.Rows, d.W.Cols), NewMatrix(in.Rows, d.W.Cols)
 	}
 	d.in, d.preAct, d.out = in, sc.preAct, sc.out
-	if blocks := rowBlocks(in.Rows, in.Rows*in.Cols*d.W.Cols); blocks > 1 {
-		parallelFor(in.Rows, blocks, func(lo, hi int) { d.forwardRows(lo, hi) })
-	} else {
-		d.forwardRows(0, in.Rows)
-	}
-	return d.out
-}
-
-// forwardRows computes rows [lo, hi) of the current pass's preAct and out.
-func (d *Dense) forwardRows(lo, hi int) {
-	matMulRows(d.preAct, d.in, d.W, lo, hi)
+	matMul(d.preAct, d.in, d.W)
 	// Fused bias + activation: one pass over each row adds the bias (after
 	// the matmul accumulation, preserving the summation order) and writes
 	// the activated output, instead of separate bias and activation sweeps
 	// re-reading the row.
 	cols := d.W.Cols
 	bias := d.B.Data[:cols]
-	for i := lo; i < hi; i++ {
+	for i := 0; i < in.Rows; i++ {
 		row := d.preAct.Data[i*cols : (i+1)*cols]
 		outRow := d.out.Data[i*cols : (i+1)*cols]
 		if d.Act == ReLU {
@@ -98,40 +87,36 @@ func (d *Dense) forwardRows(lo, hi int) {
 			}
 		}
 	}
+	return d.out
 }
 
-// Backward takes dL/d(out) and returns dL/d(in), accumulating weight and
+// backward takes dL/d(out) and returns dL/d(in), accumulating weight and
 // bias gradients (overwriting previous ones). The delta and grad-in
 // matrices live in the per-batch-size scratch (like the forward buffers),
 // so steady-state training performs no per-step allocations; the returned
-// matrix is valid until the next Backward of the same batch size.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true) }
-
-// backward is Backward with the input gradient optional: nothing reads the
-// first layer's, and at 83 inputs × 128 units it is the largest product of
-// the whole step. Without wantGradIn the result is nil.
+// matrix is valid until the next backward of the same batch size. The
+// input gradient is optional: nothing reads the first layer's, and at 83
+// inputs × 128 units it is the largest product of the whole step. Without
+// wantGradIn the result is nil.
 func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
 	sc := d.backwardScratch(gradOut.Rows)
-	delta := sc.delta
-	gradIn := sc.gradIn
+	delta := sc.delta // gradOut with the activation derivative applied
+	copy(delta.Data, gradOut.Data)
+	if d.Act == ReLU {
+		for i, p := range d.preAct.Data[:len(delta.Data)] {
+			if p <= 0 {
+				delta.Data[i] = 0
+			}
+		}
+	}
+	var gradIn *Matrix
 	if wantGradIn {
 		if d.wT == nil {
 			d.wT = NewMatrix(d.W.Cols, d.W.Rows)
 		}
 		transposeTo(d.wT, d.W)
-	} else {
-		gradIn = nil
-	}
-	// Rows are independent, so the activation derivative and the delta
-	// backpropagation split across the pool.
-	flops := delta.Rows * delta.Cols
-	if wantGradIn {
-		flops *= d.W.Rows + 1
-	}
-	if blocks := rowBlocks(delta.Rows, flops); blocks > 1 {
-		parallelFor(delta.Rows, blocks, func(lo, hi int) { d.deltaRows(delta, gradIn, gradOut, lo, hi) })
-	} else {
-		d.deltaRows(delta, gradIn, gradOut, 0, delta.Rows)
+		gradIn = sc.gradIn
+		matMul(gradIn, delta, d.wT) // delta × Wᵀ
 	}
 	MatMulATB(d.gradW, d.in, delta)
 	d.gradB.Zero()
@@ -142,24 +127,6 @@ func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
 		}
 	}
 	return gradIn
-}
-
-// deltaRows fills rows [lo, hi) of delta — gradOut with the activation
-// derivative applied — and, unless gradIn is nil, of gradIn = delta × Wᵀ,
-// the product of delta and d.wT (which the caller refreshed).
-func (d *Dense) deltaRows(delta, gradIn, gradOut *Matrix, lo, hi int) {
-	dl := delta.Data[lo*delta.Cols : hi*delta.Cols]
-	copy(dl, gradOut.Data[lo*delta.Cols:hi*delta.Cols])
-	if d.Act == ReLU {
-		for i, p := range d.preAct.Data[lo*delta.Cols : hi*delta.Cols] {
-			if p <= 0 {
-				dl[i] = 0
-			}
-		}
-	}
-	if gradIn != nil {
-		matMulRows(gradIn, delta, d.wT, lo, hi)
-	}
 }
 
 // scratchFor returns the scratch entry of the given batch size. Its buffers
@@ -203,11 +170,11 @@ func (d *Dense) forwardAt(in *Matrix, cols []int, out []float64) {
 	}
 }
 
-// backwardAt is Backward for a linear layer whose dL/d(out) has a single
+// backwardAt is backward for a linear layer whose dL/d(out) has a single
 // non-zero per row: g[i] at column cols[i]. Each gradient element receives
 // the same additions in the same order as the dense kernels give it once
 // their zero terms are dropped (see the note above kTile), so the result is
-// bit-identical to Backward on the scattered matrix at 1/Cols of the work.
+// bit-identical to backward on the scattered matrix at 1/Cols of the work.
 func (d *Dense) backwardAt(in *Matrix, cols []int, g []float64) *Matrix {
 	gradIn := d.backwardScratch(in.Rows).gradIn
 	w, gw, n := d.W.Data, d.gradW.Data, d.W.Cols
@@ -229,8 +196,7 @@ func (d *Dense) backwardAt(in *Matrix, cols []int, g []float64) *Matrix {
 
 // Network is a feed-forward stack of dense layers. A Network (like its
 // layers) keeps per-pass scratch state, so a single instance must not be
-// used from multiple goroutines concurrently; the parallel committee gives
-// every expert its own networks and shares only the stateless worker pool.
+// used from multiple goroutines concurrently.
 type Network struct {
 	Layers []*Dense
 
@@ -333,11 +299,11 @@ func (n *Network) backwardFrom(top int, g *Matrix) {
 	}
 }
 
-// TrainBatch performs one optimizer step on (inputs, targets) with an
+// TrainBatch performs one Adam step on (inputs, targets) with an
 // optional per-sample-per-output mask (nil = all outputs count). Masked MSE
 // is what DQN needs: only the taken action's Q-output receives a gradient.
 // It returns the masked mean squared error before the update.
-func (n *Network) TrainBatch(opt Optimizer, in, target, mask *Matrix) float64 {
+func (n *Network) TrainBatch(opt *Adam, in, target, mask *Matrix) float64 {
 	out := n.Forward(in)
 	if out.Rows != target.Rows || out.Cols != target.Cols {
 		panic(fmt.Sprintf("nn: target shape (%dx%d) != output (%dx%d)", target.Rows, target.Cols, out.Rows, out.Cols))
@@ -380,7 +346,7 @@ func (n *Network) TrainBatch(opt Optimizer, in, target, mask *Matrix) float64 {
 // row instead of all of them, forward and backward — and leaves weights,
 // optimizer state and the returned loss bit-identical to the masked dense
 // step. The output layer must be linear.
-func (n *Network) TrainActions(opt Optimizer, in *Matrix, actions []int, targets []float64) float64 {
+func (n *Network) TrainActions(opt *Adam, in *Matrix, actions []int, targets []float64) float64 {
 	last := len(n.Layers) - 1
 	head := n.Layers[last]
 	if len(actions) != in.Rows || len(targets) != in.Rows {

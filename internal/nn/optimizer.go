@@ -5,29 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer applies one parameter update from the gradients stored in the
-// network's layers.
-type Optimizer interface {
-	Step(n *Network)
-}
-
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// Step applies W ← W − lr·∇W for every layer.
-func (o *SGD) Step(n *Network) {
-	for _, l := range n.Layers {
-		for i := range l.W.Data {
-			l.W.Data[i] -= o.LR * l.gradW.Data[i]
-		}
-		for i := range l.B.Data {
-			l.B.Data[i] -= o.LR * l.gradB.Data[i]
-		}
-	}
-}
-
 // Adam implements Kingma & Ba's optimizer — the paper trains its Q-networks
 // with Adam at learning rate 5e-4 (Table 1).
 type Adam struct {

@@ -128,12 +128,12 @@ func TestMitigationEncodingAndSignature(t *testing.T) {
 	s := sp.Apply(sp.InitialState(), Action{Kind: ActSaltKey, Table: lo})
 	s = sp.Apply(s, Action{Kind: ActHotSplit, Table: lo})
 
-	enc := s.Encoded()
+	enc := encoded(s)
 	mit := sp.tableOffsets[lo] + 1 + len(sp.Tables[lo].Keys)
 	if enc[mit] != 1 || enc[mit+1] != 1 {
 		t.Fatalf("mitigation bits not set: %v", enc[:sp.tableOffsets[lo+1]])
 	}
-	plain := sp.InitialState().Encoded()
+	plain := encoded(sp.InitialState())
 	if plain[mit] != 0 || plain[mit+1] != 0 {
 		t.Fatalf("mitigation bits set on plain state")
 	}

@@ -73,9 +73,6 @@ type Options struct {
 	// of the paper restricts the space so tables "cannot be partitioned by
 	// warehouse-id only"; that restriction is expressed here.
 	KeyFilter func(table string, key Key) bool
-	// ExtraEdges adds join edges beyond those derived from the workload and
-	// foreign keys.
-	ExtraEdges []schema.JoinEdge
 	// DisableEdges removes all co-partitioning edges (and thus all edge
 	// actions) from the space — the ablation of the paper's claim that
 	// explicit edges reduce exploration of sub-optimal partitionings.
@@ -121,7 +118,7 @@ func NewSpace(sch *schema.Schema, workloadEdges []schema.JoinEdge, opts Options)
 		tableIdx:    make(map[string]int, len(sch.Tables)),
 		mitigations: opts.EnableMitigations,
 	}
-	allEdges := schema.MergeEdges(sch.ForeignKeyEdges(), workloadEdges, opts.ExtraEdges)
+	allEdges := schema.MergeEdges(sch.ForeignKeyEdges(), workloadEdges)
 
 	accept := func(table string, k Key) bool {
 		return opts.KeyFilter == nil || opts.KeyFilter(table, k)

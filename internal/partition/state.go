@@ -79,25 +79,6 @@ func (s *State) KeyOf(table string) (Key, bool) {
 	return s.space.Tables[i].Keys[d.Key], true
 }
 
-// Equal reports whether two states describe the same physical layout *and*
-// edge activation. For layout-only comparison use SameLayout.
-func (s *State) Equal(o *State) bool {
-	if len(s.Tables) != len(o.Tables) || len(s.Edges) != len(o.Edges) {
-		return false
-	}
-	for i := range s.Tables {
-		if s.Tables[i] != o.Tables[i] {
-			return false
-		}
-	}
-	for i := range s.Edges {
-		if s.Edges[i] != o.Edges[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SameLayout reports whether two states deploy identically (edge bits are
 // bookkeeping for the agent and do not affect the physical layout).
 func (s *State) SameLayout(o *State) bool {
@@ -214,13 +195,6 @@ func (s *State) Encode(dst []float64) {
 			dst[base+i] = 1
 		}
 	}
-}
-
-// Encoded allocates and returns the feature encoding.
-func (s *State) Encoded() []float64 {
-	dst := make([]float64, s.space.stateLen)
-	s.Encode(dst)
-	return dst
 }
 
 // CheckInvariants verifies the edge-consistency invariant: every active edge

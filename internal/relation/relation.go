@@ -138,18 +138,6 @@ func (r *Relation) Grow(n int) {
 	}
 }
 
-// Rename returns a relation with the same storage but renamed columns
-// (e.g. qualifying base columns with a query alias).
-func (r *Relation) Rename(newName string, rename func(col string) string) *Relation {
-	cols := make([]string, len(r.cols))
-	for i, c := range r.cols {
-		cols[i] = rename(c)
-	}
-	p := New(newName, cols)
-	copy(p.data, r.data)
-	return p
-}
-
 // Filter returns the rows (as a new relation) for which keep returns true.
 func (r *Relation) Filter(keep func(row int) bool) *Relation {
 	out := New(r.Name, r.cols)

@@ -72,17 +72,6 @@ func TestAppendFromAndConcat(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	r := sample()
-	q := r.Rename("q", func(c string) string { return "x." + c })
-	if !q.HasCol("x.a") || q.HasCol("a") {
-		t.Fatalf("Rename cols = %v", q.Columns())
-	}
-	if q.Col("x.a")[5] != 5 {
-		t.Fatalf("Rename lost data")
-	}
-}
-
 func TestFilter(t *testing.T) {
 	r := sample()
 	f := r.Filter(func(row int) bool { return r.Col("a")[row]%2 == 0 })

@@ -154,16 +154,6 @@ func (s *Schema) MustTable(name string) *Table {
 	return t
 }
 
-// TableIndex returns the position of the named table in Tables, or -1.
-func (s *Schema) TableIndex(name string) int {
-	for i, t := range s.Tables {
-		if t.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // TableNames returns the table names in schema order.
 func (s *Schema) TableNames() []string {
 	names := make([]string, len(s.Tables))
@@ -186,14 +176,6 @@ func (t *Table) AttributeIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// Attribute returns the named column, or nil if absent.
-func (t *Table) Attribute(name string) *Attribute {
-	if i := t.AttributeIndex(name); i >= 0 {
-		return &t.Attributes[i]
-	}
-	return nil
 }
 
 // AttributeNames returns the column names in definition order.

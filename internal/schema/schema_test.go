@@ -128,12 +128,6 @@ func TestTableLookup(t *testing.T) {
 	if s.Table("nope") != nil {
 		t.Fatalf("Table(nope) != nil")
 	}
-	if got := s.TableIndex("part"); got != 2 {
-		t.Fatalf("TableIndex(part) = %d, want 2", got)
-	}
-	if got := s.TableIndex("nope"); got != -1 {
-		t.Fatalf("TableIndex(nope) = %d, want -1", got)
-	}
 	if got := s.TableNames(); len(got) != 3 || got[0] != "lineorder" {
 		t.Fatalf("TableNames = %v", got)
 	}
@@ -160,12 +154,6 @@ func TestAttributeHelpers(t *testing.T) {
 	}
 	if got := lo.AttributeIndex("lo_partkey"); got != 2 {
 		t.Fatalf("AttributeIndex = %d, want 2", got)
-	}
-	if a := lo.Attribute("lo_revenue"); a == nil || a.Width != 8 {
-		t.Fatalf("Attribute(lo_revenue) = %+v", a)
-	}
-	if lo.Attribute("nope") != nil {
-		t.Fatalf("Attribute(nope) != nil")
 	}
 	if got := lo.RowWidth(); got != 32 {
 		t.Fatalf("RowWidth = %d, want 32", got)

@@ -283,21 +283,6 @@ func (cs ColumnStats) rangeFraction(lo, hi int64) float64 {
 	return clamp01(sum / float64(total))
 }
 
-// Scale multiplies all row counts (and histogram buckets) by factor,
-// emulating bulk data growth without re-deriving statistics. It is used to
-// model *true* statistics after updates; estimated statistics go stale by
-// simply not being scaled until ANALYZE.
-func (c *Catalog) Scale(factor float64) {
-	for _, ts := range c.Tables {
-		ts.Rows = int64(math.Round(float64(ts.Rows) * factor))
-		for _, cs := range ts.Columns {
-			for i := range cs.Histogram {
-				cs.Histogram[i] = int64(math.Round(float64(cs.Histogram[i]) * factor))
-			}
-		}
-	}
-}
-
 func clamp01(f float64) float64 {
 	if f < 0 {
 		return 0

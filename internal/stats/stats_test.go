@@ -237,17 +237,6 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	c := testCatalog()
-	c.Scale(1.6)
-	if got := c.Rows("orders"); got != 1600 {
-		t.Fatalf("scaled rows = %d, want 1600", got)
-	}
-	if got := c.Tables["orders"].Columns["o_amount"].Histogram[0]; got != 1120 {
-		t.Fatalf("scaled histogram bucket = %d, want 1120", got)
-	}
-}
-
 func TestRangeFractionDegenerate(t *testing.T) {
 	cs := ColumnStats{Distinct: 1, Min: 5, Max: 5}
 	if got := cs.rangeFraction(5, 5); got != 1 {

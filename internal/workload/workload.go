@@ -142,22 +142,6 @@ func (w *Workload) Subset(names []string) (*Workload, error) {
 	return sub, nil
 }
 
-// Tables returns the sorted union of base tables over all queries.
-func (w *Workload) Tables() []string {
-	set := make(map[string]bool)
-	for _, q := range w.Queries {
-		for _, t := range q.Tables() {
-			set[t] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sortStrings(out)
-	return out
-}
-
 // JoinEdges returns the canonical union of join edges over all queries,
 // merged with any extra edge sets (typically the schema's foreign keys).
 func (w *Workload) JoinEdges(extra ...[]schema.JoinEdge) []schema.JoinEdge {
@@ -167,14 +151,6 @@ func (w *Workload) JoinEdges(extra ...[]schema.JoinEdge) []schema.JoinEdge {
 	}
 	sets = append(sets, extra...)
 	return schema.MergeEdges(sets...)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // FreqVector is a workload mix: one normalized frequency per query slot.

@@ -70,10 +70,6 @@ func TestParseWorkloadErrors(t *testing.T) {
 
 func TestWorkloadTablesAndEdges(t *testing.T) {
 	w := testWorkload(t)
-	tables := w.Tables()
-	if len(tables) != 3 || tables[0] != "cust" || tables[1] != "fact" || tables[2] != "part" {
-		t.Fatalf("Tables = %v", tables)
-	}
 	edges := w.JoinEdges()
 	if len(edges) != 2 {
 		t.Fatalf("JoinEdges = %v", edges)
