@@ -72,9 +72,6 @@ func Celebrity() *Benchmark {
 // to build the orders foreign-key column, so the data skew and the traffic
 // skew are the same phenomenon.
 func CelebrityTrace(seed int64, windows int) *trace.Trace {
-	if windows <= 0 {
-		windows = CelebrityWindows
-	}
 	return trace.Generate(trace.Config{
 		Seed:    seed,
 		Windows: windows,
@@ -86,7 +83,7 @@ func CelebrityTrace(seed int64, windows int) *trace.Trace {
 				Weight: 2,
 				ZipfS:  3,
 				Spikes: []trace.Spike{
-					{Start: windows / 3, Width: windows / 3, Peak: 6, Shape: trace.Ramp},
+					{Start: windows / 3, Width: windows / 3, Peak: 6},
 				},
 				Mix: workload.FreqVector{1, 0.1}, // feed-heavy
 			},

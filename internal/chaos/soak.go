@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"time"
 
@@ -444,14 +443,11 @@ func runSkew(scale float64, seed int64, faulty bool) (Outcome, []string, error) 
 
 	oc := core.NewOnlineCost(e, wl, nil)
 	det := core.NewHotShardDetector()
-	size := len(wl.UniformFreq())
+	size := wl.Size()
 	lastMitigation := -1
 	armed := false
 	for w := 0; w < benchmarks.CelebrityWindows; w++ {
 		freq := tr.Mix(w, size)
-		if !slices.ContainsFunc(freq, func(v float64) bool { return v != 0 }) {
-			freq = wl.UniformFreq()
-		}
 		// Drive one traffic window directly through the engine (OnlineCost
 		// caches per-design measurements, so it would execute nothing after
 		// the first window and the detector would see only quiet deltas),

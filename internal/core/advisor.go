@@ -181,43 +181,26 @@ func (a *Advisor) trainEpisodes(cost env.CostFunc, sampler FreqSampler, n int) e
 // tmax-step rollout in simulation from s0, returning the partitioning of
 // the *best-reward* state visited (the agent oscillates around the optimum,
 // so the last state is not necessarily the best) together with its reward.
+// It is SuggestBatch over the one mix.
 func (a *Advisor) Suggest(freq workload.FreqVector) (*partition.State, float64, error) {
-	if a.InferCost == nil {
-		return nil, 0, fmt.Errorf("core: advisor has no inference cost function (train offline first)")
-	}
-	e, err := env.New(a.Space, a.WL, a.InferCost, a.HP.TmaxFor(len(a.Space.Tables)))
+	states, rewards, err := a.SuggestBatch([]workload.FreqVector{freq})
 	if err != nil {
 		return nil, 0, err
 	}
-	e.Reset(freq)
-	obs := e.EncodedCopy()
-	best := e.State()
-	bestReward := e.Reward(best)
-	for {
-		valid := e.ValidActions()
-		act := a.Agent.Greedy(obs, valid)
-		_, reward, done := e.Step(act)
-		if reward > bestReward {
-			bestReward = reward
-			best = e.State()
-		}
-		obs = e.EncodedCopy()
-		if done {
-			break
-		}
-	}
-	return best, bestReward, nil
+	return states[0], rewards[0], nil
 }
 
 // SuggestBatch runs the §6 greedy rollout for many mixes in lockstep: all
 // rollouts advance one step per round, and each round's greedy argmax
-// forwards are fused into one batched network pass (when the Q head
-// implements dqn.BatchValuer). Results are identical to calling Suggest per
-// mix — batched forward rows are bitwise identical to single-row ones and
-// each rollout performs the same cost evaluations — but the evaluation
-// order interleaves across rollouts, so callers should pass pure (simulated
-// or cached) cost functions. Committee reference discovery is the intended
-// caller: it fuses |workload| rollouts' worth of network passes.
+// forwards are fused into one batched network pass. Each rollout visits
+// the same states, and returns the same partitioning and reward bits, as
+// SuggestBatch over its mix alone: batched forward rows are bitwise
+// identical to single-row ones and each rollout asks for the same costs.
+// The costs are asked in another order, though, interleaved across the
+// rollouts, so a stateful cost function (OnlineCost, whose per-mix best
+// cost sets its timeouts) ends in another state than one rollout per mix
+// would leave it in. Committee reference discovery is the batched caller:
+// it fuses |workload| rollouts' worth of network passes.
 func (a *Advisor) SuggestBatch(freqs []workload.FreqVector) ([]*partition.State, []float64, error) {
 	if a.InferCost == nil {
 		return nil, nil, fmt.Errorf("core: advisor has no inference cost function (train offline first)")

@@ -54,7 +54,11 @@ func BuildCommittee(naive *Advisor, cost env.CostFunc, seed int64) (*Committee, 
 	// Reference partitionings from extreme mixes, deduplicated by layout.
 	// The |workload| greedy rollouts run in lockstep so each step's argmax
 	// forwards fuse into one batched network pass — the same partitionings
-	// one Suggest per mix would find, in a fraction of the passes.
+	// one Suggest per mix would find, in a fraction of the passes. The
+	// interleaved rollouts ask a stateful cost for the same designs in
+	// another order than one Suggest per mix would, so they leave it in
+	// another state (at TestConfig the online total ends at 12.305 sim s in
+	// lockstep, 12.245 serially); TestCommitteeDigestPinned pins the order.
 	freqs := make([]workload.FreqVector, len(naive.WL.Queries))
 	for i := range naive.WL.Queries {
 		freqs[i] = naive.WL.ExtremeFreq(i, committeeLow, committeeHigh)

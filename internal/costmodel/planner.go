@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"partadvisor/internal/hardware"
 	"partadvisor/internal/partition"
 )
 
@@ -17,10 +18,6 @@ const (
 	slotNone       = 1 // partitioned, but not on any join class
 	classSlot      = 2
 )
-
-// serializationSpeedup: tuples (de)serialize this many times faster than
-// they are processed by a hash join.
-const serializationSpeedup = 4
 
 // priceWork is the reusable working memory of one price call: the
 // property-cost row of every node, and per node the slots of its row that
@@ -127,11 +124,12 @@ type joiner struct {
 
 // netTime is the cost of moving tuples: wire time plus per-tuple
 // (de)serialization CPU — distributed engines rarely shuffle at wire speed.
-// Serialization is cheaper than hash-join processing (serializationSpeedup x).
+// Serialization is cheaper than hash-join processing
+// (hardware.SerializationSpeedup x).
 func (j *joiner) netTime(bytesMoved, rowsMoved float64) float64 {
 	hw := &j.m.HW
 	n := j.n
-	return bytesMoved/(n*hw.NetBytesPerSec) + rowsMoved/(n*serializationSpeedup*hw.CPUTuplesPerSec)
+	return bytesMoved/(n*hw.NetBytesPerSec) + rowsMoved/(n*hardware.SerializationSpeedup*hw.CPUTuplesPerSec)
 }
 
 // cpuTime estimates the per-node hash-join wall time: build + probe +

@@ -6,16 +6,20 @@ import (
 	"math/rand"
 )
 
-// Config collects the agent hyperparameters; DefaultConfig mirrors the
-// paper's Table 1.
+// Table 1's settings that no caller changes.
+const (
+	Gamma      = 0.99 // reward discount
+	Epsilon    = 1.0  // initial exploration probability
+	EpsilonMin = 0.01 // exploration floor
+	BatchSize  = 32   // minibatch size
+	Tau        = 1e-3 // target-network soft-update factor
+)
+
+// Config collects the agent hyperparameters the profiles and ablations
+// set; DefaultConfig mirrors the paper's Table 1.
 type Config struct {
-	Gamma        float64 // reward discount
-	Epsilon      float64 // initial exploration probability
 	EpsilonDecay float64 // multiplied into epsilon per episode
-	EpsilonMin   float64 // exploration floor
 	BufferSize   int     // experience replay capacity
-	BatchSize    int     // minibatch size
-	Tau          float64 // target-network soft-update factor
 	LearningRate float64 // Adam learning rate
 	Hidden       []int   // hidden layer widths
 	// Double enables Double-DQN targets (van Hasselt et al.): the online
@@ -28,13 +32,8 @@ type Config struct {
 // DefaultConfig returns the paper's Table-1 hyperparameters.
 func DefaultConfig() Config {
 	return Config{
-		Gamma:        0.99,
-		Epsilon:      1.0,
 		EpsilonDecay: 0.997,
-		EpsilonMin:   0.01,
 		BufferSize:   10000,
-		BatchSize:    32,
-		Tau:          1e-3,
 		LearningRate: 5e-4,
 		Hidden:       []int{128, 64},
 	}
@@ -43,18 +42,10 @@ func DefaultConfig() Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Gamma <= 0 || c.Gamma >= 1:
-		return fmt.Errorf("dqn: gamma %v out of (0,1)", c.Gamma)
-	case c.Epsilon < 0 || c.Epsilon > 1:
-		return fmt.Errorf("dqn: epsilon %v out of [0,1]", c.Epsilon)
 	case c.EpsilonDecay <= 0 || c.EpsilonDecay > 1:
 		return fmt.Errorf("dqn: epsilon decay %v out of (0,1]", c.EpsilonDecay)
 	case c.BufferSize <= 0:
 		return fmt.Errorf("dqn: buffer size %d", c.BufferSize)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("dqn: batch size %d", c.BatchSize)
-	case c.Tau <= 0 || c.Tau > 1:
-		return fmt.Errorf("dqn: tau %v out of (0,1]", c.Tau)
 	case c.LearningRate <= 0:
 		return fmt.Errorf("dqn: learning rate %v", c.LearningRate)
 	}
@@ -81,7 +72,7 @@ func NewAgent(q QFunc, cfg Config, rng *rand.Rand) (*Agent, error) {
 	return &Agent{
 		Q:       q,
 		Buffer:  NewBuffer(cfg.BufferSize),
-		Epsilon: cfg.Epsilon,
+		Epsilon: Epsilon,
 		cfg:     cfg,
 		rng:     rng,
 	}, nil
@@ -103,7 +94,28 @@ func (a *Agent) Greedy(state []float64, valid []int) int {
 	if len(valid) == 0 {
 		panic("dqn: no valid actions")
 	}
-	qs := a.Q.Values(state, valid)
+	return argmax(valid, a.Q.Values(state, valid))
+}
+
+// GreedyBatch picks the greedy action for many states at once, fusing all
+// the forward passes into one batched pass. Each result is identical to
+// Greedy(states[i], valids[i]): batched forward rows are bitwise identical
+// to single-state forwards, and both take the same argmax.
+func (a *Agent) GreedyBatch(states [][]float64, valids [][]int) []int {
+	qs := a.Q.ValuesBatch(states, valids)
+	out := make([]int, len(valids))
+	for i, valid := range valids {
+		if len(valid) == 0 {
+			panic("dqn: no valid actions")
+		}
+		out[i] = argmax(valid, qs[i])
+	}
+	return out
+}
+
+// argmax returns the action of valid whose value in qs is largest; the
+// first maximum wins a tie.
+func argmax(valid []int, qs []float64) int {
 	best, bestQ := valid[0], math.Inf(-1)
 	for i, v := range qs {
 		if v > bestQ {
@@ -112,39 +124,6 @@ func (a *Agent) Greedy(state []float64, valid []int) int {
 		}
 	}
 	return best
-}
-
-// GreedyBatch picks the greedy action for many states at once, fusing all
-// the forward passes into one batched pass when the head implements
-// BatchValuer (falling back to per-state Greedy calls otherwise). Each
-// result is identical to Greedy(states[i], valids[i]): batched forward rows
-// are bitwise identical to single-state forwards, and the tie-break (first
-// maximum wins) is the same.
-func (a *Agent) GreedyBatch(states [][]float64, valids [][]int) []int {
-	out := make([]int, len(states))
-	bv, ok := a.Q.(BatchValuer)
-	if !ok {
-		for i := range states {
-			out[i] = a.Greedy(states[i], valids[i])
-		}
-		return out
-	}
-	qsAll := bv.ValuesBatch(states, valids)
-	for i, qs := range qsAll {
-		valid := valids[i]
-		if len(valid) == 0 {
-			panic("dqn: no valid actions")
-		}
-		best, bestQ := valid[0], math.Inf(-1)
-		for j, v := range qs {
-			if v > bestQ {
-				bestQ = v
-				best = valid[j]
-			}
-		}
-		out[i] = best
-	}
-	return out
 }
 
 // Observe stores a transition in the replay buffer.
@@ -156,20 +135,20 @@ func (a *Agent) Observe(t Transition) { a.Buffer.Add(t) }
 // training-curve logging doesn't record phantom zero-loss points while the
 // buffer is filling.
 func (a *Agent) TrainStep() (loss float64, trained bool) {
-	if a.Buffer.Len() < a.cfg.BatchSize {
+	if a.Buffer.Len() < BatchSize {
 		return 0, false
 	}
-	a.scratch = a.Buffer.Sample(a.rng, a.cfg.BatchSize, a.scratch)
-	loss = a.Q.Train(a.scratch, a.cfg.Gamma)
-	a.Q.SoftUpdate(a.cfg.Tau)
+	a.scratch = a.Buffer.Sample(a.rng, BatchSize, a.scratch)
+	loss = a.Q.Train(a.scratch, Gamma)
+	a.Q.SoftUpdate(Tau)
 	return loss, true
 }
 
 // DecayEpsilon applies one episode's ε decay (Table 1: ×0.997).
 func (a *Agent) DecayEpsilon() {
 	a.Epsilon *= a.cfg.EpsilonDecay
-	if a.Epsilon < a.cfg.EpsilonMin {
-		a.Epsilon = a.cfg.EpsilonMin
+	if a.Epsilon < EpsilonMin {
+		a.Epsilon = EpsilonMin
 	}
 }
 
@@ -177,9 +156,9 @@ func (a *Agent) DecayEpsilon() {
 // the initial value — the paper starts online training "with the ε value
 // that we would reach after 600 episodes" (§4.2).
 func (c Config) EpsilonAfter(episodes int) float64 {
-	e := c.Epsilon * math.Pow(c.EpsilonDecay, float64(episodes))
-	if e < c.EpsilonMin {
-		return c.EpsilonMin
+	e := Epsilon * math.Pow(c.EpsilonDecay, float64(episodes))
+	if e < EpsilonMin {
+		return EpsilonMin
 	}
 	return e
 }

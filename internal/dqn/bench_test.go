@@ -71,7 +71,7 @@ func benchAgent(b *testing.B, scalar bool, sh benchShape) *Agent {
 	for a := 12; a < numActions; a += 3 {
 		nextValid = append(nextValid, a)
 	}
-	for i := 0; i < 4*cfg.BatchSize; i++ {
+	for i := 0; i < 4*BatchSize; i++ {
 		tr := Transition{
 			State:  mkState(),
 			Action: rng.Intn(numActions),
@@ -113,7 +113,6 @@ func BenchmarkTrainStepScalar(b *testing.B) { benchTrainStep(b, true, smallShape
 // and committee reference discovery, vs the per-state loop it replaces.
 func BenchmarkValuesBatch(b *testing.B) {
 	a := benchAgent(b, false, smallShape)
-	bv := a.Q.(BatchValuer)
 	rng := rand.New(rand.NewSource(2))
 	const n = 16
 	states := make([][]float64, n)
@@ -128,6 +127,6 @@ func BenchmarkValuesBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bv.ValuesBatch(states, valids)
+		a.Q.ValuesBatch(states, valids)
 	}
 }

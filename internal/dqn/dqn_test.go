@@ -63,13 +63,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*Config){
-		func(c *Config) { c.Gamma = 0 },
-		func(c *Config) { c.Gamma = 1 },
-		func(c *Config) { c.Epsilon = -0.1 },
 		func(c *Config) { c.EpsilonDecay = 0 },
+		func(c *Config) { c.EpsilonDecay = 1.1 },
 		func(c *Config) { c.BufferSize = 0 },
-		func(c *Config) { c.BatchSize = 0 },
-		func(c *Config) { c.Tau = 0 },
 		func(c *Config) { c.LearningRate = 0 },
 	}
 	for i, mutate := range bad {
@@ -83,8 +79,9 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
 	c := DefaultConfig()
-	if c.LearningRate != 5e-4 || c.Tau != 1e-3 || c.BufferSize != 10000 ||
-		c.BatchSize != 32 || c.EpsilonDecay != 0.997 || c.Gamma != 0.99 ||
+	if c.LearningRate != 5e-4 || Tau != 1e-3 || c.BufferSize != 10000 ||
+		BatchSize != 32 || c.EpsilonDecay != 0.997 || Gamma != 0.99 ||
+		Epsilon != 1 || EpsilonMin != 0.01 ||
 		len(c.Hidden) != 2 || c.Hidden[0] != 128 || c.Hidden[1] != 64 {
 		t.Fatalf("DefaultConfig deviates from Table 1: %+v", c)
 	}
@@ -97,7 +94,7 @@ func TestEpsilonDecaySchedule(t *testing.T) {
 	if math.Abs(e600-want) > 1e-12 {
 		t.Fatalf("EpsilonAfter(600) = %v, want %v", e600, want)
 	}
-	if got := c.EpsilonAfter(100000); got != c.EpsilonMin {
+	if got := c.EpsilonAfter(100000); got != EpsilonMin {
 		t.Fatalf("EpsilonAfter floor = %v", got)
 	}
 }
@@ -200,9 +197,8 @@ func TestValuesRespectActionSubsets(t *testing.T) {
 func TestGreedyPicksArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	q := NewMultiHeadQ(2, []int{6}, 3, 1e-3, rng)
-	cfg := DefaultConfig()
-	cfg.Epsilon = 0
-	agent, _ := NewAgent(q, cfg, rng)
+	agent, _ := NewAgent(q, DefaultConfig(), rng)
+	agent.Epsilon = 0
 	s := []float64{0.5, -0.5}
 	vals := q.Values(s, []int{0, 1, 2})
 	bestIdx, bestV := 0, math.Inf(-1)
@@ -229,9 +225,8 @@ func TestGreedyPicksArgmax(t *testing.T) {
 func TestEpsilonOneIsUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	q := NewMultiHeadQ(1, []int{4}, 3, 1e-3, rng)
-	cfg := DefaultConfig()
-	cfg.Epsilon = 1
-	agent, _ := NewAgent(q, cfg, rng)
+	agent, _ := NewAgent(q, DefaultConfig(), rng)
+	agent.Epsilon = 1
 	counts := map[int]int{}
 	for i := 0; i < 3000; i++ {
 		counts[agent.SelectAction([]float64{1}, []int{0, 1, 2})]++
@@ -246,9 +241,7 @@ func TestEpsilonOneIsUniform(t *testing.T) {
 func TestTrainStepNoopUntilBatchFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	q := NewMultiHeadQ(2, []int{4}, 2, 1e-3, rng)
-	cfg := DefaultConfig()
-	cfg.BatchSize = 8
-	agent, _ := NewAgent(q, cfg, rng)
+	agent, _ := NewAgent(q, DefaultConfig(), rng)
 	before, _ := q.Save()
 	if loss, trained := agent.TrainStep(); trained || loss != 0 {
 		t.Fatalf("TrainStep on empty buffer = (%v, %v)", loss, trained)
@@ -259,7 +252,7 @@ func TestTrainStepNoopUntilBatchFull(t *testing.T) {
 	}
 	// Fill the buffer to one batch: now TrainStep must report trained=true,
 	// so a logged zero loss is a genuine zero and not a buffer-warmup no-op.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < BatchSize; i++ {
 		agent.Observe(Transition{State: []float64{1, 0}, Action: i % 2, Reward: 1,
 			Next: []float64{0, 1}, NextValid: []int{0, 1}})
 	}
@@ -334,7 +327,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestNewAgentRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Gamma = 2
+	cfg.EpsilonDecay = 2
 	_, err := NewAgent(nil, cfg, rand.New(rand.NewSource(1)))
 	if err == nil {
 		t.Fatalf("NewAgent accepted bad config")

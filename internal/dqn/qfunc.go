@@ -8,19 +8,12 @@ import (
 	"partadvisor/internal/nn"
 )
 
-// BatchValuer is an optional QFunc extension: Q-values for many states in a
-// single fused forward pass. Each output row is bitwise identical to a
-// separate Values call for that state (row computations in the nn package
-// are independent of batch size and worker split), so callers — e.g. the
-// committee's lockstep reference-discovery rollouts — can batch freely
-// without changing any result. The returned rows are freshly allocated and
-// safe to retain.
-type BatchValuer interface {
-	ValuesBatch(states [][]float64, actions [][]int) [][]float64
-}
-
-// QFunc abstracts a learned Q-function over a fixed global action list.
+// QFunc is a learned Q-function over a fixed global action list. Both
+// heads implement all of it on one network core (qnet): an online network,
+// a target network and the Adam optimizer that trains the online one.
 type QFunc interface {
+	BatchValuer
+	FullStater
 	// Values returns Q(state, a) for each action index in actions, using
 	// the online network.
 	Values(state []float64, actions []int) []float64
@@ -35,12 +28,61 @@ type QFunc interface {
 	Load(data []byte) error
 }
 
-// MultiHeadQ maps a state to one Q-value per global action — the fast head.
-type MultiHeadQ struct {
+// BatchValuer returns Q-values for many states in a single fused forward
+// pass. Each output row is bitwise identical to a separate Values call for
+// that state (row computations in the nn package are independent of batch
+// size), so callers can batch freely without changing any result. The
+// returned rows are freshly allocated and safe to retain.
+type BatchValuer interface {
+	ValuesBatch(states [][]float64, actions [][]int) [][]float64
+}
+
+var (
+	_ QFunc = (*MultiHeadQ)(nil)
+	_ QFunc = (*ScalarQ)(nil)
+)
+
+// qnet is the network core both heads share: the online network, the
+// target network it is softly blended into, and the online network's
+// optimizer. Each head brings its own fits, which says what network can
+// stand in for its online one.
+type qnet struct {
 	online *nn.Network
 	target *nn.Network
 	opt    *nn.Adam
-	n      int // number of actions
+}
+
+func newQNet(dims []int, lr float64, rng *rand.Rand) qnet {
+	online := nn.NewNetwork(dims, rng)
+	return qnet{online: online, target: online.Clone(), opt: nn.NewAdam(lr)}
+}
+
+// SoftUpdate implements QFunc.
+func (q *qnet) SoftUpdate(tau float64) { q.target.SoftUpdateFrom(q.online, tau) }
+
+// Save implements QFunc.
+func (q *qnet) Save() ([]byte, error) { return q.online.MarshalBinary() }
+
+// load is the body of both heads' Load. The checkpoint must fit the
+// constructed head: one from a different schema encoding, action space or
+// hidden-layer layout would otherwise load fine and then panic (or
+// silently misbehave) on the first Values or Train call.
+func (q *qnet) load(data []byte, fits func(which string, net *nn.Network) error) error {
+	var net nn.Network
+	if err := net.UnmarshalBinary(data); err != nil {
+		return err
+	}
+	if err := fits("checkpoint", &net); err != nil {
+		return err
+	}
+	q.online = &net
+	q.target = q.online.Clone()
+	return nil
+}
+
+// MultiHeadQ maps a state to one Q-value per global action — the fast head.
+type MultiHeadQ struct {
+	qnet
 	// Double selects Double-DQN targets: the online network picks the next
 	// action, the target network evaluates it.
 	Double bool
@@ -54,13 +96,7 @@ type MultiHeadQ struct {
 // as given (Table 1: 128-64) between the state input and |A| outputs.
 func NewMultiHeadQ(stateDim int, hidden []int, numActions int, lr float64, rng *rand.Rand) *MultiHeadQ {
 	dims := append(append([]int{stateDim}, hidden...), numActions)
-	online := nn.NewNetwork(dims, rng)
-	return &MultiHeadQ{
-		online: online,
-		target: online.Clone(),
-		opt:    nn.NewAdam(lr),
-		n:      numActions,
-	}
+	return &MultiHeadQ{qnet: newQNet(dims, lr, rng)}
 }
 
 // Values implements QFunc.
@@ -167,36 +203,16 @@ func (q *MultiHeadQ) Train(batch []Transition, gamma float64) float64 {
 	return q.online.TrainActions(q.opt, q.batchIn, q.actions, q.targets)
 }
 
-// SoftUpdate implements QFunc.
-func (q *MultiHeadQ) SoftUpdate(tau float64) { q.target.SoftUpdateFrom(q.online, tau) }
-
-// Save implements QFunc.
-func (q *MultiHeadQ) Save() ([]byte, error) { return q.online.MarshalBinary() }
-
-// Load implements QFunc. The checkpoint must fit the constructed head: one
-// from a different schema encoding, action space or hidden-layer layout
-// would otherwise load fine and then panic (or silently misbehave) on the
-// first Values or Train call.
-func (q *MultiHeadQ) Load(data []byte) error {
-	var net nn.Network
-	if err := net.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if err := q.fits("checkpoint", &net); err != nil {
-		return err
-	}
-	q.online = &net
-	q.target = q.online.Clone()
-	return nil
-}
+// Load implements QFunc through the shared body, against the head's fits.
+func (q *MultiHeadQ) Load(data []byte) error { return q.load(data, q.fits) }
 
 // fits reports the first way net cannot stand in for the head's online
 // network: its input and output widths, then any layer's shape or
 // activation.
 func (q *MultiHeadQ) fits(which string, net *nn.Network) error {
-	if net.InDim() != q.online.InDim() || net.OutDim() != q.n {
+	if net.InDim() != q.online.InDim() || net.OutDim() != q.online.OutDim() {
 		return fmt.Errorf("dqn: %s shape %dx%d does not match multi-head Q %dx%d (state dim × action count) — was it saved for a different schema or action space?",
-			which, net.InDim(), net.OutDim(), q.online.InDim(), q.n)
+			which, net.InDim(), net.OutDim(), q.online.InDim(), q.online.OutDim())
 	}
 	return sameLayers(which, net, q.online)
 }
@@ -208,10 +224,8 @@ func (q *MultiHeadQ) Online() *nn.Network { return q.online }
 // ScalarQ is the paper-faithful head: Q(s, a) = net(s ⊕ feat(a)). The global
 // action-feature table is fixed at construction.
 type ScalarQ struct {
-	online *nn.Network
-	target *nn.Network
-	opt    *nn.Adam
-	feats  [][]float64
+	qnet
+	feats [][]float64
 
 	inferIn      *nn.Matrix // reused Values input batch
 	batchInferIn *nn.Matrix // reused ValuesBatch input batch
@@ -227,8 +241,7 @@ func NewScalarQ(stateDim int, hidden []int, actionFeats [][]float64, lr float64,
 		panic("dqn: ScalarQ needs action features")
 	}
 	dims := append(append([]int{stateDim + len(actionFeats[0])}, hidden...), 1)
-	online := nn.NewNetwork(dims, rng)
-	return &ScalarQ{online: online, target: online.Clone(), opt: nn.NewAdam(lr), feats: actionFeats}
+	return &ScalarQ{qnet: newQNet(dims, lr, rng), feats: actionFeats}
 }
 
 // fillInput writes state ⊕ feat(action) into row.
@@ -358,27 +371,8 @@ func (q *ScalarQ) Train(batch []Transition, gamma float64) float64 {
 	return q.online.TrainBatch(q.opt, q.trainIn, q.trainTarget, nil)
 }
 
-// SoftUpdate implements QFunc.
-func (q *ScalarQ) SoftUpdate(tau float64) { q.target.SoftUpdateFrom(q.online, tau) }
-
-// Save implements QFunc.
-func (q *ScalarQ) Save() ([]byte, error) { return q.online.MarshalBinary() }
-
-// Load implements QFunc. The checkpoint must fit the constructed head;
-// anything else comes from a different schema, action encoding or hidden
-// layout and is rejected.
-func (q *ScalarQ) Load(data []byte) error {
-	var net nn.Network
-	if err := net.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if err := q.fits("checkpoint", &net); err != nil {
-		return err
-	}
-	q.online = &net
-	q.target = q.online.Clone()
-	return nil
-}
+// Load implements QFunc through the shared body, against the head's fits.
+func (q *ScalarQ) Load(data []byte) error { return q.load(data, q.fits) }
 
 // fits reports the first way net cannot stand in for the head's online
 // network: it must consume state ⊕ action-feature rows of this head's width

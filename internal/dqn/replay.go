@@ -5,12 +5,15 @@
 //
 //	(r + γ·max_a Q_θ'(s', a) − Q_θ(s, a))².
 //
-// Two Q-function heads are provided. ScalarQ is the paper-faithful network
-// that consumes state ⊕ action features and emits one Q-value; MultiHeadQ
-// consumes the state and emits a Q-value per action of the fixed global
-// action list — mathematically equivalent for a fixed action space and an
-// order of magnitude faster, hence the default. The choice is benchmarked in
-// the ablation benches.
+// One contract, QFunc, covers what the agent asks of a Q-function:
+// values for one state or a batch, a training step, the soft update, and
+// model and full-state snapshots. Two heads implement it on one network
+// core (the online and target networks and their Adam optimizer). ScalarQ
+// is the paper-faithful network that consumes state ⊕ action features and
+// emits one Q-value; MultiHeadQ consumes the state and emits a Q-value per
+// action of the fixed global action list — mathematically equivalent for a
+// fixed action space and an order of magnitude faster, hence the default.
+// The choice is benchmarked in the ablation benches.
 package dqn
 
 import (

@@ -15,8 +15,8 @@ import (
 // bit-identically also needs the target network, the Adam moments and
 // step count, the replay buffer, and ε.
 
-// FullStater is implemented by Q-heads that can serialize their complete
-// training state (online + target networks + optimizer).
+// FullStater serializes a Q-head's complete training state (online +
+// target networks + optimizer).
 type FullStater interface {
 	SaveFull() ([]byte, error)
 	LoadFull(data []byte) error
@@ -28,55 +28,56 @@ type qFullGob struct {
 	Opt            nn.AdamState
 }
 
-// saveFull snapshots both networks and the Adam state.
-func saveFull(online, target *nn.Network, opt *nn.Adam) ([]byte, error) {
-	ob, err := online.MarshalBinary()
+// SaveFull implements FullStater: both networks and the Adam state.
+func (q *qnet) SaveFull() ([]byte, error) {
+	ob, err := q.online.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	tb, err := target.MarshalBinary()
+	tb, err := q.target.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(qFullGob{Online: ob, Target: tb, Opt: opt.State()}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(qFullGob{Online: ob, Target: tb, Opt: q.opt.State()}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// loadFull decodes both networks of a full snapshot for a head whose
-// constructed online network is head, and restores the snapshot's Adam
-// state into opt only once every shape checks out: both networks against
-// the head's fits (the check Load applies), then every Adam moment against
-// head. The training kernels index weights, moments and the target by the
-// online network's shapes, so a snapshot that disagreed anywhere would
+// loadFull is the body of both heads' LoadFull. It decodes both networks
+// of a full snapshot and installs them, with the snapshot's Adam state,
+// only once every shape checks out: both networks against the head's fits
+// (the check Load applies), then every Adam moment against the online
+// network. The training kernels index weights, moments and the target by
+// the online network's shapes, so a snapshot that disagreed anywhere would
 // otherwise panic on the first Train or SoftUpdate.
-func loadFull(data []byte, head *nn.Network, opt *nn.Adam, fits func(which string, net *nn.Network) error) (online, target *nn.Network, err error) {
+func (q *qnet) loadFull(data []byte, fits func(which string, net *nn.Network) error) error {
 	var g qFullGob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
-		return nil, nil, err
+		return err
 	}
-	online, target = &nn.Network{}, &nn.Network{}
+	online, target := &nn.Network{}, &nn.Network{}
 	if err := online.UnmarshalBinary(g.Online); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := target.UnmarshalBinary(g.Target); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := fits("snapshot online", online); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := fits("snapshot target", target); err != nil {
-		return nil, nil, err
+		return err
 	}
-	if err := momentsFit(g.Opt, head); err != nil {
-		return nil, nil, err
+	if err := momentsFit(g.Opt, q.online); err != nil {
+		return err
 	}
-	if err := opt.SetState(g.Opt); err != nil {
-		return nil, nil, err
+	if err := q.opt.SetState(g.Opt); err != nil {
+		return err
 	}
-	return online, target, nil
+	q.online, q.target = online, target
+	return nil
 }
 
 // sameLayers reports the first way net's layers differ from head's: their
@@ -116,33 +117,13 @@ func momentsFit(s nn.AdamState, head *nn.Network) error {
 	return nil
 }
 
-// SaveFull implements FullStater.
-func (q *MultiHeadQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
+// LoadFull implements FullStater through the shared body, against the
+// head's fits.
+func (q *MultiHeadQ) LoadFull(data []byte) error { return q.loadFull(data, q.fits) }
 
-// LoadFull implements FullStater with the same shape validation as Load
-// for both networks, and checks the Adam moments too.
-func (q *MultiHeadQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.online, q.opt, q.fits)
-	if err != nil {
-		return err
-	}
-	q.online, q.target = online, target
-	return nil
-}
-
-// SaveFull implements FullStater.
-func (q *ScalarQ) SaveFull() ([]byte, error) { return saveFull(q.online, q.target, q.opt) }
-
-// LoadFull implements FullStater with the same shape validation as Load
-// for both networks, and checks the Adam moments too.
-func (q *ScalarQ) LoadFull(data []byte) error {
-	online, target, err := loadFull(data, q.online, q.opt, q.fits)
-	if err != nil {
-		return err
-	}
-	q.online, q.target = online, target
-	return nil
-}
+// LoadFull implements FullStater through the shared body, against the
+// head's fits.
+func (q *ScalarQ) LoadFull(data []byte) error { return q.loadFull(data, q.fits) }
 
 // bufferGob is the gob shadow of Buffer. Only the filled prefix is
 // encoded: when size < cap the tail slots are untouched zero values, and
@@ -188,14 +169,9 @@ type agentGob struct {
 }
 
 // SaveState serializes the agent's complete training state: full Q state
-// (online + target + optimizer), replay buffer and ε. The head must
-// implement FullStater (both built-in heads do).
+// (online + target + optimizer), replay buffer and ε.
 func (a *Agent) SaveState() ([]byte, error) {
-	fs, ok := a.Q.(FullStater)
-	if !ok {
-		return nil, fmt.Errorf("dqn: Q head %T cannot snapshot its full state", a.Q)
-	}
-	qb, err := fs.SaveFull()
+	qb, err := a.Q.SaveFull()
 	if err != nil {
 		return nil, err
 	}
@@ -213,15 +189,11 @@ func (a *Agent) SaveState() ([]byte, error) {
 // RestoreState restores a snapshot taken by SaveState into an agent built
 // with the same configuration.
 func (a *Agent) RestoreState(data []byte) error {
-	fs, ok := a.Q.(FullStater)
-	if !ok {
-		return fmt.Errorf("dqn: Q head %T cannot restore a full state", a.Q)
-	}
 	var g agentGob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return err
 	}
-	if err := fs.LoadFull(g.Q); err != nil {
+	if err := a.Q.LoadFull(g.Q); err != nil {
 		return err
 	}
 	restored := NewBuffer(a.cfg.BufferSize)

@@ -41,8 +41,7 @@ func trainedAgent(t *testing.T, cfg Config, seed int64, steps int) *Agent {
 
 func smallConfig() Config {
 	cfg := DefaultConfig()
-	cfg.BufferSize = 17 // forces the ring to wrap during trainedAgent
-	cfg.BatchSize = 4
+	cfg.BufferSize = 41 // holds a batch and forces the ring to wrap during trainedAgent
 	return cfg
 }
 
@@ -52,7 +51,7 @@ func smallConfig() Config {
 // target network, Adam moments/step count and the replay buffer layout.
 func TestAgentStateRoundTrip(t *testing.T) {
 	cfg := smallConfig()
-	a := trainedAgent(t, cfg, 11, 40)
+	a := trainedAgent(t, cfg, 11, 50)
 	blob, err := a.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -87,16 +86,16 @@ func TestAgentStateRoundTrip(t *testing.T) {
 
 	// Continue training both on identical RNG streams: losses must match
 	// exactly step for step.
-	batch := make([]Transition, 0, cfg.BatchSize)
+	batch := make([]Transition, 0, BatchSize)
 	rngA := rand.New(rand.NewSource(5))
 	rngB := rand.New(rand.NewSource(5))
 	for step := 0; step < 10; step++ {
-		batch = a.Buffer.Sample(rngA, cfg.BatchSize, batch)
-		la := a.Q.Train(batch, cfg.Gamma)
-		a.Q.SoftUpdate(cfg.Tau)
-		batch = b.Buffer.Sample(rngB, cfg.BatchSize, batch)
-		lb := b.Q.Train(batch, cfg.Gamma)
-		b.Q.SoftUpdate(cfg.Tau)
+		batch = a.Buffer.Sample(rngA, BatchSize, batch)
+		la := a.Q.Train(batch, Gamma)
+		a.Q.SoftUpdate(Tau)
+		batch = b.Buffer.Sample(rngB, BatchSize, batch)
+		lb := b.Q.Train(batch, Gamma)
+		b.Q.SoftUpdate(Tau)
 		if la != lb {
 			t.Fatalf("training step %d: loss %v after restore, want %v", step, lb, la)
 		}
@@ -159,7 +158,7 @@ func TestLoadFullRejectsShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cfg.BatchSize; i++ {
+	for i := 0; i < BatchSize; i++ {
 		a.Observe(Transition{State: []float64{0, 0, 0, 0}, NextValid: []int{0}})
 	}
 	state, err := a.SaveState()

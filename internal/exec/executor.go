@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"partadvisor/internal/hardware"
 	"partadvisor/internal/relation"
 	"partadvisor/internal/sqlparse"
 )
@@ -639,13 +640,13 @@ func (x *executor) join(a, b *dist) *dist {
 		// stationary side provably holds no data there (a non-empty shard
 		// on a crashed node fails the query at scan time), so rows routed
 		// toward a dead node's empty bucket match nothing.
-		keysB := pairedCols(a.partCols, preds)
+		keysB := pairedCols(a.partCols, preds, true)
 		bShards, movedB, movedR := x.shuffle(b.shards, keysB, nil)
 		x.chargeNet(movedB, movedR)
 		x.localJoinShards(out, a.shards, bShards, preds, mode)
 		out.partCols = augmentPartCols(a.partCols, preds)
 	case "shuffle-a-to-b":
-		keysA := pairedColsB(b.partCols, preds)
+		keysA := pairedCols(b.partCols, preds, false)
 		aShards, movedB, movedR := x.shuffle(a.shards, keysA, nil)
 		x.chargeNet(movedB, movedR)
 		x.localJoinShards(out, aShards, b.shards, preds, mode)
@@ -685,10 +686,6 @@ func (x *executor) liveTargets() []int {
 	return x.fc.live
 }
 
-// serializationSpeedup: tuples (de)serialize this many times faster than
-// they are processed by a hash join (kept consistent with the cost model).
-const serializationSpeedup = 4
-
 // chargeNet books data movement: wire time plus per-tuple (de)serialization
 // CPU — distributed engines rarely shuffle at wire speed. An active
 // bandwidth degradation shrinks the effective interconnect speed.
@@ -699,7 +696,7 @@ func (x *executor) chargeNet(movedBytes, movedRows int64) {
 	if x.fc != nil {
 		net *= x.fc.net
 	}
-	x.charge(float64(movedBytes)/(n*net) + float64(movedRows)/(n*serializationSpeedup*hw.CPUTuplesPerSec))
+	x.charge(float64(movedBytes)/(n*net) + float64(movedRows)/(n*hardware.SerializationSpeedup*hw.CPUTuplesPerSec))
 }
 
 // localJoinShards joins co-located shard pairs, charging the straggler
@@ -919,23 +916,18 @@ func alignedKeys(partCols [][]string, preds []jpred, sideA bool) []int {
 	return perm
 }
 
-// pairedCols returns, for each hash position of the aligned a side, the
-// b-side column that must be hashed to co-locate with it.
-func pairedCols(aPartCols [][]string, preds []jpred) []string {
-	perm := alignedKeys(aPartCols, preds, true)
+// pairedCols returns, for each hash position of the aligned side (a when
+// sideA, else b), the other side's column that must be hashed to co-locate
+// with it.
+func pairedCols(partCols [][]string, preds []jpred, sideA bool) []string {
+	perm := alignedKeys(partCols, preds, sideA)
 	out := make([]string, len(perm))
 	for i, pi := range perm {
-		out[i] = preds[pi].bCol
-	}
-	return out
-}
-
-// pairedColsB is pairedCols with the roles reversed (shuffle a to b).
-func pairedColsB(bPartCols [][]string, preds []jpred) []string {
-	perm := alignedKeys(bPartCols, preds, false)
-	out := make([]string, len(perm))
-	for i, pi := range perm {
-		out[i] = preds[pi].aCol
+		if sideA {
+			out[i] = preds[pi].bCol
+		} else {
+			out[i] = preds[pi].aCol
+		}
 	}
 	return out
 }

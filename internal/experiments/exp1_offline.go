@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"partadvisor/advisor"
+	"partadvisor/internal/dqn"
 )
 
 // table1 renders the hyperparameter table (paper Table 1) from the live
@@ -16,15 +17,15 @@ func table1() *Result {
 		Header: []string{"Parameter", "Value"},
 	}
 	r.AddRow("Learning Rate", fmt.Sprintf("%g", hp.DQN.LearningRate))
-	r.AddRow("tau (Target network update)", fmt.Sprintf("%g", hp.DQN.Tau))
+	r.AddRow("tau (Target network update)", fmt.Sprintf("%g", dqn.Tau))
 	r.AddRow("Optimizer", "Adam")
 	r.AddRow("Experience Replay Buffer Size", hp.DQN.BufferSize)
-	r.AddRow("Batch Size for Experience Replay", hp.DQN.BatchSize)
+	r.AddRow("Batch Size for Experience Replay", dqn.BatchSize)
 	r.AddRow("Epsilon Decay", fmt.Sprintf("%g", hp.DQN.EpsilonDecay))
 	r.AddRow("tmax (Max Stepsize)", hp.Tmax)
 	r.AddRow("Episodes", fmt.Sprintf("%d/%d", PaperConfig().HP(false).Episodes, hp.Episodes))
 	r.AddRow("Network Layout", fmt.Sprintf("%d-%d", hp.DQN.Hidden[0], hp.DQN.Hidden[1]))
-	r.AddRow("gamma (Reward Discount)", fmt.Sprintf("%g", hp.DQN.Gamma))
+	r.AddRow("gamma (Reward Discount)", fmt.Sprintf("%g", dqn.Gamma))
 	return r
 }
 

@@ -94,19 +94,9 @@ func runHotshardVariant(cfg Config, key string, mitigate bool) (costs []float64,
 
 	oc := core.NewOnlineCost(e, wl, nil)
 	det := core.NewHotShardDetector()
-	size := len(wl.UniformFreq())
+	size := wl.Size()
 	for w := 0; w < benchmarks.CelebrityWindows; w++ {
 		freq := tr.Mix(w, size)
-		zero := true
-		for _, v := range freq {
-			if v != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			freq = wl.UniformFreq()
-		}
 		rep := e.Exec(context.Background(), window)
 		var cost float64
 		for i := range window.Queries {

@@ -32,6 +32,11 @@ type Profile struct {
 
 const gbps = 1e9 / 8 // bytes per second per Gbit/s
 
+// SerializationSpeedup is how many times faster tuples (de)serialize than
+// a hash join processes them (CPUTuplesPerSec). The cost model and the
+// engine both price moved tuples with it.
+const SerializationSpeedup = 4
+
 // Fixed overheads are calibrated to "repro scale": the materialized
 // datasets are ~1000x smaller than the paper's SF=100 deployments, so the
 // per-query and per-repartition constants shrink accordingly — otherwise

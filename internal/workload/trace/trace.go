@@ -1,7 +1,7 @@
 // Package trace generates adversarial traffic traces: Zipf-skewed key
-// access, flash-crowd spikes (step/ramp/decay), diurnal curves, and
-// multi-tenant interleavings. Traces are seeded and replay bit-identically
-// from the seed alone — the chaos soak runs every episode twice and compares
+// access, ramping flash-crowd spikes, diurnal curves, and multi-tenant
+// interleavings. Traces are seeded and replay bit-identically from the
+// seed alone — the chaos soak runs every episode twice and compares
 // digests, so any hidden nondeterminism (map iteration, wall-clock, shared
 // RNG races) is a test failure, not a flake.
 //
@@ -15,74 +15,38 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"partadvisor/internal/workload"
 )
 
-// Shape selects how a flash-crowd spike evolves over its width.
-type Shape int
-
-const (
-	// Step jumps to Peak for the whole width, then stops.
-	Step Shape = iota
-	// Ramp climbs linearly from baseline to Peak across the width.
-	Ramp
-	// Decay starts at Peak and halves its excess every window (a flash
-	// crowd that loses interest).
-	Decay
-)
-
-func (s Shape) String() string {
-	switch s {
-	case Step:
-		return "step"
-	case Ramp:
-		return "ramp"
-	case Decay:
-		return "decay"
-	}
-	return fmt.Sprintf("shape(%d)", int(s))
-}
-
 // Spike is one flash crowd: a multiplicative intensity excursion over
-// [Start, Start+Width) windows.
+// [Start, Start+Width) windows that climbs linearly from baseline to Peak.
 type Spike struct {
 	Start int
 	Width int
 	// Peak is the intensity multiplier at the spike's maximum (>= 1).
-	Peak  float64
-	Shape Shape
+	Peak float64
 }
 
 // factor returns the spike's intensity multiplier at window w (1 outside
-// the spike).
+// the spike), reaching Peak on the last window of the spike.
 func (sp Spike) factor(w int) float64 {
 	if w < sp.Start || w >= sp.Start+sp.Width || sp.Width <= 0 {
 		return 1
 	}
-	rel := w - sp.Start
-	switch sp.Shape {
-	case Ramp:
-		// Linear climb reaching Peak on the last window of the spike.
-		if sp.Width == 1 {
-			return sp.Peak
-		}
-		return 1 + (sp.Peak-1)*float64(rel)/float64(sp.Width-1)
-	case Decay:
-		return 1 + (sp.Peak-1)*math.Pow(0.5, float64(rel))
-	default: // Step
+	if sp.Width == 1 {
 		return sp.Peak
 	}
+	return 1 + (sp.Peak-1)*float64(w-sp.Start)/float64(sp.Width-1)
 }
 
 // Tenant describes one tenant's traffic shape.
 type Tenant struct {
 	Name string
-	// Weight is the tenant's base intensity (events per window per unit of
-	// Config.EventsPerWindow).
+	// Weight is the tenant's base intensity (in units of eventsPerWindow
+	// events per window).
 	Weight float64
 	// ZipfS is the key-skew exponent (> 1 for skew; 0 or anything <= 1
 	// means uniform key access).
@@ -90,9 +54,6 @@ type Tenant struct {
 	// DiurnalAmp in [0, 1] modulates intensity sinusoidally over
 	// Config.Period windows; 0 disables the diurnal curve.
 	DiurnalAmp float64
-	// DiurnalPhase in [0, 1) shifts the tenant's peak within the period, so
-	// tenants in different "time zones" interleave instead of stacking.
-	DiurnalPhase float64
 	// Spikes are this tenant's flash crowds.
 	Spikes []Spike
 	// Mix is the tenant's preferred query mix (may be nil when the trace is
@@ -100,31 +61,19 @@ type Tenant struct {
 	Mix workload.FreqVector
 }
 
+// eventsPerWindow is the event budget per unit of tenant weight at
+// intensity 1.
+const eventsPerWindow = 64
+
 // Config specifies a trace.
 type Config struct {
 	Seed    int64
 	Windows int
-	// Period is the diurnal cycle length in windows (default 24).
+	// Period is the diurnal cycle length in windows.
 	Period int
-	// Keys is the key universe size per tenant (default 1024).
-	Keys int
-	// EventsPerWindow is the event budget per unit of tenant weight at
-	// intensity 1 (default 64).
-	EventsPerWindow int
-	Tenants         []Tenant
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = 24
-	}
-	if c.Keys <= 0 {
-		c.Keys = 1024
-	}
-	if c.EventsPerWindow <= 0 {
-		c.EventsPerWindow = 64
-	}
-	return c
+	// Keys is the key universe size per tenant.
+	Keys    int
+	Tenants []Tenant
 }
 
 // Event is one key access by one tenant (tenant is an index into
@@ -155,7 +104,6 @@ type Trace struct {
 // slice order, all random draws come from one seeded RNG consumed in a
 // fixed order, and no maps are iterated during generation.
 func Generate(cfg Config) *Trace {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Per-tenant Zipf samplers, created in tenant order so the shared RNG
 	// is consumed deterministically.
@@ -180,7 +128,7 @@ func Generate(cfg Config) *Trace {
 				in = 0
 			}
 			win.Intensity[i] = in
-			budgets[i] = int(math.Round(in * float64(cfg.EventsPerWindow)))
+			budgets[i] = int(math.Round(in * eventsPerWindow))
 			total += budgets[i]
 		}
 		// Interleave: repeatedly draw a tenant weighted by its remaining
@@ -218,7 +166,7 @@ func diurnal(tn Tenant, w, period int) float64 {
 	if tn.DiurnalAmp == 0 {
 		return 1
 	}
-	phase := 2 * math.Pi * (float64(w)/float64(period) + tn.DiurnalPhase)
+	phase := 2 * math.Pi * (float64(w) / float64(period))
 	f := 1 + tn.DiurnalAmp*math.Sin(phase)
 	if f < 0 {
 		return 0
@@ -228,15 +176,11 @@ func diurnal(tn Tenant, w, period int) float64 {
 
 // Mix returns the window's workload mix: the intensity-weighted blend of
 // the tenants' preferred mixes, normalized. Tenants without a mix
-// contribute nothing; a window with no mixing tenants returns a zero
-// vector of length size.
+// contribute nothing.
 func (t *Trace) Mix(w, size int) workload.FreqVector {
 	f := make(workload.FreqVector, size)
 	win := &t.Windows[w]
 	for i, tn := range t.Config.Tenants {
-		if tn.Mix == nil {
-			continue
-		}
 		for j := 0; j < size && j < len(tn.Mix); j++ {
 			f[j] += win.Intensity[i] * tn.Mix[j]
 		}

@@ -16,11 +16,11 @@ func celebrityConfig(seed int64) Config {
 		Tenants: []Tenant{
 			{
 				Name: "celebrity", Weight: 1, ZipfS: 2.0,
-				Spikes: []Spike{{Start: 20, Width: 8, Peak: 6, Shape: Ramp}},
+				Spikes: []Spike{{Start: 20, Width: 8, Peak: 6}},
 				Mix:    workload.FreqVector{1, 0.2},
 			},
 			{
-				Name: "steady", Weight: 0.5, DiurnalAmp: 0.8, DiurnalPhase: 0.25,
+				Name: "steady", Weight: 0.5, DiurnalAmp: 0.8,
 				Mix: workload.FreqVector{0.2, 1},
 			},
 		},
@@ -75,7 +75,7 @@ func TestReplayConcurrent(t *testing.T) {
 
 func TestZipfSkewsKeys(t *testing.T) {
 	tr := Generate(Config{
-		Seed: 1, Windows: 10, Keys: 100, EventsPerWindow: 2000,
+		Seed: 1, Windows: 300, Keys: 100,
 		Tenants: []Tenant{{Name: "skewed", Weight: 1, ZipfS: 1.8}},
 	})
 	counts := make(map[int64]int)
@@ -89,7 +89,7 @@ func TestZipfSkewsKeys(t *testing.T) {
 	}
 	// A uniform tenant must not concentrate like that.
 	tr = Generate(Config{
-		Seed: 1, Windows: 10, Keys: 100, EventsPerWindow: 2000,
+		Seed: 1, Windows: 300, Keys: 100,
 		Tenants: []Tenant{{Name: "flat", Weight: 1}},
 	})
 	counts = make(map[int64]int)
@@ -106,55 +106,39 @@ func TestZipfSkewsKeys(t *testing.T) {
 }
 
 func TestSpikeShapes(t *testing.T) {
-	base := func(sh Shape) []Window {
-		return Generate(Config{
-			Seed: 2, Windows: 20, Keys: 16, EventsPerWindow: 100,
-			Tenants: []Tenant{{
-				Name: "t", Weight: 1,
-				Spikes: []Spike{{Start: 5, Width: 6, Peak: 5, Shape: sh}},
-			}},
-		}).Windows
-	}
+	ramp := Generate(Config{
+		Seed: 2, Windows: 20, Keys: 16,
+		Tenants: []Tenant{{
+			Name: "t", Weight: 1,
+			Spikes: []Spike{{Start: 5, Width: 6, Peak: 5}},
+		}},
+	}).Windows
 
-	step := base(Step)
-	if got := step[7].Intensity[0]; got != 5 {
-		t.Fatalf("step mid-spike intensity = %v, want 5", got)
+	if got := ramp[4].Intensity[0]; got != 1 {
+		t.Fatalf("ramp pre-spike intensity = %v, want 1", got)
 	}
-	if got := step[4].Intensity[0]; got != 1 {
-		t.Fatalf("step pre-spike intensity = %v, want 1", got)
+	if got := ramp[11].Intensity[0]; got != 1 {
+		t.Fatalf("ramp post-spike intensity = %v, want 1", got)
 	}
-	if got := step[11].Intensity[0]; got != 1 {
-		t.Fatalf("step post-spike intensity = %v, want 1", got)
-	}
-
-	ramp := base(Ramp)
-	if ramp[5].Intensity[0] >= ramp[10].Intensity[0] {
-		t.Fatalf("ramp not climbing: %v .. %v", ramp[5].Intensity[0], ramp[10].Intensity[0])
+	for w := 6; w <= 10; w++ {
+		if ramp[w].Intensity[0] <= ramp[w-1].Intensity[0] {
+			t.Fatalf("ramp not climbing at window %d: %v after %v", w, ramp[w].Intensity[0], ramp[w-1].Intensity[0])
+		}
 	}
 	if got := ramp[10].Intensity[0]; got != 5 {
 		t.Fatalf("ramp final intensity = %v, want 5", got)
 	}
 
-	decay := base(Decay)
-	if got := decay[5].Intensity[0]; got != 5 {
-		t.Fatalf("decay first intensity = %v, want 5", got)
-	}
-	for w := 6; w < 11; w++ {
-		if decay[w].Intensity[0] >= decay[w-1].Intensity[0] {
-			t.Fatalf("decay not decreasing at window %d", w)
-		}
-	}
-
 	// Spikes must actually move event volume, not just the intensity label.
-	pre, mid := len(step[4].Events), len(step[7].Events)
-	if mid < 3*pre {
-		t.Fatalf("step spike moved too few events: pre=%d mid=%d", pre, mid)
+	pre, peak := len(ramp[4].Events), len(ramp[10].Events)
+	if peak < 3*pre {
+		t.Fatalf("ramp spike moved too few events: pre=%d peak=%d", pre, peak)
 	}
 }
 
 func TestDiurnalCurve(t *testing.T) {
 	tr := Generate(Config{
-		Seed: 3, Windows: 24, Period: 24, Keys: 16, EventsPerWindow: 100,
+		Seed: 3, Windows: 24, Period: 24, Keys: 16,
 		Tenants: []Tenant{{Name: "d", Weight: 1, DiurnalAmp: 0.9}},
 	})
 	// sin peaks at window 6 (quarter period) and troughs at 18.
@@ -165,19 +149,11 @@ func TestDiurnalCurve(t *testing.T) {
 	if peak-1 < 0.8 || 1-trough < 0.8 {
 		t.Fatalf("diurnal amplitude wrong: peak=%v trough=%v", peak, trough)
 	}
-	// A phase-shifted tenant peaks elsewhere.
-	tr2 := Generate(Config{
-		Seed: 3, Windows: 24, Period: 24, Keys: 16, EventsPerWindow: 100,
-		Tenants: []Tenant{{Name: "d", Weight: 1, DiurnalAmp: 0.9, DiurnalPhase: 0.5}},
-	})
-	if tr2.Windows[6].Intensity[0] >= 1 {
-		t.Fatalf("phase shift ignored: %v", tr2.Windows[6].Intensity[0])
-	}
 }
 
 func TestMultiTenantInterleaving(t *testing.T) {
 	tr := Generate(Config{
-		Seed: 4, Windows: 4, Keys: 64, EventsPerWindow: 200,
+		Seed: 4, Windows: 4, Keys: 64,
 		Tenants: []Tenant{
 			{Name: "a", Weight: 1},
 			{Name: "b", Weight: 1},

@@ -37,15 +37,20 @@ type goPackage struct {
 	Standard   bool
 }
 
-// TestNoUncalledInternalExports fails when an exported function or method
-// under internal/ is used by no non-test Go file. It type-checks every
-// package of the module, in dependency order, from its non-test files only,
-// so a method is told apart from others of the same name by its receiver. A
-// function counts as used when a non-test file refers to it; a method, when
-// a non-test file selects it, or when its receiver implements an interface
-// that declares it (error, fmt.Stringer, an interface of the module), since
-// a call through the interface reaches it. What only tests reach is deleted
-// with its tests, or listed in keptUncalled.
+// TestNoUncalledInternalExports fails when an exported declaration under
+// internal/ is used by no non-test Go file: a function or method, a
+// package-level type, constant or variable, or a struct field. It
+// type-checks every package of the module, in dependency order, from its
+// non-test files only, so a method or field is told apart from others of
+// the same name by its receiver. A declaration counts as used when a
+// non-test file refers to it (selects it, directly or promoted through an
+// embedding type, or names it in a composite literal). A method also
+// counts when its receiver, or a module type that embeds its receiver and
+// so promotes it, implements an interface that declares it (error,
+// fmt.Stringer, an interface of the module), since a call through the
+// interface reaches it. An embedded field is used through what it
+// promotes and is not scanned. What only tests reach is deleted with its
+// tests, or listed in keptUncalled.
 func TestNoUncalledInternalExports(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "-json", "./...").Output()
 	if err != nil {
@@ -61,7 +66,7 @@ func TestNoUncalledInternalExports(t *testing.T) {
 		return std.ImportFrom(path, "", 0)
 	})
 	used := map[types.Object]bool{}
-	var decls []*types.Func // exported functions and methods under internal/
+	var decls []types.Object // exported declarations under internal/
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var lp goPackage
@@ -88,46 +93,71 @@ func TestNoUncalledInternalExports(t *testing.T) {
 		}
 		checked[lp.ImportPath] = pkg
 		for _, obj := range info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin()] = true
-			}
+			used[origin(obj)] = true
 		}
 		if !strings.Contains(lp.ImportPath, "/internal/") {
 			continue
 		}
 		for _, obj := range info.Defs {
-			fn, ok := obj.(*types.Func)
-			if !ok || !fn.Exported() {
+			if obj == nil || !obj.Exported() {
 				continue
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !types.IsInterface(recv.Type()) {
-				decls = append(decls, fn) // interface methods are declared, not defined
+			switch obj := obj.(type) {
+			case *types.Func:
+				if recv := obj.Type().(*types.Signature).Recv(); recv == nil || !types.IsInterface(recv.Type()) {
+					decls = append(decls, obj) // interface methods are declared, not defined
+				}
+			case *types.Var:
+				if (obj.IsField() && !obj.Embedded()) || obj.Parent() == pkg.Scope() {
+					decls = append(decls, obj)
+				}
+			case *types.TypeName, *types.Const:
+				if obj.Parent() == pkg.Scope() {
+					decls = append(decls, obj)
+				}
 			}
 		}
 	}
 
 	ifaces := interfacesByMethod(checked)
+	named := moduleTypes(checked)
+	owners := fieldOwners(checked)
 	found := map[string]bool{}
 	var uncalled []string
-	for _, fn := range decls {
-		if used[fn] || implementsDeclaring(fn, ifaces) {
+	for _, obj := range decls {
+		if used[obj] {
 			continue
 		}
-		name := surfaceName(fn)
+		if fn, ok := obj.(*types.Func); ok && reachedThroughInterface(fn, ifaces, named) {
+			continue
+		}
+		name := surfaceName(obj, owners)
 		found[name] = true
 		if _, ok := keptUncalled[name]; !ok {
-			uncalled = append(uncalled, fset.Position(fn.Pos()).String()+": "+name)
+			uncalled = append(uncalled, fset.Position(obj.Pos()).String()+": "+name)
 		}
 	}
 	sort.Strings(uncalled)
 	for _, u := range uncalled {
-		t.Errorf("%s is called only by tests: delete it with its tests, or list it in keptUncalled with its reason", u)
+		t.Errorf("%s is used only by tests: delete it with its tests, or list it in keptUncalled with its reason", u)
 	}
 	for name := range keptUncalled {
 		if !found[name] {
 			t.Errorf("keptUncalled lists %s, which internal/ no longer declares or a non-test file now uses: drop it from the list", name)
 		}
 	}
+}
+
+// origin maps a use of an instantiated generic function, method or field
+// to its declaration.
+func origin(obj types.Object) types.Object {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin()
+	case *types.Var:
+		return obj.Origin()
+	}
+	return obj
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -175,9 +205,29 @@ func interfacesByMethod(pkgs map[string]*types.Package) map[string][]*types.Inte
 	return byMethod
 }
 
-// implementsDeclaring reports whether fn is a method whose receiver type
-// implements one of ifaces that declares a method of fn's name.
-func implementsDeclaring(fn *types.Func, ifaces map[string][]*types.Interface) bool {
+// moduleTypes lists the non-generic named types declared at package level
+// in pkgs.
+func moduleTypes(pkgs map[string]*types.Package) []*types.Named {
+	var named []*types.Named
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				named = append(named, n)
+			}
+		}
+	}
+	return named
+}
+
+// reachedThroughInterface reports whether a type that has method fn
+// implements one of ifaces that declares a method of fn's name: fn's own
+// receiver type, or a type of named that embeds the receiver and so
+// promotes fn.
+func reachedThroughInterface(fn *types.Func, ifaces map[string][]*types.Interface, named []*types.Named) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return false
@@ -186,30 +236,70 @@ func implementsDeclaring(fn *types.Func, ifaces map[string][]*types.Interface) b
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+	if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
 		return false
 	}
-	for _, iface := range ifaces[fn.Name()] {
-		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-			return true
+	carriers := []types.Type{t}
+	for _, n := range named {
+		obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(n), false, fn.Pkg(), fn.Name())
+		if obj == fn && len(index) > 1 {
+			carriers = append(carriers, n)
+		}
+	}
+	for _, c := range carriers {
+		for _, iface := range ifaces[fn.Name()] {
+			if types.Implements(c, iface) || types.Implements(types.NewPointer(c), iface) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// surfaceName writes fn as pkg.Func, pkg.(*T).Method or pkg.T.Method.
-func surfaceName(fn *types.Func) string {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return fn.Pkg().Name() + "." + fn.Name()
+// fieldOwners names the package-level struct type that declares each field.
+func fieldOwners(pkgs map[string]*types.Package) map[*types.Var]string {
+	owners := map[*types.Var]string{}
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owners[st.Field(i)] = name
+				}
+			}
+		}
 	}
-	t, ptr := recv.Type(), false
-	if p, ok := t.(*types.Pointer); ok {
-		t, ptr = p.Elem(), true
+	return owners
+}
+
+// surfaceName writes obj as pkg.Name, pkg.(*T).Method, pkg.T.Method or
+// pkg.T.Field (pkg.?.Field for a field of an unnamed struct).
+func surfaceName(obj types.Object, owners map[*types.Var]string) string {
+	prefix := obj.Pkg().Name() + "."
+	switch obj := obj.(type) {
+	case *types.Var:
+		if obj.IsField() {
+			owner, ok := owners[obj]
+			if !ok {
+				owner = "?"
+			}
+			return prefix + owner + "." + obj.Name()
+		}
+	case *types.Func:
+		if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+			t, ptr := recv.Type(), false
+			if p, ok := t.(*types.Pointer); ok {
+				t, ptr = p.Elem(), true
+			}
+			tn := t.(*types.Named).Obj().Name()
+			if ptr {
+				tn = "(*" + tn + ")"
+			}
+			return prefix + tn + "." + obj.Name()
+		}
 	}
-	tn := t.(*types.Named).Obj().Name()
-	if ptr {
-		tn = "(*" + tn + ")"
-	}
-	return fn.Pkg().Name() + "." + tn + "." + fn.Name()
+	return prefix + obj.Name()
 }
